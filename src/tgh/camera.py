@@ -43,16 +43,6 @@ class Camera:
         return points @ self.rotation.T + self.translation
 
 
-def orthonormalize(rotation):
-    """Project a near-rotation onto SO(3) via SVD."""
-    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=np.float64).reshape(3, 3))
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] *= -1
-        r = u @ vt
-    return r
-
-
 def look_at(position, target, up=(0.0, 0.0, 1.0)):
     """World-to-camera rotation/translation for a camera at `position`
     looking toward `target` (camera +z forward, +x right, +y down)."""

@@ -15,28 +15,3 @@ class OutOfRangeError(TGHError, ValueError):
 
 class NotFoundError(TGHError, KeyError):
     """An id does not exist in the store or hierarchy."""
-
-
-class ParseError(TGHError, ValueError):
-    """A scene / point-cloud document failed validation.
-
-    ``location`` names the offending field or file.
-    """
-
-    def __init__(self, message, location=None):
-        self.location = location
-        if location is not None:
-            message = f"{message} (at {location})"
-        super().__init__(message)
-
-
-class FormatError(TGHError, ValueError):
-    """An encoded model stream is structurally malformed."""
-
-
-class IntegrityError(FormatError):
-    """Checksum mismatch: the byte stream was corrupted."""
-
-
-class VersionError(FormatError):
-    """The encoded model uses an unsupported format version."""

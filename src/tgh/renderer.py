@@ -4,10 +4,20 @@ Pipeline per frame: condition every working-set Gaussian at the timestamp,
 cull by temporal factor and depth, project to screen-space 2D Gaussians (EWA
 first-order approximation), sort back-to-front, expand each splat into a
 pixel rectangle bounded by its opacity level set, evaluate the kernel per
-fragment and alpha-blend in depth order. The per-pixel reduction is strictly
-sequential in the globally sorted order, so tiled execution is bit-identical
-to a single pass. `render_with_gradients` replays the pipeline and
-back-propagates the image loss analytically to every Gaussian parameter.
+fragment and alpha-blend in depth order. `render_with_gradients` replays the
+pipeline and back-propagates the image loss analytically to every Gaussian
+parameter.
+
+Blending runs on a layer-major fragment layout: fragments are grouped by
+pixel, pixels are ranked by fragment count, deepest first, and the j-th
+fragments of all pixels that have one form one contiguous block. The forward
+pass walks the blocks front to back and the backward pass back to front, one
+slice operation per depth layer. Each pixel still folds its own fragments
+one at a time in depth order and never mixes with another pixel's values, so
+the output is bit-identical to a per-pixel loop, and tiled execution is
+bit-identical to a single pass. A log-space prefix sum over all fragments
+would drop the layer loop, but its rounding would depend on the pixels
+sorted before each one.
 """
 
 import math
@@ -144,8 +154,10 @@ def _build_fragments(center2, conic, alpha, rects):
     """Flatten splat rectangles into per-fragment arrays.
 
     Splats must already be in front-to-back order so that the per-pixel
-    fragment sequences come out depth-ordered. Returns
-    (splat_index, pixel_flat_is_deferred) columns: sidx, col, row, gauss, dx, dy.
+    fragment sequences come out depth-ordered. Fragments are emitted splat by
+    splat, each rectangle row-major. Returns (sidx, col, row, gauss, dx, dy):
+    the splat index (ascending), pixel column and row, kernel value
+    exp(-q/2), and the offset of the pixel center from the splat center.
     """
     x0, x1, y0, y1 = rects
     widths = x1 - x0 + 1
@@ -166,64 +178,99 @@ def _build_fragments(center2, conic, alpha, rects):
     return sidx, col, row, gauss, dx, dy
 
 
+def _layer_major(px):
+    """Layer-major layout of fragments that are front-to-back within a pixel.
+
+    Returns (perm, off, width): layout position off[j] + g holds fragment
+    perm[off[j] + g], the j-th fragment of the g-th pixel when pixels are
+    ranked by fragment count, deepest first (ties in ascending pixel order).
+    Pixels with more than j fragments are exactly the first width[j] ranks.
+    """
+    order = np.argsort(px, kind="stable")
+    spx = px[order]
+    n = len(spx)
+    is_start = np.empty(n, dtype=bool)
+    is_start[:1] = True
+    is_start[1:] = spx[1:] != spx[:-1]
+    starts = np.flatnonzero(is_start)
+    counts = np.diff(np.append(starts, n))
+    rank = np.arange(n) - np.repeat(starts, counts)
+    slot = np.empty(len(counts), dtype=np.intp)
+    slot[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+    width = np.bincount(rank)
+    off = np.cumsum(width) - width
+    perm = np.empty(n, dtype=np.intp)
+    perm[off[rank] + np.repeat(slot, counts)] = order
+    return perm, off, width
+
+
 def _composite_ordered(px, frag_alpha, frag_color, save=False):
     """Sequential per-pixel over-compositing of depth-ordered fragments.
 
     px: flat pixel index per fragment, fragments front-to-back within a pixel.
-    Returns (unique_px, color_sum, final_T[, order, T_frag, starts, counts]).
+    The fragments are first put in layer-major order: pixel groups are ranked
+    deepest first, so the groups that still hold a j-th fragment are a prefix
+    [0, width[j]) of that ranking and layer j is the contiguous block
+    [off[j], off[j] + width[j]). Each pass then blends one whole layer with
+    slices. A pixel's running color and transmittance take the same multiply
+    and add sequence, front to back, as in a loop over that pixel alone, so
+    the result is bit-identical to it whichever other pixels share the call.
+
+    Returns (unique_px, color_sum, final_T[, perm, T_frag, off, width]), one
+    entry per pixel group in layout order. perm maps a layout position to its
+    fragment; T_frag is the transmittance in front of each layout position.
     """
-    order = np.argsort(px, kind="stable")
-    spx = px[order]
-    sa = frag_alpha[order]
-    sc = frag_color[order]
-    is_start = np.empty(len(spx), dtype=bool)
-    if len(spx):
-        is_start[0] = True
-        is_start[1:] = spx[1:] != spx[:-1]
-    starts = np.flatnonzero(is_start)
-    unique_px = spx[starts]
-    counts = np.diff(np.append(starts, len(spx)))
-    trans = np.ones(len(starts))
-    color = np.zeros((len(starts), 3))
-    t_frag = np.empty(len(spx)) if save else None
-    max_depth = int(counts.max()) if len(counts) else 0
-    for j in range(max_depth):
-        act = np.flatnonzero(counts > j)
-        f = starts[act] + j
+    perm, off, width = _layer_major(px)
+    sa = frag_alpha[perm]
+    sc = np.take(frag_color, perm, axis=0)
+    groups = int(width[0]) if len(width) else 0
+    unique_px = px[perm[:groups]]
+    trans = np.ones(groups)
+    color = np.zeros((groups, 3))
+    t_frag = np.empty(len(sa)) if save else None
+    for o, k in zip(off.tolist(), width.tolist()):
+        s = slice(o, o + k)
         if save:
-            t_frag[f] = trans[act]
-        w = sa[f] * trans[act]
-        color[act] += w[:, None] * sc[f]
-        trans[act] = trans[act] * (1.0 - sa[f])
+            t_frag[s] = trans[:k]
+        a = sa[s]
+        w = a * trans[:k]
+        color[:k] += w[:, None] * sc[s]
+        trans[:k] *= 1.0 - a
     if save:
-        return unique_px, color, trans, order, t_frag, starts, counts
+        return unique_px, color, trans, perm, t_frag, off, width
     return unique_px, color, trans
 
 
 def _composite_backward(dl_dpx_color, background, sa, sc,
-                        trans_final, t_frag, starts, counts):
+                        trans_final, t_frag, off, width):
     """Gradients of the ordered reduction w.r.t. fragment alpha and color.
 
-    dl_dpx_color: (G, 3) upstream gradient per covered pixel group. The final
-    pixel is C = sum_i a_i c_i T_i + T_N * bg; `behind` tracks the composited
-    color strictly behind the current fragment including the background term,
-    so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path too.
-    Returns (grad_alpha, grad_color) per sorted fragment.
+    Walks the layer-major layout of `_composite_ordered` from the deepest
+    layer to the front, one slice per layer, so every pixel sees its own
+    fragments back to front in the same operation order as a per-pixel loop.
+    dl_dpx_color: (G, 3) upstream gradient per pixel group in layout order;
+    sa, sc, t_frag per layout position; off, width as returned by
+    `_composite_ordered`. The final pixel is
+    C = sum_i a_i c_i T_i + T_N * bg; `behind` tracks the composited color
+    strictly behind the current fragment including the background term, so
+    dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path too.
+    Returns (grad_alpha, grad_color) per layout position.
     """
-    grad_alpha = np.zeros(len(sa))
-    grad_color = np.zeros((len(sa), 3))
+    grad_alpha = np.empty(len(sa))
+    grad_color = np.empty((len(sa), 3))
     behind = trans_final[:, None] * background[None, :]
-    max_depth = int(counts.max()) if len(counts) else 0
-    for j in range(max_depth - 1, -1, -1):
-        act = np.flatnonzero(counts > j)
-        f = starts[act] + j
-        a = sa[f]
-        t = t_frag[f]
-        upstream = dl_dpx_color[act]
-        grad_color[f] = upstream * (a * t)[:, None]
-        grad_alpha[f] = np.sum(
-            upstream * (sc[f] * t[:, None] - behind[act] / (1.0 - a)[:, None]), axis=1)
-        behind[act] += (a * t)[:, None] * sc[f]
+    for o, k in zip(off.tolist()[::-1], width.tolist()[::-1]):
+        s = slice(o, o + k)
+        a = sa[s]
+        t = t_frag[s]
+        c = sc[s]
+        upstream = dl_dpx_color[:k]
+        at = (a * t)[:, None]
+        grad_color[s] = upstream * at
+        # the channel terms add left to right, the order np.sum(axis=1) uses
+        g = upstream * (c * t[:, None] - behind[:k] / (1.0 - a)[:, None])
+        grad_alpha[s] = (g[:, 0] + g[:, 1]) + g[:, 2]
+        behind[:k] += at * c
     return grad_alpha, grad_color
 
 
@@ -314,7 +361,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
         center2[front], conic[front], alpha_k[front],
         (x0[front], x1[front], y0[front], y1[front]))
     frag_alpha = np.minimum(alpha_k[front][sidx] * gauss, opts.alpha_clamp)
-    frag_color = color[front][sidx]
+    frag_color = np.take(color[front], sidx, axis=0)
     px = row * w_img + col
 
     ctx.update(cam_pts=cam_pts, center2=center2, jac=jac, k_mat=k_mat,
@@ -422,6 +469,16 @@ def _sym_from_packed(ga_, gb_, gc_):
     return _sym_matrix(ga_, gb_ / 2.0, gc_)
 
 
+def _splat_sum(sidx, columns, nk):
+    """(nk, len(columns)) per-splat sums of per-fragment weight columns.
+
+    bincount adds each bin's weights in input order starting from 0.0, which
+    is exactly what `np.add.at` into zeros does, at a fraction of its cost.
+    """
+    return np.stack([np.bincount(sidx, weights=w, minlength=nk) for w in columns],
+                    axis=1)
+
+
 def _backward(ctx, dl_dimage):
     """Propagate an image gradient to all batch parameters."""
     batch = ctx["batch"]
@@ -442,19 +499,28 @@ def _backward(ctx, dl_dimage):
     nk = len(keep)
     dl_flat = dl_dimage.reshape(-1, 3)
 
-    # fragment-level gradients, accumulated across tiles
+    # fragment-level gradients; the tiles partition the fragments, so each
+    # fragment reads its value from the one layout that holds it
     sidx = ctx["sidx"]
-    grad_frag_alpha = np.zeros(len(sidx))
-    grad_frag_color = np.zeros((len(sidx), 3))
+    color_front = ctx["color"][front]
+    layout_pos = np.empty(len(sidx), dtype=np.intp)
+    # empty first entries keep concatenate valid when no tile holds a fragment
+    g_alpha, g_color = [np.empty(0)], [np.empty((0, 3))]
+    base = 0
     for part, res in ctx["composite"]:
-        unique_px, _, trans, order, t_frag, starts, counts = res
-        pa = ctx["frag_alpha"][part][order]
-        pc = ctx["color"][front][sidx[part]][order]
-        dl_dpx = dl_flat[unique_px]
-        g_a, g_c = _composite_backward(dl_dpx, opts.background,
-                                       pa, pc, trans, t_frag, starts, counts)
-        grad_frag_alpha[part[order]] += g_a
-        grad_frag_color[part[order]] += g_c
+        unique_px, _, trans, perm, t_frag, *layout = res
+        frags = part[perm]
+        pa = ctx["frag_alpha"][frags]
+        pc = np.take(color_front, sidx[frags], axis=0)
+        g_a, g_c = _composite_backward(dl_flat[unique_px], opts.background,
+                                       pa, pc, trans, t_frag, *layout)
+        layout_pos[frags] = np.arange(base, base + len(frags))
+        base += len(frags)
+        g_alpha.append(g_a)
+        g_color.append(g_c)
+    grad_frag_alpha = np.concatenate(g_alpha)[layout_pos]
+    # (3, N): one contiguous row per channel for the per-splat sums
+    grad_frag_color = np.concatenate(g_color).T.take(layout_pos, axis=1)
 
     # fragment -> splat (front-order indexing)
     alpha_front = ctx["alpha_k"][front]
@@ -462,28 +528,21 @@ def _backward(ctx, dl_dimage):
     raw = alpha_front[sidx] * gauss
     unclamped = raw < opts.alpha_clamp
     grad_raw = grad_frag_alpha * unclamped
-    grad_alpha_f = np.zeros(nk)
-    np.add.at(grad_alpha_f, sidx, grad_raw * gauss)
+    grad_alpha_f = np.bincount(sidx, weights=grad_raw * gauss, minlength=nk)
     grad_gauss = grad_raw * alpha_front[sidx]
     grad_q = -0.5 * gauss * grad_gauss
     dx, dy = ctx["dx"], ctx["dy"]
     conic_f = ctx["conic"][front]
-    grad_conic_f = np.zeros((nk, 3))
-    np.add.at(grad_conic_f[:, 0], sidx, grad_q * dx * dx)
-    np.add.at(grad_conic_f[:, 1], sidx, grad_q * 2.0 * dx * dy)
-    np.add.at(grad_conic_f[:, 2], sidx, grad_q * dy * dy)
+    grad_conic_f = _splat_sum(
+        sidx, (grad_q * dx * dx, grad_q * 2.0 * dx * dy, grad_q * dy * dy), nk)
     a_f = conic_f[sidx, 0]
     b_f = conic_f[sidx, 1]
     c_f = conic_f[sidx, 2]
     grad_dx = grad_q * 2.0 * (a_f * dx + b_f * dy)
     grad_dy = grad_q * 2.0 * (b_f * dx + c_f * dy)
-    grad_center2_f = np.zeros((nk, 2))
-    np.add.at(grad_center2_f[:, 0], sidx, -grad_dx)
-    np.add.at(grad_center2_f[:, 1], sidx, -grad_dy)
-    grad_color_f = np.zeros((nk, 3))
-    np.add.at(grad_color_f, sidx, grad_frag_color)
-    touched_f = np.zeros(nk, dtype=bool)
-    touched_f[np.unique(sidx)] = True
+    grad_center2_f = _splat_sum(sidx, (-grad_dx, -grad_dy), nk)
+    grad_color_f = _splat_sum(sidx, grad_frag_color, nk)
+    touched_f = np.bincount(sidx, minlength=nk) > 0
 
     # undo the front reordering: quantities per kept splat
     inv = np.empty(nk, dtype=np.intp)

@@ -1,0 +1,74 @@
+"""Property tests for the renderer invariants: batch-order independence and
+transmittance bounds, on small random scenes drawn by hypothesis."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tgh import renderer as rn
+from tgh.camera import Camera
+from tgh.store import GaussianBatch
+
+SIZE = 16
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
+                             database=None)
+GRAD_GROUPS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
+               "base_color", "sh_residual", "viewspace_norm", "touched")
+
+
+def camera():
+    return Camera(fx=24.0, fy=24.0, cx=SIZE / 2.0, cy=SIZE / 2.0,
+                  rotation=np.eye(3), translation=np.zeros(3),
+                  width=SIZE, height=SIZE, near=0.1, far=100.0)
+
+
+def unit_rows(rng, n):
+    v = rng.normal(size=(n, 4))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def random_batch(seed, n):
+    """n overlapping Gaussians in front of `camera()`, alive around t = 1."""
+    rng = np.random.default_rng(seed)
+    return GaussianBatch(
+        ids=rng.permutation(10 * n)[:n].astype(np.int64),
+        mu=np.column_stack([rng.uniform(-0.8, 0.8, (n, 2)), rng.uniform(3.0, 7.0, n),
+                            rng.uniform(0.8, 1.2, n)]),
+        scale=np.column_stack([rng.uniform(0.05, 0.8, (n, 3)), rng.uniform(0.1, 0.5, n)]),
+        rotor_left=unit_rows(rng, n),
+        rotor_right=unit_rows(rng, n),
+        opacity=rng.uniform(0.05, 1.0, n),
+        base_color=rng.uniform(0.0, 1.0, (n, 3)),
+        sh_residual=rng.normal(scale=0.1, size=(n, 45)))
+
+
+def permuted(batch, perm):
+    return GaussianBatch(*(getattr(batch, name)[perm] for name in GaussianBatch.__slots__))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), data=st.data())
+def test_batch_order_does_not_change_output(seed, n, data):
+    """Reordering the batch rows with their ids leaves the image and loss
+    bit-identical and reorders every gradient group the same way."""
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    batch = random_batch(seed, n)
+    cam = camera()
+    target = np.random.default_rng(seed).uniform(size=(SIZE, SIZE, 3))
+    loss, fb, grads = rn.render_with_gradients(batch, 1.0, cam, target)
+    loss_p, fb_p, grads_p = rn.render_with_gradients(permuted(batch, perm), 1.0, cam, target)
+    assert loss_p == loss
+    assert np.array_equal(fb_p.rgb, fb.rgb)
+    assert np.array_equal(fb_p.transmittance, fb.transmittance)
+    assert np.array_equal(grads_p.ids, batch.ids[perm])
+    for name in GRAD_GROUPS:
+        assert np.array_equal(getattr(grads_p, name), getattr(grads, name)[perm]), name
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 24),
+       alpha_clamp=st.floats(0.5, 1.0), t=st.floats(0.5, 1.5))
+def test_transmittance_in_unit_interval(seed, n, alpha_clamp, t):
+    batch = random_batch(seed, n)
+    fb = rn.render_batch(batch, t, camera(), rn.RenderOptions(alpha_clamp=alpha_clamp))
+    assert np.all(fb.transmittance >= 0.0) and np.all(fb.transmittance <= 1.0)
+    assert np.all(np.isfinite(fb.rgb))
