@@ -82,35 +82,35 @@ def _normalize_rows(q):
     return q / n
 
 
-def left_isoclinic(q):
-    """Left-isoclinic 4x4 rotation factor of unit quaternions. q: (..., 4)."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = [
-        np.stack([w, -x, -y, -z], axis=-1),
-        np.stack([x, w, -z, y], axis=-1),
-        np.stack([y, z, w, -x], axis=-1),
-        np.stack([z, -y, x, w], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+# The isoclinic factors are linear in the quaternion q = (w, x, y, z):
+# L(q)[i, j] = sign[i, j] * q[component[i, j]], and the left and right
+# factors share the component pattern. As bases, L(q) = sum_c q_c LEFT_BASIS[c].
+_COMPONENT = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
+_RIGHT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+_ONE_HOT = np.arange(4)[:, None, None] == _COMPONENT
+LEFT_BASIS = _LEFT_SIGN * _ONE_HOT          # (4, 4, 4)
+RIGHT_BASIS = _RIGHT_SIGN * _ONE_HOT
 
 
-def right_isoclinic(q):
-    """Right-isoclinic 4x4 rotation factor of unit quaternions. q: (..., 4)."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = [
-        np.stack([w, -x, -y, -z], axis=-1),
-        np.stack([x, w, z, -y], axis=-1),
-        np.stack([y, -z, w, x], axis=-1),
-        np.stack([z, y, -x, w], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+def isoclinic_factors(rotor_left, rotor_right):
+    """Unit rotors and their isoclinic factors (q_l, q_r, L(q_l), R(q_r)).
+
+    Rotors are (..., 4) and renormalized; factors are (..., 4, 4). The 4D
+    rotation is L(q_l) @ R(q_r).
+    """
+    ql = _normalize_rows(np.asarray(rotor_left, dtype=np.float64))
+    qr = _normalize_rows(np.asarray(rotor_right, dtype=np.float64))
+    shape = ql.shape[:-1] + (4, 4)
+    left = np.einsum("nc,cij->nij", ql.reshape(-1, 4), LEFT_BASIS).reshape(shape)
+    right = np.einsum("nc,cij->nij", qr.reshape(-1, 4), RIGHT_BASIS).reshape(shape)
+    return ql, qr, left, right
 
 
 def batch_rotation(rotor_left, rotor_right):
     """4D rotation matrices R = L(q_l) @ R(q_r), rotors renormalized. (..., 4, 4)."""
-    ql = _normalize_rows(np.asarray(rotor_left, dtype=np.float64))
-    qr = _normalize_rows(np.asarray(rotor_right, dtype=np.float64))
-    return left_isoclinic(ql) @ right_isoclinic(qr)
+    _, _, left, right = isoclinic_factors(rotor_left, rotor_right)
+    return left @ right
 
 
 def clamp_scales(scale):

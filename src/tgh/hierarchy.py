@@ -7,14 +7,20 @@ Level l has segment length s_l = S / 2^l and a corrected offset of
 touch exactly one segment per level (plus global), independent of duration
 and population size.
 
-Thread contract: any number of concurrent readers (query, occupancy, audit)
-OR a single writer (insert, remove, place, update); enforced internally with
-a read/write lock. Materialized working sets are snapshots and stay valid
-after later writes.
+Placement is columnar: id-indexed arrays (ids are dense and never reused)
+hold each id's flat segment index and the influence range it was placed by.
+A table over the intervals cut by all level boundaries places a batch of
+ranges with one `searchsorted`, on the boundaries exactly as `Level.span`
+computes them. Only ids whose segment changed touch a segment set, and
+single placements are batches of one.
+
+Single-writer contract: nothing here locks. Mutations (insert, remove,
+place, update) must not run concurrently with each other or with reads.
+Materialized working sets are snapshots and stay valid after later writes.
 """
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,68 +32,12 @@ from .store import GaussianStore
 
 GLOBAL_LEVEL = -1
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)
+_GLOBAL_FLAT = 0                 # flat segment index of the global segment
+_UNPLACED = -1                   # flat segment of an id that is not placed
 
 
 class AuditError(TGHError):
     """The hierarchy violates a structural invariant."""
-
-
-class _ReadWriteLock:
-    """Readers-writer lock, writer-preferring is not needed at our scale."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire_read(self):
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self):
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self):
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-
-    def release_write(self):
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-class _ReadGuard:
-    __slots__ = ("lock",)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __enter__(self):
-        self.lock.acquire_read()
-
-    def __exit__(self, *exc):
-        self.lock.release_read()
-
-
-class _WriteGuard:
-    __slots__ = ("lock",)
-
-    def __init__(self, lock):
-        self.lock = lock
-
-    def __enter__(self):
-        self.lock.acquire_write()
-
-    def __exit__(self, *exc):
-        self.lock.release_write()
 
 
 @dataclass
@@ -109,6 +59,11 @@ class WorkingSet:
     timestamp: float
     segment_refs: list              # [(level, index)] of length num_levels + 1
     gaussian_ids: np.ndarray        # concatenated members, int64
+
+
+def _check_ranges(start, end):
+    if not ((start <= end) & np.isfinite(start) & np.isfinite(end)).all():
+        raise InvalidParameterError("influence range must be finite with start <= end")
 
 
 class TemporalHierarchy:
@@ -134,9 +89,32 @@ class TemporalHierarchy:
                                      segments=[set() for _ in range(count)]))
         self.global_segment = set()
         self.store = GaussianStore()
-        self._placement = {}        # id -> (level, index)
-        self._range = {}            # id -> (start, end)
-        self._lock = _ReadWriteLock()
+        # flat segment index: 0 is the global segment, then every level's
+        # segments in order, so flat indices grow with depth
+        self._sets = [self.global_segment] + [seg for lv in self.levels for seg in lv.segments]
+        counts = np.array([len(lv.segments) for lv in self.levels])
+        self._first = 1 + np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self._level_of = np.repeat(np.arange(GLOBAL_LEVEL, self.num_levels), [1, *counts])
+        self._index_of = np.concatenate([[0], *(np.arange(c) for c in counts)])
+        bounds = [lv.offset + np.arange(c + 1) * lv.seg_length  # as Level.span computes them
+                  for lv, c in zip(self.levels, counts)]
+        # per flat index; the extra last entry stands for "outside the level"
+        self._span_start = np.concatenate([[-np.inf], *(b[:-1] for b in bounds)])
+        self._span_end = np.concatenate([[np.inf], *(b[1:] for b in bounds), [-np.inf]])
+        self._outside = len(self._sets)
+        self._last = self._first + counts - 1
+        # All level boundaries, merged, cut time into intervals; interval j
+        # is [cuts[j - 1], cuts[j]). Row j holds, per level, the flat index of
+        # the segment holding that interval, or _outside.
+        self._cuts = np.unique(np.concatenate(bounds))
+        self._flat_at = np.empty((len(self._cuts) + 1, self.num_levels), dtype=np.int32)
+        for l, b in enumerate(bounds):
+            n = np.concatenate([[-1], np.searchsorted(b, self._cuts, side="right") - 1])
+            self._flat_at[:, l] = np.where((n >= 0) & (n < counts[l]),
+                                           self._first[l] + n, self._outside)
+        # id-indexed columns: flat segment (_UNPLACED if none), (start, end)
+        self._segment = np.full(256, _UNPLACED, dtype=np.int64)
+        self._range = np.zeros((256, 2))
 
     # ---------------------------------------------------------------- geometry
 
@@ -144,150 +122,169 @@ class TemporalHierarchy:
         return len(self.levels[level].segments)
 
     def total_segments(self):
-        return sum(len(lv.segments) for lv in self.levels) + 1
+        return len(self._sets)
 
-    def _find_placement(self, start, end):
-        """Deepest level whose single segment contains [start, end]; None -> global.
+    def _find_placements(self, start, end):
+        """Flat index of the deepest segment containing each [start, end].
 
-        A segment [a, b) contains the range iff a <= start and end <= b
-        (an end exactly on the boundary still fits).
+        A segment [a, b) contains the range iff a <= start and end <= b (an
+        end exactly on the boundary still fits), with a and b as
+        `Level.span` computes them. Per level, the segment holding start's
+        interval is the only candidate, and the range fits if end <= its
+        end. Flat indices grow with depth, so the deepest fit is the
+        largest, and a range no level fits keeps the global segment's 0.
         """
-        for lv in reversed(self.levels):
-            n = math.floor((start - lv.offset) / lv.seg_length)
-            if n < 0 or n >= len(lv.segments):
-                continue
-            if end <= lv.offset + (n + 1) * lv.seg_length:
-                return (lv.index, n)
-        return GLOBAL_SEGMENT
+        flat = self._flat_at[self._cuts.searchsorted(start, side="right")]
+        fits = end[:, None] <= self._span_end[flat]
+        return (flat * fits).max(axis=1)  # no fit -> 0, global
 
-    def _segment_set(self, placement):
-        if placement == GLOBAL_SEGMENT:
-            return self.global_segment
-        level, n = placement
-        return self.levels[level].segments[n]
+    def _placements(self, flat):
+        """(level, index) tuples of flat segment indices."""
+        return list(zip(self._level_of[flat].tolist(), self._index_of[flat].tolist()))
 
     # ------------------------------------------------------------- mutation
 
-    def place(self, gid, rng: InfluenceRange):
-        """Insert an id into the shortest containing segment; returns placement."""
-        with _WriteGuard(self._lock):
-            return self._place_locked(gid, rng.start, rng.end)
+    def _known(self, gids):
+        """gids as an int64 array; NotFoundError unless every id is placed."""
+        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        inside = (gids >= 0) & (gids < len(self._segment))
+        placed = inside & (self._segment.take(gids, mode="clip") != _UNPLACED)
+        if not placed.all():
+            raise NotFoundError(f"unknown Gaussian id {gids[placed.argmin()]}")
+        return gids
 
-    def _place_locked(self, gid, start, end):
-        if start > end:
-            raise InvalidParameterError("influence range start exceeds end")
-        if gid in self._placement:
-            raise InvalidParameterError(f"id {gid} is already placed")
-        placement = self._find_placement(start, end)
-        self._segment_set(placement).add(gid)
-        self._placement[gid] = placement
-        self._range[gid] = (start, end)
-        return placement
+    def _by_segment(self, flat, gids):
+        """(segment set, member ids) for each distinct segment in flat."""
+        order = flat.argsort(kind="stable")
+        flat, gids = flat[order], gids[order].tolist()
+        bounds = [0, *((flat[1:] != flat[:-1]).nonzero()[0] + 1).tolist(), len(gids)]
+        keys = flat.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            yield self._sets[keys[a]], gids[a:b]
+
+    def _set_ranges(self, gids, start, end):
+        """Record the ranges ids are placed by; returns their flat segments."""
+        _check_ranges(start, end)
+        self._range[gids, 0] = start
+        self._range[gids, 1] = end
+        return self._find_placements(start, end)
+
+    def _place(self, gids, start, end):
+        """Place fresh non-negative ids by their ranges; returns their flat segments."""
+        gids = np.asarray(gids, dtype=np.int64)
+        if len(gids) == 0:
+            return gids
+        top = int(gids.max()) + 1
+        if top > len(self._segment):
+            grow = max(len(self._segment), top - len(self._segment))
+            self._segment = np.append(self._segment, np.full(grow, _UNPLACED))
+            self._range = np.vstack([self._range, np.zeros((grow, 2))])
+        taken = self._segment[gids] != _UNPLACED
+        if taken.any():
+            raise InvalidParameterError(f"id {gids[taken.argmax()]} is already placed")
+        flat = self._set_ranges(gids, np.asarray(start, dtype=np.float64),
+                                np.asarray(end, dtype=np.float64))
+        for members, chunk in self._by_segment(flat, gids):
+            members.update(chunk)
+        self._segment[gids] = flat
+        return flat
+
+    def place(self, gid, rng: InfluenceRange):
+        """Put an id, stored or not, in the shortest containing segment; returns placement."""
+        if gid < 0:
+            raise InvalidParameterError(f"Gaussian ids are non-negative, got {gid}")
+        return self._placements(self._place([gid], [rng.start], [rng.end]))[0]
 
     def insert(self, g: Gaussian4D):
         """Store a primitive and place it by its influence range; returns its id."""
-        with _WriteGuard(self._lock):
-            gid = self.store.insert(g)
-            rng = ga.influence_range(g, self.o_th)
-            self._place_locked(gid, rng.start, rng.end)
-            return gid
+        return self._insert(g.mu[None], g.scale[None], g.rotor_left[None],
+                            g.rotor_right[None], np.array([g.opacity]),
+                            g.base_color[None], g.sh_residual[None])[0]
 
     def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
                      base_color, sh_residual):
         """Bulk insert with vectorized influence-range computation."""
-        with _WriteGuard(self._lock):
-            ids = self.store.insert_arrays(mu, scale, rotor_left, rotor_right,
-                                           opacity, base_color, sh_residual)
-            sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
-            radius = ga.influence_radius(sigma_t, self.o_th)
-            centers = np.asarray(mu)[:, 3]
-            for gid, c, r in zip(ids, centers, radius):
-                self._place_locked(gid, float(c - r), float(c + r))
-            return ids
+        return self._insert(mu, scale, rotor_left, rotor_right, opacity,
+                            base_color, sh_residual)
+
+    def _insert(self, mu, scale, rotor_left, rotor_right, opacity,
+                base_color, sh_residual):
+        sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
+        radius = ga.influence_radius(sigma_t, self.o_th)
+        centers = np.asarray(mu, dtype=np.float64)[:, 3]
+        start, end = centers - radius, centers + radius
+        _check_ranges(start, end)
+        ids = self.store.insert_arrays(mu, scale, rotor_left, rotor_right,
+                                       opacity, base_color, sh_residual)
+        self._place(ids, start, end)
+        return ids
 
     def remove(self, gid):
-        with _WriteGuard(self._lock):
-            if gid not in self._placement:
-                raise NotFoundError(f"unknown Gaussian id {gid}")
-            self._segment_set(self._placement.pop(gid)).discard(gid)
-            del self._range[gid]
-            if gid in self.store:
-                self.store.remove(gid)
+        gids = self._known([gid])
+        for members, chunk in self._by_segment(self._segment[gids], gids):
+            members.difference_update(chunk)
+        self._segment[gids] = _UNPLACED
+        if gid in self.store:
+            self.store.remove(gid)
 
     def update_level(self, gid):
-        """Re-place one stored Gaussian after its parameters changed.
-
-        Returns (old_placement, new_placement); O(num_levels).
-        """
-        with _WriteGuard(self._lock):
-            return self._update_locked(gid)
+        """Re-place one stored Gaussian; returns (old_placement, new_placement)."""
+        return self._update([gid])[0]
 
     def update_levels(self, gids):
-        """Bulk re-placement under a single lock acquisition."""
-        with _WriteGuard(self._lock):
-            return [self._update_locked(g) for g in gids]
+        """Re-place stored Gaussians after their parameters changed.
 
-    def _update_locked(self, gid):
-        if gid not in self._placement:
-            raise NotFoundError(f"unknown Gaussian id {gid}")
-        row = self.store.row_of(gid)
-        sigma_t = float(ga.batch_temporal_variance(self.store.scale[row],
-                                                   self.store.rotor_left[row],
-                                                   self.store.rotor_right[row]))
-        r = float(ga.influence_radius(sigma_t, self.o_th))
-        center = float(self.store.mu[row, 3])
-        start, end = center - r, center + r
-        old = self._placement[gid]
-        new = self._find_placement(start, end)
-        if new != old:
-            self._segment_set(old).discard(gid)
-            self._segment_set(new).add(gid)
-            self._placement[gid] = new
-        self._range[gid] = (start, end)
-        return old, new
+        Returns one (old_placement, new_placement) pair per id. Every id is
+        validated before anything changes: an unknown id raises NotFoundError
+        and leaves the hierarchy as it was.
+        """
+        return self._update(gids)
+
+    def _update(self, gids):
+        gids = self._known(gids)
+        rows = self.store.rows_of(gids)
+        sigma_t = ga.batch_temporal_variance(self.store.scale[rows],
+                                             self.store.rotor_left[rows],
+                                             self.store.rotor_right[rows])
+        radius = ga.influence_radius(sigma_t, self.o_th)
+        centers = self.store.mu[rows, 3]
+        old = self._segment[gids]
+        new = self._set_ranges(gids, centers - radius, centers + radius)
+        moved = np.flatnonzero(old != new)
+        if moved.size:
+            for members, chunk in self._by_segment(old[moved], gids[moved]):
+                members.difference_update(chunk)
+            for members, chunk in self._by_segment(new[moved], gids[moved]):
+                members.update(chunk)
+            self._segment[gids[moved]] = new[moved]
+        return list(zip(self._placements(old), self._placements(new)))
 
     # -------------------------------------------------------------- queries
 
     def placement_of(self, gid):
-        with _ReadGuard(self._lock):
-            if gid not in self._placement:
-                raise NotFoundError(f"unknown Gaussian id {gid}")
-            return self._placement[gid]
+        return self._placements(self._segment[self._known([gid])])[0]
 
     def range_of(self, gid):
-        with _ReadGuard(self._lock):
-            if gid not in self._range:
-                raise NotFoundError(f"unknown Gaussian id {gid}")
-            return self._range[gid]
+        return tuple(self._range[self._known([gid])[0]].tolist())
 
     def __len__(self):
-        return len(self._placement)
+        return int(np.count_nonzero(self._segment != _UNPLACED))
 
     def query(self, t):
         """Working set at timestamp t: one segment per level plus global, O(L)."""
-        t = float(t)
-        if not 0.0 <= t <= self.duration:
-            raise OutOfRangeError(f"t={t} outside [0, {self.duration}]")
-        with _ReadGuard(self._lock):
-            refs = []
-            chunks = []
-            for lv in self.levels:
-                n = math.floor((t - lv.offset) / lv.seg_length)
-                n = min(max(n, 0), len(lv.segments) - 1)
-                refs.append((lv.index, n))
-                chunks.append(sorted(lv.segments[n]))
-            refs.append(GLOBAL_SEGMENT)
-            chunks.append(sorted(self.global_segment))
-            ids = np.array([g for c in chunks for g in c], dtype=np.int64)
-            return WorkingSet(timestamp=t, segment_refs=refs, gaussian_ids=ids)
+        indices = self.query_indices(t)
+        refs = list(enumerate(indices)) + [GLOBAL_SEGMENT]
+        flats = [*(self._first + indices).tolist(), _GLOBAL_FLAT]
+        ids = np.array([g for f in flats for g in sorted(self._sets[f])], dtype=np.int64)
+        return WorkingSet(timestamp=float(t), segment_refs=refs, gaussian_ids=ids)
 
     def query_indices(self, t):
         """Per-level segment indices only (no member enumeration)."""
         t = float(t)
         if not 0.0 <= t <= self.duration:
             raise OutOfRangeError(f"t={t} outside [0, {self.duration}]")
-        return [min(max(math.floor((t - lv.offset) / lv.seg_length), 0),
-                    len(lv.segments) - 1) for lv in self.levels]
+        flat = self._flat_at[self._cuts.searchsorted(t, side="right")]
+        return (np.minimum(flat, self._last) - self._first).tolist()  # t == last end
 
     def materialize(self, ws: WorkingSet):
         """Gather the working set's parameters into a contiguous batch."""
@@ -295,61 +292,59 @@ class TemporalHierarchy:
 
     def occupancy(self):
         """Gaussian counts per level (index -1 = global) and per segment."""
-        with _ReadGuard(self._lock):
-            per_level = {lv.index: sum(len(s) for s in lv.segments)
-                         for lv in self.levels}
-            per_level[GLOBAL_LEVEL] = len(self.global_segment)
-            per_segment = {(lv.index, n): len(seg)
-                           for lv in self.levels for n, seg in enumerate(lv.segments)}
-            per_segment[GLOBAL_SEGMENT] = len(self.global_segment)
-            return per_level, per_segment
+        per_level = {lv.index: sum(len(s) for s in lv.segments)
+                     for lv in self.levels}
+        per_level[GLOBAL_LEVEL] = len(self.global_segment)
+        per_segment = {(lv.index, n): len(seg)
+                       for lv in self.levels for n, seg in enumerate(lv.segments)}
+        per_segment[GLOBAL_SEGMENT] = len(self.global_segment)
+        return per_level, per_segment
 
     def occupancy_rows(self, include_empty=False):
         """(level, segment_index, start, end, count) rows for diagnostics."""
-        with _ReadGuard(self._lock):
-            rows = []
-            for lv in self.levels:
-                for n, seg in enumerate(lv.segments):
-                    if seg or include_empty:
-                        a, b = lv.span(n)
-                        rows.append((lv.index, n, a, b, len(seg)))
-            rows.append((GLOBAL_LEVEL, 0, -math.inf, math.inf, len(self.global_segment)))
-            return rows
+        rows = []
+        for lv in self.levels:
+            for n, seg in enumerate(lv.segments):
+                if seg or include_empty:
+                    a, b = lv.span(n)
+                    rows.append((lv.index, n, a, b, len(seg)))
+        rows.append((GLOBAL_LEVEL, 0, -math.inf, math.inf, len(self.global_segment)))
+        return rows
 
     # ---------------------------------------------------------------- audit
 
     def audit(self):
         """Verify partition, containment and minimality for every resident.
 
-        Raises AuditError on the first violation.
+        Raises AuditError on the first violation found.
         """
-        with _ReadGuard(self._lock):
-            seen = 0
-            for lv in self.levels:
-                for n, seg in enumerate(lv.segments):
-                    for gid in seg:
-                        if self._placement.get(gid) != (lv.index, n):
-                            raise AuditError(f"id {gid} in segment ({lv.index}, {n}) "
-                                             f"but recorded at {self._placement.get(gid)}")
-                    seen += len(seg)
-            for gid in self.global_segment:
-                if self._placement.get(gid) != GLOBAL_SEGMENT:
-                    raise AuditError(f"id {gid} in global but recorded at "
-                                     f"{self._placement.get(gid)}")
-            seen += len(self.global_segment)
-            if seen != len(self._placement):
-                raise AuditError(f"{seen} segment members vs {len(self._placement)} placements")
-            for gid, placement in self._placement.items():
-                start, end = self._range[gid]
-                expected = self._find_placement(start, end)
-                if placement != expected:
-                    raise AuditError(f"id {gid} placed at {placement}, "
-                                     f"deepest containing segment is {expected}")
-                if placement != GLOBAL_SEGMENT:
-                    a, b = self.levels[placement[0]].span(placement[1])
-                    if not (a <= start and end <= b):
-                        raise AuditError(f"id {gid} range [{start}, {end}] outside "
-                                         f"segment span [{a}, {b})")
+        members = np.fromiter(itertools.chain.from_iterable(self._sets), dtype=np.int64)
+        holder = np.repeat(np.arange(len(self._sets)), [len(s) for s in self._sets])
+        inside = (members >= 0) & (members < len(self._segment))
+        recorded = np.where(inside, self._segment[np.where(inside, members, 0)], _UNPLACED)
+        bad = np.flatnonzero(recorded != holder)
+        if bad.size:
+            i = bad[0]
+            raise AuditError(f"id {members[i]} in segment {self._placements(holder[i:i + 1])[0]} "
+                             f"but recorded at flat segment {recorded[i]}")
+        placed = np.flatnonzero(self._segment != _UNPLACED)
+        if len(members) != len(placed):
+            raise AuditError(f"{len(members)} segment members vs {len(placed)} placements")
+        segment = self._segment[placed]
+        start, end = self._range[placed].T
+        expected = self._find_placements(start, end)
+        bad = np.flatnonzero(expected != segment)
+        if bad.size:
+            i = bad[0]
+            placement, deepest = self._placements(np.array([segment[i], expected[i]]))
+            raise AuditError(f"id {placed[i]} placed at {placement}, "
+                             f"deepest containing segment is {deepest}")
+        a, b = self._span_start[segment], self._span_end[segment]
+        bad = np.flatnonzero(~((a <= start) & (end <= b)))
+        if bad.size:
+            i = bad[0]
+            raise AuditError(f"id {placed[i]} range [{start[i]}, {end[i]}] outside "
+                             f"segment span [{a[i]}, {b[i]})")
 
 
 def build(duration, root_length=10.0, num_levels=9, o_th=0.05):

@@ -387,7 +387,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None,
                 q = getattr(store, attr)[rows]
                 q /= np.linalg.norm(q, axis=1, keepdims=True)
                 getattr(store, attr)[rows] = q
-            h.update_levels([int(g) for g in ws.gaussian_ids])
+            h.update_levels(ws.gaussian_ids)
             touched = grads.touched
             result.max_touched = max(result.max_touched, int(touched.sum()))
             if np.any(touched):

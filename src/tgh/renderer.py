@@ -32,11 +32,6 @@ from .errors import InvalidParameterError
 from .losses import LossWeights, loss as image_loss
 from .store import GaussianBatch
 
-# isoclinic factors are linear in the quaternion: L(q) = sum_c q_c * basis[c]
-_LEFT_BASIS = ga.left_isoclinic(np.eye(4))
-_RIGHT_BASIS = ga.right_isoclinic(np.eye(4))
-
-
 @dataclass
 class RenderOptions:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -291,10 +286,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
         return Framebuffer(w_img, h_img, rgb, np.ones((h_img, w_img))), ctx
 
     s_cl = ga.clamp_scales(batch.scale)
-    rot_l = batch.rotor_left / np.linalg.norm(batch.rotor_left, axis=1, keepdims=True)
-    rot_r = batch.rotor_right / np.linalg.norm(batch.rotor_right, axis=1, keepdims=True)
-    left = np.einsum("nc,cij->nij", rot_l, _LEFT_BASIS)
-    right = np.einsum("nc,cij->nij", rot_r, _RIGHT_BASIS)
+    rot_l, rot_r, left, right = ga.isoclinic_factors(batch.rotor_left, batch.rotor_right)
     rot4 = left @ right
     m4 = rot4 * s_cl[:, None, :]
     cov4 = m4 @ np.swapaxes(m4, 1, 2)
@@ -644,8 +636,8 @@ def _backward(ctx, dl_dimage):
 
     grad_left = grad_rot4 @ np.swapaxes(ctx["right"], 1, 2)
     grad_right = np.swapaxes(ctx["left"], 1, 2) @ grad_rot4
-    g_ql_hat = np.einsum("nij,cij->nc", grad_left, _LEFT_BASIS)
-    g_qr_hat = np.einsum("nij,cij->nc", grad_right, _RIGHT_BASIS)
+    g_ql_hat = np.einsum("nij,cij->nc", grad_left, ga.LEFT_BASIS)
+    g_qr_hat = np.einsum("nij,cij->nc", grad_right, ga.RIGHT_BASIS)
     for raw_q, q_hat, g_hat, out in (
             (batch.rotor_left, ctx["rot_l"], g_ql_hat, grads.rotor_left),
             (batch.rotor_right, ctx["rot_r"], g_qr_hat, grads.rotor_right)):

@@ -36,9 +36,9 @@ class GaussianBatch:
 class GaussianStore:
     def __init__(self, capacity=256):
         self._alloc(max(capacity, 16))
-        self._row_of = {}          # id -> row
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
-        self._free = []
+        self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
+        self._free = []            # freed rows, reused last-freed first
         self._top = 0              # rows [0, top) ever used
         self._next_id = 0
 
@@ -62,20 +62,18 @@ class GaussianStore:
             fresh = np.zeros((new_cap,) + old.shape[1:])
             fresh[:self._top] = old[:self._top]
             setattr(self, name, fresh)
-        grown_ids = np.full(new_cap, -1, dtype=np.int64)
-        grown_ids[:self._top] = self._id_of_row[:self._top]
-        self._id_of_row = grown_ids
+        self._id_of_row = _grown(self._id_of_row, new_cap)
         self.capacity = new_cap
 
     def __len__(self):
-        return len(self._row_of)
+        return self._top - len(self._free)
 
     def __contains__(self, gid):
-        return gid in self._row_of
+        return 0 <= gid < self._next_id and self._row_of_id[gid] >= 0
 
     @property
     def ids(self):
-        return sorted(self._row_of)
+        return np.flatnonzero(self._row_of_id[:self._next_id] >= 0).tolist()
 
     def live_rows(self):
         """Rows currently holding a Gaussian, ascending."""
@@ -83,25 +81,32 @@ class GaussianStore:
         return np.flatnonzero(rows >= 0)
 
     def row_of(self, gid):
-        try:
-            return self._row_of[gid]
-        except KeyError:
-            raise NotFoundError(f"unknown Gaussian id {gid}") from None
+        return int(self.rows_of([gid])[0])
 
     def rows_of(self, gids):
-        return np.array([self.row_of(g) for g in gids], dtype=np.intp)
+        """Rows of the given ids; NotFoundError if any is unknown or removed."""
+        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        inside = (gids >= 0) & (gids < self._next_id)
+        rows = np.where(inside, self._row_of_id.take(gids, mode="clip"), -1)
+        if np.any(rows < 0):
+            raise NotFoundError(f"unknown Gaussian id {gids[np.argmax(rows < 0)]}")
+        return rows.astype(np.intp, copy=False)
 
     def id_at_row(self, row):
         return int(self._id_of_row[row])
 
-    def _take_row(self):
-        if self._free:
-            return self._free.pop()
-        if self._top >= self.capacity:
-            self._grow(self._top + 1)
-        row = self._top
-        self._top += 1
-        return row
+    def _take_rows(self, n):
+        """n rows: freed ones last-freed first, then fresh ones from the top."""
+        cut = max(len(self._free) - n, 0)
+        reused = self._free[cut:][::-1]
+        del self._free[cut:]
+        fresh = n - len(reused)
+        if self._top + fresh > self.capacity:
+            self._grow(self._top + fresh)
+        rows = np.concatenate([np.array(reused, dtype=np.intp),
+                               np.arange(self._top, self._top + fresh, dtype=np.intp)])
+        self._top += fresh
+        return rows
 
     def insert(self, g: Gaussian4D):
         """Store one primitive, returning its fresh id."""
@@ -113,7 +118,7 @@ class GaussianStore:
                       base_color, sh_residual):
         """Bulk insert; arrays share the leading dimension. Returns new ids."""
         n = len(mu)
-        rows = np.array([self._take_row() for _ in range(n)], dtype=np.intp)
+        rows = self._take_rows(n)
         self.mu[rows] = mu
         self.scale[rows] = scale
         self.rotor_left[rows] = rotor_left
@@ -123,14 +128,15 @@ class GaussianStore:
         self.sh_residual[rows] = sh_residual
         ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
         self._next_id += n
-        for gid, row in zip(ids, rows):
-            self._row_of[int(gid)] = int(row)
-            self._id_of_row[row] = gid
-        return [int(g) for g in ids]
+        if self._next_id > len(self._row_of_id):
+            self._row_of_id = _grown(self._row_of_id, 2 * self._next_id)
+        self._row_of_id[ids] = rows
+        self._id_of_row[rows] = ids
+        return ids.tolist()
 
     def remove(self, gid):
         row = self.row_of(gid)
-        del self._row_of[gid]
+        self._row_of_id[gid] = -1
         self._id_of_row[row] = -1
         self.sh_residual[row] = 0.0  # keep freed rows exactly diffuse
         self._free.append(row)
@@ -154,3 +160,10 @@ class GaussianStore:
                              opacity=self.opacity[rows],
                              base_color=self.base_color[rows],
                              sh_residual=self.sh_residual[rows])
+
+
+def _grown(column, size):
+    """`column` extended with -1 entries to `size`."""
+    out = np.full(size, -1, dtype=np.int64)
+    out[:len(column)] = column
+    return out

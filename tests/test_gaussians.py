@@ -56,6 +56,20 @@ class TestCovariance:
             assert np.max(np.abs(R.T @ R - np.eye(4))) < 1e-6
             assert abs(np.linalg.det(R) - 1.0) < 1e-6
 
+    def test_isoclinic_factors_match_per_element_construction(self, rng):
+        q = rng.normal(size=(2, 50, 4))
+        ql, qr, left, right = ga.isoclinic_factors(q[0], q[1])
+        for unit, factor, rows in ((ql, left, ([0, -1, -2, -3], [1, 0, -3, 2],
+                                                 [2, 3, 0, -1], [3, -2, 1, 0])),
+                                   (qr, right, ([0, -1, -2, -3], [1, 0, 3, -2],
+                                                [2, -3, 0, 1], [3, 2, -1, 0]))):
+            # entry (i, j) is +-q[c], written as +c or -c (0 is +w)
+            ref = np.stack([np.stack([np.copysign(1.0, c) * unit[:, abs(c)] for c in row],
+                                     axis=-1) for row in rows], axis=-2)
+            assert np.array_equal(factor, ref)
+        assert np.array_equal(ga.batch_rotation(q[0], q[1]), left @ right)
+        assert np.array_equal(ga.batch_rotation(q[0, 7], q[1, 7]), (left @ right)[7])
+
     def test_matches_dense_oracle(self, rng):
         for _ in range(50):
             g = make_random_gaussian(rng)

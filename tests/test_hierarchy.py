@@ -95,6 +95,15 @@ class TestPlace:
         h = build(duration=40.0)
         assert h.place(0, InfluenceRange(-4.0, -3.0, 0.5)) == GLOBAL_SEGMENT
 
+    def test_start_an_ulp_below_a_boundary(self):
+        # (start + 2.5) / 10 rounds up to 1.0, yet start lies in level-0
+        # segment 0 [-2.5, 7.5), which the end does not fit either
+        h = build(duration=40.0)
+        start = float(np.nextafter(7.5, -np.inf))
+        assert h.place(0, InfluenceRange(start, 12.0, 2.25)) == \
+            brute_force_placement(h, start, 12.0)
+        h.audit()
+
     def test_agrees_with_brute_force(self, rng):
         h = build(duration=40.0)
         for i, (a, b) in enumerate(random_ranges(rng, 2000, 40.0)):

@@ -106,7 +106,8 @@ class TestDepthSort:
         assert list(order) == [1, 2, 0]
 
     def test_large_random_matches_sorted(self, rng):
-        depths = rng.uniform(0, 100, size=1_000_000)
+        # integer depths, so many keys tie and the id tiebreak is exercised
+        depths = rng.integers(0, 1000, size=100_000)
         ids = rng.permutation(len(depths))
         order = rn.depth_sort(depths, ids)
         ref = sorted(range(len(depths)), key=lambda i: (-depths[i], ids[i]))

@@ -1,0 +1,49 @@
+import numpy as np
+import pytest
+
+from tgh import sh
+from tgh.errors import NotFoundError
+from tgh.store import GaussianStore
+
+
+def arrays(n, value=0.0):
+    return dict(mu=np.full((n, 4), value), scale=np.ones((n, 4)),
+                rotor_left=np.tile([1.0, 0, 0, 0], (n, 1)),
+                rotor_right=np.tile([1.0, 0, 0, 0], (n, 1)),
+                opacity=np.full(n, 0.5), base_color=np.zeros((n, 3)),
+                sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)))
+
+
+def test_rows_reused_last_freed_first_then_fresh():
+    # training draws split offsets in row order, so the order rows are
+    # handed out in is part of the store's contract
+    store = GaussianStore(capacity=16)
+    ids = store.insert_arrays(**arrays(10))
+    for gid in (2, 7, 4):
+        store.remove(ids[gid])
+    new = store.insert_arrays(**arrays(5, value=1.0))
+    assert new == [10, 11, 12, 13, 14]
+    assert store.rows_of(new).tolist() == [4, 7, 2, 10, 11]
+    assert np.all(store.mu[[4, 7, 2, 10, 11]] == 1.0)
+    assert len(store) == 12
+    assert store.ids == [0, 1, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14]
+    assert [store.id_at_row(r) for r in (4, 7, 2)] == [10, 11, 12]
+
+
+def test_rows_grow_past_capacity():
+    store = GaussianStore(capacity=16)
+    ids = store.insert_arrays(**arrays(40))
+    assert store.capacity >= 40
+    assert store.rows_of(ids).tolist() == list(range(40))
+
+
+def test_rows_of_rejects_unknown_removed_and_negative_ids():
+    store = GaussianStore()
+    ids = store.insert_arrays(**arrays(3))
+    store.remove(ids[1])
+    for bad in (ids[1], 3, 10 ** 9, -1):
+        with pytest.raises(NotFoundError):
+            store.rows_of([ids[0], bad])
+        assert bad not in store
+    assert store.rows_of([]).tolist() == []
+    assert store.row_of(ids[2]) == 2
