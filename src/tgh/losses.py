@@ -12,14 +12,10 @@ from .ssim import ssim
 class LossWeights:
     mse: float = 0.8
     ssim: float = 0.2
-    perc: float = 0.0  # perceptual branch is not implemented; must stay 0
 
     def validate(self):
-        if self.mse < 0 or self.ssim < 0 or self.perc < 0:
+        if self.mse < 0 or self.ssim < 0:
             raise InvalidParameterError("loss weights must be non-negative")
-        if self.perc != 0.0:
-            raise InvalidParameterError("perceptual loss weight must be 0 "
-                                        "(no feature network in this build)")
 
 
 def loss(rendered, target, weights: LossWeights = LossWeights()):

@@ -34,10 +34,8 @@ class TrainConfig:
     lr_scale_mult: float = 5.0           # scales and rotors
     lr_opacity_mult: float = 25.0
     lr_color_mult: float = 12.5          # base color and residual SH
-    scale_position_lr_by_extent: bool = True
     lambda_mse: float = 0.8
     lambda_ssim: float = 0.2
-    lambda_perc: float = 0.0             # accepted but must stay 0
     iterations: int | None = None        # None: 50000 scaled by frames/1200
     densify_interval: int = 100
     grad_densify_threshold: float = 2e-4      # view-space NDC units
@@ -56,12 +54,11 @@ class TrainConfig:
                      "prune_opacity_threshold", "split_scale_divisor"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
-        if min(self.lambda_mse, self.lambda_ssim, self.lambda_perc) < 0:
+        if min(self.lambda_mse, self.lambda_ssim) < 0:
             raise InvalidParameterError("loss weights must be >= 0")
 
     def loss_weights(self):
-        return LossWeights(mse=self.lambda_mse, ssim=self.lambda_ssim,
-                           perc=self.lambda_perc)
+        return LossWeights(mse=self.lambda_mse, ssim=self.lambda_ssim)
 
     def resolve_iterations(self, frames):
         if self.iterations is not None:
@@ -133,13 +130,15 @@ def adam_step(params, grads, m, v, steps, lr):
 
 @dataclass
 class DensifyStats:
-    """View-space gradient accumulation since the last control pass."""
+    """View-space gradient accumulation since the last control pass.
+
+    The rows touched since then are exactly those with `count > 0`.
+    """
 
     capacity: int = 0
-    grad_accum: np.ndarray = None
-    world_grad: np.ndarray = None
-    count: np.ndarray = None
-    touched_rows: set = field(default_factory=set)
+    grad_accum: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    world_grad: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def ensure_capacity(self, capacity):
         if capacity <= self.capacity:
@@ -158,16 +157,11 @@ class DensifyStats:
         self.grad_accum[rows] += viewspace_norm
         self.world_grad[rows] += world_grad3
         self.count[rows] += 1
-        self.touched_rows.update(int(r) for r in rows)
 
-    def reset_touched(self):
-        rows = np.fromiter(self.touched_rows, dtype=np.intp,
-                           count=len(self.touched_rows))
-        if len(rows):
-            self.grad_accum[rows] = 0.0
-            self.world_grad[rows] = 0.0
-            self.count[rows] = 0
-        self.touched_rows.clear()
+    def reset(self, rows):
+        self.grad_accum[rows] = 0.0
+        self.world_grad[rows] = 0.0
+        self.count[rows] = 0
 
 
 @dataclass
@@ -189,10 +183,10 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
     """
     report = ControlReport()
     store = h.store
-    rows = np.array(sorted(r for r in stats.touched_rows
-                           if store.id_at_row(r) >= 0), dtype=np.intp)
+    touched = np.flatnonzero(stats.count > 0)
+    rows = touched[store.ids_at_rows(touched) >= 0]
     if len(rows) == 0:
-        stats.reset_touched()
+        stats.reset(touched)
         return report
 
     prune_mask = store.opacity[rows] < cfg.prune_opacity_threshold
@@ -206,8 +200,7 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
     room = None
     if cfg.max_gaussians is not None:
         room = max(0, cfg.max_gaussians - len(store))
-    counts = stats.count[rows]
-    mean_grad = np.where(counts > 0, stats.grad_accum[rows] / np.maximum(counts, 1), 0.0)
+    mean_grad = stats.grad_accum[rows] / stats.count[rows]
     hot = grow & (mean_grad >= cfg.grad_densify_threshold)
     max_spatial = np.max(store.scale[rows, :3], axis=1)
     size_cut = cfg.clone_size_fraction * scene_extent
@@ -219,7 +212,7 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
             break
         gid = store.id_at_row(r)
         g = store.get(gid)
-        wg = stats.world_grad[r] / max(stats.count[r], 1)
+        wg = stats.world_grad[r] / stats.count[r]
         norm = np.linalg.norm(wg)
         if norm > 0:
             g.mu[:3] -= (wg / norm) * cfg.clone_nudge * np.mean(g.scale[:3])
@@ -248,7 +241,7 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
         if room is not None:
             room -= 1
 
-    stats.reset_touched()
+    stats.reset(touched)
     return report
 
 
@@ -295,8 +288,7 @@ def scene_extent_of(store):
     return float(diag) if diag > 0 else 1.0
 
 
-def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None,
-          render_opts: rn.RenderOptions = None, on_interval=None):
+def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None):
     """Fit the hierarchy's Gaussians to the scene's posed images.
 
     `scene` provides cameras, frames, frame_rate and target(cam, frame).
@@ -321,9 +313,9 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None,
     stats = DensifyStats()
     stats.ensure_capacity(h.store.capacity)
     extent = scene_extent_of(h.store)
-    opts = render_opts or rn.RenderOptions()
+    opts = rn.RenderOptions(temporal_cutoff=h.o_th)
     lr_of = {
-        "mu": cfg.lr * (extent if cfg.scale_position_lr_by_extent else 1.0),
+        "mu": cfg.lr * extent,
         "scale": cfg.lr * cfg.lr_scale_mult,
         "rotor_left": cfg.lr * cfg.lr_scale_mult,
         "rotor_right": cfg.lr * cfg.lr_scale_mult,
@@ -347,12 +339,8 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None,
         result.max_working_set = max(result.max_working_set, len(ws.gaussian_ids))
         batch = h.materialize(ws)
         target = scene.target(cam_i, frame)
-        value, fb, grads = rn.render_with_gradients(
-            batch, t_stamp, cam, target, weights,
-            rn.RenderOptions(background=opts.background, alpha_min=opts.alpha_min,
-                             alpha_clamp=opts.alpha_clamp,
-                             cov2_lowpass=opts.cov2_lowpass,
-                             temporal_cutoff=h.o_th))
+        value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target,
+                                                    weights, opts)
         interval_loss.append(value)
 
         if len(batch) > 0:

@@ -14,10 +14,9 @@ fragments of all pixels that have one form one contiguous block. The forward
 pass walks the blocks front to back and the backward pass back to front, one
 slice operation per depth layer. Each pixel still folds its own fragments
 one at a time in depth order and never mixes with another pixel's values, so
-the output is bit-identical to a per-pixel loop, and tiled execution is
-bit-identical to a single pass. A log-space prefix sum over all fragments
-would drop the layer loop, but its rounding would depend on the pixels
-sorted before each one.
+the output is bit-identical to a per-pixel loop. A log-space prefix sum over
+all fragments would drop the layer loop, but its rounding would depend on the
+pixels sorted before each one, so a pixel's value would no longer be exact.
 """
 
 import math
@@ -32,14 +31,15 @@ from .errors import InvalidParameterError
 from .losses import LossWeights, loss as image_loss
 from .store import GaussianBatch
 
+COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
+
+
 @dataclass
 class RenderOptions:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     alpha_min: float = 1.0 / 255.0      # quad opacity threshold
     alpha_clamp: float = 0.99           # per-fragment opacity ceiling
-    cov2_lowpass: float = 0.3           # px^2 added to screen-space covariance
     temporal_cutoff: float = 0.05       # drop splats whose temporal factor < this
-    tile_size: int | None = None        # pixels; None = single pass
 
     def __post_init__(self):
         self.background = np.asarray(self.background, dtype=np.float64).reshape(3)
@@ -94,7 +94,7 @@ class ParamGradients:
 # single-splat operations (the unit contracts; render uses the batch path)
 
 def project(cond: ga.ConditionedGaussian3D, cam: Camera, color=None,
-            alpha=None, lowpass=0.3, gid=0):
+            alpha=None, gid=0):
     """Project a conditioned Gaussian to a screen-space splat; None if culled."""
     m = cam.rotation @ np.asarray(cond.mean3, dtype=np.float64) + cam.translation
     if not cam.near <= m[2] <= cam.far:
@@ -104,7 +104,7 @@ def project(cond: ga.ConditionedGaussian3D, cam: Camera, color=None,
     J = np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
                   [0.0, cam.fy / z, -cam.fy * y / (z * z)]])
     K = J @ cam.rotation
-    cov2 = K @ cond.cov3 @ K.T + lowpass * np.eye(2)
+    cov2 = K @ cond.cov3 @ K.T + COV2_LOWPASS * np.eye(2)
     return Splat2D(center2=center2, cov2=cov2, depth=float(z),
                    color=np.zeros(3) if color is None else np.asarray(color, dtype=np.float64),
                    alpha=cond.opacity_t if alpha is None else float(alpha), gid=gid)
@@ -277,14 +277,8 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
 
     ctx carries every intermediate needed by the analytic backward pass.
     """
-    n = len(batch)
-    ctx = {"n": n, "batch": batch, "t": float(t), "cam": cam, "opts": opts}
+    ctx = {"n": len(batch), "batch": batch, "t": float(t), "cam": cam, "opts": opts}
     h_img, w_img = cam.height, cam.width
-    if n == 0:
-        rgb = np.broadcast_to(opts.background, (h_img, w_img, 3)).copy()
-        ctx["keep"] = np.empty(0, dtype=np.intp)
-        return Framebuffer(w_img, h_img, rgb, np.ones((h_img, w_img))), ctx
-
     s_cl = ga.clamp_scales(batch.scale)
     rot_l, rot_r, left, right = ga.isoclinic_factors(batch.rotor_left, batch.rotor_right)
     rot4 = left @ right
@@ -319,8 +313,8 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
     jac[:, 1, 2] = -cam.fy * y / (z * z)
     k_mat = jac @ cam.rotation
     cov2 = np.einsum("nij,njk,nlk->nil", k_mat, cov3[keep], k_mat)
-    cov2[:, 0, 0] += opts.cov2_lowpass
-    cov2[:, 1, 1] += opts.cov2_lowpass
+    cov2[:, 0, 0] += COV2_LOWPASS
+    cov2[:, 1, 1] += COV2_LOWPASS
     a_, b_, c_ = cov2[:, 0, 0], cov2[:, 0, 1], cov2[:, 1, 1]
     det = a_ * c_ - b_ * b_
     conic = np.stack([c_ / det, -b_ / det, a_ / det], axis=1)
@@ -362,24 +356,12 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
                sidx=sidx, gauss=gauss, dx=dx, dy=dy, px=px,
                frag_alpha=frag_alpha, alpha_k=alpha_k)
 
-    rgb = np.empty((h_img, w_img, 3))
-    rgb[:] = opts.background
+    ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color, save=True)
+    unique_px, csum, trans = ctx["composite"][:3]
+    rgb = np.broadcast_to(opts.background, (h_img, w_img, 3)).copy()
     trans_img = np.ones((h_img, w_img))
-    if opts.tile_size is None:
-        parts = [np.arange(len(px), dtype=np.intp)]
-    else:
-        ts = int(opts.tile_size)
-        tile_id = (row // ts) * math.ceil(w_img / ts) + (col // ts)
-        parts = [np.flatnonzero(tile_id == tid) for tid in np.unique(tile_id)]
-    ctx["composite"] = []
-    for part in parts:
-        res = _composite_ordered(px[part], frag_alpha[part], frag_color[part],
-                                 save=True)
-        unique_px, csum, trans, order, t_frag, starts, counts = res
-        rows_u, cols_u = np.divmod(unique_px, w_img)
-        rgb[rows_u, cols_u] = csum + trans[:, None] * opts.background
-        trans_img[rows_u, cols_u] = trans
-        ctx["composite"].append((part, res))
+    rgb.reshape(-1, 3)[unique_px] = csum + trans[:, None] * opts.background
+    trans_img.reshape(-1)[unique_px] = trans
     return Framebuffer(w_img, h_img, rgb, trans_img), ctx
 
 
@@ -395,51 +377,6 @@ def render(h, t, cam: Camera, opts: RenderOptions = None):
     opts = replace(opts, temporal_cutoff=h.o_th)
     ws = h.query(t)
     return render_batch(h.materialize(ws), t, cam, opts)
-
-
-def composite(frame: Framebuffer, splats, background):
-    """Reference over-operator: blend back-to-front splats onto a background.
-
-    `splats` is a sequence of Splat2D in back-to-front order. Returns a new
-    Framebuffer; uses the same fragment kernel as `render`.
-    """
-    background = np.asarray(background, dtype=np.float64).reshape(3)
-    h_img, w_img = frame.height, frame.width
-    rgb = np.empty((h_img, w_img, 3))
-    rgb[:] = background
-    trans_img = np.ones((h_img, w_img))
-    if len(splats) == 0:
-        return Framebuffer(w_img, h_img, rgb, trans_img)
-    front = list(reversed(splats))
-    center2 = np.stack([s.center2 for s in front])
-    covs = np.stack([s.cov2 for s in front])
-    alphas = np.array([s.alpha for s in front])
-    colors = np.stack([s.color for s in front])
-    det = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
-    conic = np.stack([covs[:, 1, 1] / det, -covs[:, 0, 1] / det,
-                      covs[:, 0, 0] / det], axis=1)
-    rects = []
-    keep = []
-    for i, s in enumerate(front):
-        r = expand_quad(s, alpha_min=1e-12, width=w_img, height=h_img) \
-            if alphas[i] > 0 else None
-        if r is not None:
-            rects.append((r.x0, r.x1, r.y0, r.y1))
-            keep.append(i)
-    if not keep:
-        return Framebuffer(w_img, h_img, rgb, trans_img)
-    keep = np.array(keep, dtype=np.intp)
-    rect_arr = tuple(np.array(v, dtype=np.int64) for v in zip(*rects))
-    sidx, col, row, gauss, _, _ = _build_fragments(center2[keep], conic[keep],
-                                                   alphas[keep], rect_arr)
-    frag_alpha = np.minimum(alphas[keep][sidx] * gauss, 0.99)
-    frag_color = colors[keep][sidx]
-    px = row * w_img + col
-    unique_px, csum, trans = _composite_ordered(px, frag_alpha, frag_color)
-    rows_u, cols_u = np.divmod(unique_px, w_img)
-    rgb[rows_u, cols_u] = csum + trans[:, None] * background
-    trans_img[rows_u, cols_u] = trans
-    return Framebuffer(w_img, h_img, rgb, trans_img)
 
 
 # --------------------------------------------------------------------------
@@ -485,34 +422,23 @@ def _backward(ctx, dl_dimage):
         sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)),
         viewspace_norm=np.zeros(n), touched=np.zeros(n, dtype=bool))
     keep = ctx["keep"]
-    if len(keep) == 0 or "composite" not in ctx:
+    if len(keep) == 0:
         return grads
     front = ctx["front"]
     nk = len(keep)
     dl_flat = dl_dimage.reshape(-1, 3)
 
-    # fragment-level gradients; the tiles partition the fragments, so each
-    # fragment reads its value from the one layout that holds it
+    # fragment-level gradients in layout order, scattered back to fragments
     sidx = ctx["sidx"]
-    color_front = ctx["color"][front]
-    layout_pos = np.empty(len(sidx), dtype=np.intp)
-    # empty first entries keep concatenate valid when no tile holds a fragment
-    g_alpha, g_color = [np.empty(0)], [np.empty((0, 3))]
-    base = 0
-    for part, res in ctx["composite"]:
-        unique_px, _, trans, perm, t_frag, *layout = res
-        frags = part[perm]
-        pa = ctx["frag_alpha"][frags]
-        pc = np.take(color_front, sidx[frags], axis=0)
-        g_a, g_c = _composite_backward(dl_flat[unique_px], opts.background,
-                                       pa, pc, trans, t_frag, *layout)
-        layout_pos[frags] = np.arange(base, base + len(frags))
-        base += len(frags)
-        g_alpha.append(g_a)
-        g_color.append(g_c)
-    grad_frag_alpha = np.concatenate(g_alpha)[layout_pos]
+    unique_px, _, trans, perm, t_frag, off, width = ctx["composite"]
+    g_a, g_c = _composite_backward(
+        dl_flat[unique_px], opts.background, ctx["frag_alpha"][perm],
+        np.take(ctx["color"][front], sidx[perm], axis=0), trans, t_frag, off, width)
+    grad_frag_alpha = np.empty(len(sidx))
+    grad_frag_alpha[perm] = g_a
     # (3, N): one contiguous row per channel for the per-splat sums
-    grad_frag_color = np.concatenate(g_color).T.take(layout_pos, axis=1)
+    grad_frag_color = np.empty((3, len(sidx)))
+    grad_frag_color[:, perm] = g_c.T
 
     # fragment -> splat (front-order indexing)
     alpha_front = ctx["alpha_k"][front]

@@ -95,6 +95,10 @@ class GaussianStore:
     def id_at_row(self, row):
         return int(self._id_of_row[row])
 
+    def ids_at_rows(self, rows):
+        """Ids held by the given rows; -1 where a row is free."""
+        return self._id_of_row[rows]
+
     def _take_rows(self, n):
         """n rows: freed ones last-freed first, then fresh ones from the top."""
         cut = max(len(self._free) - n, 0)

@@ -169,11 +169,9 @@ def assert_identical(new, ref):
         assert np.array_equal(getattr(g_n, name), getattr(g_r, name)), name
 
 
-@pytest.mark.parametrize("tile_size", [None, 8])
 @pytest.mark.parametrize("name", sorted(SCENES))
-def test_render_with_gradients_matches_reference(name, tile_size, monkeypatch):
+def test_render_with_gradients_matches_reference(name, monkeypatch):
     batch, opts = scene(name)
-    opts.tile_size = tile_size
     cam = camera()
     target = np.random.default_rng(3).uniform(size=(cam.height, cam.width, 3))
     new = render(batch, opts, target, cam)

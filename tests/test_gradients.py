@@ -142,18 +142,3 @@ def test_offscreen_splat_zero_gradients():
     for group in PARAM_GROUPS:
         assert np.all(getattr(grads, group) == 0.0), group
 
-
-def test_tiled_gradients_match_untiled():
-    rng = np.random.default_rng(17)
-    cam = grad_camera(size=16, fx=24.0)
-    batch = grad_scene(rng, 3)
-    target = rng.uniform(size=(16, 16, 3))
-    weights = LossWeights(mse=1.0, ssim=0.0)
-    base = rn.render_with_gradients(batch, 1.0, cam, target, weights, grad_opts())
-    opts_tiled = rn.RenderOptions(background=np.array([0.15, 0.1, 0.2]),
-                                  alpha_min=1e-6, temporal_cutoff=1e-6, tile_size=8)
-    tiled = rn.render_with_gradients(batch, 1.0, cam, target, weights, opts_tiled)
-    assert base[0] == tiled[0]
-    for group in PARAM_GROUPS:
-        assert np.allclose(getattr(base[2], group), getattr(tiled[2], group),
-                           rtol=1e-12, atol=1e-14), group

@@ -172,10 +172,9 @@ class TestQuery:
 
         small = build(duration=40.0)
         big = build(duration=40.0)
-        for i, (a, b) in enumerate(random_ranges(rng, 1000, 40.0)):
-            small.place(i, InfluenceRange(a, b, 1.0))
-        for i, (a, b) in enumerate(random_ranges(rng, 200_000, 40.0)):
-            big.place(i, InfluenceRange(a, b, 1.0))
+        for h, n in ((small, 1000), (big, 200_000)):
+            ranges = random_ranges(rng, n, 40.0)
+            h._place(np.arange(n), ranges[:, 0], ranges[:, 1])
         mean_query_time(big)  # warm caches
         assert mean_query_time(big) < 5.0 * mean_query_time(small)
 

@@ -49,8 +49,7 @@ def reference_render(batch, t, cam, opts):
             continue
         color = ga.eval_color(g, (cond.mean3 - cam.center)
                               / np.linalg.norm(cond.mean3 - cam.center))
-        s = rn.project(cond, cam, color=color, lowpass=opts.cov2_lowpass,
-                       gid=int(batch.ids[i]))
+        s = rn.project(cond, cam, color=color, gid=int(batch.ids[i]))
         if s is None or s.alpha < opts.alpha_min:
             continue
         splats.append(s)
@@ -136,26 +135,28 @@ class TestExpandQuad:
 
 
 class TestComposite:
-    def blank(self, w=5, h=5):
-        return rn.Framebuffer(width=w, height=h, rgb=np.zeros((h, w, 3)),
-                              transmittance=np.ones((h, w)))
+    # principal point on the center of pixel (2, 2) of a 5x5 frame
+    cam = simple_camera(width=5, height=5, cx=2.5, cy=2.5)
 
-    def huge_splat(self, color, alpha, depth):
-        return rn.Splat2D(center2=np.array([2.5, 2.5]), cov2=np.eye(2) * 1e8,
-                          depth=depth, color=np.asarray(color, float), alpha=alpha)
+    def huge_gaussian(self, color, opacity, z):
+        """On the optical axis, wide enough to cover the whole frame."""
+        return Gaussian4D(mu=np.array([0.0, 0.0, z, 1.0]),
+                          scale=np.array([50.0, 50.0, 50.0, 0.2]),
+                          rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
+                          opacity=opacity, base_color=np.asarray(color, float))
 
     def test_over_operator_reference(self):
-        back = self.huge_splat([0, 1, 0], 0.5, depth=10.0)
-        front = self.huge_splat([1, 0, 0], 0.5, depth=5.0)
-        fb = rn.composite(self.blank(), [back, front], np.zeros(3))
+        back = self.huge_gaussian([0, 1, 0], 0.5, z=10.0)
+        front = self.huge_gaussian([1, 0, 0], 0.5, z=5.0)
+        fb = rn.render_batch(batch_of([back, front]), 1.0, self.cam, rn.RenderOptions())
         assert np.allclose(fb.rgb[2, 2], [0.5, 0.25, 0.0], atol=1e-9)
 
     def test_zero_alpha_leaves_background(self):
         bg = np.array([0.2, 0.4, 0.6])
-        splats = [self.huge_splat([1, 1, 1], 0.0, depth=d) for d in (3.0, 7.0)]
-        fb = rn.composite(self.blank(), splats, bg)
+        batch = batch_of([self.huge_gaussian([1, 1, 1], 0.0, z=z) for z in (3.0, 7.0)])
+        fb = rn.render_batch(batch, 1.0, self.cam, rn.RenderOptions(background=bg))
         assert np.allclose(fb.rgb, bg)
-        assert np.allclose(fb.transmittance, 1.0)
+        assert np.all(fb.transmittance == 1.0)
 
 
 def single_gaussian_scene(opacity=0.8, color=(1.0, 1.0, 1.0), z=5.0, t_mu=1.0):
@@ -230,20 +231,3 @@ class TestRender:
         with pytest.raises(OutOfRangeError):
             rn.render(h, 11.0, simple_camera(), rn.RenderOptions())
 
-
-class TestTileDeterminism:
-    def test_tiled_bit_identical(self, rng):
-        cam = simple_camera(width=48, height=40, fx=70.0)
-        for scene in range(10):
-            gaussians = []
-            for _ in range(12):
-                g = make_random_gaussian(rng, t_center_range=(0.8, 1.2))
-                g.mu[:3] = rng.uniform(-0.8, 0.8, size=3) + np.array([0, 0, 5.0])
-                gaussians.append(g)
-            batch = batch_of(gaussians)
-            plain = rn.render_batch(batch, 1.0, cam, rn.RenderOptions())
-            for ts in (1, 16):
-                tiled = rn.render_batch(batch, 1.0, cam,
-                                        rn.RenderOptions(tile_size=ts))
-                assert np.array_equal(plain.rgb, tiled.rgb)
-                assert np.array_equal(plain.transmittance, tiled.transmittance)

@@ -80,11 +80,6 @@ class TestLoss:
         with pytest.raises(InvalidParameterError):
             loss(rng.uniform(size=(12, 12, 3)), rng.uniform(size=(12, 13, 3)))
 
-    def test_perceptual_weight_rejected(self, rng):
-        img = rng.uniform(size=(12, 12, 3))
-        with pytest.raises(InvalidParameterError):
-            loss(img, img, LossWeights(perc=0.01))
-
 
 def test_psnr_reference():
     a = np.zeros((4, 4, 3))
