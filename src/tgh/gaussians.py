@@ -5,15 +5,13 @@ comes from a pair of unit quaternions (the left/right isoclinic factors of a
 4D rotation) and four positive scales. Conditioning on a timestamp yields the
 3D splat actually rendered, with the temporal marginal modulating opacity.
 
-All functions here are pure; batch variants operate on stacked arrays and the
-scalar API wraps them for single primitives.
+All functions here are pure and operate on stacked arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import sh
 from .errors import InvalidParameterError
 
 # floors applied to scales before covariance construction: spatial axes in
@@ -25,54 +23,12 @@ SCALE_FLOOR = np.array([MIN_SCALE_SPATIAL] * 3 + [MIN_SCALE_TEMPORAL])
 
 
 @dataclass
-class Gaussian4D:
-    """One scene primitive: 4D mean/scale, rotor pair, opacity and appearance."""
-
-    mu: np.ndarray                 # (4,) x, y, z in scene units; t in seconds
-    scale: np.ndarray              # (4,) positive
-    rotor_left: np.ndarray         # (4,) unit quaternion (w, x, y, z)
-    rotor_right: np.ndarray        # (4,) unit quaternion
-    opacity: float = 0.1
-    base_color: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    sh_residual: np.ndarray = field(default_factory=lambda: np.zeros(sh.RESIDUAL_COEFFS))
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64).reshape(4)
-        self.scale = np.asarray(self.scale, dtype=np.float64).reshape(4)
-        self.rotor_left = np.asarray(self.rotor_left, dtype=np.float64).reshape(4)
-        self.rotor_right = np.asarray(self.rotor_right, dtype=np.float64).reshape(4)
-        self.base_color = np.asarray(self.base_color, dtype=np.float64).reshape(3)
-        self.sh_residual = np.asarray(self.sh_residual, dtype=np.float64).reshape(sh.RESIDUAL_COEFFS)
-
-    @property
-    def is_diffuse(self):
-        return not np.any(self.sh_residual)
-
-
-@dataclass
 class ConditionedGaussian3D:
     """Spatial slice of a 4D Gaussian at a fixed timestamp."""
 
     mean3: np.ndarray      # (3,)
     cov3: np.ndarray       # (3, 3) symmetric PSD
     opacity_t: float       # temporally modulated opacity
-
-
-@dataclass
-class InfluenceRange:
-    """Time interval where the temporal opacity factor exceeds the threshold."""
-
-    start: float
-    end: float
-    radius: float
-
-    @property
-    def center(self):
-        return 0.5 * (self.start + self.end)
-
-
-def identity_rotor():
-    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _normalize_rows(q):
@@ -130,11 +86,6 @@ def batch_covariance(mu, scale, rotor_left, rotor_right):
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def build_covariance(g: Gaussian4D):
-    """4x4 covariance of a single primitive."""
-    return batch_covariance(g.mu, g.scale, g.rotor_left, g.rotor_right)
-
-
 def batch_temporal_variance(scale, rotor_left, rotor_right):
     """sigma_t = Sigma[3, 3] without forming the full covariance."""
     R = batch_rotation(rotor_left, rotor_right)
@@ -143,26 +94,11 @@ def batch_temporal_variance(scale, rotor_left, rotor_right):
     return np.sum(row * row, axis=-1)
 
 
-def marginal_opacity(g: Gaussian4D, t):
-    """Temporal marginal opacity o * exp(-(t - mu_t)^2 / (2 sigma_t))."""
-    sigma_t = batch_temporal_variance(g.scale, g.rotor_left, g.rotor_right)
-    dt = np.asarray(t, dtype=np.float64) - g.mu[3]
-    return g.opacity * np.exp(-0.5 * dt * dt / sigma_t)
-
-
 def influence_radius(sigma_t, o_th):
     """Radius where the normalized temporal factor drops to o_th."""
     if not 0.0 < o_th < 1.0:
         raise InvalidParameterError(f"o_th must lie in (0, 1), got {o_th}")
     return np.sqrt(np.log(o_th) / -0.5 * sigma_t)
-
-
-def influence_range(g: Gaussian4D, o_th):
-    """Interval around mu_t where exp(-(t-mu_t)^2/(2 sigma_t)) >= o_th."""
-    sigma_t = batch_temporal_variance(g.scale, g.rotor_left, g.rotor_right)
-    r = float(influence_radius(sigma_t, o_th))
-    mu_t = float(g.mu[3])
-    return InfluenceRange(start=mu_t - r, end=mu_t + r, radius=r)
 
 
 def batch_condition_at_time(mu, cov, t):
@@ -184,16 +120,3 @@ def batch_condition_at_time(mu, cov, t):
     return mean3, cov3, w_t
 
 
-def condition_at_time(g: Gaussian4D, t):
-    """3D slice of a single primitive at time t."""
-    cov = build_covariance(g)
-    mean3, cov3, w_t = batch_condition_at_time(g.mu[None], cov[None], t)
-    return ConditionedGaussian3D(mean3=mean3[0], cov3=cov3[0],
-                                 opacity_t=float(g.opacity * w_t[0]))
-
-
-def eval_color(g: Gaussian4D, view_dir):
-    """Base color plus residual SH, clamped to [0, 1]. view_dir must be unit."""
-    d = np.asarray(view_dir, dtype=np.float64)
-    residual = sh.eval_residual(g.sh_residual, d)
-    return np.clip(g.base_color + residual, 0.0, 1.0)

@@ -11,8 +11,9 @@ Placement is columnar: id-indexed arrays (ids are dense and never reused)
 hold each id's flat segment index and the influence range it was placed by.
 A table over the intervals cut by all level boundaries places a batch of
 ranges with one `searchsorted`, on the boundaries exactly as `Level.span`
-computes them. Only ids whose segment changed touch a segment set, and
-single placements are batches of one.
+computes them. Only ids whose segment changed touch a segment set. Every
+writer takes a batch of ids, except `place`, which places one id by a given
+range.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 place, update) must not run concurrently with each other or with reads.
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import gaussians as ga
 from .errors import InvalidParameterError, NotFoundError, OutOfRangeError, TGHError
-from .gaussians import Gaussian4D, InfluenceRange
 from .store import GaussianStore
 
 GLOBAL_LEVEL = -1
@@ -155,6 +155,8 @@ class TemporalHierarchy:
 
     def _by_segment(self, flat, gids):
         """(segment set, member ids) for each distinct segment in flat."""
+        if len(flat) == 0:
+            return
         order = flat.argsort(kind="stable")
         flat, gids = flat[order], gids[order].tolist()
         bounds = [0, *((flat[1:] != flat[:-1]).nonzero()[0] + 1).tolist(), len(gids)]
@@ -189,26 +191,16 @@ class TemporalHierarchy:
         self._segment[gids] = flat
         return flat
 
-    def place(self, gid, rng: InfluenceRange):
-        """Put an id, stored or not, in the shortest containing segment; returns placement."""
+    def place(self, gid, start, end):
+        """Put an id, stored or not, in the shortest segment containing
+        [start, end]; returns the placement."""
         if gid < 0:
             raise InvalidParameterError(f"Gaussian ids are non-negative, got {gid}")
-        return self._placements(self._place([gid], [rng.start], [rng.end]))[0]
-
-    def insert(self, g: Gaussian4D):
-        """Store a primitive and place it by its influence range; returns its id."""
-        return self._insert(g.mu[None], g.scale[None], g.rotor_left[None],
-                            g.rotor_right[None], np.array([g.opacity]),
-                            g.base_color[None], g.sh_residual[None])[0]
+        return self._placements(self._place([gid], [start], [end]))[0]
 
     def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
                      base_color, sh_residual):
-        """Bulk insert with vectorized influence-range computation."""
-        return self._insert(mu, scale, rotor_left, rotor_right, opacity,
-                            base_color, sh_residual)
-
-    def _insert(self, mu, scale, rotor_left, rotor_right, opacity,
-                base_color, sh_residual):
+        """Store Gaussians and place each by its influence range; returns their ids."""
         sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
         radius = ga.influence_radius(sigma_t, self.o_th)
         centers = np.asarray(mu, dtype=np.float64)[:, 3]
@@ -219,17 +211,20 @@ class TemporalHierarchy:
         self._place(ids, start, end)
         return ids
 
-    def remove(self, gid):
-        gids = self._known([gid])
+    def remove(self, gids):
+        """Remove placed ids, and the stored ones among them from the store.
+
+        Every id is validated before anything changes: an unknown id raises
+        NotFoundError and a repeated one InvalidParameterError, and either
+        leaves the hierarchy as it was.
+        """
+        gids = self._known(gids)
+        if len(np.unique(gids)) < len(gids):
+            raise InvalidParameterError("an id appears twice in one remove")
         for members, chunk in self._by_segment(self._segment[gids], gids):
             members.difference_update(chunk)
         self._segment[gids] = _UNPLACED
-        if gid in self.store:
-            self.store.remove(gid)
-
-    def update_level(self, gid):
-        """Re-place one stored Gaussian; returns (old_placement, new_placement)."""
-        return self._update([gid])[0]
+        self.store.remove(gids[self.store.holds(gids)])
 
     def update_levels(self, gids):
         """Re-place stored Gaussians after their parameters changed.
@@ -238,9 +233,6 @@ class TemporalHierarchy:
         validated before anything changes: an unknown id raises NotFoundError
         and leaves the hierarchy as it was.
         """
-        return self._update(gids)
-
-    def _update(self, gids):
         gids = self._known(gids)
         rows = self.store.rows_of(gids)
         sigma_t = ga.batch_temporal_variance(self.store.scale[rows],

@@ -178,68 +178,65 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
     """Prune / clone / split among the Gaussians touched since the last pass.
 
     Restricting control to sampled segments keeps its cost independent of
-    the total population. Every new or changed Gaussian is re-placed. With
-    `grow` false the pass only prunes.
+    the total population. Candidates are visited in ascending row order.
+    Clones step against their mean world-space gradient; split offsets are
+    drawn as one (n, 2, 3) block of standard normals, two children per split.
+    Under `max_gaussians` the room left after pruning goes to clones first,
+    then to splits. Clones and split children are added in that order with
+    one insert, then the split parents are removed. With `grow` false the
+    pass only prunes.
     """
     report = ControlReport()
     store = h.store
     touched = np.flatnonzero(stats.count > 0)
     rows = touched[store.ids_at_rows(touched) >= 0]
-    if len(rows) == 0:
+    prune_mask = store.opacity[rows] < cfg.prune_opacity_threshold
+    if prune_mask.any():
+        pruned = store.ids_at_rows(rows[prune_mask])
+        h.remove(pruned)
+        report.removed_ids = pruned.tolist()
+        report.pruned = len(pruned)
+    rows = rows[~prune_mask]
+    if not grow or len(rows) == 0:
         stats.reset(touched)
         return report
 
-    prune_mask = store.opacity[rows] < cfg.prune_opacity_threshold
-    for r in rows[prune_mask]:
-        gid = store.id_at_row(r)
-        h.remove(gid)
-        report.removed_ids.append(gid)
-        report.pruned += 1
-    rows = rows[~prune_mask]
-
-    room = None
-    if cfg.max_gaussians is not None:
-        room = max(0, cfg.max_gaussians - len(store))
     mean_grad = stats.grad_accum[rows] / stats.count[rows]
-    hot = grow & (mean_grad >= cfg.grad_densify_threshold)
+    hot = mean_grad >= cfg.grad_densify_threshold
     max_spatial = np.max(store.scale[rows, :3], axis=1)
     size_cut = cfg.clone_size_fraction * scene_extent
     clone_rows = rows[hot & (max_spatial <= size_cut)]
     split_rows = rows[hot & (max_spatial > size_cut)]
+    if cfg.max_gaussians is not None:
+        room = max(0, cfg.max_gaussians - len(store))
+        clone_rows = clone_rows[:room]
+        split_rows = split_rows[:room - len(clone_rows)]
 
-    for r in clone_rows:
-        if room is not None and room <= 0:
-            break
-        gid = store.id_at_row(r)
-        g = store.get(gid)
-        wg = stats.world_grad[r] / stats.count[r]
-        norm = np.linalg.norm(wg)
-        if norm > 0:
-            g.mu[:3] -= (wg / norm) * cfg.clone_nudge * np.mean(g.scale[:3])
-        new_id = h.insert(g)
-        report.new_ids.append(new_id)
-        report.cloned += 1
-        if room is not None:
-            room -= 1
-
-    for r in split_rows:
-        if room is not None and room <= 0:
-            break
-        gid = store.id_at_row(r)
-        g = store.get(gid)
-        cov_spatial = ga.build_covariance(g)[:3, :3]
-        chol = np.linalg.cholesky(cov_spatial + 1e-12 * np.eye(3))
-        for _ in range(2):
-            child = store.get(gid)
-            child.mu[:3] = g.mu[:3] + chol @ rng.standard_normal(3)
-            child.scale[:3] = g.scale[:3] / cfg.split_scale_divisor
-            new_id = h.insert(child)
-            report.new_ids.append(new_id)
-        h.remove(gid)
-        report.removed_ids.append(gid)
-        report.split += 1
-        if room is not None:
-            room -= 1
+    sources = np.concatenate([clone_rows, np.repeat(split_rows, 2)])
+    if len(sources):
+        new = {name: getattr(store, name)[sources] for name in PARAM_GROUPS}
+        n_clones = len(clone_rows)
+        wg = stats.world_grad[clone_rows] / stats.count[clone_rows, None]
+        norm = np.sqrt((wg[:, None, :] @ wg[:, :, None])[:, 0, 0])
+        moved = norm > 0  # a zero mean gradient leaves the clone in place
+        clones = new["mu"][:n_clones]
+        clones[moved, :3] -= ((wg[moved] / norm[moved, None]) * cfg.clone_nudge
+                              * np.mean(store.scale[clone_rows[moved], :3], axis=1)[:, None])
+        if len(split_rows):
+            cov = ga.batch_covariance(store.mu[split_rows], store.scale[split_rows],
+                                      store.rotor_left[split_rows],
+                                      store.rotor_right[split_rows])[:, :3, :3]
+            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(3))
+            z = rng.standard_normal((len(split_rows), 2, 3))
+            new["mu"][n_clones:, :3] += (chol[:, None] @ z[..., None]).reshape(-1, 3)
+            new["scale"][n_clones:, :3] /= cfg.split_scale_divisor
+        report.new_ids = h.insert_batch(**new)
+        report.cloned = n_clones
+    if len(split_rows):
+        parents = store.ids_at_rows(split_rows)
+        h.remove(parents)
+        report.removed_ids += parents.tolist()
+        report.split = len(split_rows)
 
     stats.reset(touched)
     return report

@@ -8,8 +8,7 @@ Python objects. Rows freed by removal are recycled; ids are never reused.
 import numpy as np
 
 from . import sh
-from .errors import NotFoundError
-from .gaussians import Gaussian4D
+from .errors import InvalidParameterError, NotFoundError
 
 
 class GaussianBatch:
@@ -69,7 +68,7 @@ class GaussianStore:
         return self._top - len(self._free)
 
     def __contains__(self, gid):
-        return 0 <= gid < self._next_id and self._row_of_id[gid] >= 0
+        return bool(self.holds([gid])[0])
 
     @property
     def ids(self):
@@ -80,20 +79,22 @@ class GaussianStore:
         rows = self._id_of_row[:self._top]
         return np.flatnonzero(rows >= 0)
 
-    def row_of(self, gid):
-        return int(self.rows_of([gid])[0])
+    def _rows(self, gids):
+        """Rows of the given ids, -1 where an id is unknown or removed."""
+        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        inside = (gids >= 0) & (gids < self._next_id)
+        return np.where(inside, self._row_of_id.take(gids, mode="clip"), -1)
+
+    def holds(self, gids):
+        """Per id, whether it is stored."""
+        return self._rows(gids) >= 0
 
     def rows_of(self, gids):
         """Rows of the given ids; NotFoundError if any is unknown or removed."""
-        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
-        inside = (gids >= 0) & (gids < self._next_id)
-        rows = np.where(inside, self._row_of_id.take(gids, mode="clip"), -1)
+        rows = self._rows(gids)
         if np.any(rows < 0):
-            raise NotFoundError(f"unknown Gaussian id {gids[np.argmax(rows < 0)]}")
+            raise NotFoundError(f"unknown Gaussian id {np.ravel(gids)[np.argmax(rows < 0)]}")
         return rows.astype(np.intp, copy=False)
-
-    def id_at_row(self, row):
-        return int(self._id_of_row[row])
 
     def ids_at_rows(self, rows):
         """Ids held by the given rows; -1 where a row is free."""
@@ -111,12 +112,6 @@ class GaussianStore:
                                np.arange(self._top, self._top + fresh, dtype=np.intp)])
         self._top += fresh
         return rows
-
-    def insert(self, g: Gaussian4D):
-        """Store one primitive, returning its fresh id."""
-        return self.insert_arrays(g.mu[None], g.scale[None], g.rotor_left[None],
-                                  g.rotor_right[None], np.array([g.opacity]),
-                                  g.base_color[None], g.sh_residual[None])[0]
 
     def insert_arrays(self, mu, scale, rotor_left, rotor_right, opacity,
                       base_color, sh_residual):
@@ -138,21 +133,17 @@ class GaussianStore:
         self._id_of_row[rows] = ids
         return ids.tolist()
 
-    def remove(self, gid):
-        row = self.row_of(gid)
-        self._row_of_id[gid] = -1
-        self._id_of_row[row] = -1
-        self.sh_residual[row] = 0.0  # keep freed rows exactly diffuse
-        self._free.append(row)
-
-    def get(self, gid):
-        row = self.row_of(gid)
-        return Gaussian4D(mu=self.mu[row].copy(), scale=self.scale[row].copy(),
-                          rotor_left=self.rotor_left[row].copy(),
-                          rotor_right=self.rotor_right[row].copy(),
-                          opacity=float(self.opacity[row]),
-                          base_color=self.base_color[row].copy(),
-                          sh_residual=self.sh_residual[row].copy())
+    def remove(self, gids):
+        """Free the rows of the given ids, in order; later inserts reuse them
+        last-freed first. Nothing changes unless every id is stored and
+        appears once."""
+        rows = self.rows_of(gids)
+        if len(np.unique(rows)) < len(rows):
+            raise InvalidParameterError("an id appears twice in one remove")
+        self._row_of_id[self._id_of_row[rows]] = -1
+        self._id_of_row[rows] = -1
+        self.sh_residual[rows] = 0.0  # keep freed rows exactly diffuse
+        self._free.extend(rows.tolist())
 
     def gather(self, gids):
         """Copy the parameters of the given ids into a contiguous batch."""

@@ -12,12 +12,10 @@ tolerance of `test_matches_reference_loop` would hide it.
 import numpy as np
 import pytest
 
-from tgh import gaussians as ga
 from tgh import renderer as rn
 from tgh.camera import Camera
-from tgh.gaussians import Gaussian4D
 
-from conftest import make_random_gaussian
+from conftest import params, random_params
 from test_renderer import batch_of
 
 
@@ -97,10 +95,10 @@ def deep_overlap(rng):
     """30 Gaussians stacked along the optical axis at different depths."""
     gaussians = []
     for _ in range(30):
-        g = make_random_gaussian(rng, t_center_range=(0.95, 1.05))
-        g.mu[:3] = np.concatenate([rng.uniform(-0.15, 0.15, 2), [rng.uniform(4.0, 8.0)]])
-        g.scale[:3] = rng.uniform(0.2, 0.5, size=3)
-        g.scale[3] = rng.uniform(0.3, 0.6)
+        g = random_params(rng, t_center_range=(0.95, 1.05))
+        g["mu"][0, :3] = np.concatenate([rng.uniform(-0.15, 0.15, 2), [rng.uniform(4.0, 8.0)]])
+        g["scale"][0, :3] = rng.uniform(0.2, 0.5, size=3)
+        g["scale"][0, 3] = rng.uniform(0.3, 0.6)
         gaussians.append(g)
     return batch_of(gaussians), rn.RenderOptions(background=np.array([0.1, 0.2, 0.3]))
 
@@ -115,10 +113,8 @@ def single_pixel(rng):
     gaussians = []
     for z in (3.0, 5.0, 7.0):
         xy = 0.5 * z / 40.0  # projects to 12.5 px under `camera()`
-        gaussians.append(Gaussian4D(
-            mu=np.array([xy, xy, z, 1.0]), scale=np.array([1e-3, 1e-3, 1e-3, 0.2]),
-            rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
-            opacity=0.5, base_color=rng.uniform(0.2, 0.8, size=3)))
+        gaussians.append(params(mu=[xy, xy, z, 1.0], scale=[1e-3, 1e-3, 1e-3, 0.2],
+                                opacity=0.5, base_color=rng.uniform(0.2, 0.8, size=3)))
     return batch_of(gaussians), rn.RenderOptions(alpha_min=0.3)
 
 
@@ -126,13 +122,12 @@ def culled(rng):
     """Every Gaussian is behind the camera or far from the render time."""
     gaussians = []
     for i in range(6):
-        g = make_random_gaussian(rng, t_center_range=(0.9, 1.1))
+        g = random_params(rng, t_center_range=(0.9, 1.1))
         if i % 2:
-            g.mu[2] = -5.0
+            g["mu"][0, 2] = -5.0
         else:
-            g.mu[:3] = [0.0, 0.0, 5.0]
-            g.mu[3] = 9.0
-            g.scale[3] = 0.1
+            g["mu"][0] = [0.0, 0.0, 5.0, 9.0]
+            g["scale"][0, 3] = 0.1
         gaussians.append(g)
     return batch_of(gaussians), rn.RenderOptions()
 
@@ -141,9 +136,9 @@ def offscreen(rng):
     """Gaussians survive culling but project outside the frame: no fragments."""
     gaussians = []
     for _ in range(4):
-        g = make_random_gaussian(rng, t_center_range=(0.95, 1.05), scale_range=(0.05, 0.1))
-        g.mu[:3] = [40.0, rng.uniform(-1.0, 1.0), 5.0]
-        g.scale[3] = 1.0
+        g = random_params(rng, t_center_range=(0.95, 1.05), scale_range=(0.05, 0.1))
+        g["mu"][0, :3] = [40.0, rng.uniform(-1.0, 1.0), 5.0]
+        g["scale"][0, 3] = 1.0
         gaussians.append(g)
     return batch_of(gaussians), rn.RenderOptions()
 

@@ -3,9 +3,7 @@ import pytest
 
 from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError
-from tgh.gaussians import Gaussian4D
-
-from conftest import make_random_gaussian, random_unit
+from conftest import params, random_params, random_unit
 
 
 def hamilton(p, q):
@@ -30,24 +28,45 @@ def rotation_oracle(ql, qr):
     return L @ R
 
 
-def covariance_oracle(g):
-    R = rotation_oracle(g.rotor_left, g.rotor_right)
-    S = np.diag(np.maximum(g.scale, ga.SCALE_FLOOR))
+def covariance_oracle(p):
+    R = rotation_oracle(p["rotor_left"][0], p["rotor_right"][0])
+    S = np.diag(np.maximum(p["scale"][0], ga.SCALE_FLOOR))
     M = R @ S
     return M @ M.T
 
 
 def identity_gaussian(**kw):
-    defaults = dict(mu=np.zeros(4), scale=np.ones(4),
-                    rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor())
-    defaults.update(kw)
-    return Gaussian4D(**defaults)
+    return params(**{"mu": np.zeros(4), "scale": np.ones(4), **kw})
+
+
+def covariance(p):
+    return ga.batch_covariance(p["mu"], p["scale"], p["rotor_left"], p["rotor_right"])
+
+
+def marginal_opacity(p, t):
+    """Temporal marginal opacity o * w_t of a batch of one, as rendered."""
+    _, _, w_t = ga.batch_condition_at_time(p["mu"], covariance(p), t)
+    return float(p["opacity"][0] * w_t[0])
+
+
+def influence_range(p, o_th):
+    """(start, end, radius) of a batch of one, as `insert_batch` places it."""
+    sigma_t = ga.batch_temporal_variance(p["scale"], p["rotor_left"], p["rotor_right"])
+    r = float(ga.influence_radius(sigma_t, o_th)[0])
+    mu_t = float(p["mu"][0, 3])
+    return mu_t - r, mu_t + r, r
+
+
+def condition_at_time(p, t):
+    """(mean3, cov3, opacity_t) of a batch of one at time t."""
+    mean3, cov3, w_t = ga.batch_condition_at_time(p["mu"], covariance(p), t)
+    return mean3[0], cov3[0], float(p["opacity"][0] * w_t[0])
 
 
 class TestCovariance:
     def test_identity_rotation_diagonal(self):
         g = identity_gaussian(scale=np.array([1.0, 2.0, 3.0, 4.0]))
-        cov = ga.build_covariance(g)
+        cov = covariance(g)[0]
         assert np.allclose(cov, np.diag([1.0, 4.0, 9.0, 16.0]), atol=1e-12)
 
     def test_rotation_group_property(self, rng):
@@ -72,82 +91,81 @@ class TestCovariance:
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(50):
-            g = make_random_gaussian(rng)
-            cov = ga.build_covariance(g)
+            g = random_params(rng)
+            cov = covariance(g)[0]
             expected = covariance_oracle(g)
             assert np.allclose(cov, expected, rtol=1e-9, atol=1e-12)
 
     def test_symmetric_positive_definite(self, rng):
         for _ in range(1000):
-            g = make_random_gaussian(rng)
-            cov = ga.build_covariance(g)
+            g = random_params(rng)
+            cov = covariance(g)[0]
             assert np.max(np.abs(cov - cov.T)) < 1e-12
             np.linalg.cholesky(cov + 1e-9 * np.eye(4))
 
     def test_rejects_non_finite(self):
-        g = identity_gaussian()
-        g.mu = np.array([np.nan, 0, 0, 0])
+        g = identity_gaussian(mu=np.array([np.nan, 0, 0, 0]))
         with pytest.raises(InvalidParameterError):
-            ga.build_covariance(g)
+            covariance(g)
 
     def test_scale_clamping(self):
         g = identity_gaussian(scale=np.array([0.0, 1.0, 1.0, 0.0]))
-        cov = ga.build_covariance(g)
+        cov = covariance(g)[0]
         assert cov[0, 0] == pytest.approx(ga.MIN_SCALE_SPATIAL ** 2)
         assert cov[3, 3] == pytest.approx(ga.MIN_SCALE_TEMPORAL ** 2)
 
 
 class TestMarginalOpacity:
     def test_at_center_returns_opacity(self, rng):
-        g = make_random_gaussian(rng)
-        assert ga.marginal_opacity(g, g.mu[3]) == pytest.approx(g.opacity, abs=0)
+        g = random_params(rng)
+        assert marginal_opacity(g, g["mu"][0, 3]) == pytest.approx(g["opacity"][0], abs=0)
 
     def test_far_away_decays(self):
         g = identity_gaussian(mu=np.array([0, 0, 0, 5.0]))
-        assert ga.marginal_opacity(g, 5.0 + 20.0) < 1e-12
-        assert ga.marginal_opacity(g, 5.0 - 20.0) < 1e-12
+        assert marginal_opacity(g, 5.0 + 20.0) < 1e-12
+        assert marginal_opacity(g, 5.0 - 20.0) < 1e-12
 
     def test_endpoint_value_from_inverted_radius(self):
         # sigma_t = 1, o = 0.8: at the o_th = 0.05 endpoint the marginal is 0.8 * 0.05
         g = identity_gaussian(mu=np.array([0, 0, 0, 5.0]), opacity=0.8)
-        rng_ = ga.influence_range(g, 0.05)
-        assert ga.marginal_opacity(g, rng_.end) == pytest.approx(0.04, abs=1e-9)
-        assert ga.marginal_opacity(g, rng_.start) == pytest.approx(0.04, abs=1e-9)
+        start, end, _ = influence_range(g, 0.05)
+        assert marginal_opacity(g, end) == pytest.approx(0.04, abs=1e-9)
+        assert marginal_opacity(g, start) == pytest.approx(0.04, abs=1e-9)
 
 
 class TestInfluenceRange:
     def test_reference_values(self):
         g = identity_gaussian(mu=np.array([0, 0, 0, 5.0]))
-        r = ga.influence_range(g, 0.05)
+        start, end, radius = influence_range(g, 0.05)
         expected = np.sqrt(-2.0 * np.log(0.05))
-        assert r.radius == pytest.approx(expected, abs=1e-9)
+        assert radius == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(2.44775, abs=1e-5)
-        assert r.start == pytest.approx(5.0 - expected, abs=1e-9)
-        assert r.end == pytest.approx(5.0 + expected, abs=1e-9)
+        assert start == pytest.approx(5.0 - expected, abs=1e-9)
+        assert end == pytest.approx(5.0 + expected, abs=1e-9)
 
     def test_radius_scales_with_sqrt_sigma(self):
         g1 = identity_gaussian()
         g2 = identity_gaussian(scale=np.array([1.0, 1.0, 1.0, 2.0]))  # sigma_t x4
-        r1 = ga.influence_range(g1, 0.05).radius
-        r2 = ga.influence_range(g2, 0.05).radius
+        r1 = influence_range(g1, 0.05)[2]
+        r2 = influence_range(g2, 0.05)[2]
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_one_sigma_case(self):
         g = identity_gaussian()
-        assert ga.influence_range(g, np.exp(-0.5)).radius == pytest.approx(1.0, rel=1e-12)
+        assert influence_range(g, np.exp(-0.5))[2] == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_threshold(self):
         g = identity_gaussian()
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidParameterError):
-                ga.influence_range(g, bad)
+                influence_range(g, bad)
 
     def test_endpoint_factor_many_random(self, rng):
         for _ in range(1000):
-            g = make_random_gaussian(rng)
-            r = ga.influence_range(g, 0.05)
-            for t in (r.start, r.end):
-                factor = ga.marginal_opacity(g, t) / g.opacity
+            g = random_params(rng)
+            start, end, _ = influence_range(g, 0.05)
+            for t in (start, end):
+                factor = marginal_opacity(g, t) / g["opacity"][0]
                 assert factor == pytest.approx(0.05, abs=1e-9)
 
 
@@ -162,37 +180,38 @@ class TestConditioning:
     def test_block_diagonal_case(self):
         g = identity_gaussian(mu=np.array([1.0, 2.0, 3.0, 4.0]),
                               scale=np.array([1.0, 2.0, 3.0, 4.0]))
-        cond = ga.condition_at_time(g, 7.0)
-        assert np.allclose(cond.mean3, [1.0, 2.0, 3.0])
-        assert np.allclose(cond.cov3, np.diag([1.0, 4.0, 9.0]))
+        mean3, cov3, _ = condition_at_time(g, 7.0)
+        assert np.allclose(mean3, [1.0, 2.0, 3.0])
+        assert np.allclose(cov3, np.diag([1.0, 4.0, 9.0]))
 
     def test_at_center_mean_unchanged(self, rng):
         for _ in range(20):
-            g = make_random_gaussian(rng)
-            cond = ga.condition_at_time(g, g.mu[3])
-            assert np.allclose(cond.mean3, g.mu[:3], atol=1e-12)
-            assert cond.opacity_t == pytest.approx(g.opacity)
+            g = random_params(rng)
+            mean3, _, opacity_t = condition_at_time(g, g["mu"][0, 3])
+            assert np.allclose(mean3, g["mu"][0, :3], atol=1e-12)
+            assert opacity_t == pytest.approx(g["opacity"][0])
 
     def test_joint_equals_conditional_times_marginal(self, rng):
         for _ in range(1000):
-            g = make_random_gaussian(rng)
-            cov = ga.build_covariance(g)
-            t = g.mu[3] + rng.normal() * np.sqrt(cov[3, 3])
-            cond = ga.condition_at_time(g, t)
-            joint = dense_pdf(np.concatenate([cond.mean3, [t]]), g.mu, cov)
-            conditional = dense_pdf(cond.mean3, cond.mean3, cond.cov3)
-            marginal = dense_pdf([t], g.mu[3:], cov[3:, 3:])
+            g = random_params(rng)
+            cov = covariance(g)[0]
+            mu = g["mu"][0]
+            t = mu[3] + rng.normal() * np.sqrt(cov[3, 3])
+            mean3, cov3, _ = condition_at_time(g, t)
+            joint = dense_pdf(np.concatenate([mean3, [t]]), mu, cov)
+            conditional = dense_pdf(mean3, mean3, cov3)
+            marginal = dense_pdf([t], mu[3:], cov[3:, 3:])
             assert joint == pytest.approx(conditional * marginal, rel=1e-9)
 
     def test_opacity_never_exceeds_source(self, rng):
         for _ in range(100):
-            g = make_random_gaussian(rng)
+            g = random_params(rng)
             t = rng.uniform(-5, 15)
-            assert ga.condition_at_time(g, t).opacity_t <= g.opacity + 1e-15
+            assert condition_at_time(g, t)[2] <= g["opacity"][0] + 1e-15
 
     def test_cov3_psd(self, rng):
         for _ in range(200):
-            g = make_random_gaussian(rng)
-            cond = ga.condition_at_time(g, rng.uniform(0, 10))
-            assert np.max(np.abs(cond.cov3 - cond.cov3.T)) < 1e-9
-            assert np.linalg.eigvalsh(cond.cov3).min() >= -1e-9
+            g = random_params(rng)
+            _, cov3, _ = condition_at_time(g, rng.uniform(0, 10))
+            assert np.max(np.abs(cov3 - cov3.T)) < 1e-9
+            assert np.linalg.eigvalsh(cov3).min() >= -1e-9

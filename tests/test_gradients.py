@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from tgh import gaussians as ga
 from tgh import renderer as rn
 from tgh.camera import Camera
 from tgh.losses import LossWeights, loss as image_loss
-from tgh.gaussians import Gaussian4D
 
+from conftest import params
 from test_renderer import batch_of
 
 REL_TOL = 1e-4
@@ -28,7 +27,7 @@ def grad_scene(rng, n=1):
     """Gaussians positioned so no fragment sits on a clamp or rect boundary."""
     gaussians = []
     for _ in range(n):
-        g = Gaussian4D(
+        g = params(
             mu=np.concatenate([rng.uniform(-0.6, 0.6, 2), [rng.uniform(4.0, 6.0)],
                                [rng.uniform(0.9, 1.1)]]),
             scale=np.concatenate([rng.uniform(0.25, 0.7, 3), [rng.uniform(0.2, 0.5)]]),

@@ -4,12 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
-from tgh.gaussians import Gaussian4D, InfluenceRange
 from tgh.hierarchy import GLOBAL_SEGMENT, TemporalHierarchy, build
 
-from conftest import make_random_gaussian
+from conftest import params, random_params
 
 
 def brute_force_placement(h, start, end):
@@ -34,10 +32,7 @@ def random_ranges(rng, n, duration):
 def time_gaussian(mu_t, radius, o_th=0.05):
     """Identity-rotor Gaussian whose influence radius at o_th is `radius`."""
     s_t = radius / math.sqrt(-2.0 * math.log(o_th))
-    return Gaussian4D(mu=np.array([0.0, 0.0, 0.0, mu_t]),
-                      scale=np.array([1.0, 1.0, 1.0, s_t]),
-                      rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
-                      opacity=0.5)
+    return params(mu=[0.0, 0.0, 0.0, mu_t], scale=[1.0, 1.0, 1.0, s_t], opacity=0.5)
 
 
 class TestGeometry:
@@ -78,45 +73,45 @@ class TestPlace:
         # [3.0, 4.2] straddles the level-3 boundary at 3.4375 but fits the
         # level-2 segment [1.875, 4.375): deepest containing wins
         h = build(duration=40.0)
-        got = h.place(0, InfluenceRange(3.0, 4.2, 0.6))
+        got = h.place(0, 3.0, 4.2)
         assert got == brute_force_placement(h, 3.0, 4.2) == (2, 1)
 
     def test_short_early_range(self):
         h = build(duration=40.0)
-        got = h.place(0, InfluenceRange(0.1, 0.2, 0.05))
+        got = h.place(0, 0.1, 0.2)
         assert got == brute_force_placement(h, 0.1, 0.2) == (5, 0)
 
     def test_oversized_range_goes_global(self):
         h = build(duration=40.0)
-        assert h.place(0, InfluenceRange(-5.0, 45.0, 25.0)) == GLOBAL_SEGMENT
+        assert h.place(0, -5.0, 45.0) == GLOBAL_SEGMENT
         assert 0 in h.global_segment
 
     def test_pre_start_range_goes_global(self):
         h = build(duration=40.0)
-        assert h.place(0, InfluenceRange(-4.0, -3.0, 0.5)) == GLOBAL_SEGMENT
+        assert h.place(0, -4.0, -3.0) == GLOBAL_SEGMENT
 
     def test_start_an_ulp_below_a_boundary(self):
         # (start + 2.5) / 10 rounds up to 1.0, yet start lies in level-0
         # segment 0 [-2.5, 7.5), which the end does not fit either
         h = build(duration=40.0)
         start = float(np.nextafter(7.5, -np.inf))
-        assert h.place(0, InfluenceRange(start, 12.0, 2.25)) == \
+        assert h.place(0, start, 12.0) == \
             brute_force_placement(h, start, 12.0)
         h.audit()
 
     def test_agrees_with_brute_force(self, rng):
         h = build(duration=40.0)
         for i, (a, b) in enumerate(random_ranges(rng, 2000, 40.0)):
-            assert h.place(i, InfluenceRange(a, b, (b - a) / 2)) == \
+            assert h.place(i, a, b) == \
                 brute_force_placement(h, a, b)
 
     def test_duplicate_and_inverted_rejected(self):
         h = build(duration=40.0)
-        h.place(7, InfluenceRange(1.0, 2.0, 0.5))
+        h.place(7, 1.0, 2.0)
         with pytest.raises(InvalidParameterError):
-            h.place(7, InfluenceRange(1.0, 2.0, 0.5))
+            h.place(7, 1.0, 2.0)
         with pytest.raises(InvalidParameterError):
-            h.place(8, InfluenceRange(2.0, 1.0, 0.5))
+            h.place(8, 2.0, 1.0)
 
 
 class TestQuery:
@@ -148,7 +143,7 @@ class TestQuery:
         h = build(duration=40.0)
         ranges = random_ranges(rng, 500, 40.0)
         for i, (a, b) in enumerate(ranges):
-            h.place(i, InfluenceRange(a, b, (b - a) / 2))
+            h.place(i, a, b)
         for t in rng.uniform(0.0, 40.0, size=200):
             covered = set(np.flatnonzero((ranges[:, 0] <= t) & (t <= ranges[:, 1])))
             got = set(h.query(t).gaussian_ids.tolist())
@@ -157,7 +152,7 @@ class TestQuery:
     def test_deterministic(self, rng):
         h = build(duration=40.0)
         for i, (a, b) in enumerate(random_ranges(rng, 300, 40.0)):
-            h.place(i, InfluenceRange(a, b, (b - a) / 2))
+            h.place(i, a, b)
         w1, w2 = h.query(17.3), h.query(17.3)
         assert w1.segment_refs == w2.segment_refs
         assert np.array_equal(w1.gaussian_ids, w2.gaussian_ids)
@@ -182,19 +177,19 @@ class TestQuery:
 class TestUpdateLevel:
     def test_idempotent_when_unchanged(self):
         h = build(duration=40.0)
-        gid = h.insert(time_gaussian(2.5, 2.0))
+        [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
         before = h.placement_of(gid)
-        old, new = h.update_level(gid)
+        old, new = h.update_levels([gid])[0]
         assert old == new == before == h.placement_of(gid)
 
     def test_shrunk_sigma_migrates_deeper(self):
         h = build(duration=40.0)
         g = time_gaussian(0.15, 2.0)
-        gid = h.insert(g)
+        [gid] = h.insert_batch(**g)
         assert h.placement_of(gid) == (0, 0)
-        row = h.store.row_of(gid)
+        [row] = h.store.rows_of([gid])
         h.store.scale[row, 3] /= 100.0  # radius 2.0 -> 0.02 ... range [0.13, 0.17]
-        old, new = h.update_level(gid)
+        old, new = h.update_levels([gid])[0]
         assert old == (0, 0)
         start, end = h.range_of(gid)
         assert new == brute_force_placement(h, start, end)
@@ -203,20 +198,20 @@ class TestUpdateLevel:
 
     def test_spec_migration_to_level_five(self):
         h = build(duration=40.0)
-        gid = h.insert(time_gaussian(0.15, 2.0))
-        row = h.store.row_of(gid)
+        [gid] = h.insert_batch(**time_gaussian(0.15, 2.0))
+        [row] = h.store.rows_of([gid])
         h.store.scale[row, 3] = 0.05 / math.sqrt(-2.0 * math.log(0.05))
-        _, new = h.update_level(gid)
+        _, new = h.update_levels([gid])[0]
         assert new == (5, 0)  # range is now [0.1, 0.2]
 
     def test_shift_across_level8_boundary(self):
         h = build(duration=40.0)
-        gid = h.insert(time_gaussian(1.0, 1e-3))
+        [gid] = h.insert_batch(**time_gaussian(1.0, 1e-3))
         level, n = h.placement_of(gid)
         assert level == 8
-        row = h.store.row_of(gid)
+        [row] = h.store.rows_of([gid])
         h.store.mu[row, 3] += h.levels[8].seg_length
-        old, new = h.update_level(gid)
+        old, new = h.update_levels([gid])[0]
         assert old == (8, n) and new == (8, n + 1)
         start, end = h.range_of(gid)
         assert new == brute_force_placement(h, start, end)
@@ -224,16 +219,16 @@ class TestUpdateLevel:
     def test_unknown_id(self):
         h = build(duration=40.0)
         with pytest.raises(NotFoundError):
-            h.update_level(123)
+            h.update_levels([123])
 
 
 class TestInsertRemoveOccupancy:
     def test_insert_remove_restores_state(self, rng):
         h = build(duration=40.0)
-        base_ids = [h.insert(make_random_gaussian(rng)) for _ in range(20)]
+        base_ids = h.insert_batch(**random_params(rng, 20))
         _, before = h.occupancy()
-        gid = h.insert(make_random_gaussian(rng))
-        h.remove(gid)
+        extra = h.insert_batch(**random_params(rng))
+        h.remove(extra)
         _, after = h.occupancy()
         assert before == after
         assert sorted(h.store.ids) == sorted(base_ids)
@@ -241,12 +236,26 @@ class TestInsertRemoveOccupancy:
     def test_remove_unknown(self):
         h = build(duration=40.0)
         with pytest.raises(NotFoundError):
-            h.remove(99)
+            h.remove([99])
+
+    def test_remove_rejects_repeated_id(self, rng):
+        # a repeated id would free its row twice, and two later inserts
+        # would share it
+        h = build(duration=40.0)
+        ids = h.insert_batch(**random_params(rng, 5))
+        _, before = h.occupancy()
+        with pytest.raises(InvalidParameterError):
+            h.remove([ids[1], ids[3], ids[1]])
+        _, after = h.occupancy()
+        assert before == after and h.store.ids == ids
+        h.remove([ids[1], ids[3]])
+        new = h.insert_batch(**random_params(rng, 3))
+        assert sorted(h.store.rows_of(new).tolist()) == [1, 3, 5]
+        h.audit()
 
     def test_occupancy_partition(self, rng):
         h = build(duration=40.0)
-        for _ in range(300):
-            h.insert(make_random_gaussian(rng))
+        h.insert_batch(**random_params(rng, 300))
         per_level, per_segment = h.occupancy()
         assert sum(per_level.values()) == len(h) == 300
         assert sum(per_segment.values()) == 300
@@ -255,7 +264,7 @@ class TestInsertRemoveOccupancy:
         h = build(duration=40.0)
         expected = {}
         for i, (a, b) in enumerate(random_ranges(rng, 10_000, 40.0)):
-            h.place(i, InfluenceRange(a, b, (b - a) / 2))
+            h.place(i, a, b)
             p = brute_force_placement(h, a, b)
             expected[p] = expected.get(p, 0) + 1
         _, per_segment = h.occupancy()
@@ -270,23 +279,22 @@ class TestAudit:
         for step in range(10_000):
             op = rng.integers(0, 3)
             if op == 0 or not alive:
-                g = make_random_gaussian(rng)
-                alive.append(h.insert(g))
+                alive += h.insert_batch(**random_params(rng))
             elif op == 1:
                 gid = alive[int(rng.integers(len(alive)))]
-                row = h.store.row_of(gid)
+                [row] = h.store.rows_of([gid])
                 h.store.mu[row, 3] = rng.uniform(-2, 42)
                 h.store.scale[row, 3] = np.exp(rng.uniform(np.log(1e-3), np.log(5)))
-                h.update_level(gid)
+                h.update_levels([gid])
             else:
                 gid = alive.pop(int(rng.integers(len(alive))))
-                h.remove(gid)
+                h.remove([gid])
         h.audit()
         assert len(h) == len(alive)
 
     def test_audit_catches_corruption(self, rng):
         h = build(duration=40.0)
-        gid = h.insert(time_gaussian(2.5, 2.0))
+        [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
         h.levels[0].segments[0].discard(gid)
         h.levels[0].segments[1].add(gid)
         with pytest.raises(Exception):
@@ -295,8 +303,7 @@ class TestAudit:
 
 def test_occupancy_rows_cover_population(rng):
     h = build(duration=40.0)
-    for _ in range(50):
-        h.insert(make_random_gaussian(rng))
+    h.insert_batch(**random_params(rng, 50))
     rows = h.occupancy_rows()
     assert sum(r[4] for r in rows) == 50
     for level, n, start, end, count in rows[:-1]:

@@ -1,7 +1,7 @@
 """Property tests for the temporal hierarchy: the partition and minimality
 that `audit()` checks survive random interleavings of writes, batch
-placement agrees with a brute-force scan, and a failed batch update changes
-nothing."""
+placement agrees with a brute-force scan, and a failed batch update or
+remove changes nothing."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from tgh import sh
 from tgh.errors import NotFoundError
-from tgh.gaussians import InfluenceRange
 from tgh.hierarchy import build
 
 from test_hierarchy import brute_force_placement
@@ -66,8 +65,8 @@ def test_random_interleavings_keep_invariants(ops):
             for gid, (_, new) in zip(chosen.tolist(), pairs):
                 assert new == h.placement_of(gid) == brute_force_placement(h, *h.range_of(gid))
         else:
-            for _ in range(min(k, len(alive))):
-                h.remove(alive.pop(int(rng.integers(len(alive)))))
+            h.remove([alive.pop(int(rng.integers(len(alive))))
+                      for _ in range(min(k, len(alive)))])
         h.audit()
         per_level, per_segment = h.occupancy()
         assert len(h) == len(alive) == len(h.store)
@@ -113,7 +112,7 @@ def test_batch_placement_matches_brute_force(num_levels, duration, data):
     ids = h.insert_batch(**random_arrays(np.random.default_rng(len(starts)), 5))
     for gid, (s, e), want in zip(range(ids[-1] + 1, ids[-1] + 1 + len(starts)),
                                  zip(starts, ends), expected):
-        assert h.place(gid, InfluenceRange(s, e, 0.5 * (e - s))) == want
+        assert h.place(gid, s, e) == want
     h.audit()
 
 
@@ -124,18 +123,21 @@ def test_update_with_unknown_id_changes_nothing(seed, n, data):
     h = build(DURATION)
     ids = h.insert_batch(**random_arrays(rng, n))
     removed = ids.pop(data.draw(st.integers(0, n - 1)))
-    h.remove(removed)
+    h.remove([removed])
     unstored = ids[-1] + 100
-    h.place(unstored, InfluenceRange(1.0, 2.0, 0.5))
+    h.place(unstored, 1.0, 2.0)
     unknown = data.draw(st.sampled_from([removed, unstored, ids[-1] + 1, 10 ** 9, -1]))
     gids = ids.copy()
     gids.insert(data.draw(st.integers(0, len(gids))), unknown)
     edit(h, ids, rng)
-    before = snapshot(h)
-    with pytest.raises(NotFoundError):
-        h.update_levels(gids)
-    after = snapshot(h)
-    assert before[:4] == after[:4]
-    assert np.array_equal(before[4], after[4]) and np.array_equal(before[5], after[5])
+    # a placed id that is not stored is unknown to update_levels only
+    writers = (h.update_levels,) if unknown == unstored else (h.update_levels, h.remove)
+    for write in writers:
+        before = snapshot(h)
+        with pytest.raises(NotFoundError):
+            write(gids)
+        after = snapshot(h)
+        assert before[:4] == after[:4]
+        assert np.array_equal(before[4], after[4]) and np.array_equal(before[5], after[5])
     h.update_levels(ids)
     h.audit()

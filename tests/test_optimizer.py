@@ -1,16 +1,15 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from tgh import gaussians as ga
 from tgh import optimizer as opt
 from tgh import renderer as rn
 from tgh.camera import Camera, look_at
-from tgh.gaussians import Gaussian4D
 from tgh.hierarchy import build
 
-from conftest import make_random_gaussian
+from conftest import params, random_params, stack
 
 
 class StaticScene:
@@ -34,11 +33,8 @@ def ring_camera(width=32, height=32, fx=40.0):
 
 
 def reference_blob(color, center, t_mu=0.5):
-    return Gaussian4D(mu=np.array([*center, t_mu]),
-                      scale=np.array([0.25, 0.25, 0.25, 0.6]),
-                      rotor_left=ga.identity_rotor(),
-                      rotor_right=ga.identity_rotor(),
-                      opacity=0.85, base_color=np.asarray(color, float))
+    return params(mu=[*center, t_mu], scale=[0.25, 0.25, 0.25, 0.6],
+                  opacity=0.85, base_color=color)
 
 
 class TestAdam:
@@ -70,11 +66,12 @@ class TestAdam:
 
 def populated_hierarchy(rng, n=50, duration=2.0):
     h = build(duration=duration)
+    parts = []
     for _ in range(n):
-        g = make_random_gaussian(rng, t_center_range=(0.0, duration),
-                                 scale_range=(0.05, 0.5))
-        g.mu[:3] = rng.uniform(-1, 1, size=3)
-        h.insert(g)
+        g = random_params(rng, t_center_range=(0.0, duration), scale_range=(0.05, 0.5))
+        g["mu"][0, :3] = rng.uniform(-1, 1, size=3)
+        parts.append(g)
+    h.insert_batch(**stack(parts))
     return h
 
 
@@ -89,7 +86,7 @@ class TestAdaptiveControl:
     def test_zero_opacity_pruned(self, rng):
         h = populated_hierarchy(rng)
         gid = h.store.ids[0]
-        row = h.store.row_of(gid)
+        [row] = h.store.rows_of([gid])
         h.store.opacity[row] = 0.0
         stats = self.stats_for(h, [row], grad=0.0)
         report = opt.adaptive_control(h, stats, opt.TrainConfig(), rng, 2.0)
@@ -117,6 +114,37 @@ class TestAdaptiveControl:
             - report.split - report.pruned
         h.audit()
 
+    def test_max_gaussians_room_goes_to_clones_then_splits(self, rng):
+        h = populated_hierarchy(rng)
+        h.remove(h.store.ids[5:45:8])  # freed rows for the new Gaussians
+        rows = h.store.live_rows()
+        h.store.opacity[rows[0]] = 0.0
+        cfg = opt.TrainConfig(clone_size_fraction=0.1)
+        hot = rows[1:]
+        small = h.store.scale[hot, :3].max(axis=1) <= cfg.clone_size_fraction * 2.0
+        clones, splits = hot[small], hot[~small]
+        assert len(clones) > 2 and len(splits) > 2
+        for room in (len(clones) + 2, 2, 0):
+            trial = copy.deepcopy(h)
+            cap = len(h.store) - 1 + room  # the room left after the prune
+            report = opt.adaptive_control(trial, self.stats_for(trial, rows),
+                                          dataclasses.replace(cfg, max_gaussians=cap),
+                                          rng, 2.0)
+            n_clones = min(room, len(clones))
+            n_splits = min(room - n_clones, len(splits))
+            assert (report.pruned, report.cloned, report.split) == (1, n_clones, n_splits)
+            assert report.removed_ids == \
+                h.store.ids_at_rows([rows[0], *splits[:n_splits]]).tolist()
+            # zero world gradient: clones sit on their sources; split
+            # children keep their parent's rotors, opacity and color
+            sources = np.concatenate([clones[:n_clones], np.repeat(splits[:n_splits], 2)])
+            new = trial.store.gather(report.new_ids)
+            assert np.array_equal(new.mu[:n_clones], h.store.mu[clones[:n_clones]])
+            for name in ("rotor_left", "rotor_right", "opacity", "base_color"):
+                assert np.array_equal(getattr(new, name), getattr(h.store, name)[sources])
+            assert len(trial.store) <= cap
+            trial.audit()
+
     def test_untouched_population_ignored(self, rng):
         h = populated_hierarchy(rng)
         stats = opt.DensifyStats()
@@ -139,13 +167,13 @@ def make_training_setup(rng, iterations, seed=0, frames=4):
         images[(0, f)] = img
     scene = StaticScene([cam], frames, 30.0, images)
     h = build(duration=frames / 30.0, o_th=0.05)
-    for g in reference:
-        noisy = Gaussian4D(mu=g.mu + rng.normal(scale=0.05, size=4),
-                           scale=g.scale * rng.uniform(0.8, 1.25, size=4),
-                           rotor_left=g.rotor_left, rotor_right=g.rotor_right,
-                           opacity=0.5, base_color=np.clip(
-                               g.base_color + rng.normal(scale=0.1, size=3), 0, 1))
-        h.insert(noisy)
+    noisy = [params(mu=g["mu"] + rng.normal(scale=0.05, size=4),
+                    scale=g["scale"] * rng.uniform(0.8, 1.25, size=4),
+                    rotor_left=g["rotor_left"], rotor_right=g["rotor_right"],
+                    opacity=0.5, base_color=np.clip(
+                        g["base_color"] + rng.normal(scale=0.1, size=3), 0, 1))
+             for g in reference]
+    h.insert_batch(**stack(noisy))
     cfg = opt.TrainConfig(iterations=iterations, seed=seed,
                           lambda_ssim=0.0, lambda_mse=1.0)
     return scene, h, cfg
@@ -154,13 +182,13 @@ def make_training_setup(rng, iterations, seed=0, frames=4):
 class TestTrain:
     def test_zero_iterations_no_change(self, rng):
         scene, h, cfg = make_training_setup(rng, iterations=0)
-        before = {gid: h.store.get(gid) for gid in h.store.ids}
+        ids = h.store.ids
+        before = h.store.gather(ids)
         result = opt.train(scene, h, cfg)
         assert result.metrics == []
-        for gid, g in before.items():
-            after = h.store.get(gid)
-            assert np.array_equal(g.mu, after.mu)
-            assert np.array_equal(g.scale, after.scale)
+        after = h.store.gather(ids)
+        assert np.array_equal(before.mu, after.mu)
+        assert np.array_equal(before.scale, after.scale)
 
     def test_loss_decreases(self, rng):
         scene, h, cfg = make_training_setup(rng, iterations=400)
@@ -178,10 +206,9 @@ class TestTrain:
         r2 = opt.train(scene2, h2, cfg2)
         assert r1.metrics == r2.metrics
         assert set(h1.store.ids) == set(h2.store.ids)
-        for gid in h1.store.ids:
-            a, b = h1.store.get(gid), h2.store.get(gid)
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.sh_residual, b.sh_residual)
+        a, b = h1.store.gather(h1.store.ids), h2.store.gather(h1.store.ids)
+        assert np.array_equal(a.mu, b.mu)
+        assert np.array_equal(a.sh_residual, b.sh_residual)
 
     def test_growth_only_in_first_half(self, rng):
         # a tiny threshold makes every touched Gaussian hot at every pass

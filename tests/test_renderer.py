@@ -5,13 +5,14 @@ import pytest
 
 from tgh import gaussians as ga
 from tgh import renderer as rn
+from tgh import sh
 from tgh.camera import Camera, look_at
 from tgh.errors import OutOfRangeError
-from tgh.gaussians import ConditionedGaussian3D, Gaussian4D
+from tgh.gaussians import ConditionedGaussian3D
 from tgh.hierarchy import build
 from tgh.store import GaussianBatch
 
-from conftest import make_random_gaussian
+from conftest import params, random_params, stack
 
 
 def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
@@ -22,15 +23,9 @@ def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
 
 
 def batch_of(gaussians):
-    return GaussianBatch(
-        ids=np.arange(len(gaussians), dtype=np.int64),
-        mu=np.stack([g.mu for g in gaussians]),
-        scale=np.stack([g.scale for g in gaussians]),
-        rotor_left=np.stack([g.rotor_left for g in gaussians]),
-        rotor_right=np.stack([g.rotor_right for g in gaussians]),
-        opacity=np.array([g.opacity for g in gaussians]),
-        base_color=np.stack([g.base_color for g in gaussians]),
-        sh_residual=np.stack([g.sh_residual for g in gaussians]))
+    """A batch of the given parameter dicts, with ids 0, 1, ..."""
+    columns = stack(gaussians)
+    return GaussianBatch(ids=np.arange(len(columns["mu"]), dtype=np.int64), **columns)
 
 
 def reference_render(batch, t, cam, opts):
@@ -38,17 +33,16 @@ def reference_render(batch, t, cam, opts):
     img = np.empty((cam.height, cam.width, 3))
     img[:] = opts.background
     splats = []
+    cov = ga.batch_covariance(batch.mu, batch.scale, batch.rotor_left, batch.rotor_right)
+    mean3, cov3, w_t = ga.batch_condition_at_time(batch.mu, cov, t)
     for i in range(len(batch)):
-        g = Gaussian4D(mu=batch.mu[i], scale=batch.scale[i],
-                       rotor_left=batch.rotor_left[i], rotor_right=batch.rotor_right[i],
-                       opacity=batch.opacity[i], base_color=batch.base_color[i],
-                       sh_residual=batch.sh_residual[i])
-        cond = ga.condition_at_time(g, t)
-        w_t = cond.opacity_t / g.opacity if g.opacity else 0.0
-        if w_t < opts.temporal_cutoff:
+        if w_t[i] < opts.temporal_cutoff:
             continue
-        color = ga.eval_color(g, (cond.mean3 - cam.center)
-                              / np.linalg.norm(cond.mean3 - cam.center))
+        cond = ConditionedGaussian3D(mean3=mean3[i], cov3=cov3[i],
+                                     opacity_t=float(batch.opacity[i] * w_t[i]))
+        view_dir = (mean3[i] - cam.center) / np.linalg.norm(mean3[i] - cam.center)
+        color = np.clip(batch.base_color[i] + sh.eval_residual(batch.sh_residual[i], view_dir),
+                        0.0, 1.0)
         s = rn.project(cond, cam, color=color, gid=int(batch.ids[i]))
         if s is None or s.alpha < opts.alpha_min:
             continue
@@ -140,10 +134,8 @@ class TestComposite:
 
     def huge_gaussian(self, color, opacity, z):
         """On the optical axis, wide enough to cover the whole frame."""
-        return Gaussian4D(mu=np.array([0.0, 0.0, z, 1.0]),
-                          scale=np.array([50.0, 50.0, 50.0, 0.2]),
-                          rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
-                          opacity=opacity, base_color=np.asarray(color, float))
+        return params(mu=[0.0, 0.0, z, 1.0], scale=[50.0, 50.0, 50.0, 0.2],
+                      opacity=opacity, base_color=color)
 
     def test_over_operator_reference(self):
         back = self.huge_gaussian([0, 1, 0], 0.5, z=10.0)
@@ -160,11 +152,8 @@ class TestComposite:
 
 
 def single_gaussian_scene(opacity=0.8, color=(1.0, 1.0, 1.0), z=5.0, t_mu=1.0):
-    g = Gaussian4D(mu=np.array([0.0, 0.0, z, t_mu]),
-                   scale=np.array([0.05, 0.05, 0.05, 0.2]),
-                   rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
-                   opacity=opacity, base_color=np.asarray(color, float))
-    return batch_of([g])
+    return batch_of([params(mu=[0.0, 0.0, z, t_mu], scale=[0.05, 0.05, 0.05, 0.2],
+                            opacity=opacity, base_color=color)])
 
 
 class TestRender:
@@ -196,9 +185,9 @@ class TestRender:
         cam = simple_camera(width=24, height=24, fx=40.0)
         gaussians = []
         for _ in range(6):
-            g = make_random_gaussian(rng, t_center_range=(0.9, 1.1))
-            g.mu[:3] = rng.uniform(-0.6, 0.6, size=3) + np.array([0, 0, 6.0])
-            g.scale[:3] = rng.uniform(0.05, 0.4, size=3)
+            g = random_params(rng, t_center_range=(0.9, 1.1))
+            g["mu"][0, :3] = rng.uniform(-0.6, 0.6, size=3) + np.array([0, 0, 6.0])
+            g["scale"][0, :3] = rng.uniform(0.05, 0.4, size=3)
             gaussians.append(g)
         batch = batch_of(gaussians)
         opts = rn.RenderOptions(background=np.array([0.05, 0.1, 0.15]))
@@ -210,18 +199,16 @@ class TestRender:
         cam = simple_camera(width=32, height=32, fx=60.0)
         gaussians = []
         for _ in range(10):
-            g = make_random_gaussian(rng, t_center_range=(0.9, 1.1))
-            g.mu[:3] = rng.uniform(-0.5, 0.5, size=3) + np.array([0, 0, 5.0])
+            g = random_params(rng, t_center_range=(0.9, 1.1))
+            g["mu"][0, :3] = rng.uniform(-0.5, 0.5, size=3) + np.array([0, 0, 5.0])
             gaussians.append(g)
         fb = rn.render_batch(batch_of(gaussians), 1.0, cam, rn.RenderOptions())
         assert np.all(fb.transmittance >= 0.0) and np.all(fb.transmittance <= 1.0)
 
     def test_energy_sanity_opaque_splat(self):
         cam = simple_camera()
-        g = Gaussian4D(mu=np.array([0.0, 0.0, 1.0, 1.0]),
-                       scale=np.array([50.0, 50.0, 0.01, 0.2]),
-                       rotor_left=ga.identity_rotor(), rotor_right=ga.identity_rotor(),
-                       opacity=1.0, base_color=np.array([0.3, 0.6, 0.9]))
+        g = params(mu=[0.0, 0.0, 1.0, 1.0], scale=[50.0, 50.0, 0.01, 0.2],
+                   opacity=1.0, base_color=[0.3, 0.6, 0.9])
         opts = rn.RenderOptions(alpha_clamp=1.0)
         fb = rn.render_batch(batch_of([g]), 1.0, cam, opts)
         assert np.max(np.abs(fb.rgb - np.array([0.3, 0.6, 0.9]))) < 1e-3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tgh import sh
-from tgh.errors import NotFoundError
+from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.store import GaussianStore
 
 
@@ -19,15 +19,14 @@ def test_rows_reused_last_freed_first_then_fresh():
     # handed out in is part of the store's contract
     store = GaussianStore(capacity=16)
     ids = store.insert_arrays(**arrays(10))
-    for gid in (2, 7, 4):
-        store.remove(ids[gid])
+    store.remove([ids[2], ids[7], ids[4]])
     new = store.insert_arrays(**arrays(5, value=1.0))
     assert new == [10, 11, 12, 13, 14]
     assert store.rows_of(new).tolist() == [4, 7, 2, 10, 11]
     assert np.all(store.mu[[4, 7, 2, 10, 11]] == 1.0)
     assert len(store) == 12
     assert store.ids == [0, 1, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14]
-    assert [store.id_at_row(r) for r in (4, 7, 2)] == [10, 11, 12]
+    assert store.ids_at_rows([4, 7, 2]).tolist() == [10, 11, 12]
 
 
 def test_rows_grow_past_capacity():
@@ -40,10 +39,23 @@ def test_rows_grow_past_capacity():
 def test_rows_of_rejects_unknown_removed_and_negative_ids():
     store = GaussianStore()
     ids = store.insert_arrays(**arrays(3))
-    store.remove(ids[1])
+    store.remove([ids[1]])
     for bad in (ids[1], 3, 10 ** 9, -1):
         with pytest.raises(NotFoundError):
             store.rows_of([ids[0], bad])
         assert bad not in store
     assert store.rows_of([]).tolist() == []
-    assert store.row_of(ids[2]) == 2
+    assert store.rows_of([ids[2]]).tolist() == [2]
+
+
+def test_remove_is_atomic():
+    store = GaussianStore()
+    ids = store.insert_arrays(**arrays(4))
+    for bad, error in (([ids[0], ids[2], ids[0]], InvalidParameterError),
+                       ([ids[1], 99], NotFoundError)):
+        with pytest.raises(error):
+            store.remove(bad)
+        assert store.ids == ids and store.rows_of(ids).tolist() == [0, 1, 2, 3]
+    store.remove([ids[2], ids[0]])
+    assert store.insert_arrays(**arrays(3)) == [4, 5, 6]
+    assert store.rows_of([4, 5, 6]).tolist() == [0, 2, 4]

@@ -1,0 +1,90 @@
+"""Property test for training: two `train()` runs with one seed on a random
+small scene end with the same metrics, population, parameters and
+placements, and every kind of density control happens on the way."""
+
+from contextlib import contextmanager
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tgh import optimizer as opt
+from tgh.camera import Camera
+from tgh.hierarchy import build
+
+from conftest import params, stack
+from test_optimizer import StaticScene
+
+PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
+                             database=None)
+FRAMES = 4
+FRAME_RATE = 30.0
+CLONE_BELOW = 0.05          # spatial scale that separates clones from splits
+
+
+def small_scene(seed, n, size):
+    """n visible Gaussians and one faint one in front of a size x size camera.
+
+    Gaussian 0 is small enough to clone, the others visible are large enough
+    to split, and the faint one starts below the prune threshold. The target
+    is black, so every step lowers opacity and the faint one stays below it.
+    """
+    rng = np.random.default_rng(seed)
+    cam = Camera(fx=float(size), fy=float(size), cx=size / 2.0, cy=size / 2.0,
+                 rotation=np.eye(3), translation=np.zeros(3),
+                 width=size, height=size, near=0.1, far=100.0)
+    spatial = [0.03, *rng.uniform(0.1, 0.3, n - 1), 0.6]
+    opacity = [*rng.uniform(0.3, 0.9, n), 4.5e-3]
+    parts = [params(mu=[*rng.uniform(-0.5, 0.5, 2), rng.uniform(3.5, 4.5),
+                        rng.uniform(0.0, FRAMES / FRAME_RATE)],
+                    scale=[s, s, s, 0.5],
+                    rotor_left=[1.0, *rng.normal(scale=0.08, size=3)],
+                    rotor_right=[1.0, *rng.normal(scale=0.08, size=3)],
+                    opacity=o, base_color=rng.uniform(0.2, 0.9, 3))
+             for s, o in zip(spatial, opacity)]
+    h = build(duration=FRAMES / FRAME_RATE)
+    h.insert_batch(**stack(parts))
+    black = np.zeros((size, size, 3))
+    scene = StaticScene([cam], FRAMES, FRAME_RATE, {(0, f): black for f in range(FRAMES)})
+    return scene, h
+
+
+@contextmanager
+def control_reports():
+    """Collect the ControlReport of every density-control pass `train()` runs."""
+    reports, original = [], opt.adaptive_control
+
+    def recording(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    opt.adaptive_control = recording
+    try:
+        yield reports
+    finally:
+        opt.adaptive_control = original
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), size=st.integers(16, 24),
+       interval=st.integers(5, 10))
+def test_train_is_deterministic_given_seed(seed, n, size, interval):
+    runs = []
+    for _ in range(2):
+        scene, h = small_scene(seed, n, size)
+        cfg = opt.TrainConfig(iterations=30, densify_interval=interval,
+                              grad_densify_threshold=1e-12,
+                              clone_size_fraction=CLONE_BELOW / opt.scene_extent_of(h.store),
+                              lambda_mse=1.0, lambda_ssim=0.0, seed=seed)
+        with control_reports() as reports:
+            result = opt.train(scene, h, cfg)
+        h.audit()
+        ids = h.store.ids
+        runs.append((result.metrics, ids, h.store.gather(ids),
+                     [h.placement_of(g) for g in ids], reports))
+    (metrics, ids, batch, placements, reports), again = runs
+    assert again[0] == metrics and again[1] == ids and again[3] == placements
+    for name in opt.PARAM_GROUPS:
+        assert np.array_equal(getattr(again[2], name), getattr(batch, name)), name
+    assert sum(r.cloned for r in reports) > 0
+    assert sum(r.split for r in reports) > 0
+    assert sum(r.pruned for r in reports) > 0
