@@ -7,13 +7,13 @@ Level l has segment length s_l = S / 2^l and a corrected offset of
 touch exactly one segment per level (plus global), independent of duration
 and population size.
 
-Placement is columnar: id-indexed arrays (ids are dense and never reused)
-hold each id's flat segment index and the influence range it was placed by.
-A table over the intervals cut by all level boundaries places a batch of
-ranges with one `searchsorted`, on the boundaries exactly as `Level.span`
-computes them. Only ids whose segment changed touch a segment set. Every
-writer takes a batch of ids, except `place`, which places one id by a given
-range.
+Placement is a formula: level l's segment holding t is
+floor((t - offset_l) / s_l), moved by one where rounding crossed a boundary
+of `Level.span`. Members are kept for occupied segments only, so memory is
+O(levels + population) at any duration. Id-indexed arrays (ids are dense and
+never reused) hold each id's flat segment and the range it was placed by;
+only ids whose segment changed touch a member set. Every writer takes a
+batch of ids, except `place`, which places one id by a given range.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 place, update) must not run concurrently with each other or with reads.
@@ -22,7 +22,7 @@ Materialized working sets are snapshots and stay valid after later writes.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ GLOBAL_LEVEL = -1
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
 _UNPLACED = -1                   # flat segment of an id that is not placed
+_DOWN = (slice(None), None)      # views a per-level array as a column
 
 
 class AuditError(TGHError):
@@ -45,7 +46,7 @@ class Level:
     index: int
     seg_length: float
     offset: float
-    segments: list = field(default_factory=list)  # list[set[int]], dense
+    count: int                   # segments 0 .. count - 1 cover [0, duration]
 
     def span(self, n):
         return (self.offset + n * self.seg_length,
@@ -80,38 +81,18 @@ class TemporalHierarchy:
         self.root_length = float(root_length)
         self.num_levels = int(num_levels)
         self.o_th = float(o_th)
-        self.levels = []
-        for l in range(self.num_levels):
-            s_l = self.root_length / (1 << l)
-            offset = -self.root_length / (1 << (l + 2))
-            count = math.ceil((self.duration - offset) / s_l)
-            self.levels.append(Level(index=l, seg_length=s_l, offset=offset,
-                                     segments=[set() for _ in range(count)]))
-        self.global_segment = set()
+        l = np.arange(self.num_levels)
+        self._seg_length = self.root_length / 2.0 ** l
+        self._offset = -self.root_length / 2.0 ** (l + 2)
+        self._count = np.ceil((self.duration - self._offset) / self._seg_length).astype(np.int64)
+        self.levels = [Level(*level) for level in zip(
+            l.tolist(), self._seg_length.tolist(), self._offset.tolist(), self._count.tolist())]
         self.store = GaussianStore()
-        # flat segment index: 0 is the global segment, then every level's
-        # segments in order, so flat indices grow with depth
-        self._sets = [self.global_segment] + [seg for lv in self.levels for seg in lv.segments]
-        counts = np.array([len(lv.segments) for lv in self.levels])
-        self._first = 1 + np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self._level_of = np.repeat(np.arange(GLOBAL_LEVEL, self.num_levels), [1, *counts])
-        self._index_of = np.concatenate([[0], *(np.arange(c) for c in counts)])
-        bounds = [lv.offset + np.arange(c + 1) * lv.seg_length  # as Level.span computes them
-                  for lv, c in zip(self.levels, counts)]
-        # per flat index; the extra last entry stands for "outside the level"
-        self._span_start = np.concatenate([[-np.inf], *(b[:-1] for b in bounds)])
-        self._span_end = np.concatenate([[np.inf], *(b[1:] for b in bounds), [-np.inf]])
-        self._outside = len(self._sets)
-        self._last = self._first + counts - 1
-        # All level boundaries, merged, cut time into intervals; interval j
-        # is [cuts[j - 1], cuts[j]). Row j holds, per level, the flat index of
-        # the segment holding that interval, or _outside.
-        self._cuts = np.unique(np.concatenate(bounds))
-        self._flat_at = np.empty((len(self._cuts) + 1, self.num_levels), dtype=np.int32)
-        for l, b in enumerate(bounds):
-            n = np.concatenate([[-1], np.searchsorted(b, self._cuts, side="right") - 1])
-            self._flat_at[:, l] = np.where((n >= 0) & (n < counts[l]),
-                                           self._first[l] + n, self._outside)
+        # flat segment index: 0 is global, then each level's segments in order
+        self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])
+        # starts clipped to these keep `_segment_at` finite and fit as before
+        self._t_bounds = (-2.0 * self.root_length, self.duration + 2.0 * self.root_length)
+        self._members = {}  # flat index -> set of ids, for occupied segments only
         # id-indexed columns: flat segment (_UNPLACED if none), (start, end)
         self._segment = np.full(256, _UNPLACED, dtype=np.int64)
         self._range = np.zeros((256, 2))
@@ -119,50 +100,72 @@ class TemporalHierarchy:
     # ---------------------------------------------------------------- geometry
 
     def segment_count(self, level):
-        return len(self.levels[level].segments)
+        return self.levels[level].count
 
-    def total_segments(self):
-        return len(self._sets)
+    def _edge(self, n, level=_DOWN):
+        """Start of segment n as `Level.span` computes it; by default level l on row l."""
+        return self._offset[level] + n * self._seg_length[level]
+
+    def _segment_at(self, t):
+        """Per level (row) and timestamp t in `_t_bounds` (column), the index of
+        the segment holding t, as a float: < 0 or >= count outside the level."""
+        n = np.floor((t - self._offset[_DOWN]) / self._seg_length[_DOWN])
+        # the rounded quotient may put t one segment off near a boundary
+        n += t >= self._edge(n + 1)
+        n -= t < self._edge(n)
+        return n
 
     def _find_placements(self, start, end):
         """Flat index of the deepest segment containing each [start, end].
 
-        A segment [a, b) contains the range iff a <= start and end <= b (an
-        end exactly on the boundary still fits), with a and b as
-        `Level.span` computes them. Per level, the segment holding start's
-        interval is the only candidate, and the range fits if end <= its
-        end. Flat indices grow with depth, so the deepest fit is the
-        largest, and a range no level fits keeps the global segment's 0.
+        Segment [a, b) of `Level.span` contains the range iff a <= start and
+        end <= b; per level, only the segment holding start can. Flat indices
+        grow with depth, so the deepest fit is the largest; no fit gives 0.
         """
-        flat = self._flat_at[self._cuts.searchsorted(start, side="right")]
-        fits = end[:, None] <= self._span_end[flat]
-        return (flat * fits).max(axis=1)  # no fit -> 0, global
+        n = self._segment_at(np.clip(start, *self._t_bounds))
+        fits = (n >= 0) & (n < self._count[_DOWN]) & (end <= self._edge(n + 1))
+        return np.where(fits, self._first[_DOWN] + n, _GLOBAL_FLAT).max(axis=0).astype(np.int64)
+
+    def _level_index(self, flat):
+        """(level, index) arrays of flat segment indices; (-1, 0) for global."""
+        level = self._first.searchsorted(flat, side="right") - 1
+        return level, np.where(level < 0, 0, flat - self._first[level])
 
     def _placements(self, flat):
         """(level, index) tuples of flat segment indices."""
-        return list(zip(self._level_of[flat].tolist(), self._index_of[flat].tolist()))
+        return list(zip(*(a.tolist() for a in self._level_index(flat))))
 
     # ------------------------------------------------------------- mutation
+
+    def _is_placed(self, gids):
+        inside = (gids >= 0) & (gids < len(self._segment))
+        return inside & (self._segment.take(gids, mode="clip") != _UNPLACED)
 
     def _known(self, gids):
         """gids as an int64 array; NotFoundError unless every id is placed."""
         gids = np.asarray(gids, dtype=np.int64).reshape(-1)
-        inside = (gids >= 0) & (gids < len(self._segment))
-        placed = inside & (self._segment.take(gids, mode="clip") != _UNPLACED)
+        placed = self._is_placed(gids)
         if not placed.all():
             raise NotFoundError(f"unknown Gaussian id {gids[placed.argmin()]}")
         return gids
 
-    def _by_segment(self, flat, gids):
-        """(segment set, member ids) for each distinct segment in flat."""
-        if len(flat) == 0:
-            return
+    def _check_free(self, gids):
+        taken = self._is_placed(gids)
+        if taken.any():
+            raise InvalidParameterError(f"id {gids[taken.argmax()]} is already placed")
+
+    def _file(self, flat, gids, add):
+        """Add ids to their flat segments' member sets, or discard them; none is left empty."""
         order = flat.argsort(kind="stable")
         flat, gids = flat[order], gids[order].tolist()
-        bounds = [0, *((flat[1:] != flat[:-1]).nonzero()[0] + 1).tolist(), len(gids)]
-        keys = flat.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            yield self._sets[keys[a]], gids[a:b]
+        first = np.flatnonzero(np.diff(flat, prepend=_UNPLACED)).tolist()  # of each segment
+        for key, a, b in zip(flat[first].tolist(), first, first[1:] + [len(gids)]):
+            if add:
+                self._members.setdefault(key, set()).update(gids[a:b])
+            else:
+                self._members[key].difference_update(gids[a:b])
+                if not self._members[key]:
+                    del self._members[key]
 
     def _set_ranges(self, gids, start, end):
         """Record the ranges ids are placed by; returns their flat segments."""
@@ -172,22 +175,20 @@ class TemporalHierarchy:
         return self._find_placements(start, end)
 
     def _place(self, gids, start, end):
-        """Place fresh non-negative ids by their ranges; returns their flat segments."""
+        """Place fresh non-negative ids by their ranges; returns their flat
+        segments. Nothing changes unless every id is free and every range valid."""
         gids = np.asarray(gids, dtype=np.int64)
         if len(gids) == 0:
             return gids
+        self._check_free(gids)
         top = int(gids.max()) + 1
         if top > len(self._segment):
             grow = max(len(self._segment), top - len(self._segment))
             self._segment = np.append(self._segment, np.full(grow, _UNPLACED))
             self._range = np.vstack([self._range, np.zeros((grow, 2))])
-        taken = self._segment[gids] != _UNPLACED
-        if taken.any():
-            raise InvalidParameterError(f"id {gids[taken.argmax()]} is already placed")
         flat = self._set_ranges(gids, np.asarray(start, dtype=np.float64),
                                 np.asarray(end, dtype=np.float64))
-        for members, chunk in self._by_segment(flat, gids):
-            members.update(chunk)
+        self._file(flat, gids, add=True)
         self._segment[gids] = flat
         return flat
 
@@ -200,12 +201,14 @@ class TemporalHierarchy:
 
     def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
                      base_color, sh_residual):
-        """Store Gaussians and place each by its influence range; returns their ids."""
+        """Store Gaussians and place each by its influence range; returns
+        their ids. A call that raises stores and places nothing."""
         sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
         radius = ga.influence_radius(sigma_t, self.o_th)
         centers = np.asarray(mu, dtype=np.float64)[:, 3]
         start, end = centers - radius, centers + radius
         _check_ranges(start, end)
+        self._check_free(self.store.next_id + np.arange(len(centers)))
         ids = self.store.insert_arrays(mu, scale, rotor_left, rotor_right,
                                        opacity, base_color, sh_residual)
         self._place(ids, start, end)
@@ -221,8 +224,7 @@ class TemporalHierarchy:
         gids = self._known(gids)
         if len(np.unique(gids)) < len(gids):
             raise InvalidParameterError("an id appears twice in one remove")
-        for members, chunk in self._by_segment(self._segment[gids], gids):
-            members.difference_update(chunk)
+        self._file(self._segment[gids], gids, add=False)
         self._segment[gids] = _UNPLACED
         self.store.remove(gids[self.store.holds(gids)])
 
@@ -244,10 +246,8 @@ class TemporalHierarchy:
         new = self._set_ranges(gids, centers - radius, centers + radius)
         moved = np.flatnonzero(old != new)
         if moved.size:
-            for members, chunk in self._by_segment(old[moved], gids[moved]):
-                members.difference_update(chunk)
-            for members, chunk in self._by_segment(new[moved], gids[moved]):
-                members.update(chunk)
+            self._file(old[moved], gids[moved], add=False)
+            self._file(new[moved], gids[moved], add=True)
             self._segment[gids[moved]] = new[moved]
         return list(zip(self._placements(old), self._placements(new)))
 
@@ -267,7 +267,8 @@ class TemporalHierarchy:
         indices = self.query_indices(t)
         refs = list(enumerate(indices)) + [GLOBAL_SEGMENT]
         flats = [*(self._first + indices).tolist(), _GLOBAL_FLAT]
-        ids = np.array([g for f in flats for g in sorted(self._sets[f])], dtype=np.int64)
+        members = self._members
+        ids = np.array([g for f in flats for g in sorted(members.get(f, ()))], dtype=np.int64)
         return WorkingSet(timestamp=float(t), segment_refs=refs, gaussian_ids=ids)
 
     def query_indices(self, t):
@@ -275,45 +276,36 @@ class TemporalHierarchy:
         t = float(t)
         if not 0.0 <= t <= self.duration:
             raise OutOfRangeError(f"t={t} outside [0, {self.duration}]")
-        flat = self._flat_at[self._cuts.searchsorted(t, side="right")]
-        return (np.minimum(flat, self._last) - self._first).tolist()  # t == last end
+        n = self._segment_at(np.array([t]))[:, 0].astype(np.int64)
+        return np.minimum(n, self._count - 1).tolist()  # t == last end
 
     def materialize(self, ws: WorkingSet):
         """Gather the working set's parameters into a contiguous batch."""
         return self.store.gather(ws.gaussian_ids)
 
     def occupancy(self):
-        """Gaussian counts per level (index -1 = global) and per segment."""
-        per_level = {lv.index: sum(len(s) for s in lv.segments)
-                     for lv in self.levels}
-        per_level[GLOBAL_LEVEL] = len(self.global_segment)
-        per_segment = {(lv.index, n): len(seg)
-                       for lv in self.levels for n, seg in enumerate(lv.segments)}
-        per_segment[GLOBAL_SEGMENT] = len(self.global_segment)
+        """Gaussian counts per level (index -1 = global) and per occupied
+        segment: `per_segment` lists no segment that holds no Gaussian."""
+        keys = sorted(self._members)
+        per_segment = dict(zip(self._placements(np.array(keys, dtype=np.int64)),
+                               (len(self._members[k]) for k in keys)))
+        per_level = dict.fromkeys([lv.index for lv in self.levels] + [GLOBAL_LEVEL], 0)
+        for (level, _), size in per_segment.items():
+            per_level[level] += size
         return per_level, per_segment
-
-    def occupancy_rows(self, include_empty=False):
-        """(level, segment_index, start, end, count) rows for diagnostics."""
-        rows = []
-        for lv in self.levels:
-            for n, seg in enumerate(lv.segments):
-                if seg or include_empty:
-                    a, b = lv.span(n)
-                    rows.append((lv.index, n, a, b, len(seg)))
-        rows.append((GLOBAL_LEVEL, 0, -math.inf, math.inf, len(self.global_segment)))
-        return rows
 
     # ---------------------------------------------------------------- audit
 
     def audit(self):
-        """Verify partition, containment and minimality for every resident.
-
-        Raises AuditError on the first violation found.
-        """
-        members = np.fromiter(itertools.chain.from_iterable(self._sets), dtype=np.int64)
-        holder = np.repeat(np.arange(len(self._sets)), [len(s) for s in self._sets])
-        inside = (members >= 0) & (members < len(self._segment))
-        recorded = np.where(inside, self._segment[np.where(inside, members, 0)], _UNPLACED)
+        """Verify partition, containment and minimality for every resident,
+        and that every stored id is placed; AuditError on the first violation."""
+        keys, sets = list(self._members), list(self._members.values())
+        if not all(sets):
+            raise AuditError("an unoccupied segment keeps a member set")
+        members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64)
+        holder = np.repeat(np.array(keys, dtype=np.int64), [len(s) for s in sets])
+        recorded = np.where(self._is_placed(members), self._segment.take(members, mode="clip"),
+                            _UNPLACED)
         bad = np.flatnonzero(recorded != holder)
         if bad.size:
             i = bad[0]
@@ -322,6 +314,9 @@ class TemporalHierarchy:
         placed = np.flatnonzero(self._segment != _UNPLACED)
         if len(members) != len(placed):
             raise AuditError(f"{len(members)} segment members vs {len(placed)} placements")
+        stored = np.array(self.store.ids, dtype=np.int64)
+        if not self._is_placed(stored).all():
+            raise AuditError(f"stored id {stored[self._is_placed(stored).argmin()]} not placed")
         segment = self._segment[placed]
         start, end = self._range[placed].T
         expected = self._find_placements(start, end)
@@ -331,7 +326,9 @@ class TemporalHierarchy:
             placement, deepest = self._placements(np.array([segment[i], expected[i]]))
             raise AuditError(f"id {placed[i]} placed at {placement}, "
                              f"deepest containing segment is {deepest}")
-        a, b = self._span_start[segment], self._span_end[segment]
+        level, index = self._level_index(segment)
+        a = np.where(level < 0, -np.inf, self._edge(index, level))
+        b = np.where(level < 0, np.inf, self._edge(index + 1, level))
         bad = np.flatnonzero(~((a <= start) & (end <= b)))
         if bad.size:
             i = bad[0]

@@ -15,9 +15,7 @@ from . import renderer as rn
 from .errors import InvalidParameterError
 from .hierarchy import TemporalHierarchy
 from .losses import LossWeights, psnr
-
-PARAM_GROUPS = ("mu", "scale", "rotor_left", "rotor_right",
-                "opacity", "base_color", "sh_residual")
+from .store import COLUMNS as PARAM_GROUPS
 
 
 @dataclass

@@ -10,6 +10,8 @@ import numpy as np
 from . import sh
 from .errors import InvalidParameterError, NotFoundError
 
+COLUMNS = ("mu", "scale", "rotor_left", "rotor_right", "opacity", "base_color", "sh_residual")
+
 
 class GaussianBatch:
     """A contiguous snapshot of parameters for a list of ids."""
@@ -55,8 +57,7 @@ class GaussianStore:
         new_cap = self.capacity
         while new_cap < needed:
             new_cap *= 2
-        for name in ("mu", "scale", "rotor_left", "rotor_right",
-                     "opacity", "base_color", "sh_residual"):
+        for name in COLUMNS:
             old = getattr(self, name)
             fresh = np.zeros((new_cap,) + old.shape[1:])
             fresh[:self._top] = old[:self._top]
@@ -69,6 +70,11 @@ class GaussianStore:
 
     def __contains__(self, gid):
         return bool(self.holds([gid])[0])
+
+    @property
+    def next_id(self):
+        """The id the next insert assigns first."""
+        return self._next_id
 
     @property
     def ids(self):
@@ -115,16 +121,16 @@ class GaussianStore:
 
     def insert_arrays(self, mu, scale, rotor_left, rotor_right, opacity,
                       base_color, sh_residual):
-        """Bulk insert; arrays share the leading dimension. Returns new ids."""
+        """Bulk insert; arrays share the leading dimension. Returns new ids.
+        An array that does not fit its column raises before anything changes."""
         n = len(mu)
+        values = [np.broadcast_to(np.asarray(value, dtype=np.float64),
+                                  (n,) + getattr(self, name).shape[1:])
+                  for name, value in zip(COLUMNS, (mu, scale, rotor_left, rotor_right,
+                                                   opacity, base_color, sh_residual))]
         rows = self._take_rows(n)
-        self.mu[rows] = mu
-        self.scale[rows] = scale
-        self.rotor_left[rows] = rotor_left
-        self.rotor_right[rows] = rotor_right
-        self.opacity[rows] = opacity
-        self.base_color[rows] = base_color
-        self.sh_residual[rows] = sh_residual
+        for name, value in zip(COLUMNS, values):
+            getattr(self, name)[rows] = value
         ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
         self._next_id += n
         if self._next_id > len(self._row_of_id):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tgh import sh
+
+# every property test replays the same examples, with no example database
+# and no per-example deadline; each sets its own max_examples
+settings.register_profile("tgh", derandomize=True, database=None, deadline=None)
+settings.load_profile("tgh")
 
 IDENTITY_ROTOR = np.array([1.0, 0.0, 0.0, 0.0])
 

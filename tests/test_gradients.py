@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgh import renderer as rn
 from tgh.camera import Camera
@@ -53,12 +54,14 @@ def scalar_loss(batch, t, cam, target, weights, opts):
     return value
 
 
-def check_group(batch, grads, group, t, cam, target, weights, opts, step=1e-4):
+def check_group(batch, grads, group, t, cam, target, weights, opts, step=1e-4,
+                entries=None):
+    """Central differences against the analytic gradient, at every entry of
+    the group or at the given index tuples."""
     analytic = getattr(grads, group)
     arr = getattr(batch, group)
-    it = np.ndindex(arr.shape)
     worst = 0.0
-    for idx in it:
+    for idx in np.ndindex(arr.shape) if entries is None else entries:
         orig = arr[idx]
         arr[idx] = orig + step
         up = scalar_loss(batch, t, cam, target, weights, opts)
@@ -100,6 +103,26 @@ def test_full_loss_gradients_with_ssim():
     _, _, grads = rn.render_with_gradients(batch, t, cam, target, weights, opts)
     for group in PARAM_GROUPS:
         check_group(batch, grads, group, t, cam, target, weights, opts)
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), size=st.sampled_from([16, 24]))
+def test_random_scene_gradients_match_finite_differences(seed, n, size):
+    """Both loss terms on a random small scene; four random entries of every
+    parameter group (all of a smaller one) against central differences."""
+    rng = np.random.default_rng(seed)
+    cam = grad_camera(size=size, fx=1.5 * size)
+    batch = grad_scene(rng, n)
+    t = rng.uniform(0.95, 1.05)
+    target = rng.uniform(0.1, 0.9, size=(size, size, 3))
+    weights = LossWeights(mse=0.8, ssim=0.2)
+    opts = grad_opts()
+    _, _, grads = rn.render_with_gradients(batch, t, cam, target, weights, opts)
+    for group in PARAM_GROUPS:
+        shape = getattr(batch, group).shape
+        picks = rng.choice(np.prod(shape), size=min(4, np.prod(shape)), replace=False)
+        check_group(batch, grads, group, t, cam, target, weights, opts,
+                    entries=zip(*np.unravel_index(picks, shape)))
 
 
 def test_identical_images_zero_gradients():

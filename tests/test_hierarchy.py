@@ -1,11 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
-from tgh.hierarchy import GLOBAL_SEGMENT, TemporalHierarchy, build
+from tgh.hierarchy import GLOBAL_SEGMENT, AuditError, TemporalHierarchy, build
 
 from conftest import params, random_params
 
@@ -14,13 +15,20 @@ def brute_force_placement(h, start, end):
     """Scan every (level, segment) pair; deepest containing segment wins."""
     best = GLOBAL_SEGMENT
     for lv in h.levels:
-        n = np.arange(len(lv.segments))
+        n = np.arange(lv.count)
         a = lv.offset + n * lv.seg_length
         b = lv.offset + (n + 1) * lv.seg_length
         hits = np.flatnonzero((a <= start) & (end <= b))
         if hits.size:
             best = (lv.index, int(hits[0]))
     return best
+
+
+def brute_force_indices(h, ts):
+    """Per timestamp, each level's last segment starting at or before it."""
+    starts = [lv.offset + np.arange(lv.count) * lv.seg_length for lv in h.levels]
+    return np.stack([np.minimum(b.searchsorted(ts, side="right") - 1, lv.count - 1)
+                     for lv, b in zip(h.levels, starts)], axis=1)
 
 
 def random_ranges(rng, n, duration):
@@ -55,8 +63,20 @@ class TestGeometry:
             h = build(duration=T)
             for lv in h.levels:
                 first, _ = lv.span(0)
-                _, last = lv.span(len(lv.segments) - 1)
+                _, last = lv.span(lv.count - 1)
                 assert first <= 0.0 and last >= T
+
+    def test_memory_independent_of_duration(self):
+        def held_bytes(duration):
+            tracemalloc.start()
+            try:
+                h = build(duration)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        build(10.0)
+        assert abs(held_bytes(10_000.0) - held_bytes(10.0)) < 16 * 1024
 
     def test_invalid_parameters(self):
         for kwargs in (dict(duration=0.0), dict(duration=-1.0),
@@ -84,7 +104,7 @@ class TestPlace:
     def test_oversized_range_goes_global(self):
         h = build(duration=40.0)
         assert h.place(0, -5.0, 45.0) == GLOBAL_SEGMENT
-        assert 0 in h.global_segment
+        assert h.occupancy()[1] == {GLOBAL_SEGMENT: 1}
 
     def test_pre_start_range_goes_global(self):
         h = build(duration=40.0)
@@ -98,6 +118,26 @@ class TestPlace:
         assert h.place(0, start, 12.0) == \
             brute_force_placement(h, start, 12.0)
         h.audit()
+
+    @pytest.mark.parametrize("root_length", [0.3, 7.3])
+    def test_boundaries_at_inexact_root_length(self, root_length):
+        # n * seg_length rounds at these root lengths, so the floor of the
+        # quotient lands a segment off either way near a boundary
+        h = build(duration=4 * root_length, root_length=root_length, num_levels=6)
+        starts, ends = [], []
+        for lv in h.levels:
+            a = lv.offset + np.arange(lv.count + 1) * lv.seg_length
+            for start in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)):
+                for end in (a + lv.seg_length, np.nextafter(start, np.inf)):
+                    starts += start.tolist()
+                    ends += end.tolist()
+        flat = h._find_placements(np.array(starts), np.array(ends))
+        assert h._placements(flat) == [brute_force_placement(h, s, e)
+                                       for s, e in zip(starts, ends)]
+        ts = np.array(starts)
+        ts = ts[(ts >= 0.0) & (ts <= h.duration)]
+        for t, want in zip(ts.tolist(), brute_force_indices(h, ts).tolist()):
+            assert h.query_indices(t) == want
 
     def test_agrees_with_brute_force(self, rng):
         h = build(duration=40.0)
@@ -233,6 +273,30 @@ class TestInsertRemoveOccupancy:
         assert before == after
         assert sorted(h.store.ids) == sorted(base_ids)
 
+    def test_failed_insert_changes_nothing(self, rng):
+        h = build(duration=40.0)
+        h.place(3, 1.0, 2.0)
+        _, before = h.occupancy()
+        with pytest.raises(InvalidParameterError):
+            h.insert_batch(**random_params(rng, 5))  # would store ids 0..4
+        assert len(h.store) == 0 and h.store.next_id == 0
+        assert len(h) == 1 and h.occupancy()[1] == before
+        h.audit()
+        assert h.insert_batch(**random_params(rng, 3)) == [0, 1, 2]
+        h.audit()
+
+    def test_malformed_insert_changes_nothing(self, rng):
+        h = build(duration=40.0)
+        ids = h.insert_batch(**random_params(rng, 4))
+        bad = random_params(rng, 5)
+        bad["opacity"] = bad["opacity"][:3]
+        with pytest.raises(ValueError):
+            h.insert_batch(**bad)
+        assert len(h.store) == len(h) == 4 and h.store.next_id == 4
+        assert h.insert_batch(**random_params(rng, 2)) == [4, 5]
+        assert h.store.rows_of(ids + [4, 5]).tolist() == list(range(6))
+        h.audit()
+
     def test_remove_unknown(self):
         h = build(duration=40.0)
         with pytest.raises(NotFoundError):
@@ -268,8 +332,7 @@ class TestInsertRemoveOccupancy:
             p = brute_force_placement(h, a, b)
             expected[p] = expected.get(p, 0) + 1
         _, per_segment = h.occupancy()
-        got = {k: v for k, v in per_segment.items() if v}
-        assert got == expected
+        assert per_segment == expected  # occupied segments only
 
 
 class TestAudit:
@@ -295,16 +358,15 @@ class TestAudit:
     def test_audit_catches_corruption(self, rng):
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
-        h.levels[0].segments[0].discard(gid)
-        h.levels[0].segments[1].add(gid)
+        assert h.placement_of(gid) == (0, 0)
+        flat = int(h._segment[gid])
+        h._members[flat + 1] = h._members.pop(flat)  # now in (0, 1)
         with pytest.raises(Exception):
             h.audit()
 
-
-def test_occupancy_rows_cover_population(rng):
-    h = build(duration=40.0)
-    h.insert_batch(**random_params(rng, 50))
-    rows = h.occupancy_rows()
-    assert sum(r[4] for r in rows) == 50
-    for level, n, start, end, count in rows[:-1]:
-        assert end > start and count > 0
+    def test_audit_catches_stored_id_not_placed(self, rng):
+        h = build(duration=40.0)
+        h.insert_batch(**random_params(rng, 3))
+        h.store.insert_arrays(**random_params(rng))
+        with pytest.raises(AuditError):
+            h.audit()

@@ -3,6 +3,8 @@ that `audit()` checks survive random interleavings of writes, batch
 placement agrees with a brute-force scan, and a failed batch update or
 remove changes nothing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,8 @@ from tgh import sh
 from tgh.errors import NotFoundError
 from tgh.hierarchy import build
 
-from test_hierarchy import brute_force_placement
+from test_hierarchy import brute_force_indices, brute_force_placement
 
-PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
-                             database=None)
 DURATION = 40.0
 
 
@@ -37,7 +37,7 @@ def edit(h, gids, rng):
 
 
 def snapshot(h):
-    segments = [set(s) for lv in h.levels for s in lv.segments] + [set(h.global_segment)]
+    segments = {flat: set(members) for flat, members in h._members.items()}
     ids = h.store.ids
     return (segments, ids, [h.placement_of(g) for g in ids], [h.range_of(g) for g in ids],
             h.store.mu.copy(), h.store.scale.copy())
@@ -48,7 +48,7 @@ OPS = st.lists(st.tuples(st.sampled_from(["insert", "update", "remove"]),
                min_size=1, max_size=12)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=30)
 @given(ops=OPS)
 def test_random_interleavings_keep_invariants(ops):
     h = build(DURATION)
@@ -85,7 +85,7 @@ def boundary_ranges(h, data, count):
     starts, ends = [], []
     for _ in range(count):
         lv = h.levels[data.draw(st.integers(0, h.num_levels - 1))]
-        n = data.draw(st.integers(0, len(lv.segments) - 1))
+        n = data.draw(st.integers(0, lv.count - 1))
         a, b = lv.span(n)
         start = data.draw(st.sampled_from([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)])
                           | st.floats(a - lv.seg_length, b))
@@ -96,7 +96,17 @@ def boundary_ranges(h, data, count):
     return starts, ends
 
 
-@PROPERTY_SETTINGS
+def edge_ranges(duration):
+    """Ranges out at +-1e18 and +-1e308, and ranges wholly before 0 or after
+    the duration."""
+    return [(-1e308, 1e308), (-1e308, -1e18), (1e18, 1e308), (-1e18, 1e18),
+            (-1e308, 1.0), (1.0, 1e18), (1e18, 1e18 + 1e3), (1e308, 1e308),
+            (-1e308, -1e308), (-3.0, -2.9), (-0.5, -0.1), (-0.01, -0.001),
+            (duration + 0.001, duration + 0.002), (duration + 1.0, duration + 2.0),
+            (duration + 50.0, duration + 60.0)]
+
+
+@settings(max_examples=30)
 @given(num_levels=st.integers(1, 9), duration=st.sampled_from([10.0, 40.0, 123.4]),
        data=st.data())
 def test_batch_placement_matches_brute_force(num_levels, duration, data):
@@ -106,17 +116,28 @@ def test_batch_placement_matches_brute_force(num_levels, duration, data):
                                         st.floats(1e-9, 2.0 * duration)), max_size=25))
     starts += [s for s, _ in wide]
     ends += [s + w for s, w in wide]
-    flat = h._find_placements(np.array(starts), np.array(ends))
-    expected = [brute_force_placement(h, s, e) for s, e in zip(starts, ends)]
-    assert h._placements(flat) == expected
-    ids = h.insert_batch(**random_arrays(np.random.default_rng(len(starts)), 5))
-    for gid, (s, e), want in zip(range(ids[-1] + 1, ids[-1] + 1 + len(starts)),
-                                 zip(starts, ends), expected):
-        assert h.place(gid, s, e) == want
-    h.audit()
+    rng = np.random.default_rng(len(starts))
+    starts += [s for s, _ in edge_ranges(duration)]
+    ends += [e for _, e in edge_ranges(duration)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow at the extremes
+        flat = h._find_placements(np.array(starts), np.array(ends))
+        expected = [brute_force_placement(h, s, e) for s, e in zip(starts, ends)]
+        assert h._placements(flat) == expected
+        ids = h.insert_batch(**random_arrays(rng, 5))
+        for gid, (s, e), want in zip(range(ids[-1] + 1, ids[-1] + 1 + len(starts)),
+                                     zip(starts, ends), expected):
+            assert h.place(gid, s, e) == want
+        h.audit()
+        # 0, the duration and every level boundary between them
+        bounds = [lv.offset + np.arange(lv.count + 1) * lv.seg_length for lv in h.levels]
+        ts = np.unique(np.concatenate([[0.0, duration], *bounds]))
+        ts = ts[(ts >= 0.0) & (ts <= duration)]
+        for t, want in zip(ts.tolist(), brute_force_indices(h, ts).tolist()):
+            assert h.query_indices(t) == want
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30), data=st.data())
 def test_update_with_unknown_id_changes_nothing(seed, n, data):
     rng = np.random.default_rng(seed)

@@ -9,8 +9,6 @@ from tgh.camera import Camera
 from tgh.store import GaussianBatch
 
 SIZE = 16
-PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
-                             database=None)
 GRAD_GROUPS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
                "base_color", "sh_residual", "viewspace_norm", "touched")
 
@@ -45,7 +43,7 @@ def permuted(batch, perm):
     return GaussianBatch(*(getattr(batch, name)[perm] for name in GaussianBatch.__slots__))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), data=st.data())
 def test_batch_order_does_not_change_output(seed, n, data):
     """Reordering the batch rows with their ids leaves the image and loss
@@ -64,7 +62,7 @@ def test_batch_order_does_not_change_output(seed, n, data):
         assert np.array_equal(getattr(grads_p, name), getattr(grads, name)[perm]), name
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 24),
        alpha_clamp=st.floats(0.5, 1.0), t=st.floats(0.5, 1.5))
 def test_transmittance_in_unit_interval(seed, n, alpha_clamp, t):

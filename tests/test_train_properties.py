@@ -14,8 +14,6 @@ from tgh.hierarchy import build
 from conftest import params, stack
 from test_optimizer import StaticScene
 
-PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
-                             database=None)
 FRAMES = 4
 FRAME_RATE = 30.0
 CLONE_BELOW = 0.05          # spatial scale that separates clones from splits
@@ -64,7 +62,7 @@ def control_reports():
         opt.adaptive_control = original
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), size=st.integers(16, 24),
        interval=st.integers(5, 10))
 def test_train_is_deterministic_given_seed(seed, n, size, interval):
