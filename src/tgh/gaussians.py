@@ -1,14 +1,16 @@
 """4D Gaussian primitives and the closed-form math on them.
 
-A primitive is an anisotropic Gaussian over (x, y, z, t). Its 4x4 covariance
-comes from a pair of unit quaternions (the left/right isoclinic factors of a
-4D rotation) and four positive scales. Conditioning on a timestamp yields the
-3D splat actually rendered, with the temporal marginal modulating opacity.
+A primitive is an anisotropic Gaussian over (x, y, z, t). `build_covariance`
+is the one function that forms its 4x4 covariance, from a pair of unit
+quaternions (the left/right isoclinic factors of a 4D rotation) and four
+floored scales.
+`condition_at_time` is the one conditioning function: it slices the 4D
+Gaussian at a timestamp into the 3D splat actually rendered, whose opacity
+the temporal marginal w_t modulates. `batch_temporal_variance` reads only the
+time row of the covariance, for the hierarchy's placement.
 
 All functions here are pure and operate on stacked arrays.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +23,9 @@ MIN_SCALE_TEMPORAL = 1e-4
 
 SCALE_FLOOR = np.array([MIN_SCALE_SPATIAL] * 3 + [MIN_SCALE_TEMPORAL])
 
-
-@dataclass
-class ConditionedGaussian3D:
-    """Spatial slice of a 4D Gaussian at a fixed timestamp."""
-
-    mean3: np.ndarray      # (3,)
-    cov3: np.ndarray       # (3, 3) symmetric PSD
-    opacity_t: float       # temporally modulated opacity
+# normalized temporal factor below which a Gaussian has no influence: it
+# bounds the influence range the hierarchy places by and the renderer's cull
+TEMPORAL_THRESHOLD = 0.05
 
 
 def _normalize_rows(q):
@@ -74,16 +71,19 @@ def clamp_scales(scale):
     return np.maximum(np.asarray(scale, dtype=np.float64), SCALE_FLOOR)
 
 
-def batch_covariance(mu, scale, rotor_left, rotor_right):
-    """Covariances Sigma = R S S^T R^T for stacked parameters. Returns (..., 4, 4)."""
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(scale))
-            and np.all(np.isfinite(rotor_left)) and np.all(np.isfinite(rotor_right))):
-        raise InvalidParameterError("non-finite Gaussian parameters")
-    R = batch_rotation(rotor_left, rotor_right)
+def build_covariance(scale, rotor_left, rotor_right):
+    """Covariances Sigma = M M^T with M = R4 diag(s), and the factors that
+    build them: (q_l, q_r, L, R, s, R4, M, Sigma).
+
+    q_l, q_r are the renormalized rotors (..., 4), L and R their isoclinic
+    factors and R4 = L @ R the 4D rotation (..., 4, 4); s is the scale with
+    its floors applied (..., 4).
+    """
+    ql, qr, left, right = isoclinic_factors(rotor_left, rotor_right)
     s = clamp_scales(scale)
-    M = R * s[..., None, :]
-    cov = M @ np.swapaxes(M, -1, -2)
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    rot4 = left @ right
+    m = rot4 * s[..., None, :]
+    return ql, qr, left, right, s, rot4, m, m @ np.swapaxes(m, -1, -2)
 
 
 def batch_temporal_variance(scale, rotor_left, rotor_right):
@@ -94,29 +94,24 @@ def batch_temporal_variance(scale, rotor_left, rotor_right):
     return np.sum(row * row, axis=-1)
 
 
-def influence_radius(sigma_t, o_th):
-    """Radius where the normalized temporal factor drops to o_th."""
-    if not 0.0 < o_th < 1.0:
-        raise InvalidParameterError(f"o_th must lie in (0, 1), got {o_th}")
-    return np.sqrt(np.log(o_th) / -0.5 * sigma_t)
+def influence_radius(sigma_t):
+    """Radius where the normalized temporal factor drops to TEMPORAL_THRESHOLD."""
+    return np.sqrt(np.log(TEMPORAL_THRESHOLD) / -0.5 * sigma_t)
 
 
-def batch_condition_at_time(mu, cov, t):
+def condition_at_time(mu, cov, t):
     """Condition stacked 4D Gaussians on a timestamp.
 
-    mu: (N, 4), cov: (N, 4, 4), t: scalar.
-    Returns (mean3 (N, 3), cov3 (N, 3, 3), w_t (N,)) where w_t is the
-    normalized temporal factor in (0, 1].
+    mu: (N, 4), cov: (N, 4, 4), t: scalar. Returns (v, sigma_t, dt, mean3,
+    cov3, w_t): the space-time covariance column v = cov[:3, 3] (N, 3), the
+    temporal variance sigma_t = cov[3, 3], dt = t - mu_t, the conditional
+    mean (N, 3) and covariance (N, 3, 3), and the normalized temporal factor
+    w_t = exp(-dt^2 / (2 sigma_t)) in (0, 1].
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
     v = cov[..., :3, 3]
     sigma_t = cov[..., 3, 3]
     dt = float(t) - mu[..., 3]
+    w_t = np.exp(-0.5 * dt * dt / sigma_t)
     mean3 = mu[..., :3] + v * (dt / sigma_t)[..., None]
     cov3 = cov[..., :3, :3] - v[..., :, None] * v[..., None, :] / sigma_t[..., None, None]
-    cov3 = 0.5 * (cov3 + np.swapaxes(cov3, -1, -2))
-    w_t = np.exp(-0.5 * dt * dt / sigma_t)
-    return mean3, cov3, w_t
-
-
+    return v, sigma_t, dt, mean3, cov3, w_t

@@ -68,19 +68,16 @@ def _check_ranges(start, end):
 
 
 class TemporalHierarchy:
-    def __init__(self, duration, root_length=10.0, num_levels=9, o_th=0.05):
+    def __init__(self, duration, root_length=10.0, num_levels=9):
         if not (duration > 0 and math.isfinite(duration)):
             raise InvalidParameterError(f"duration must be positive, got {duration}")
         if not (root_length > 0 and math.isfinite(root_length)):
             raise InvalidParameterError(f"root_length must be positive, got {root_length}")
         if not 1 <= int(num_levels) <= 32:
             raise InvalidParameterError(f"num_levels must be in [1, 32], got {num_levels}")
-        if not 0.0 < o_th < 1.0:
-            raise InvalidParameterError(f"o_th must lie in (0, 1), got {o_th}")
         self.duration = float(duration)
         self.root_length = float(root_length)
         self.num_levels = int(num_levels)
-        self.o_th = float(o_th)
         l = np.arange(self.num_levels)
         self._seg_length = self.root_length / 2.0 ** l
         self._offset = -self.root_length / 2.0 ** (l + 2)
@@ -204,7 +201,7 @@ class TemporalHierarchy:
         """Store Gaussians and place each by its influence range; returns
         their ids. A call that raises stores and places nothing."""
         sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
-        radius = ga.influence_radius(sigma_t, self.o_th)
+        radius = ga.influence_radius(sigma_t)
         centers = np.asarray(mu, dtype=np.float64)[:, 3]
         start, end = centers - radius, centers + radius
         _check_ranges(start, end)
@@ -240,7 +237,7 @@ class TemporalHierarchy:
         sigma_t = ga.batch_temporal_variance(self.store.scale[rows],
                                              self.store.rotor_left[rows],
                                              self.store.rotor_right[rows])
-        radius = ga.influence_radius(sigma_t, self.o_th)
+        radius = ga.influence_radius(sigma_t)
         centers = self.store.mu[rows, 3]
         old = self._segment[gids]
         new = self._set_ranges(gids, centers - radius, centers + radius)
@@ -336,6 +333,6 @@ class TemporalHierarchy:
                              f"segment span [{a[i]}, {b[i]})")
 
 
-def build(duration, root_length=10.0, num_levels=9, o_th=0.05):
+def build(duration, root_length=10.0, num_levels=9):
     """Construct an empty hierarchy (module-level convenience)."""
-    return TemporalHierarchy(duration, root_length, num_levels, o_th)
+    return TemporalHierarchy(duration, root_length, num_levels)

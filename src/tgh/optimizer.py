@@ -42,7 +42,6 @@ class TrainConfig:
     clone_size_fraction: float = 0.01    # of scene extent: clone below, split above
     clone_nudge: float = 0.5             # offset in units of mean spatial scale
     max_gaussians: int | None = None     # densification safety cap
-    o_th: float = 0.05
     g_th: float = 1e-6
     lambda_h: float = 0.15
     seed: int = 0
@@ -65,7 +64,8 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments per Gaussian row, plus per-row update counters.
+    """First/second moments per Gaussian row, each shaped like its store
+    column, plus per-row update counters.
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-15; moments are zero until a row's
     first applied update.
@@ -75,34 +75,30 @@ class AdamState:
     BETA2 = 0.999
     EPS = 1e-15
 
-    DIMS = {"mu": 4, "scale": 4, "rotor_left": 4, "rotor_right": 4,
-            "opacity": 1, "base_color": 3, "sh_residual": 45}
-
-    def __init__(self, capacity=256):
+    def __init__(self, store):
         self.capacity = 0
         self.m = {}
         self.v = {}
         self.steps = np.zeros(0, dtype=np.int64)
-        self.ensure_capacity(capacity)
+        self.ensure_capacity(store)
 
-    def ensure_capacity(self, capacity):
-        if capacity <= self.capacity:
+    def ensure_capacity(self, store):
+        """Grow every moment to the store's capacity."""
+        if store.capacity <= self.capacity:
             return
-        for name, dim in self.DIMS.items():
-            fresh_m = np.zeros((capacity, dim))
-            fresh_v = np.zeros((capacity, dim))
-            if self.capacity:
-                fresh_m[:self.capacity] = self.m[name]
-                fresh_v[:self.capacity] = self.v[name]
-            self.m[name] = fresh_m
-            self.v[name] = fresh_v
-        steps = np.zeros(capacity, dtype=np.int64)
+        for name in PARAM_GROUPS:
+            for moments in (self.m, self.v):
+                fresh = np.zeros_like(getattr(store, name))
+                if self.capacity:
+                    fresh[:self.capacity] = moments[name]
+                moments[name] = fresh
+        steps = np.zeros(store.capacity, dtype=np.int64)
         steps[:self.capacity] = self.steps
         self.steps = steps
-        self.capacity = capacity
+        self.capacity = store.capacity
 
     def reset_rows(self, rows):
-        for name in self.DIMS:
+        for name in PARAM_GROUPS:
             self.m[name][rows] = 0.0
             self.v[name][rows] = 0.0
         self.steps[rows] = 0
@@ -111,8 +107,8 @@ class AdamState:
 def adam_step(params, grads, m, v, steps, lr):
     """Bias-corrected Adam update applied in place to `params`.
 
-    params/grads/m/v: (N, D) views for the touched rows; steps: (N,) update
-    counters already incremented for this step.
+    params/grads/m/v: (N,) or (N, D) arrays for the touched rows; steps: (N,)
+    update counters already incremented for this step.
     """
     b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
     m *= b1
@@ -221,9 +217,8 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
         clones[moved, :3] -= ((wg[moved] / norm[moved, None]) * cfg.clone_nudge
                               * np.mean(store.scale[clone_rows[moved], :3], axis=1)[:, None])
         if len(split_rows):
-            cov = ga.batch_covariance(store.mu[split_rows], store.scale[split_rows],
-                                      store.rotor_left[split_rows],
-                                      store.rotor_right[split_rows])[:, :3, :3]
+            cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
+                                      store.rotor_right[split_rows])[-1][:, :3, :3]
             chol = np.linalg.cholesky(cov + 1e-12 * np.eye(3))
             z = rng.standard_normal((len(split_rows), 2, 3))
             new["mu"][n_clones:, :3] += (chol[:, None] @ z[..., None]).reshape(-1, 3)
@@ -304,11 +299,11 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
     iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
     gate = ap.AppearanceGate(g_th=cfg.g_th, lambda_h=cfg.lambda_h)
-    adam = AdamState(h.store.capacity)
+    adam = AdamState(h.store)
     stats = DensifyStats()
     stats.ensure_capacity(h.store.capacity)
     extent = scene_extent_of(h.store)
-    opts = rn.RenderOptions(temporal_cutoff=h.o_th)
+    opts = rn.RenderOptions()
     lr_of = {
         "mu": cfg.lr * extent,
         "scale": cfg.lr * cfg.lr_scale_mult,
@@ -342,7 +337,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
             grads.sh_residual = ap.gate_gradients(batch.sh_residual,
                                                   grads.sh_residual, gate)
             rows = store.rows_of(ws.gaussian_ids)
-            adam.ensure_capacity(store.capacity)
+            adam.ensure_capacity(store)
             stats.ensure_capacity(store.capacity)
             adam.steps[rows] += 1
             steps = adam.steps[rows]
@@ -352,16 +347,10 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
                 p = col[rows]
                 m = adam.m[name][rows]
                 v = adam.v[name][rows]
-                if name == "opacity":
-                    m, v = m[:, 0], v[:, 0]
                 adam_step(p, grad, m, v, steps, lr_of[name])
                 col[rows] = p
-                if name == "opacity":
-                    adam.m[name][rows, 0] = m
-                    adam.v[name][rows, 0] = v
-                else:
-                    adam.m[name][rows] = m
-                    adam.v[name][rows] = v
+                adam.m[name][rows] = m
+                adam.v[name][rows] = v
             # keep invariants: opacity in [0, 1], scales above the floor,
             # rotors unit
             store.opacity[rows] = np.clip(store.opacity[rows], 0.0, 1.0)
@@ -381,7 +370,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
             report = adaptive_control(h, stats, cfg, rng, extent,
                                       grow=it <= iterations // 2)
             if report.removed_ids or report.new_ids:
-                adam.ensure_capacity(store.capacity)
+                adam.ensure_capacity(store)
                 stats.ensure_capacity(store.capacity)
                 reset = store.rows_of(report.new_ids)
                 if len(reset):

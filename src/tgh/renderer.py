@@ -1,12 +1,20 @@
 """Deterministic software splatting renderer.
 
-Pipeline per frame: condition every working-set Gaussian at the timestamp,
-cull by temporal factor and depth, project to screen-space 2D Gaussians (EWA
-first-order approximation), sort back-to-front, expand each splat into a
-pixel rectangle bounded by its opacity level set, evaluate the kernel per
-fragment and alpha-blend in depth order. `render_with_gradients` replays the
-pipeline and back-propagates the image loss analytically to every Gaussian
-parameter.
+A frame runs these stages, each by one function:
+
+1. check that every parameter is finite (`_forward`);
+2. build each working-set Gaussian's 4D covariance and condition it at the
+   timestamp (`gaussians.build_covariance`, `gaussians.condition_at_time`);
+3. cull by temporal factor, depth and opacity (`_forward`);
+4. project to screen-space 2D Gaussians, EWA first-order (`project`);
+5. color each splat from its base color and residual SH (`_forward`);
+6. sort back to front (`depth_sort`);
+7. bound each splat by its opacity level set (`expand_quad`) and flatten the
+   rectangles into fragments (`_build_fragments`);
+8. alpha-blend the fragments in depth order (`_composite_ordered`).
+
+`render_with_gradients` runs the same stages and back-propagates the image
+loss analytically to every Gaussian parameter (`_backward`).
 
 Blending runs on a layer-major fragment layout: fragments are grouped by
 pixel, pixels are ranked by fragment count, deepest first, and the j-th
@@ -19,8 +27,7 @@ all fragments would drop the layer loop, but its rounding would depend on the
 pixels sorted before each one, so a pixel's value would no longer be exact.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from . import sh
 from .camera import Camera
 from .errors import InvalidParameterError
 from .losses import LossWeights, loss as image_loss
-from .store import GaussianBatch
+from .store import COLUMNS, GaussianBatch
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
 
@@ -39,31 +46,11 @@ class RenderOptions:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     alpha_min: float = 1.0 / 255.0      # quad opacity threshold
     alpha_clamp: float = 0.99           # per-fragment opacity ceiling
-    temporal_cutoff: float = 0.05       # drop splats whose temporal factor < this
 
     def __post_init__(self):
         self.background = np.asarray(self.background, dtype=np.float64).reshape(3)
         if not 0.0 < self.alpha_min < 1.0:
             raise InvalidParameterError("alpha_min must lie in (0, 1)")
-
-
-@dataclass
-class Splat2D:
-    center2: np.ndarray      # (2,) pixels
-    cov2: np.ndarray         # (2, 2) SPD, pixels^2
-    depth: float             # camera-space z
-    color: np.ndarray        # (3,)
-    alpha: float
-    gid: int = 0
-
-
-@dataclass
-class QuadRect:
-    half_extents: np.ndarray     # (2,) pixels, level-set bounding half-widths
-    x0: int                      # inclusive pixel column range [x0, x1]
-    x1: int
-    y0: int
-    y1: int
 
 
 @dataclass
@@ -91,23 +78,28 @@ class ParamGradients:
 
 
 # --------------------------------------------------------------------------
-# single-splat operations (the unit contracts; render uses the batch path)
+# screen space
 
-def project(cond: ga.ConditionedGaussian3D, cam: Camera, color=None,
-            alpha=None, gid=0):
-    """Project a conditioned Gaussian to a screen-space splat; None if culled."""
-    m = cam.rotation @ np.asarray(cond.mean3, dtype=np.float64) + cam.translation
-    if not cam.near <= m[2] <= cam.far:
-        return None
-    x, y, z = m
-    center2 = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
-    J = np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
-                  [0.0, cam.fy / z, -cam.fy * y / (z * z)]])
-    K = J @ cam.rotation
-    cov2 = K @ cond.cov3 @ K.T + COV2_LOWPASS * np.eye(2)
-    return Splat2D(center2=center2, cov2=cov2, depth=float(z),
-                   color=np.zeros(3) if color is None else np.asarray(color, dtype=np.float64),
-                   alpha=cond.opacity_t if alpha is None else float(alpha), gid=gid)
+def project(cam_pts, cov3, cam: Camera):
+    """EWA first-order projection of camera-space means (K, 3) with their
+    world-space covariances (K, 3, 3).
+
+    Returns (center2, jac, k_mat, cov2): pixel centers (K, 2), the Jacobian
+    of the perspective map at each mean (K, 2, 3), k_mat = jac @ R_cam and
+    cov2 = k_mat cov3 k_mat^T + COV2_LOWPASS I (K, 2, 2).
+    """
+    x, y, z = cam_pts[:, 0], cam_pts[:, 1], cam_pts[:, 2]
+    center2 = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
+    jac = np.zeros((len(z), 2, 3))
+    jac[:, 0, 0] = cam.fx / z
+    jac[:, 0, 2] = -cam.fx * x / (z * z)
+    jac[:, 1, 1] = cam.fy / z
+    jac[:, 1, 2] = -cam.fy * y / (z * z)
+    k_mat = jac @ cam.rotation
+    cov2 = np.einsum("nij,njk,nlk->nil", k_mat, cov3, k_mat)
+    cov2[:, 0, 0] += COV2_LOWPASS
+    cov2[:, 1, 1] += COV2_LOWPASS
+    return center2, jac, k_mat, cov2
 
 
 def depth_sort(depths, ids=None):
@@ -119,33 +111,30 @@ def depth_sort(depths, ids=None):
     return np.lexsort((ids, -depths))
 
 
-def expand_quad(splat: Splat2D, alpha_min, width=None, height=None):
-    """Pixel-aligned bounding rectangle of the level set
-    alpha * exp(-0.5 d^T cov2^-1 d) >= alpha_min; None if the splat is dimmer
-    than alpha_min everywhere."""
-    if not 0.0 < alpha_min < 1.0:
-        raise InvalidParameterError("alpha_min must lie in (0, 1)")
-    if splat.alpha < alpha_min:
-        return None
-    level = 2.0 * math.log(splat.alpha / alpha_min)
-    half = np.sqrt(level * np.diag(splat.cov2))
-    x0 = math.ceil(splat.center2[0] - half[0] - 0.5)
-    x1 = math.floor(splat.center2[0] + half[0] - 0.5)
-    y0 = math.ceil(splat.center2[1] - half[1] - 0.5)
-    y1 = math.floor(splat.center2[1] + half[1] - 0.5)
-    if width is not None:
-        x0, x1 = max(x0, 0), min(x1, width - 1)
-    if height is not None:
-        y0, y1 = max(y0, 0), min(y1, height - 1)
-    if x0 > x1 or y0 > y1:
-        return None
-    return QuadRect(half_extents=half, x0=x0, x1=x1, y0=y0, y1=y1)
+def expand_quad(center2, cov2, alpha, alpha_min, width, height):
+    """Pixel rectangles bounding the level sets
+    alpha * exp(-0.5 d^T cov2^-1 d) >= alpha_min, clipped to the frame.
+
+    Every alpha must be at least alpha_min; `_forward` culls dimmer splats.
+    Returns int64 (x0, x1, y0, y1), inclusive column and row ranges. A
+    rectangle that misses the frame becomes x1 = x0 - 1, y1 = y0 - 1: zero
+    area, so it emits no fragments.
+    """
+    level = 2.0 * np.log(alpha / alpha_min)
+    half_x = np.sqrt(level * np.maximum(cov2[:, 0, 0], 0.0))
+    half_y = np.sqrt(level * np.maximum(cov2[:, 1, 1], 0.0))
+    x0 = np.maximum(np.ceil(center2[:, 0] - half_x - 0.5), 0).astype(np.int64)
+    x1 = np.minimum(np.floor(center2[:, 0] + half_x - 0.5), width - 1).astype(np.int64)
+    y0 = np.maximum(np.ceil(center2[:, 1] - half_y - 0.5), 0).astype(np.int64)
+    y1 = np.minimum(np.floor(center2[:, 1] + half_y - 0.5), height - 1).astype(np.int64)
+    empty = (x0 > x1) | (y0 > y1)
+    return x0, np.where(empty, x0 - 1, x1), y0, np.where(empty, y0 - 1, y1)
 
 
 # --------------------------------------------------------------------------
 # fragment machinery
 
-def _build_fragments(center2, conic, alpha, rects):
+def _build_fragments(center2, conic, rects):
     """Flatten splat rectangles into per-fragment arrays.
 
     Splats must already be in front-to-back order so that the per-pixel
@@ -211,9 +200,10 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
     and add sequence, front to back, as in a loop over that pixel alone, so
     the result is bit-identical to it whichever other pixels share the call.
 
-    Returns (unique_px, color_sum, final_T[, perm, T_frag, off, width]), one
-    entry per pixel group in layout order. perm maps a layout position to its
-    fragment; T_frag is the transmittance in front of each layout position.
+    Returns (unique_px, color_sum, final_T[, perm, T_frag, off, width, sa,
+    sc]), one entry per pixel group in layout order. perm maps a layout
+    position to its fragment; T_frag, sa and sc are the transmittance in
+    front of, the alpha and the color of each layout position.
     """
     perm, off, width = _layer_major(px)
     sa = frag_alpha[perm]
@@ -232,7 +222,7 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
         color[:k] += w[:, None] * sc[s]
         trans[:k] *= 1.0 - a
     if save:
-        return unique_px, color, trans, perm, t_frag, off, width
+        return unique_px, color, trans, perm, t_frag, off, width, sa, sc
     return unique_px, color, trans
 
 
@@ -277,44 +267,25 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
 
     ctx carries every intermediate needed by the analytic backward pass.
     """
-    ctx = {"n": len(batch), "batch": batch, "t": float(t), "cam": cam, "opts": opts}
+    if not all(np.isfinite(getattr(batch, name)).all() for name in COLUMNS):
+        raise InvalidParameterError("non-finite Gaussian parameters")
+    ctx = {"n": len(batch), "batch": batch, "cam": cam, "opts": opts}
     h_img, w_img = cam.height, cam.width
-    s_cl = ga.clamp_scales(batch.scale)
-    rot_l, rot_r, left, right = ga.isoclinic_factors(batch.rotor_left, batch.rotor_right)
-    rot4 = left @ right
-    m4 = rot4 * s_cl[:, None, :]
-    cov4 = m4 @ np.swapaxes(m4, 1, 2)
-
-    v = cov4[:, :3, 3]
-    sigma_t = cov4[:, 3, 3]
-    dt = float(t) - batch.mu[:, 3]
-    w_t = np.exp(-0.5 * dt * dt / sigma_t)
-    mean3 = batch.mu[:, :3] + v * (dt / sigma_t)[:, None]
-    cov3 = cov4[:, :3, :3] - v[:, :, None] * v[:, None, :] / sigma_t[:, None, None]
-
+    geom = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)
+    cond = ga.condition_at_time(batch.mu, geom[-1], t)
+    _, _, _, mean3, cov3, w_t = cond
     alpha_splat = batch.opacity * w_t
     cam_pts = mean3 @ cam.rotation.T + cam.translation
-    keep = np.flatnonzero((w_t >= opts.temporal_cutoff)
+    keep = np.flatnonzero((w_t >= ga.TEMPORAL_THRESHOLD)
                           & (cam_pts[:, 2] >= cam.near) & (cam_pts[:, 2] <= cam.far)
                           & (alpha_splat >= opts.alpha_min))
-    ctx.update(s_cl=s_cl, rot_l=rot_l, rot_r=rot_r, left=left, right=right,
-               rot4=rot4, m4=m4, cov4=cov4, v=v, sigma_t=sigma_t, dt=dt, w_t=w_t,
-               mean3=mean3, cov3=cov3, alpha_splat=alpha_splat, keep=keep)
+    ctx.update(geom=geom, cond=cond, keep=keep)
     if len(keep) == 0:
         rgb = np.broadcast_to(opts.background, (h_img, w_img, 3)).copy()
         return Framebuffer(w_img, h_img, rgb, np.ones((h_img, w_img))), ctx
 
-    x, y, z = cam_pts[keep, 0], cam_pts[keep, 1], cam_pts[keep, 2]
-    center2 = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
-    jac = np.zeros((len(keep), 2, 3))
-    jac[:, 0, 0] = cam.fx / z
-    jac[:, 0, 2] = -cam.fx * x / (z * z)
-    jac[:, 1, 1] = cam.fy / z
-    jac[:, 1, 2] = -cam.fy * y / (z * z)
-    k_mat = jac @ cam.rotation
-    cov2 = np.einsum("nij,njk,nlk->nil", k_mat, cov3[keep], k_mat)
-    cov2[:, 0, 0] += COV2_LOWPASS
-    cov2[:, 1, 1] += COV2_LOWPASS
+    pts = cam_pts[keep]
+    center2, _, k_mat, cov2 = project(pts, cov3[keep], cam)
     a_, b_, c_ = cov2[:, 0, 0], cov2[:, 0, 1], cov2[:, 1, 1]
     det = a_ * c_ - b_ * b_
     conic = np.stack([c_ / det, -b_ / det, a_ / det], axis=1)
@@ -328,33 +299,20 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
     color = np.clip(color_raw, 0.0, 1.0)
 
     # back-to-front ordering; fragments are generated front-to-back (reverse)
-    order_btf = depth_sort(z, ids=batch.ids[keep])
+    order_btf = depth_sort(pts[:, 2], ids=batch.ids[keep])
     front = order_btf[::-1].copy()
 
     alpha_k = alpha_splat[keep]
-    level = 2.0 * np.log(alpha_k / opts.alpha_min)
-    half_x = np.sqrt(level * np.maximum(a_, 0.0))
-    half_y = np.sqrt(level * np.maximum(c_, 0.0))
-    x0 = np.maximum(np.ceil(center2[:, 0] - half_x - 0.5), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(center2[:, 0] + half_x - 0.5), w_img - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(center2[:, 1] - half_y - 0.5), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(center2[:, 1] + half_y - 0.5), h_img - 1).astype(np.int64)
-    empty = (x0 > x1) | (y0 > y1)
-    x1 = np.where(empty, x0 - 1, x1)  # zero-area rects emit no fragments
-    y1 = np.where(empty, y0 - 1, y1)
-
+    x0, x1, y0, y1 = expand_quad(center2, cov2, alpha_k, opts.alpha_min, w_img, h_img)
     sidx, col, row, gauss, dx, dy = _build_fragments(
-        center2[front], conic[front], alpha_k[front],
-        (x0[front], x1[front], y0[front], y1[front]))
+        center2[front], conic[front], (x0[front], x1[front], y0[front], y1[front]))
     frag_alpha = np.minimum(alpha_k[front][sidx] * gauss, opts.alpha_clamp)
     frag_color = np.take(color[front], sidx, axis=0)
     px = row * w_img + col
 
-    ctx.update(cam_pts=cam_pts, center2=center2, jac=jac, k_mat=k_mat,
-               cov2=cov2, det=det, conic=conic, u_norm=u_norm, dirs=dirs,
-               basis=basis, color_raw=color_raw, color=color, front=front,
-               sidx=sidx, gauss=gauss, dx=dx, dy=dy, px=px,
-               frag_alpha=frag_alpha, alpha_k=alpha_k)
+    ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
+               basis=basis, color_raw=color_raw, front=front, sidx=sidx,
+               gauss=gauss, dx=dx, dy=dy, px=px, alpha_k=alpha_k)
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color, save=True)
     unique_px, csum, trans = ctx["composite"][:3]
@@ -373,10 +331,7 @@ def render_batch(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions = Non
 
 def render(h, t, cam: Camera, opts: RenderOptions = None):
     """Render the hierarchy's working set at timestamp t."""
-    opts = opts or RenderOptions()
-    opts = replace(opts, temporal_cutoff=h.o_th)
-    ws = h.query(t)
-    return render_batch(h.materialize(ws), t, cam, opts)
+    return render_batch(h.materialize(h.query(t)), t, cam, opts)
 
 
 # --------------------------------------------------------------------------
@@ -427,13 +382,14 @@ def _backward(ctx, dl_dimage):
     front = ctx["front"]
     nk = len(keep)
     dl_flat = dl_dimage.reshape(-1, 3)
+    rot_l, rot_r, left, right, s_cl, rot4, m4, _ = ctx["geom"]
+    v, sigma_t, dt, _, cov3, w_t = ctx["cond"]
 
     # fragment-level gradients in layout order, scattered back to fragments
     sidx = ctx["sidx"]
-    unique_px, _, trans, perm, t_frag, off, width = ctx["composite"]
+    unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
     g_a, g_c = _composite_backward(
-        dl_flat[unique_px], opts.background, ctx["frag_alpha"][perm],
-        np.take(ctx["color"][front], sidx[perm], axis=0), trans, t_frag, off, width)
+        dl_flat[unique_px], opts.background, sa, sc, trans, t_frag, off, width)
     grad_frag_alpha = np.empty(len(sidx))
     grad_frag_alpha[perm] = g_a
     # (3, N): one contiguous row per channel for the per-splat sums
@@ -480,13 +436,13 @@ def _backward(ctx, dl_dimage):
 
     # cov2 = K cov3 K^T + lowpass I
     k_mat = ctx["k_mat"]
-    cov3_keep = ctx["cov3"][keep]
+    cov3_keep = cov3[keep]
     grad_cov3_k = np.einsum("nji,njk,nkl->nil", k_mat, grad_cov2, k_mat)
     grad_k = 2.0 * np.einsum("nij,njk,nkl->nil", grad_cov2, k_mat, cov3_keep)
     grad_jac = grad_k @ cam.rotation.T
 
     # center2 and Jacobian entries -> camera-space mean
-    pts = ctx["cam_pts"][keep]
+    pts = ctx["cam_pts"]
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
@@ -531,10 +487,6 @@ def _backward(ctx, dl_dimage):
     grads.viewspace_norm[keep] = np.linalg.norm(ndc, axis=1)
 
     # conditioning: mean3 / cov3 / temporal factor -> mu, cov4, opacity
-    v = ctx["v"]
-    sigma_t = ctx["sigma_t"]
-    dt = ctx["dt"]
-    w_t = ctx["w_t"]
     grad_w = grad_alpha * batch.opacity
     grads.opacity += grad_alpha * w_t
     gm_dot_v = np.sum(grad_mean3 * v, axis=1)
@@ -552,48 +504,36 @@ def _backward(ctx, dl_dimage):
     grad_cov4[:, 3, 3] = grad_sigma
 
     # cov4 = M M^T with M = R4 * diag(scales)
-    m4 = ctx["m4"]
     grad_m4 = (grad_cov4 + np.swapaxes(grad_cov4, 1, 2)) @ m4
-    rot4 = ctx["rot4"]
-    s_cl = ctx["s_cl"]
     grad_rot4 = grad_m4 * s_cl[:, None, :]
     grad_s = np.einsum("nij,nij->nj", rot4, grad_m4)
     grads.scale = grad_s * (batch.scale > ga.SCALE_FLOOR)
 
-    grad_left = grad_rot4 @ np.swapaxes(ctx["right"], 1, 2)
-    grad_right = np.swapaxes(ctx["left"], 1, 2) @ grad_rot4
+    grad_left = grad_rot4 @ np.swapaxes(right, 1, 2)
+    grad_right = np.swapaxes(left, 1, 2) @ grad_rot4
     g_ql_hat = np.einsum("nij,cij->nc", grad_left, ga.LEFT_BASIS)
     g_qr_hat = np.einsum("nij,cij->nc", grad_right, ga.RIGHT_BASIS)
     for raw_q, q_hat, g_hat, out in (
-            (batch.rotor_left, ctx["rot_l"], g_ql_hat, grads.rotor_left),
-            (batch.rotor_right, ctx["rot_r"], g_qr_hat, grads.rotor_right)):
+            (batch.rotor_left, rot_l, g_ql_hat, grads.rotor_left),
+            (batch.rotor_right, rot_r, g_qr_hat, grads.rotor_right)):
         norm = np.linalg.norm(raw_q, axis=1, keepdims=True)
         proj = np.sum(q_hat * g_hat, axis=1, keepdims=True)
         out[:] = (g_hat - q_hat * proj) / norm
     return grads
 
 
-def render_with_gradients(source, t, cam: Camera, target,
+def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target,
                           weights: LossWeights = None,
                           opts: RenderOptions = None):
-    """Render, compare against a target image and back-propagate.
-
-    `source` is either a hierarchy or a GaussianBatch. Returns
-    (loss value, framebuffer, ParamGradients).
-    """
-    opts = opts or RenderOptions()
+    """Render a parameter batch, compare against a target image and
+    back-propagate. Returns (loss value, framebuffer, ParamGradients)."""
     weights = weights or LossWeights()
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (cam.height, cam.width, 3):
         raise InvalidParameterError(
             f"target shape {target.shape} does not match camera "
             f"({cam.height}, {cam.width}, 3)")
-    if isinstance(source, GaussianBatch):
-        batch = source
-    else:
-        opts = replace(opts, temporal_cutoff=source.o_th)
-        batch = source.materialize(source.query(t))
-    fb, ctx = _forward(batch, t, cam, opts)
+    fb, ctx = _forward(batch, t, cam, opts or RenderOptions())
     value, dl_dimage = image_loss(fb.rgb, target, weights)
     grads = _backward(ctx, dl_dimage)
     return value, fb, grads

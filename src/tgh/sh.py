@@ -87,15 +87,3 @@ def eval_basis_grad(dirs):
                               zero], axis=-1)
     return g
 
-
-def eval_residual(coeffs, dirs):
-    """Contract residual SH coefficients with the bases at given directions.
-
-    coeffs: (..., 45) laid out as 15 bases x 3 channels (basis-major).
-    dirs: (..., 3) unit vectors, broadcastable against coeffs' batch shape.
-    Returns (..., 3) per-channel residual color.
-    """
-    c = np.asarray(coeffs, dtype=np.float64)
-    basis = eval_basis(dirs)
-    c = c.reshape(c.shape[:-1] + (NUM_RESIDUAL_BASES, 3))
-    return np.einsum("...b,...bc->...c", basis, c)

@@ -23,7 +23,8 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
     """Sequential per-pixel over-compositing of depth-ordered fragments.
 
     px: flat pixel index per fragment, fragments front-to-back within a pixel.
-    Returns (unique_px, color_sum, final_T[, order, T_frag, starts, counts]).
+    Returns (unique_px, color_sum, final_T[, order, T_frag, starts, counts,
+    sa, sc]).
     """
     order = np.argsort(px, kind="stable")
     spx = px[order]
@@ -49,7 +50,7 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
         color[act] += w[:, None] * sc[f]
         trans[act] = trans[act] * (1.0 - sa[f])
     if save:
-        return unique_px, color, trans, order, t_frag, starts, counts
+        return unique_px, color, trans, order, t_frag, starts, counts, sa, sc
     return unique_px, color, trans
 
 
@@ -216,9 +217,9 @@ def test_kernels_match_reference_per_fragment():
 
     upstream = rng.normal(size=(300, 3))
     g_new = rn._composite_backward(upstream[new[0]], background, alpha[new[3]],
-                                   color[new[3]], new[2], new[4], *new[5:])
+                                   color[new[3]], new[2], new[4], *new[5:7])
     g_ref = _composite_backward(upstream[ref[0]], background, alpha[ref[3]],
-                                color[ref[3]], ref[2], ref[4], *ref[5:])
+                                color[ref[3]], ref[2], ref[4], *ref[5:7])
     for a_new, a_ref in zip(g_new, g_ref):
         per_frag_new, per_frag_ref = np.empty_like(a_new), np.empty_like(a_ref)
         per_frag_new[new[3]] = a_new

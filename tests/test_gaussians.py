@@ -40,26 +40,26 @@ def identity_gaussian(**kw):
 
 
 def covariance(p):
-    return ga.batch_covariance(p["mu"], p["scale"], p["rotor_left"], p["rotor_right"])
+    return ga.build_covariance(p["scale"], p["rotor_left"], p["rotor_right"])[-1]
 
 
 def marginal_opacity(p, t):
     """Temporal marginal opacity o * w_t of a batch of one, as rendered."""
-    _, _, w_t = ga.batch_condition_at_time(p["mu"], covariance(p), t)
+    w_t = ga.condition_at_time(p["mu"], covariance(p), t)[-1]
     return float(p["opacity"][0] * w_t[0])
 
 
-def influence_range(p, o_th):
+def influence_range(p):
     """(start, end, radius) of a batch of one, as `insert_batch` places it."""
     sigma_t = ga.batch_temporal_variance(p["scale"], p["rotor_left"], p["rotor_right"])
-    r = float(ga.influence_radius(sigma_t, o_th)[0])
+    r = float(ga.influence_radius(sigma_t)[0])
     mu_t = float(p["mu"][0, 3])
     return mu_t - r, mu_t + r, r
 
 
 def condition_at_time(p, t):
     """(mean3, cov3, opacity_t) of a batch of one at time t."""
-    mean3, cov3, w_t = ga.batch_condition_at_time(p["mu"], covariance(p), t)
+    _, _, _, mean3, cov3, w_t = ga.condition_at_time(p["mu"], covariance(p), t)
     return mean3[0], cov3[0], float(p["opacity"][0] * w_t[0])
 
 
@@ -88,6 +88,12 @@ class TestCovariance:
             assert np.array_equal(factor, ref)
         assert np.array_equal(ga.batch_rotation(q[0], q[1]), left @ right)
         assert np.array_equal(ga.batch_rotation(q[0, 7], q[1, 7]), (left @ right)[7])
+        scale = rng.uniform(0.1, 2.0, size=(50, 4))
+        *factors, rot4, m, cov = ga.build_covariance(scale, q[0], q[1])
+        for got, want in zip(factors, (ql, qr, left, right, scale)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rot4, left @ right)
+        assert np.array_equal(cov, m @ np.swapaxes(m, 1, 2))
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(50):
@@ -104,9 +110,9 @@ class TestCovariance:
             np.linalg.cholesky(cov + 1e-9 * np.eye(4))
 
     def test_rejects_non_finite(self):
-        g = identity_gaussian(mu=np.array([np.nan, 0, 0, 0]))
-        with pytest.raises(InvalidParameterError):
-            covariance(g)
+        for rotor in ([np.nan, 0, 0, 0], [0.0, 0, 0, 0]):
+            with pytest.raises(InvalidParameterError):
+                covariance(identity_gaussian(rotor_left=np.array(rotor)))
 
     def test_scale_clamping(self):
         g = identity_gaussian(scale=np.array([0.0, 1.0, 1.0, 0.0]))
@@ -126,9 +132,10 @@ class TestMarginalOpacity:
         assert marginal_opacity(g, 5.0 - 20.0) < 1e-12
 
     def test_endpoint_value_from_inverted_radius(self):
-        # sigma_t = 1, o = 0.8: at the o_th = 0.05 endpoint the marginal is 0.8 * 0.05
+        # sigma_t = 1, o = 0.8: at the endpoint, where w_t is the 0.05
+        # threshold, the marginal is 0.8 * 0.05
         g = identity_gaussian(mu=np.array([0, 0, 0, 5.0]), opacity=0.8)
-        start, end, _ = influence_range(g, 0.05)
+        start, end, _ = influence_range(g)
         assert marginal_opacity(g, end) == pytest.approx(0.04, abs=1e-9)
         assert marginal_opacity(g, start) == pytest.approx(0.04, abs=1e-9)
 
@@ -136,7 +143,7 @@ class TestMarginalOpacity:
 class TestInfluenceRange:
     def test_reference_values(self):
         g = identity_gaussian(mu=np.array([0, 0, 0, 5.0]))
-        start, end, radius = influence_range(g, 0.05)
+        start, end, radius = influence_range(g)
         expected = np.sqrt(-2.0 * np.log(0.05))
         assert radius == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(2.44775, abs=1e-5)
@@ -146,24 +153,14 @@ class TestInfluenceRange:
     def test_radius_scales_with_sqrt_sigma(self):
         g1 = identity_gaussian()
         g2 = identity_gaussian(scale=np.array([1.0, 1.0, 1.0, 2.0]))  # sigma_t x4
-        r1 = influence_range(g1, 0.05)[2]
-        r2 = influence_range(g2, 0.05)[2]
+        r1 = influence_range(g1)[2]
+        r2 = influence_range(g2)[2]
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
-
-    def test_one_sigma_case(self):
-        g = identity_gaussian()
-        assert influence_range(g, np.exp(-0.5))[2] == pytest.approx(1.0, rel=1e-12)
-
-    def test_invalid_threshold(self):
-        g = identity_gaussian()
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(InvalidParameterError):
-                influence_range(g, bad)
 
     def test_endpoint_factor_many_random(self, rng):
         for _ in range(1000):
             g = random_params(rng)
-            start, end, _ = influence_range(g, 0.05)
+            start, end, _ = influence_range(g)
             for t in (start, end):
                 factor = marginal_opacity(g, t) / g["opacity"][0]
                 assert factor == pytest.approx(0.05, abs=1e-9)

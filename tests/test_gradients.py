@@ -43,9 +43,8 @@ def grad_scene(rng, n=1):
 
 def grad_opts():
     # tiny alpha_min keeps every quad spanning the full 8x8 frame, away from
-    # rectangle-boundary subgradient kinks; tiny temporal cutoff likewise
-    return rn.RenderOptions(background=np.array([0.15, 0.1, 0.2]),
-                            alpha_min=1e-6, temporal_cutoff=1e-6)
+    # rectangle-boundary subgradient kinks
+    return rn.RenderOptions(background=np.array([0.15, 0.1, 0.2]), alpha_min=1e-6)
 
 
 def scalar_loss(batch, t, cam, target, weights, opts):

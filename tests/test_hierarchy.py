@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_SEGMENT, AuditError, TemporalHierarchy, build
 
@@ -37,9 +38,9 @@ def random_ranges(rng, n, duration):
     return np.stack([centers - radii, centers + radii], axis=1)
 
 
-def time_gaussian(mu_t, radius, o_th=0.05):
-    """Identity-rotor Gaussian whose influence radius at o_th is `radius`."""
-    s_t = radius / math.sqrt(-2.0 * math.log(o_th))
+def time_gaussian(mu_t, radius):
+    """Identity-rotor Gaussian whose influence radius is `radius`."""
+    s_t = radius / math.sqrt(-2.0 * math.log(ga.TEMPORAL_THRESHOLD))
     return params(mu=[0.0, 0.0, 0.0, mu_t], scale=[1.0, 1.0, 1.0, s_t], opacity=0.5)
 
 
@@ -82,8 +83,7 @@ class TestGeometry:
         for kwargs in (dict(duration=0.0), dict(duration=-1.0),
                        dict(duration=10.0, root_length=0.0),
                        dict(duration=10.0, num_levels=0),
-                       dict(duration=10.0, num_levels=40),
-                       dict(duration=10.0, o_th=1.5)):
+                       dict(duration=10.0, num_levels=40)):
             with pytest.raises(InvalidParameterError):
                 build(**kwargs)
 

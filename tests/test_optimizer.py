@@ -166,7 +166,7 @@ def make_training_setup(rng, iterations, seed=0, frames=4):
                               rn.RenderOptions()).rgb
         images[(0, f)] = img
     scene = StaticScene([cam], frames, 30.0, images)
-    h = build(duration=frames / 30.0, o_th=0.05)
+    h = build(duration=frames / 30.0)
     noisy = [params(mu=g["mu"] + rng.normal(scale=0.05, size=4),
                     scale=g["scale"] * rng.uniform(0.8, 1.25, size=4),
                     rotor_left=g["rotor_left"], rotor_right=g["rotor_right"],

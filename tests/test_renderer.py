@@ -7,10 +7,9 @@ from tgh import gaussians as ga
 from tgh import renderer as rn
 from tgh import sh
 from tgh.camera import Camera, look_at
-from tgh.errors import OutOfRangeError
-from tgh.gaussians import ConditionedGaussian3D
+from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
-from tgh.store import GaussianBatch
+from tgh.store import COLUMNS, GaussianBatch
 
 from conftest import params, random_params, stack
 
@@ -28,65 +27,79 @@ def batch_of(gaussians):
     return GaussianBatch(ids=np.arange(len(columns["mu"]), dtype=np.int64), **columns)
 
 
+def rotated_camera(width=24, height=24):
+    """Off-axis look_at camera with an off-center principal point and unequal
+    focal lengths, aimed at the scene of `test_matches_reference_loop`."""
+    rotation, translation = look_at([2.0, -1.5, 1.0], [0.0, 0.0, 6.0])
+    return Camera(fx=40.0, fy=34.0, cx=10.3, cy=13.6, rotation=rotation,
+                  translation=translation, width=width, height=height,
+                  near=0.1, far=100.0)
+
+
 def reference_render(batch, t, cam, opts):
-    """Independent per-pixel back-to-front over-compositing loop."""
+    """Independent per-splat projection and per-pixel back-to-front
+    over-compositing loop: each splat's Jacobian, screen covariance and
+    level-set rectangle are computed here, one splat at a time."""
     img = np.empty((cam.height, cam.width, 3))
     img[:] = opts.background
+    cov = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)[-1]
+    _, _, _, mean3, cov3, w_t = ga.condition_at_time(batch.mu, cov, t)
     splats = []
-    cov = ga.batch_covariance(batch.mu, batch.scale, batch.rotor_left, batch.rotor_right)
-    mean3, cov3, w_t = ga.batch_condition_at_time(batch.mu, cov, t)
     for i in range(len(batch)):
-        if w_t[i] < opts.temporal_cutoff:
+        x, y, z = cam.rotation @ mean3[i] + cam.translation
+        alpha = float(batch.opacity[i] * w_t[i])
+        if (w_t[i] < ga.TEMPORAL_THRESHOLD or not cam.near <= z <= cam.far
+                or alpha < opts.alpha_min):
             continue
-        cond = ConditionedGaussian3D(mean3=mean3[i], cov3=cov3[i],
-                                     opacity_t=float(batch.opacity[i] * w_t[i]))
+        center2 = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
+        J = np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
+                      [0.0, cam.fy / z, -cam.fy * y / (z * z)]])
+        K = J @ cam.rotation
+        cov2 = K @ cov3[i] @ K.T + rn.COV2_LOWPASS * np.eye(2)
         view_dir = (mean3[i] - cam.center) / np.linalg.norm(mean3[i] - cam.center)
-        color = np.clip(batch.base_color[i] + sh.eval_residual(batch.sh_residual[i], view_dir),
-                        0.0, 1.0)
-        s = rn.project(cond, cam, color=color, gid=int(batch.ids[i]))
-        if s is None or s.alpha < opts.alpha_min:
-            continue
-        splats.append(s)
-    order = rn.depth_sort([s.depth for s in splats], [s.gid for s in splats])
-    for idx in order:  # back to front
-        s = splats[idx]
-        rect = rn.expand_quad(s, opts.alpha_min, cam.width, cam.height)
-        if rect is None:
-            continue
-        conic = np.linalg.inv(s.cov2)
-        for r in range(rect.y0, rect.y1 + 1):
-            for c in range(rect.x0, rect.x1 + 1):
-                d = np.array([c + 0.5, r + 0.5]) - s.center2
-                a = min(s.alpha * math.exp(-0.5 * d @ conic @ d), opts.alpha_clamp)
-                img[r, c] = a * s.color + (1 - a) * img[r, c]
+        residual = sh.eval_basis(view_dir) @ batch.sh_residual[i].reshape(-1, 3)
+        color = np.clip(batch.base_color[i] + residual, 0.0, 1.0)
+        splats.append((-z, int(batch.ids[i]), center2, cov2, alpha, color))
+    for _, _, center2, cov2, alpha, color in sorted(splats, key=lambda s: s[:2]):
+        # back to front; the rectangle bounds alpha * exp(-q / 2) >= alpha_min
+        half = np.sqrt(2.0 * math.log(alpha / opts.alpha_min) * np.diag(cov2))
+        x0 = max(math.ceil(center2[0] - half[0] - 0.5), 0)
+        x1 = min(math.floor(center2[0] + half[0] - 0.5), cam.width - 1)
+        y0 = max(math.ceil(center2[1] - half[1] - 0.5), 0)
+        y1 = min(math.floor(center2[1] + half[1] - 0.5), cam.height - 1)
+        conic = np.linalg.inv(cov2)
+        for r in range(y0, y1 + 1):
+            for c in range(x0, x1 + 1):
+                d = np.array([c + 0.5, r + 0.5]) - center2
+                a = min(alpha * math.exp(-0.5 * d @ conic @ d), opts.alpha_clamp)
+                img[r, c] = a * color + (1 - a) * img[r, c]
     return img
 
 
 class TestProject:
     def test_on_axis_reference(self):
         cam = simple_camera()
-        cond = ConditionedGaussian3D(mean3=np.array([0.0, 0.0, 10.0]),
-                                     cov3=np.eye(3), opacity_t=0.5)
-        s = rn.project(cond, cam)
-        assert np.allclose(s.center2, [32.0, 32.0])
-        assert np.allclose(s.cov2, np.diag([100.3, 100.3]), atol=1e-9)
-        assert s.depth == 10.0
+        center2, jac, _, cov2 = rn.project(np.array([[0.0, 0.0, 10.0]]), np.eye(3)[None], cam)
+        assert np.allclose(center2, [[32.0, 32.0]])
+        assert np.allclose(cov2, np.diag([100.3, 100.3]), atol=1e-9)
+        assert np.array_equal(jac, [[[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]])
 
     def test_behind_camera_culled(self):
         cam = simple_camera()
-        cond = ConditionedGaussian3D(mean3=np.array([0.0, 0.0, -5.0]),
-                                     cov3=np.eye(3), opacity_t=0.5)
-        assert rn.project(cond, cam) is None
+        g = params(mu=[0.0, 0.0, -5.0, 1.0], scale=[1.0, 1.0, 1.0, 0.2],
+                   opacity=0.5, base_color=[1.0, 1.0, 1.0])
+        fb = rn.render_batch(batch_of([g]), 1.0, cam)
+        assert np.all(fb.transmittance == 1.0) and np.all(fb.rgb == 0.0)
 
     def test_cov_scaling_bilinear(self, rng):
         cam = simple_camera()
         base = rng.normal(size=(3, 3))
         cov3 = base @ base.T + 0.1 * np.eye(3)
-        mean = np.array([0.5, -0.3, 8.0])
-        s1 = rn.project(ConditionedGaussian3D(mean, cov3, 0.5), cam)
-        s4 = rn.project(ConditionedGaussian3D(mean, 4.0 * cov3, 0.5), cam)
-        assert np.allclose(s4.cov2 - 0.3 * np.eye(2),
-                           4.0 * (s1.cov2 - 0.3 * np.eye(2)), rtol=1e-12)
+        mean = np.array([[0.5, -0.3, 8.0]])
+        cov2_1 = rn.project(mean, cov3[None], cam)[3][0]
+        cov2_4 = rn.project(mean, 4.0 * cov3[None], cam)[3][0]
+        assert np.allclose(cov2_4 - 0.3 * np.eye(2),
+                           4.0 * (cov2_1 - 0.3 * np.eye(2)), rtol=1e-12)
 
 
 class TestDepthSort:
@@ -108,24 +121,31 @@ class TestDepthSort:
 
 
 class TestExpandQuad:
-    def make(self, cov2, alpha):
-        return rn.Splat2D(center2=np.array([20.0, 20.0]), cov2=np.asarray(cov2, float),
-                          depth=1.0, color=np.ones(3), alpha=alpha)
+    def rect(self, cov2, alpha, alpha_min, size=64):
+        """(x0, x1, y0, y1) of one splat centered at (20, 20)."""
+        rect = rn.expand_quad(np.array([[20.0, 20.0]]), np.asarray(cov2, float)[None],
+                              np.array([alpha]), alpha_min, size, size)
+        return tuple(int(r[0]) for r in rect)
 
     def test_half_extents_reference(self):
-        s = self.make(np.diag([4.0, 1.0]), 1.0)
-        rect = rn.expand_quad(s, math.exp(-2.0))
-        assert np.allclose(rect.half_extents, [4.0, 2.0], rtol=1e-12)
+        # level 2 ln(1 / e^-2) = 4, so half-extents sqrt(4 * 4) = 4 and
+        # sqrt(4 * 1) = 2: pixel centers c + 0.5 in [16, 24] x [18, 22]
+        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0)) == (16, 23, 18, 21)
+        # clipped to a 20 x 20 frame; a 10 x 10 frame misses it: zero area
+        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0), size=20) == (16, 19, 18, 19)
+        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0), size=10) == (16, 15, 18, 17)
 
     def test_dim_splat_empty(self):
-        s = self.make(np.eye(2), 0.001)
-        assert rn.expand_quad(s, 1 / 255) is None
+        # peak alpha 0.001 < alpha_min = 1/255: the splat is culled before
+        # it gets a rectangle, so it covers no pixel
+        g = params(mu=[0.0, 0.0, 5.0, 1.0], scale=[0.1, 0.1, 0.1, 0.2],
+                   opacity=0.001, base_color=[1.0, 1.0, 1.0])
+        fb = rn.render_batch(batch_of([g]), 1.0, simple_camera())
+        assert np.all(fb.transmittance == 1.0)
 
     def test_isotropic_square(self):
-        s = self.make(np.eye(2) * 2.5, 0.9)
-        rect = rn.expand_quad(s, 1 / 255)
-        assert rect.half_extents[0] == rect.half_extents[1]
-        assert rect.x1 - rect.x0 == rect.y1 - rect.y0
+        x0, x1, y0, y1 = self.rect(np.eye(2) * 2.5, 0.9, 1 / 255)
+        assert x1 - x0 == y1 - y0 > 0
 
 
 class TestComposite:
@@ -175,14 +195,15 @@ class TestRender:
     def test_temporal_cull_removes_splat(self):
         cam = simple_camera()
         batch = single_gaussian_scene()
-        r = ga.influence_radius(0.2 ** 2, 0.05)
+        r = ga.influence_radius(0.2 ** 2)
         inside = rn.render_batch(batch, 1.0, cam, rn.RenderOptions())
         outside = rn.render_batch(batch, 1.0 + 1.1 * float(r), cam, rn.RenderOptions())
         assert inside.rgb.max() > 0.5
         assert np.allclose(outside.rgb, 0.0)
 
-    def test_matches_reference_loop(self, rng):
-        cam = simple_camera(width=24, height=24, fx=40.0)
+    @pytest.mark.parametrize("cam", [simple_camera(width=24, height=24, fx=40.0),
+                                     rotated_camera()], ids=["identity", "look_at"])
+    def test_matches_reference_loop(self, rng, cam):
         gaussians = []
         for _ in range(6):
             g = random_params(rng, t_center_range=(0.9, 1.1))
@@ -193,6 +214,7 @@ class TestRender:
         opts = rn.RenderOptions(background=np.array([0.05, 0.1, 0.15]))
         fb = rn.render_batch(batch, 1.0, cam, opts)
         ref = reference_render(batch, 1.0, cam, opts)
+        assert np.count_nonzero(fb.transmittance < 1.0) > 100
         assert np.max(np.abs(fb.rgb - ref)) < 1e-9
 
     def test_transmittance_bounds(self, rng):
@@ -218,3 +240,16 @@ class TestRender:
         with pytest.raises(OutOfRangeError):
             rn.render(h, 11.0, simple_camera(), rn.RenderOptions())
 
+
+@pytest.mark.parametrize("column", COLUMNS)
+def test_non_finite_parameters_raise(column):
+    cam = simple_camera()
+    batch = single_gaussian_scene()
+    values = getattr(batch, column).reshape(-1)  # row 0 of a batch of one
+    for entry in (0, len(values) - 1):
+        values[entry] = np.nan
+        with pytest.raises(InvalidParameterError):
+            rn.render_batch(batch, 1.0, cam)
+        with pytest.raises(InvalidParameterError):
+            rn.render_with_gradients(batch, 1.0, cam, np.zeros((64, 64, 3)))
+        values[entry] = 1.0
