@@ -2,6 +2,12 @@
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. Per-iteration cost depends on working-set size,
 not on the total population or video length.
+
+The per-Gaussian training state lives in the store's rows: `train()`
+attaches `TRAINING_ROWS` (Adam moments and step counts, densification
+accumulators) to the hierarchy's store when it starts and detaches them when
+it returns or raises, so the store grows, reuses and zeroes them with the
+parameters it holds.
 """
 
 import time
@@ -15,7 +21,7 @@ from . import renderer as rn
 from .errors import InvalidParameterError
 from .hierarchy import TemporalHierarchy
 from .losses import LossWeights, psnr
-from .store import COLUMNS as PARAM_GROUPS
+from .store import COLUMNS as PARAM_GROUPS, SHAPES
 
 
 @dataclass
@@ -63,45 +69,23 @@ class TrainConfig:
         return max(1, round(50_000 * frames / 1200))
 
 
-class AdamState:
-    """First/second moments per Gaussian row, each shaped like its store
-    column, plus per-row update counters.
+# Adam: moments are zero until a row's first applied update
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-15
 
-    beta1 = 0.9, beta2 = 0.999, eps = 1e-15; moments are zero until a row's
-    first applied update.
-    """
-
-    BETA1 = 0.9
-    BETA2 = 0.999
-    EPS = 1e-15
-
-    def __init__(self, store):
-        self.capacity = 0
-        self.m = {}
-        self.v = {}
-        self.steps = np.zeros(0, dtype=np.int64)
-        self.ensure_capacity(store)
-
-    def ensure_capacity(self, store):
-        """Grow every moment to the store's capacity."""
-        if store.capacity <= self.capacity:
-            return
-        for name in PARAM_GROUPS:
-            for moments in (self.m, self.v):
-                fresh = np.zeros_like(getattr(store, name))
-                if self.capacity:
-                    fresh[:self.capacity] = moments[name]
-                moments[name] = fresh
-        steps = np.zeros(store.capacity, dtype=np.int64)
-        steps[:self.capacity] = self.steps
-        self.steps = steps
-        self.capacity = store.capacity
-
-    def reset_rows(self, rows):
-        for name in PARAM_GROUPS:
-            self.m[name][rows] = 0.0
-            self.v[name][rows] = 0.0
-        self.steps[rows] = 0
+# The per-row state `train()` attaches to the store for one run: Adam's first
+# and second moments of each parameter column, each row's count of applied
+# updates, and the view-space gradient sums since the last control pass,
+# whose touched rows are exactly those with `touch_count > 0`.
+TRAINING_ROWS = {
+    **{f"{name}_m": (shape, np.float64) for name, shape in SHAPES.items()},
+    **{f"{name}_v": (shape, np.float64) for name, shape in SHAPES.items()},
+    "adam_steps": ((), np.int64),
+    "grad_accum": ((), np.float64),
+    "world_grad": ((3,), np.float64),
+    "touch_count": ((), np.int64),
+}
 
 
 def adam_step(params, grads, m, v, steps, lr):
@@ -110,7 +94,7 @@ def adam_step(params, grads, m, v, steps, lr):
     params/grads/m/v: (N,) or (N, D) arrays for the touched rows; steps: (N,)
     update counters already incremented for this step.
     """
-    b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m *= b1
     m += (1 - b1) * grads
     v *= b2
@@ -123,42 +107,6 @@ def adam_step(params, grads, m, v, steps, lr):
 
 
 @dataclass
-class DensifyStats:
-    """View-space gradient accumulation since the last control pass.
-
-    The rows touched since then are exactly those with `count > 0`.
-    """
-
-    capacity: int = 0
-    grad_accum: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    world_grad: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def ensure_capacity(self, capacity):
-        if capacity <= self.capacity:
-            return
-        grad = np.zeros(capacity)
-        world = np.zeros((capacity, 3))
-        cnt = np.zeros(capacity, dtype=np.int64)
-        if self.capacity:
-            grad[:self.capacity] = self.grad_accum
-            world[:self.capacity] = self.world_grad
-            cnt[:self.capacity] = self.count
-        self.grad_accum, self.world_grad, self.count = grad, world, cnt
-        self.capacity = capacity
-
-    def accumulate(self, rows, viewspace_norm, world_grad3):
-        self.grad_accum[rows] += viewspace_norm
-        self.world_grad[rows] += world_grad3
-        self.count[rows] += 1
-
-    def reset(self, rows):
-        self.grad_accum[rows] = 0.0
-        self.world_grad[rows] = 0.0
-        self.count[rows] = 0
-
-
-@dataclass
 class ControlReport:
     pruned: int = 0
     cloned: int = 0
@@ -167,9 +115,11 @@ class ControlReport:
     removed_ids: list = field(default_factory=list)
 
 
-def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig,
-                     rng, scene_extent, grow=True):
-    """Prune / clone / split among the Gaussians touched since the last pass.
+def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
+                     grow=True):
+    """Prune / clone / split among the Gaussians touched since the last pass,
+    read from the store's attached `TRAINING_ROWS` accumulators, which the
+    pass then zeroes.
 
     Restricting control to sampled segments keeps its cost independent of
     the total population. Candidates are visited in ascending row order.
@@ -182,7 +132,7 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
     """
     report = ControlReport()
     store = h.store
-    touched = np.flatnonzero(stats.count > 0)
+    touched = np.flatnonzero(store.touch_count > 0)
     rows = touched[store.ids_at_rows(touched) >= 0]
     prune_mask = store.opacity[rows] < cfg.prune_opacity_threshold
     if prune_mask.any():
@@ -192,10 +142,10 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
         report.pruned = len(pruned)
     rows = rows[~prune_mask]
     if not grow or len(rows) == 0:
-        stats.reset(touched)
+        _reset_accumulators(store, touched)
         return report
 
-    mean_grad = stats.grad_accum[rows] / stats.count[rows]
+    mean_grad = store.grad_accum[rows] / store.touch_count[rows]
     hot = mean_grad >= cfg.grad_densify_threshold
     max_spatial = np.max(store.scale[rows, :3], axis=1)
     size_cut = cfg.clone_size_fraction * scene_extent
@@ -210,7 +160,7 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
     if len(sources):
         new = {name: getattr(store, name)[sources] for name in PARAM_GROUPS}
         n_clones = len(clone_rows)
-        wg = stats.world_grad[clone_rows] / stats.count[clone_rows, None]
+        wg = store.world_grad[clone_rows] / store.touch_count[clone_rows, None]
         norm = np.sqrt((wg[:, None, :] @ wg[:, :, None])[:, 0, 0])
         moved = norm > 0  # a zero mean gradient leaves the clone in place
         clones = new["mu"][:n_clones]
@@ -231,8 +181,14 @@ def adaptive_control(h: TemporalHierarchy, stats: DensifyStats, cfg: TrainConfig
         report.removed_ids += parents.tolist()
         report.split = len(split_rows)
 
-    stats.reset(touched)
+    _reset_accumulators(store, touched)
     return report
+
+
+def _reset_accumulators(store, rows):
+    store.grad_accum[rows] = 0.0
+    store.world_grad[rows] = 0.0
+    store.touch_count[rows] = 0
 
 
 @dataclass(frozen=True)
@@ -299,9 +255,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
     iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
     gate = ap.AppearanceGate(g_th=cfg.g_th, lambda_h=cfg.lambda_h)
-    adam = AdamState(h.store)
-    stats = DensifyStats()
-    stats.ensure_capacity(h.store.capacity)
     extent = scene_extent_of(h.store)
     opts = rn.RenderOptions()
     lr_of = {
@@ -320,80 +273,69 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
     t_interval = time.perf_counter()
     store = h.store
 
-    for it in range(1, iterations + 1):
-        cam_i = int(rng.integers(len(scene.cameras)))
-        frame = int(rng.integers(scene.frames))
-        cam = scene.cameras[cam_i]
-        t_stamp = frame / scene.frame_rate
-        ws = h.query(t_stamp)
-        result.max_working_set = max(result.max_working_set, len(ws.gaussian_ids))
-        batch = h.materialize(ws)
-        target = scene.target(cam_i, frame)
-        value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target,
-                                                    weights, opts)
-        interval_loss.append(value)
+    with store.attached(TRAINING_ROWS):
+        for it in range(1, iterations + 1):
+            cam_i = int(rng.integers(len(scene.cameras)))
+            frame = int(rng.integers(scene.frames))
+            cam = scene.cameras[cam_i]
+            t_stamp = frame / scene.frame_rate
+            ws = h.query(t_stamp)
+            result.max_working_set = max(result.max_working_set, len(ws.gaussian_ids))
+            batch = h.materialize(ws)
+            target = scene.target(cam_i, frame)
+            value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target,
+                                                        weights, opts)
+            interval_loss.append(value)
 
-        if len(batch) > 0:
-            grads.sh_residual = ap.gate_gradients(batch.sh_residual,
-                                                  grads.sh_residual, gate)
-            rows = store.rows_of(ws.gaussian_ids)
-            adam.ensure_capacity(store)
-            stats.ensure_capacity(store.capacity)
-            adam.steps[rows] += 1
-            steps = adam.steps[rows]
-            for name in PARAM_GROUPS:
-                col = getattr(store, name)
-                grad = getattr(grads, name)
-                p = col[rows]
-                m = adam.m[name][rows]
-                v = adam.v[name][rows]
-                adam_step(p, grad, m, v, steps, lr_of[name])
-                col[rows] = p
-                adam.m[name][rows] = m
-                adam.v[name][rows] = v
-            # keep invariants: opacity in [0, 1], scales above the floor,
-            # rotors unit
-            store.opacity[rows] = np.clip(store.opacity[rows], 0.0, 1.0)
-            store.scale[rows] = np.maximum(store.scale[rows], ga.SCALE_FLOOR)
-            for attr in ("rotor_left", "rotor_right"):
-                q = getattr(store, attr)[rows]
-                q /= np.linalg.norm(q, axis=1, keepdims=True)
-                getattr(store, attr)[rows] = q
-            h.update_levels(ws.gaussian_ids)
-            touched = grads.touched
-            result.max_touched = max(result.max_touched, int(touched.sum()))
-            if np.any(touched):
-                stats.accumulate(rows[touched], grads.viewspace_norm[touched],
-                                 grads.mu[touched][:, :3])
+            if len(batch) > 0:
+                grads.sh_residual = ap.gate_gradients(batch.sh_residual,
+                                                      grads.sh_residual, gate)
+                rows = store.rows_of(ws.gaussian_ids)
+                store.adam_steps[rows] += 1
+                steps = store.adam_steps[rows]
+                for name in PARAM_GROUPS:
+                    col, m_col, v_col = (getattr(store, name + end) for end in ("", "_m", "_v"))
+                    p, m, v = col[rows], m_col[rows], v_col[rows]
+                    adam_step(p, getattr(grads, name), m, v, steps, lr_of[name])
+                    col[rows], m_col[rows], v_col[rows] = p, m, v
+                # keep invariants: opacity in [0, 1], scales above the floor,
+                # rotors unit
+                store.opacity[rows] = np.clip(store.opacity[rows], 0.0, 1.0)
+                store.scale[rows] = np.maximum(store.scale[rows], ga.SCALE_FLOOR)
+                for attr in ("rotor_left", "rotor_right"):
+                    q = getattr(store, attr)[rows]
+                    q /= np.linalg.norm(q, axis=1, keepdims=True)
+                    getattr(store, attr)[rows] = q
+                h.update_levels(ws.gaussian_ids)
+                touched = grads.touched
+                result.max_touched = max(result.max_touched, int(touched.sum()))
+                if np.any(touched):
+                    hit = rows[touched]
+                    store.grad_accum[hit] += grads.viewspace_norm[touched]
+                    store.world_grad[hit] += grads.mu[touched][:, :3]
+                    store.touch_count[hit] += 1
 
-        if it % cfg.densify_interval == 0 or it == iterations:
-            report = adaptive_control(h, stats, cfg, rng, extent,
-                                      grow=it <= iterations // 2)
-            if report.removed_ids or report.new_ids:
-                adam.ensure_capacity(store)
-                stats.ensure_capacity(store.capacity)
-                reset = store.rows_of(report.new_ids)
-                if len(reset):
-                    adam.reset_rows(reset)
-            live = store.live_rows()
-            fraction = ap.view_dependent_fraction(store.sh_residual[live])
-            ap.update_ratio_cutoff(gate, fraction)
-            result.vdep_history.append((it, fraction))
-            elapsed = time.perf_counter() - t_interval
-            n_iters = len(interval_loss)
-            last_psnr = psnr(fb.rgb, target)
-            result.metrics.append(MetricRow(
-                iteration=it,
-                loss=float(np.mean(interval_loss)) if interval_loss else 0.0,
-                psnr=float(last_psnr),
-                num_gaussians=len(store),
-                working_set_size=len(ws.gaussian_ids),
-                seconds_per_iter=elapsed / max(n_iters, 1),
-            ))
-            if on_interval is not None:
-                on_interval(it, result)
-            interval_loss = []
-            t_interval = time.perf_counter()
+            if it % cfg.densify_interval == 0 or it == iterations:
+                adaptive_control(h, cfg, rng, extent, grow=it <= iterations // 2)
+                live = store.live_rows()
+                fraction = ap.view_dependent_fraction(store.sh_residual[live])
+                ap.update_ratio_cutoff(gate, fraction)
+                result.vdep_history.append((it, fraction))
+                elapsed = time.perf_counter() - t_interval
+                n_iters = len(interval_loss)
+                last_psnr = psnr(fb.rgb, target)
+                result.metrics.append(MetricRow(
+                    iteration=it,
+                    loss=float(np.mean(interval_loss)) if interval_loss else 0.0,
+                    psnr=float(last_psnr),
+                    num_gaussians=len(store),
+                    working_set_size=len(ws.gaussian_ids),
+                    seconds_per_iter=elapsed / max(n_iters, 1),
+                ))
+                if on_interval is not None:
+                    on_interval(it, result)
+                interval_loss = []
+                t_interval = time.perf_counter()
     return result
 
 

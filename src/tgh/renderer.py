@@ -36,7 +36,7 @@ from . import sh
 from .camera import Camera
 from .errors import InvalidParameterError
 from .losses import LossWeights, loss as image_loss
-from .store import COLUMNS, GaussianBatch
+from .store import COLUMNS, SHAPES, GaussianBatch
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
 
@@ -51,6 +51,10 @@ class RenderOptions:
         self.background = np.asarray(self.background, dtype=np.float64).reshape(3)
         if not 0.0 < self.alpha_min < 1.0:
             raise InvalidParameterError("alpha_min must lie in (0, 1)")
+        if not 0.0 < self.alpha_clamp <= 1.0:
+            raise InvalidParameterError("alpha_clamp must lie in (0, 1]")
+        if not np.isfinite(self.background).all():
+            raise InvalidParameterError("background must be finite")
 
 
 @dataclass
@@ -371,10 +375,7 @@ def _backward(ctx, dl_dimage):
     cam = ctx["cam"]
     grads = ParamGradients(
         ids=np.asarray(batch.ids).copy(),
-        mu=np.zeros((n, 4)), scale=np.zeros((n, 4)),
-        rotor_left=np.zeros((n, 4)), rotor_right=np.zeros((n, 4)),
-        opacity=np.zeros(n), base_color=np.zeros((n, 3)),
-        sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)),
+        **{name: np.zeros((n,) + shape) for name, shape in SHAPES.items()},
         viewspace_norm=np.zeros(n), touched=np.zeros(n, dtype=bool))
     keep = ctx["keep"]
     if len(keep) == 0:

@@ -1,65 +1,73 @@
-"""Id-addressed columnar storage for Gaussian parameters.
+"""Id-addressed columnar storage for Gaussians.
 
-Parameters live in preallocated numpy arrays (one column per field) so the
-hot path can gather a working set into contiguous batches without touching
-Python objects. Rows freed by removal are recycled; ids are never reused.
+The store owns every per-row array. The parameter columns (`SHAPES`) live
+in preallocated numpy arrays so the hot path can gather a working set into
+contiguous batches without touching Python objects; training attaches its
+per-row state (`attached`) to the same rows for the length of a run. Every
+row-indexed array grows together in `_grow`, and a row is zeroed in all of
+them when it is handed out again. Rows freed by removal are recycled; ids
+are never reused.
 """
+
+from contextlib import contextmanager
+from dataclasses import make_dataclass
 
 import numpy as np
 
 from . import sh
 from .errors import InvalidParameterError, NotFoundError
 
-COLUMNS = ("mu", "scale", "rotor_left", "rotor_right", "opacity", "base_color", "sh_residual")
+# trailing shape of each parameter column
+SHAPES = {"mu": (4,), "scale": (4,), "rotor_left": (4,), "rotor_right": (4,),
+          "opacity": (), "base_color": (3,), "sh_residual": (sh.RESIDUAL_COEFFS,)}
+COLUMNS = tuple(SHAPES)
 
-
-class GaussianBatch:
-    """A contiguous snapshot of parameters for a list of ids."""
-
-    __slots__ = ("ids", "mu", "scale", "rotor_left", "rotor_right",
-                 "opacity", "base_color", "sh_residual")
-
-    def __init__(self, ids, mu, scale, rotor_left, rotor_right, opacity,
-                 base_color, sh_residual):
-        self.ids = ids
-        self.mu = mu
-        self.scale = scale
-        self.rotor_left = rotor_left
-        self.rotor_right = rotor_right
-        self.opacity = opacity
-        self.base_color = base_color
-        self.sh_residual = sh_residual
-
-    def __len__(self):
-        return len(self.ids)
+GaussianBatch = make_dataclass(
+    "GaussianBatch", ("ids",) + COLUMNS, slots=True, eq=False,
+    namespace={"__doc__": "A contiguous snapshot of parameters for a list of ids.",
+               "__len__": lambda self: len(self.ids)})
 
 
 class GaussianStore:
     def __init__(self, capacity=256):
-        self._alloc(max(capacity, 16))
+        self.capacity = max(capacity, 16)
+        self._row_arrays = []      # names of row-indexed arrays, COLUMNS first
+        self._attach({name: (shape, np.float64) for name, shape in SHAPES.items()})
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
         self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
         self._free = []            # freed rows, reused last-freed first
         self._top = 0              # rows [0, top) ever used
         self._next_id = 0
 
-    def _alloc(self, capacity):
-        self.capacity = capacity
-        self.mu = np.zeros((capacity, 4))
-        self.scale = np.zeros((capacity, 4))
-        self.rotor_left = np.zeros((capacity, 4))
-        self.rotor_right = np.zeros((capacity, 4))
-        self.opacity = np.zeros(capacity)
-        self.base_color = np.zeros((capacity, 3))
-        self.sh_residual = np.zeros((capacity, sh.RESIDUAL_COEFFS))
+    def _attach(self, arrays):
+        for name, (shape, dtype) in arrays.items():
+            setattr(self, name, np.zeros((self.capacity,) + shape, dtype))
+            self._row_arrays.append(name)
+
+    @contextmanager
+    def attached(self, arrays):
+        """Attach zeroed row arrays, `{name: (trailing shape, dtype)}`, read
+        as attributes for the length of the block and then dropped, whether
+        the block returns or raises. They grow with the parameter columns,
+        and a row taken by an insert reads zero in each of them. A name the
+        store already has raises InvalidParameterError."""
+        if any(hasattr(self, name) for name in arrays):
+            raise InvalidParameterError("a row array of that name is already attached")
+        self._attach(arrays)
+        try:
+            yield self
+        finally:
+            for name in arrays:
+                self._row_arrays.remove(name)
+                delattr(self, name)
 
     def _grow(self, needed):
         new_cap = self.capacity
         while new_cap < needed:
             new_cap *= 2
-        for name in COLUMNS:
+        for name in self._row_arrays:
             old = getattr(self, name)
-            fresh = np.zeros((new_cap,) + old.shape[1:])
+            fresh = np.zeros((new_cap,) + old.shape[1:], old.dtype)
             fresh[:self._top] = old[:self._top]
             setattr(self, name, fresh)
         self._id_of_row = _grown(self._id_of_row, new_cap)
@@ -107,10 +115,13 @@ class GaussianStore:
         return self._id_of_row[rows]
 
     def _take_rows(self, n):
-        """n rows: freed ones last-freed first, then fresh ones from the top."""
+        """n zeroed rows: freed ones last-freed first, then fresh ones from the
+        top."""
         cut = max(len(self._free) - n, 0)
         reused = self._free[cut:][::-1]
         del self._free[cut:]
+        for name in self._row_arrays:
+            getattr(self, name)[reused] = 0
         fresh = n - len(reused)
         if self._top + fresh > self.capacity:
             self._grow(self._top + fresh)
@@ -122,12 +133,15 @@ class GaussianStore:
     def insert_arrays(self, mu, scale, rotor_left, rotor_right, opacity,
                       base_color, sh_residual):
         """Bulk insert; arrays share the leading dimension. Returns new ids.
-        An array that does not fit its column raises before anything changes."""
+        An array that does not fit its column, or holds a non-finite value,
+        raises before anything changes."""
         n = len(mu)
-        values = [np.broadcast_to(np.asarray(value, dtype=np.float64),
-                                  (n,) + getattr(self, name).shape[1:])
+        values = [np.broadcast_to(np.asarray(value, dtype=np.float64), (n,) + SHAPES[name])
                   for name, value in zip(COLUMNS, (mu, scale, rotor_left, rotor_right,
                                                    opacity, base_color, sh_residual))]
+        for name, value in zip(COLUMNS, values):
+            if not np.isfinite(value).all():
+                raise InvalidParameterError(f"non-finite {name}")
         rows = self._take_rows(n)
         for name, value in zip(COLUMNS, values):
             getattr(self, name)[rows] = value
@@ -148,19 +162,13 @@ class GaussianStore:
             raise InvalidParameterError("an id appears twice in one remove")
         self._row_of_id[self._id_of_row[rows]] = -1
         self._id_of_row[rows] = -1
-        self.sh_residual[rows] = 0.0  # keep freed rows exactly diffuse
         self._free.extend(rows.tolist())
 
     def gather(self, gids):
         """Copy the parameters of the given ids into a contiguous batch."""
         rows = self.rows_of(gids)
-        return GaussianBatch(ids=np.asarray(gids, dtype=np.int64),
-                             mu=self.mu[rows], scale=self.scale[rows],
-                             rotor_left=self.rotor_left[rows],
-                             rotor_right=self.rotor_right[rows],
-                             opacity=self.opacity[rows],
-                             base_color=self.base_color[rows],
-                             sh_residual=self.sh_residual[rows])
+        return GaussianBatch(np.asarray(gids, dtype=np.int64),
+                             *(getattr(self, name)[rows] for name in COLUMNS))
 
 
 def _grown(column, size):

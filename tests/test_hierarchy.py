@@ -8,6 +8,7 @@ import pytest
 from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_SEGMENT, AuditError, TemporalHierarchy, build
+from tgh.store import COLUMNS
 
 from conftest import params, random_params
 
@@ -295,6 +296,18 @@ class TestInsertRemoveOccupancy:
         assert len(h.store) == len(h) == 4 and h.store.next_id == 4
         assert h.insert_batch(**random_params(rng, 2)) == [4, 5]
         assert h.store.rows_of(ids + [4, 5]).tolist() == list(range(6))
+        h.audit()
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_non_finite_insert_changes_nothing(self, rng, column):
+        h = build(duration=40.0)
+        h.insert_batch(**random_params(rng, 2))
+        for entry in (0, -1):  # first and last value of the column
+            bad = random_params(rng, 3)
+            bad[column][(entry,) * bad[column].ndim] = np.nan
+            with pytest.raises(InvalidParameterError):
+                h.insert_batch(**bad)
+            assert len(h.store) == len(h) == 2 and h.store.next_id == 2
         h.audit()
 
     def test_remove_unknown(self):

@@ -52,7 +52,7 @@ class TestAdam:
         m = np.zeros(1)
         v = np.zeros(1)
         opt.adam_step(p, g, m, v, np.array([1]), lr=0.1)
-        assert p[0] == pytest.approx(-0.1 * 1.0 / (1.0 + opt.AdamState.EPS), rel=1e-12)
+        assert p[0] == pytest.approx(-0.1 * 1.0 / (1.0 + opt.ADAM_EPS), rel=1e-12)
 
     def test_descent_on_quadratic(self):
         p = np.array([5.0])
@@ -76,39 +76,37 @@ def populated_hierarchy(rng, n=50, duration=2.0):
 
 
 class TestAdaptiveControl:
-    def stats_for(self, h, rows, grad=1.0):
-        stats = opt.DensifyStats()
-        stats.ensure_capacity(h.store.capacity)
-        stats.accumulate(np.asarray(rows, dtype=np.intp),
-                         np.full(len(rows), grad), np.zeros((len(rows), 3)))
-        return stats
+    def control(self, h, rows, cfg, rng, grad=1.0):
+        """One pass over `rows`, each touched once with view-space gradient
+        `grad` and zero world gradient."""
+        with h.store.attached(opt.TRAINING_ROWS):
+            h.store.grad_accum[rows] = grad
+            h.store.touch_count[rows] = 1
+            return opt.adaptive_control(h, cfg, rng, 2.0)
 
     def test_zero_opacity_pruned(self, rng):
         h = populated_hierarchy(rng)
         gid = h.store.ids[0]
         [row] = h.store.rows_of([gid])
         h.store.opacity[row] = 0.0
-        stats = self.stats_for(h, [row], grad=0.0)
-        report = opt.adaptive_control(h, stats, opt.TrainConfig(), rng, 2.0)
+        report = self.control(h, [row], opt.TrainConfig(), rng, grad=0.0)
         assert report.pruned == 1 and gid not in h.store
         h.audit()
 
     def test_below_threshold_population_unchanged(self, rng):
         h = populated_hierarchy(rng)
         rows = h.store.live_rows()
-        stats = self.stats_for(h, rows, grad=1e-6)  # below 2e-4
         before = len(h.store)
-        report = opt.adaptive_control(h, stats, opt.TrainConfig(), rng, 2.0)
+        report = self.control(h, rows, opt.TrainConfig(), rng, grad=1e-6)  # below 2e-4
         assert report.cloned == report.split == 0
         assert len(h.store) == before - report.pruned
 
     def test_hot_gaussians_densify_and_audit_passes(self, rng):
         h = populated_hierarchy(rng)
         rows = h.store.live_rows()
-        stats = self.stats_for(h, rows, grad=1.0)
         cfg = opt.TrainConfig(clone_size_fraction=0.1)
         before = len(h.store)
-        report = opt.adaptive_control(h, stats, cfg, rng, 2.0)
+        report = self.control(h, rows, cfg, rng, grad=1.0)
         assert report.cloned + report.split > 0
         assert len(h.store) == before + report.cloned + 2 * report.split \
             - report.split - report.pruned
@@ -127,9 +125,8 @@ class TestAdaptiveControl:
         for room in (len(clones) + 2, 2, 0):
             trial = copy.deepcopy(h)
             cap = len(h.store) - 1 + room  # the room left after the prune
-            report = opt.adaptive_control(trial, self.stats_for(trial, rows),
-                                          dataclasses.replace(cfg, max_gaussians=cap),
-                                          rng, 2.0)
+            report = self.control(trial, rows, dataclasses.replace(cfg, max_gaussians=cap),
+                                  rng)
             n_clones = min(room, len(clones))
             n_splits = min(room - n_clones, len(splits))
             assert (report.pruned, report.cloned, report.split) == (1, n_clones, n_splits)
@@ -147,10 +144,8 @@ class TestAdaptiveControl:
 
     def test_untouched_population_ignored(self, rng):
         h = populated_hierarchy(rng)
-        stats = opt.DensifyStats()
-        stats.ensure_capacity(h.store.capacity)
         before = len(h.store)
-        report = opt.adaptive_control(h, stats, opt.TrainConfig(), rng, 2.0)
+        report = self.control(h, [], opt.TrainConfig(), rng)
         assert report.pruned == report.cloned == report.split == 0
         assert len(h.store) == before
 
@@ -216,8 +211,10 @@ class TestTrain:
         cfg = dataclasses.replace(cfg, densify_interval=50,
                                   grad_densify_threshold=1e-12)
         counts = [(0, len(h.store))]
+        held = set(vars(h.store))
         opt.train(scene, h, cfg,
                   on_interval=lambda it, result: counts.append((it, len(h.store))))
+        assert set(vars(h.store)) == held  # the training state is detached
         assert [it for it, _ in counts] == [0, 50, 100, 150, 200, 250, 300]
         grown = [it for (_, before), (it, after) in zip(counts, counts[1:])
                  if after > before]
@@ -240,6 +237,14 @@ class TestTrain:
         from tgh.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
+        # a target of the wrong shape raises at the first loss, and the
+        # training state is detached all the same
+        scene.frames = 4
+        scene._images = {key: image[:-1] for key, image in scene._images.items()}
+        held = set(vars(h.store))
+        with pytest.raises(InvalidParameterError):
+            opt.train(scene, h, cfg)
+        assert set(vars(h.store)) == held
 
 
 def test_metric_rows_compare_deterministic_columns():

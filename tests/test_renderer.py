@@ -241,6 +241,16 @@ class TestRender:
             rn.render(h, 11.0, simple_camera(), rn.RenderOptions())
 
 
+@pytest.mark.parametrize("options", [
+    dict(alpha_clamp=-0.2), dict(alpha_clamp=0.0), dict(alpha_clamp=1.5),
+    dict(background=[np.nan, 0.0, 0.0]), dict(background=[0.0, np.inf, 0.0]),
+    dict(alpha_min=0.0)], ids=["clamp_negative", "clamp_zero", "clamp_above_one",
+                               "background_nan", "background_inf", "alpha_min_zero"])
+def test_invalid_render_options_rejected(options):
+    with pytest.raises(InvalidParameterError):
+        rn.RenderOptions(**options)
+
+
 @pytest.mark.parametrize("column", COLUMNS)
 def test_non_finite_parameters_raise(column):
     cam = simple_camera()

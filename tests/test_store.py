@@ -19,8 +19,18 @@ def test_rows_reused_last_freed_first_then_fresh():
     # handed out in is part of the store's contract
     store = GaussianStore(capacity=16)
     ids = store.insert_arrays(**arrays(10))
-    store.remove([ids[2], ids[7], ids[4]])
-    new = store.insert_arrays(**arrays(5, value=1.0))
+    with store.attached({"extra": ((2,), np.int64)}):
+        store.extra[:10] = 7
+        for taken in ("extra", "mu"):
+            with pytest.raises(InvalidParameterError):
+                with store.attached({taken: ((), np.float64)}):
+                    pass
+        store.remove([ids[2], ids[7], ids[4]])
+        new = store.insert_arrays(**arrays(5, value=1.0))
+        # a taken row reads zero in every attached array
+        assert np.all(store.extra[[4, 7, 2, 10, 11]] == 0)
+        assert np.all(store.extra[[0, 1, 3, 5, 6, 8, 9]] == 7)
+    assert not hasattr(store, "extra")
     assert new == [10, 11, 12, 13, 14]
     assert store.rows_of(new).tolist() == [4, 7, 2, 10, 11]
     assert np.all(store.mu[[4, 7, 2, 10, 11]] == 1.0)
@@ -31,8 +41,13 @@ def test_rows_reused_last_freed_first_then_fresh():
 
 def test_rows_grow_past_capacity():
     store = GaussianStore(capacity=16)
-    ids = store.insert_arrays(**arrays(40))
-    assert store.capacity >= 40
+    first = store.insert_arrays(**arrays(10))
+    with store.attached({"extra": ((), np.int64)}):
+        store.extra[:10] = np.arange(1, 11)
+        ids = first + store.insert_arrays(**arrays(30))
+        assert store.capacity >= 40 and store.extra.shape == (store.capacity,)
+        assert store.extra.dtype == np.int64
+        assert store.extra[:40].tolist() == list(range(1, 11)) + [0] * 30
     assert store.rows_of(ids).tolist() == list(range(40))
 
 
