@@ -22,7 +22,7 @@ class AppearanceGate:
     frozen: bool = False
 
     def __post_init__(self):
-        if self.g_th < 0:
+        if not self.g_th >= 0:
             raise InvalidParameterError("g_th must be >= 0")
         if not 0.0 <= self.lambda_h <= 1.0:
             raise InvalidParameterError("lambda_h must lie in [0, 1]")

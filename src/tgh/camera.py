@@ -25,9 +25,12 @@ class Camera:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidParameterError("focal lengths must be positive")
+        if not (np.isfinite([self.fx, self.fy, self.cx, self.cy]).all()
+                and np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise InvalidParameterError("intrinsics, rotation and translation must be finite")
         if not (0 < self.near < self.far):
             raise InvalidParameterError("camera requires 0 < near < far")
-        if self.width <= 0 or self.height <= 0:
+        if not (self.width > 0 and self.height > 0):
             raise InvalidParameterError("image size must be positive")
         err = np.max(np.abs(self.rotation @ self.rotation.T - np.eye(3)))
         if err > 1e-6:

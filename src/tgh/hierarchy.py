@@ -10,13 +10,13 @@ and population size.
 Placement is a formula: level l's segment holding t is
 floor((t - offset_l) / s_l), moved by one where rounding crossed a boundary
 of `Level.span`. Members are kept for occupied segments only, so memory is
-O(levels + population) at any duration. Id-indexed arrays (ids are dense and
-never reused) hold each id's flat segment and the range it was placed by;
-only ids whose segment changed touch a member set. Every writer takes a
-batch of ids, except `place`, which places one id by a given range.
+O(levels + population) at any duration. Each Gaussian's flat segment and the
+influence range it was placed by live in its store row (`store.PLACEMENT`),
+so a placed id is exactly a stored id; only ids whose segment changed touch
+a member set. Every writer takes a batch of ids.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
-place, update) must not run concurrently with each other or with reads.
+update) must not run concurrently with each other or with reads.
 Materialized working sets are snapshots and stay valid after later writes.
 """
 
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussians as ga
-from .errors import InvalidParameterError, NotFoundError, OutOfRangeError, TGHError
+from .errors import InvalidParameterError, OutOfRangeError, TGHError
 from .store import GaussianStore
 
 GLOBAL_LEVEL = -1
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
-_UNPLACED = -1                   # flat segment of an id that is not placed
 _DOWN = (slice(None), None)      # views a per-level array as a column
 
 
@@ -62,9 +61,16 @@ class WorkingSet:
     gaussian_ids: np.ndarray        # concatenated members, int64
 
 
-def _check_ranges(start, end):
-    if not ((start <= end) & np.isfinite(start) & np.isfinite(end)).all():
-        raise InvalidParameterError("influence range must be finite with start <= end")
+def _influence_ranges(mu, scale, rotor_left, rotor_right):
+    """(start, end) arrays: each temporal mean -+ the radius where the
+    temporal factor drops to TEMPORAL_THRESHOLD. InvalidParameterError unless
+    every bound is finite."""
+    radius = ga.influence_radius(ga.batch_temporal_variance(scale, rotor_left, rotor_right))
+    centers = np.asarray(mu, dtype=np.float64)[:, 3]
+    start, end = centers - radius, centers + radius
+    if not (np.isfinite(start).all() and np.isfinite(end).all()):
+        raise InvalidParameterError("influence range must be finite")
+    return start, end
 
 
 class TemporalHierarchy:
@@ -87,12 +93,9 @@ class TemporalHierarchy:
         self.store = GaussianStore()
         # flat segment index: 0 is global, then each level's segments in order
         self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])
-        # starts clipped to these keep `_segment_at` finite and fit as before
+        # starts clipped to these keep `_index_at` finite and fit as before
         self._t_bounds = (-2.0 * self.root_length, self.duration + 2.0 * self.root_length)
         self._members = {}  # flat index -> set of ids, for occupied segments only
-        # id-indexed columns: flat segment (_UNPLACED if none), (start, end)
-        self._segment = np.full(256, _UNPLACED, dtype=np.int64)
-        self._range = np.zeros((256, 2))
 
     # ---------------------------------------------------------------- geometry
 
@@ -103,7 +106,7 @@ class TemporalHierarchy:
         """Start of segment n as `Level.span` computes it; by default level l on row l."""
         return self._offset[level] + n * self._seg_length[level]
 
-    def _segment_at(self, t):
+    def _index_at(self, t):
         """Per level (row) and timestamp t in `_t_bounds` (column), the index of
         the segment holding t, as a float: < 0 or >= count outside the level."""
         n = np.floor((t - self._offset[_DOWN]) / self._seg_length[_DOWN])
@@ -119,7 +122,7 @@ class TemporalHierarchy:
         end <= b; per level, only the segment holding start can. Flat indices
         grow with depth, so the deepest fit is the largest; no fit gives 0.
         """
-        n = self._segment_at(np.clip(start, *self._t_bounds))
+        n = self._index_at(np.clip(start, *self._t_bounds))
         fits = (n >= 0) & (n < self._count[_DOWN]) & (end <= self._edge(n + 1))
         return np.where(fits, self._first[_DOWN] + n, _GLOBAL_FLAT).max(axis=0).astype(np.int64)
 
@@ -134,28 +137,11 @@ class TemporalHierarchy:
 
     # ------------------------------------------------------------- mutation
 
-    def _is_placed(self, gids):
-        inside = (gids >= 0) & (gids < len(self._segment))
-        return inside & (self._segment.take(gids, mode="clip") != _UNPLACED)
-
-    def _known(self, gids):
-        """gids as an int64 array; NotFoundError unless every id is placed."""
-        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
-        placed = self._is_placed(gids)
-        if not placed.all():
-            raise NotFoundError(f"unknown Gaussian id {gids[placed.argmin()]}")
-        return gids
-
-    def _check_free(self, gids):
-        taken = self._is_placed(gids)
-        if taken.any():
-            raise InvalidParameterError(f"id {gids[taken.argmax()]} is already placed")
-
     def _file(self, flat, gids, add):
         """Add ids to their flat segments' member sets, or discard them; none is left empty."""
         order = flat.argsort(kind="stable")
         flat, gids = flat[order], gids[order].tolist()
-        first = np.flatnonzero(np.diff(flat, prepend=_UNPLACED)).tolist()  # of each segment
+        first = np.flatnonzero(np.diff(flat, prepend=-1)).tolist()  # of each segment
         for key, a, b in zip(flat[first].tolist(), first, first[1:] + [len(gids)]):
             if add:
                 self._members.setdefault(key, set()).update(gids[a:b])
@@ -164,66 +150,28 @@ class TemporalHierarchy:
                 if not self._members[key]:
                     del self._members[key]
 
-    def _set_ranges(self, gids, start, end):
-        """Record the ranges ids are placed by; returns their flat segments."""
-        _check_ranges(start, end)
-        self._range[gids, 0] = start
-        self._range[gids, 1] = end
-        return self._find_placements(start, end)
-
-    def _place(self, gids, start, end):
-        """Place fresh non-negative ids by their ranges; returns their flat
-        segments. Nothing changes unless every id is free and every range valid."""
-        gids = np.asarray(gids, dtype=np.int64)
-        if len(gids) == 0:
-            return gids
-        self._check_free(gids)
-        top = int(gids.max()) + 1
-        if top > len(self._segment):
-            grow = max(len(self._segment), top - len(self._segment))
-            self._segment = np.append(self._segment, np.full(grow, _UNPLACED))
-            self._range = np.vstack([self._range, np.zeros((grow, 2))])
-        flat = self._set_ranges(gids, np.asarray(start, dtype=np.float64),
-                                np.asarray(end, dtype=np.float64))
-        self._file(flat, gids, add=True)
-        self._segment[gids] = flat
-        return flat
-
-    def place(self, gid, start, end):
-        """Put an id, stored or not, in the shortest segment containing
-        [start, end]; returns the placement."""
-        if gid < 0:
-            raise InvalidParameterError(f"Gaussian ids are non-negative, got {gid}")
-        return self._placements(self._place([gid], [start], [end]))[0]
-
     def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
                      base_color, sh_residual):
         """Store Gaussians and place each by its influence range; returns
         their ids. A call that raises stores and places nothing."""
-        sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
-        radius = ga.influence_radius(sigma_t)
-        centers = np.asarray(mu, dtype=np.float64)[:, 3]
-        start, end = centers - radius, centers + radius
-        _check_ranges(start, end)
-        self._check_free(self.store.next_id + np.arange(len(centers)))
+        start, end = _influence_ranges(mu, scale, rotor_left, rotor_right)
         ids = self.store.insert_arrays(mu, scale, rotor_left, rotor_right,
                                        opacity, base_color, sh_residual)
-        self._place(ids, start, end)
+        rows = self.store.rows_of(ids)
+        flat = self._find_placements(start, end)
+        self.store.segment[rows] = flat
+        self.store.influence[rows] = np.column_stack([start, end])
+        self._file(flat, np.asarray(ids, dtype=np.int64), add=True)
         return ids
 
     def remove(self, gids):
-        """Remove placed ids, and the stored ones among them from the store.
-
-        Every id is validated before anything changes: an unknown id raises
-        NotFoundError and a repeated one InvalidParameterError, and either
-        leaves the hierarchy as it was.
-        """
-        gids = self._known(gids)
-        if len(np.unique(gids)) < len(gids):
-            raise InvalidParameterError("an id appears twice in one remove")
-        self._file(self._segment[gids], gids, add=False)
-        self._segment[gids] = _UNPLACED
-        self.store.remove(gids[self.store.holds(gids)])
+        """Remove Gaussians from their segments and the store. An unknown id
+        raises NotFoundError and a repeated one InvalidParameterError, and
+        either leaves the hierarchy as it was."""
+        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        flat = self.store.segment[self.store.rows_of(gids)]
+        self.store.remove(gids)  # validates every id before it changes anything
+        self._file(flat, gids, add=False)
 
     def update_levels(self, gids):
         """Re-place stored Gaussians after their parameters changed.
@@ -232,32 +180,31 @@ class TemporalHierarchy:
         validated before anything changes: an unknown id raises NotFoundError
         and leaves the hierarchy as it was.
         """
-        gids = self._known(gids)
-        rows = self.store.rows_of(gids)
-        sigma_t = ga.batch_temporal_variance(self.store.scale[rows],
-                                             self.store.rotor_left[rows],
-                                             self.store.rotor_right[rows])
-        radius = ga.influence_radius(sigma_t)
-        centers = self.store.mu[rows, 3]
-        old = self._segment[gids]
-        new = self._set_ranges(gids, centers - radius, centers + radius)
+        store = self.store
+        rows = store.rows_of(gids)
+        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        start, end = _influence_ranges(store.mu[rows], store.scale[rows],
+                                       store.rotor_left[rows], store.rotor_right[rows])
+        old = store.segment[rows]
+        new = self._find_placements(start, end)
+        store.influence[rows] = np.column_stack([start, end])
         moved = np.flatnonzero(old != new)
         if moved.size:
             self._file(old[moved], gids[moved], add=False)
             self._file(new[moved], gids[moved], add=True)
-            self._segment[gids[moved]] = new[moved]
+            store.segment[rows[moved]] = new[moved]
         return list(zip(self._placements(old), self._placements(new)))
 
     # -------------------------------------------------------------- queries
 
     def placement_of(self, gid):
-        return self._placements(self._segment[self._known([gid])])[0]
+        return self._placements(self.store.segment[self.store.rows_of([gid])])[0]
 
     def range_of(self, gid):
-        return tuple(self._range[self._known([gid])[0]].tolist())
+        return tuple(self.store.influence[self.store.rows_of([gid])[0]].tolist())
 
     def __len__(self):
-        return int(np.count_nonzero(self._segment != _UNPLACED))
+        return len(self.store)
 
     def query(self, t):
         """Working set at timestamp t: one segment per level plus global, O(L)."""
@@ -273,7 +220,7 @@ class TemporalHierarchy:
         t = float(t)
         if not 0.0 <= t <= self.duration:
             raise OutOfRangeError(f"t={t} outside [0, {self.duration}]")
-        n = self._segment_at(np.array([t]))[:, 0].astype(np.int64)
+        n = self._index_at(np.array([t]))[:, 0].astype(np.int64)
         return np.minimum(n, self._count - 1).tolist()  # t == last end
 
     def materialize(self, ws: WorkingSet):
@@ -294,34 +241,35 @@ class TemporalHierarchy:
     # ---------------------------------------------------------------- audit
 
     def audit(self):
-        """Verify partition, containment and minimality for every resident,
-        and that every stored id is placed; AuditError on the first violation."""
+        """Verify that the member sets hold exactly the stored ids, each in
+        the segment its row records, and containment and minimality for
+        every stored Gaussian; AuditError on the first violation."""
         keys, sets = list(self._members), list(self._members.values())
         if not all(sets):
             raise AuditError("an unoccupied segment keeps a member set")
         members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64)
         holder = np.repeat(np.array(keys, dtype=np.int64), [len(s) for s in sets])
-        recorded = np.where(self._is_placed(members), self._segment.take(members, mode="clip"),
-                            _UNPLACED)
+        stored = self.store.holds(members)
+        if not stored.all():
+            raise AuditError(f"member id {members[stored.argmin()]} is not stored")
+        recorded = self.store.segment[self.store.rows_of(members)]
         bad = np.flatnonzero(recorded != holder)
         if bad.size:
             i = bad[0]
             raise AuditError(f"id {members[i]} in segment {self._placements(holder[i:i + 1])[0]} "
                              f"but recorded at flat segment {recorded[i]}")
-        placed = np.flatnonzero(self._segment != _UNPLACED)
-        if len(members) != len(placed):
-            raise AuditError(f"{len(members)} segment members vs {len(placed)} placements")
-        stored = np.array(self.store.ids, dtype=np.int64)
-        if not self._is_placed(stored).all():
-            raise AuditError(f"stored id {stored[self._is_placed(stored).argmin()]} not placed")
-        segment = self._segment[placed]
-        start, end = self._range[placed].T
+        if len(members) != len(self.store):
+            raise AuditError(f"{len(members)} segment members vs {len(self.store)} stored")
+        rows = self.store.live_rows()
+        ids = self.store.ids_at_rows(rows)
+        segment = self.store.segment[rows]
+        start, end = self.store.influence[rows].T
         expected = self._find_placements(start, end)
         bad = np.flatnonzero(expected != segment)
         if bad.size:
             i = bad[0]
             placement, deepest = self._placements(np.array([segment[i], expected[i]]))
-            raise AuditError(f"id {placed[i]} placed at {placement}, "
+            raise AuditError(f"id {ids[i]} placed at {placement}, "
                              f"deepest containing segment is {deepest}")
         level, index = self._level_index(segment)
         a = np.where(level < 0, -np.inf, self._edge(index, level))
@@ -329,7 +277,7 @@ class TemporalHierarchy:
         bad = np.flatnonzero(~((a <= start) & (end <= b)))
         if bad.size:
             i = bad[0]
-            raise AuditError(f"id {placed[i]} range [{start[i]}, {end[i]}] outside "
+            raise AuditError(f"id {ids[i]} range [{start[i]}, {end[i]}] outside "
                              f"segment span [{a[i]}, {b[i]})")
 
 

@@ -14,7 +14,7 @@ class LossWeights:
     ssim: float = 0.2
 
     def validate(self):
-        if self.mse < 0 or self.ssim < 0:
+        if not (self.mse >= 0 and self.ssim >= 0):
             raise InvalidParameterError("loss weights must be non-negative")
 
 

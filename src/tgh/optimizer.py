@@ -10,6 +10,7 @@ it returns or raises, so the store grows, reuses and zeroes them with the
 parameters it holds.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -53,12 +54,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "densify_interval", "grad_densify_threshold",
+        for name in ("lr", "lr_scale_mult", "lr_opacity_mult", "lr_color_mult",
+                     "densify_interval", "grad_densify_threshold",
                      "prune_opacity_threshold", "split_scale_divisor"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
-        if min(self.lambda_mse, self.lambda_ssim) < 0:
-            raise InvalidParameterError("loss weights must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
+        for name in ("lambda_mse", "lambda_ssim", "clone_size_fraction", "clone_nudge"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be >= 0 and finite")
+        for name in ("iterations", "max_gaussians"):
+            if getattr(self, name) is not None and not getattr(self, name) >= 0:
+                raise InvalidParameterError(f"{name} must be None or >= 0")
 
     def loss_weights(self):
         return LossWeights(mse=self.lambda_mse, ssim=self.lambda_ssim)

@@ -508,7 +508,8 @@ def _backward(ctx, dl_dimage):
     grad_m4 = (grad_cov4 + np.swapaxes(grad_cov4, 1, 2)) @ m4
     grad_rot4 = grad_m4 * s_cl[:, None, :]
     grad_s = np.einsum("nij,nij->nj", rot4, grad_m4)
-    grads.scale = grad_s * (batch.scale > ga.SCALE_FLOOR)
+    # one-sided derivative of the floor clamp: a scale on the floor can grow
+    grads.scale = grad_s * (batch.scale >= ga.SCALE_FLOOR)
 
     grad_left = grad_rot4 @ np.swapaxes(right, 1, 2)
     grad_right = np.swapaxes(left, 1, 2) @ grad_rot4
@@ -534,6 +535,8 @@ def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target,
         raise InvalidParameterError(
             f"target shape {target.shape} does not match camera "
             f"({cam.height}, {cam.width}, 3)")
+    if not np.isfinite(target).all():
+        raise InvalidParameterError("target has a non-finite value")
     fb, ctx = _forward(batch, t, cam, opts or RenderOptions())
     value, dl_dimage = image_loss(fb.rgb, target, weights)
     grads = _backward(ctx, dl_dimage)

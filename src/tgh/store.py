@@ -1,12 +1,14 @@
 """Id-addressed columnar storage for Gaussians.
 
-The store owns every per-row array. The parameter columns (`SHAPES`) live
-in preallocated numpy arrays so the hot path can gather a working set into
-contiguous batches without touching Python objects; training attaches its
-per-row state (`attached`) to the same rows for the length of a run. Every
-row-indexed array grows together in `_grow`, and a row is zeroed in all of
-them when it is handed out again. Rows freed by removal are recycled; ids
-are never reused.
+The store owns every per-row array. Two sets are fixed: the parameter
+columns (`SHAPES`), which inserts write and training updates, and each
+row's placement (`PLACEMENT`), which the temporal hierarchy writes when it
+inserts or re-places a Gaussian. They live in preallocated numpy arrays so
+the hot path can gather a working set into contiguous batches without
+touching Python objects; training attaches its per-row state (`attached`)
+to the same rows for the length of a run. Every row-indexed array grows
+together in `_grow`, and a row is zeroed in all of them when it is handed
+out again. Rows freed by removal are recycled; ids are never reused.
 """
 
 from contextlib import contextmanager
@@ -21,6 +23,8 @@ from .errors import InvalidParameterError, NotFoundError
 SHAPES = {"mu": (4,), "scale": (4,), "rotor_left": (4,), "rotor_right": (4,),
           "opacity": (), "base_color": (3,), "sh_residual": (sh.RESIDUAL_COEFFS,)}
 COLUMNS = tuple(SHAPES)
+# each row's flat segment index and influence range (start, end) in seconds
+PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
 
 GaussianBatch = make_dataclass(
     "GaussianBatch", ("ids",) + COLUMNS, slots=True, eq=False,
@@ -33,6 +37,7 @@ class GaussianStore:
         self.capacity = max(capacity, 16)
         self._row_arrays = []      # names of row-indexed arrays, COLUMNS first
         self._attach({name: (shape, np.float64) for name, shape in SHAPES.items()})
+        self._attach(PLACEMENT)
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
         self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
         self._free = []            # freed rows, reused last-freed first

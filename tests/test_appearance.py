@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tgh import appearance as ap
+from tgh.errors import InvalidParameterError
 
 
 def test_small_gradient_on_diffuse_is_zeroed():
@@ -101,3 +102,11 @@ def test_monotone_fraction_under_gating(rng):
         frac = ap.view_dependent_fraction(h)
         assert frac >= prev
         prev = frac
+
+
+@pytest.mark.parametrize("setting", [dict(g_th=-1.0), dict(g_th=math.nan),
+                                     dict(lambda_h=math.nan), dict(lambda_h=1.5)],
+                         ids=["g_th_negative", "g_th_nan", "lambda_h_nan", "lambda_h_above_one"])
+def test_invalid_gate_rejected(setting):
+    with pytest.raises(InvalidParameterError):
+        ap.AppearanceGate(**setting)

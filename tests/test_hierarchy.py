@@ -10,7 +10,7 @@ from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_SEGMENT, AuditError, TemporalHierarchy, build
 from tgh.store import COLUMNS
 
-from conftest import params, random_params
+from conftest import params, random_params, stack
 
 
 def brute_force_placement(h, start, end):
@@ -40,9 +40,24 @@ def random_ranges(rng, n, duration):
 
 
 def time_gaussian(mu_t, radius):
-    """Identity-rotor Gaussian whose influence radius is `radius`."""
-    s_t = radius / math.sqrt(-2.0 * math.log(ga.TEMPORAL_THRESHOLD))
-    return params(mu=[0.0, 0.0, 0.0, mu_t], scale=[1.0, 1.0, 1.0, s_t], opacity=0.5)
+    """Identity-rotor Gaussians, one per entry of `mu_t` and `radius`, whose
+    influence radius is `radius`."""
+    s_t = np.atleast_1d(radius) / math.sqrt(-2.0 * math.log(ga.TEMPORAL_THRESHOLD))
+    return stack([params(mu=[0.0, 0.0, 0.0, m], scale=[1.0, 1.0, 1.0, s], opacity=0.5)
+                  for m, s in zip(np.atleast_1d(mu_t).tolist(), s_t.tolist())])
+
+
+def insert_ranges(h, ranges):
+    """Insert Gaussians centred in `ranges` (rows of start, end) with their
+    half-widths as influence radii; returns their ids and the ranges the
+    hierarchy placed them by."""
+    ids = h.insert_batch(**time_gaussian(ranges.mean(axis=1), (ranges[:, 1] - ranges[:, 0]) / 2))
+    return ids, np.array([h.range_of(g) for g in ids])
+
+
+def placement(h, start, end):
+    """The segment the hierarchy places an influence range [start, end] in."""
+    return h._placements(h._find_placements(np.array([start]), np.array([end])))[0]
 
 
 class TestGeometry:
@@ -94,31 +109,30 @@ class TestPlace:
         # [3.0, 4.2] straddles the level-3 boundary at 3.4375 but fits the
         # level-2 segment [1.875, 4.375): deepest containing wins
         h = build(duration=40.0)
-        got = h.place(0, 3.0, 4.2)
-        assert got == brute_force_placement(h, 3.0, 4.2) == (2, 1)
+        assert placement(h, 3.0, 4.2) == brute_force_placement(h, 3.0, 4.2) == (2, 1)
 
     def test_short_early_range(self):
         h = build(duration=40.0)
-        got = h.place(0, 0.1, 0.2)
-        assert got == brute_force_placement(h, 0.1, 0.2) == (5, 0)
+        assert placement(h, 0.1, 0.2) == brute_force_placement(h, 0.1, 0.2) == (5, 0)
 
     def test_oversized_range_goes_global(self):
         h = build(duration=40.0)
-        assert h.place(0, -5.0, 45.0) == GLOBAL_SEGMENT
+        assert placement(h, -5.0, 45.0) == GLOBAL_SEGMENT
+        [gid] = h.insert_batch(**time_gaussian(20.0, 25.0))
+        assert h.placement_of(gid) == GLOBAL_SEGMENT
         assert h.occupancy()[1] == {GLOBAL_SEGMENT: 1}
 
     def test_pre_start_range_goes_global(self):
         h = build(duration=40.0)
-        assert h.place(0, -4.0, -3.0) == GLOBAL_SEGMENT
+        assert placement(h, -4.0, -3.0) == GLOBAL_SEGMENT
 
     def test_start_an_ulp_below_a_boundary(self):
         # (start + 2.5) / 10 rounds up to 1.0, yet start lies in level-0
         # segment 0 [-2.5, 7.5), which the end does not fit either
         h = build(duration=40.0)
         start = float(np.nextafter(7.5, -np.inf))
-        assert h.place(0, start, 12.0) == \
-            brute_force_placement(h, start, 12.0)
-        h.audit()
+        assert placement(h, start, 12.0) == \
+            brute_force_placement(h, start, 12.0) == GLOBAL_SEGMENT
 
     @pytest.mark.parametrize("root_length", [0.3, 7.3])
     def test_boundaries_at_inexact_root_length(self, root_length):
@@ -142,17 +156,26 @@ class TestPlace:
 
     def test_agrees_with_brute_force(self, rng):
         h = build(duration=40.0)
-        for i, (a, b) in enumerate(random_ranges(rng, 2000, 40.0)):
-            assert h.place(i, a, b) == \
-                brute_force_placement(h, a, b)
+        for a, b in random_ranges(rng, 2000, 40.0):
+            assert placement(h, a, b) == brute_force_placement(h, a, b)
 
-    def test_duplicate_and_inverted_rejected(self):
+    def test_infinite_range_rejected(self):
+        # a temporal scale whose variance overflows gives an infinite range;
+        # neither insert nor re-placement may file it
         h = build(duration=40.0)
-        h.place(7, 1.0, 2.0)
-        with pytest.raises(InvalidParameterError):
-            h.place(7, 1.0, 2.0)
-        with pytest.raises(InvalidParameterError):
-            h.place(8, 2.0, 1.0)
+        [gid] = h.insert_batch(**time_gaussian(1.0, 1.0))
+        before = h.placement_of(gid), h.range_of(gid)
+        huge = time_gaussian(1.0, 1.0)
+        huge["scale"][0, 3] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
+            h.insert_batch(**huge)
+        assert len(h.store) == len(h) == 1 and h.store.next_id == 1
+        [row] = h.store.rows_of([gid])
+        h.store.scale[row, 3] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
+            h.update_levels([gid])
+        assert (h.placement_of(gid), h.range_of(gid)) == before
+        h.audit()
 
 
 class TestQuery:
@@ -182,18 +205,15 @@ class TestQuery:
 
     def test_completeness_against_linear_scan(self, rng):
         h = build(duration=40.0)
-        ranges = random_ranges(rng, 500, 40.0)
-        for i, (a, b) in enumerate(ranges):
-            h.place(i, a, b)
+        ids, ranges = insert_ranges(h, random_ranges(rng, 500, 40.0))
         for t in rng.uniform(0.0, 40.0, size=200):
-            covered = set(np.flatnonzero((ranges[:, 0] <= t) & (t <= ranges[:, 1])))
+            covered = set(np.array(ids)[(ranges[:, 0] <= t) & (t <= ranges[:, 1])].tolist())
             got = set(h.query(t).gaussian_ids.tolist())
             assert covered <= got
 
     def test_deterministic(self, rng):
         h = build(duration=40.0)
-        for i, (a, b) in enumerate(random_ranges(rng, 300, 40.0)):
-            h.place(i, a, b)
+        insert_ranges(h, random_ranges(rng, 300, 40.0))
         w1, w2 = h.query(17.3), h.query(17.3)
         assert w1.segment_refs == w2.segment_refs
         assert np.array_equal(w1.gaussian_ids, w2.gaussian_ids)
@@ -210,7 +230,7 @@ class TestQuery:
         big = build(duration=40.0)
         for h, n in ((small, 1000), (big, 200_000)):
             ranges = random_ranges(rng, n, 40.0)
-            h._place(np.arange(n), ranges[:, 0], ranges[:, 1])
+            h._file(h._find_placements(ranges[:, 0], ranges[:, 1]), np.arange(n), add=True)
         mean_query_time(big)  # warm caches
         assert mean_query_time(big) < 5.0 * mean_query_time(small)
 
@@ -274,18 +294,6 @@ class TestInsertRemoveOccupancy:
         assert before == after
         assert sorted(h.store.ids) == sorted(base_ids)
 
-    def test_failed_insert_changes_nothing(self, rng):
-        h = build(duration=40.0)
-        h.place(3, 1.0, 2.0)
-        _, before = h.occupancy()
-        with pytest.raises(InvalidParameterError):
-            h.insert_batch(**random_params(rng, 5))  # would store ids 0..4
-        assert len(h.store) == 0 and h.store.next_id == 0
-        assert len(h) == 1 and h.occupancy()[1] == before
-        h.audit()
-        assert h.insert_batch(**random_params(rng, 3)) == [0, 1, 2]
-        h.audit()
-
     def test_malformed_insert_changes_nothing(self, rng):
         h = build(duration=40.0)
         ids = h.insert_batch(**random_params(rng, 4))
@@ -340,8 +348,8 @@ class TestInsertRemoveOccupancy:
     def test_histogram_matches_brute_force(self, rng):
         h = build(duration=40.0)
         expected = {}
-        for i, (a, b) in enumerate(random_ranges(rng, 10_000, 40.0)):
-            h.place(i, a, b)
+        _, ranges = insert_ranges(h, random_ranges(rng, 10_000, 40.0))
+        for a, b in ranges:
             p = brute_force_placement(h, a, b)
             expected[p] = expected.get(p, 0) + 1
         _, per_segment = h.occupancy()
@@ -372,9 +380,19 @@ class TestAudit:
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
         assert h.placement_of(gid) == (0, 0)
-        flat = int(h._segment[gid])
+        [row] = h.store.rows_of([gid])
+        flat = int(h.store.segment[row])
         h._members[flat + 1] = h._members.pop(flat)  # now in (0, 1)
         with pytest.raises(Exception):
+            h.audit()
+        h._members[flat] = h._members.pop(flat + 1)
+        h.audit()
+        h.store.segment[row] += 1  # the row records (0, 1)
+        with pytest.raises(AuditError):
+            h.audit()
+        h.store.segment[row] -= 1
+        h.store.influence[row] = (30.0, 31.0)  # fits a deeper segment elsewhere
+        with pytest.raises(AuditError):
             h.audit()
 
     def test_audit_catches_stored_id_not_placed(self, rng):

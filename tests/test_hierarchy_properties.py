@@ -13,7 +13,7 @@ from tgh import sh
 from tgh.errors import NotFoundError
 from tgh.hierarchy import build
 
-from test_hierarchy import brute_force_indices, brute_force_placement
+from test_hierarchy import brute_force_indices, brute_force_placement, placement
 
 DURATION = 40.0
 
@@ -124,10 +124,9 @@ def test_batch_placement_matches_brute_force(num_levels, duration, data):
         flat = h._find_placements(np.array(starts), np.array(ends))
         expected = [brute_force_placement(h, s, e) for s, e in zip(starts, ends)]
         assert h._placements(flat) == expected
-        ids = h.insert_batch(**random_arrays(rng, 5))
-        for gid, (s, e), want in zip(range(ids[-1] + 1, ids[-1] + 1 + len(starts)),
-                                     zip(starts, ends), expected):
-            assert h.place(gid, s, e) == want
+        for s, e, want in zip(starts, ends, expected):
+            assert placement(h, s, e) == want
+        h.insert_batch(**random_arrays(rng, 5))
         h.audit()
         # 0, the duration and every level boundary between them
         bounds = [lv.offset + np.arange(lv.count + 1) * lv.seg_length for lv in h.levels]
@@ -145,15 +144,11 @@ def test_update_with_unknown_id_changes_nothing(seed, n, data):
     ids = h.insert_batch(**random_arrays(rng, n))
     removed = ids.pop(data.draw(st.integers(0, n - 1)))
     h.remove([removed])
-    unstored = ids[-1] + 100
-    h.place(unstored, 1.0, 2.0)
-    unknown = data.draw(st.sampled_from([removed, unstored, ids[-1] + 1, 10 ** 9, -1]))
+    unknown = data.draw(st.sampled_from([removed, ids[-1] + 1, 10 ** 9, -1]))
     gids = ids.copy()
     gids.insert(data.draw(st.integers(0, len(gids))), unknown)
     edit(h, ids, rng)
-    # a placed id that is not stored is unknown to update_levels only
-    writers = (h.update_levels,) if unknown == unstored else (h.update_levels, h.remove)
-    for write in writers:
+    for write in (h.update_levels, h.remove):
         before = snapshot(h)
         with pytest.raises(NotFoundError):
             write(gids)

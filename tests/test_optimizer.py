@@ -4,10 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tgh import gaussians as ga
 from tgh import optimizer as opt
 from tgh import renderer as rn
 from tgh.camera import Camera, look_at
+from tgh.errors import InvalidParameterError
 from tgh.hierarchy import build
+from tgh.store import COLUMNS, PLACEMENT
 
 from conftest import params, random_params, stack
 
@@ -231,10 +234,34 @@ class TestTrain:
         assert cfg.resolve_iterations(1200) == 50_000
         assert cfg.resolve_iterations(60) == 2500
 
+    def test_scale_on_the_floor_recovers(self):
+        # train() clamps scales to exactly the floor, so a scale that sits on
+        # it must still get the gradient that pushes it up
+        cam = ring_camera()
+        blob = dict(mu=[0.0, 0.0, 0.0, 0.05], opacity=0.85, base_color=[0.9, 0.3, 0.2])
+        from test_renderer import batch_of
+        wide = batch_of([params(scale=[0.2, 0.2, 0.2, 0.6], **blob)])
+        scene = StaticScene([cam], 1, 30.0,
+                            {(0, 0): rn.render_batch(wide, 0.0, cam, rn.RenderOptions()).rgb})
+        h = build(duration=1.0)
+        [gid] = h.insert_batch(**params(scale=[ga.MIN_SCALE_SPATIAL] * 3 + [0.6], **blob))
+        opt.train(scene, h, opt.TrainConfig(iterations=20, lambda_mse=1.0, lambda_ssim=0.0))
+        [row] = h.store.rows_of([gid])
+        assert np.all(h.store.scale[row, :3] > 1000 * ga.MIN_SCALE_SPATIAL)
+
+    def test_non_finite_target_changes_nothing(self, rng):
+        scene, h, cfg = make_training_setup(rng, iterations=10)
+        for image in scene._images.values():
+            image[3, 5, 1] = np.nan
+        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        with pytest.raises(InvalidParameterError):
+            opt.train(scene, h, cfg)
+        for name, column in before.items():
+            assert getattr(h.store, name).tobytes() == column, name
+
     def test_empty_scene_rejected(self, rng):
         scene, h, cfg = make_training_setup(rng, iterations=10)
         scene.frames = 0
-        from tgh.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
         # a target of the wrong shape raises at the first loss, and the
@@ -245,6 +272,16 @@ class TestTrain:
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
         assert set(vars(h.store)) == held
+
+
+@pytest.mark.parametrize("setting", [
+    dict(lr=np.nan), dict(lr=np.inf), dict(lr_scale_mult=-1.0), dict(lr_opacity_mult=0.0),
+    dict(lr_color_mult=np.nan), dict(lambda_mse=np.nan), dict(lambda_ssim=np.inf),
+    dict(clone_size_fraction=-1.0), dict(clone_nudge=np.nan), dict(iterations=-3),
+    dict(max_gaussians=-5)], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
+def test_invalid_train_config_rejected(setting):
+    with pytest.raises(InvalidParameterError):
+        opt.TrainConfig(**setting)
 
 
 def test_metric_rows_compare_deterministic_columns():

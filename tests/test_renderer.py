@@ -251,6 +251,18 @@ def test_invalid_render_options_rejected(options):
         rn.RenderOptions(**options)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("fx", np.inf), ("fy", np.inf), ("cx", np.nan), ("cy", np.inf),
+    ("rotation", np.full((3, 3), np.nan)), ("translation", [0.0, np.nan, 0.0]),
+    ("width", np.nan)], ids=["fx", "fy", "cx", "cy", "rotation", "translation", "width"])
+def test_invalid_camera_rejected(field, value):
+    settings = dict(fx=100.0, fy=100.0, cx=32.0, cy=32.0, rotation=np.eye(3),
+                    translation=np.zeros(3), width=64, height=64)
+    settings[field] = value
+    with pytest.raises(InvalidParameterError):
+        Camera(**settings)
+
+
 @pytest.mark.parametrize("column", COLUMNS)
 def test_non_finite_parameters_raise(column):
     cam = simple_camera()
