@@ -19,7 +19,6 @@ from .errors import InvalidParameterError
 class AppearanceGate:
     g_th: float = 1e-6          # gradient-norm threshold; +inf once frozen
     lambda_h: float = 0.15      # view-dependent ratio cutoff
-    frozen: bool = False
 
     def __post_init__(self):
         if not self.g_th >= 0:
@@ -27,9 +26,9 @@ class AppearanceGate:
         if not 0.0 <= self.lambda_h <= 1.0:
             raise InvalidParameterError("lambda_h must lie in [0, 1]")
 
-    def freeze(self):
-        self.g_th = math.inf
-        self.frozen = True
+    @property
+    def frozen(self):
+        return self.g_th == math.inf
 
 
 def gate_gradients(h, grad_h, gate: AppearanceGate):
@@ -67,18 +66,5 @@ def update_ratio_cutoff(gate: AppearanceGate, fraction):
     Freezing is permanent; later calls never revert it. Returns the gate.
     """
     if not gate.frozen and fraction >= gate.lambda_h:
-        gate.freeze()
+        gate.g_th = math.inf
     return gate
-
-
-def group_by_appearance(ids, h):
-    """Partition ids into (diffuse, view_dependent), each ascending.
-
-    ids: sequence of Gaussian ids aligned with the rows of h (N, 45).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    h = np.asarray(h)
-    vdep_mask = np.any(h != 0.0, axis=1)
-    diffuse = np.sort(ids[~vdep_mask])
-    vdep = np.sort(ids[vdep_mask])
-    return diffuse.tolist(), vdep.tolist()

@@ -1,6 +1,7 @@
 """Pinhole camera: intrinsics, world-to-camera extrinsics, image size."""
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class Camera:
             raise InvalidParameterError("intrinsics, rotation and translation must be finite")
         if not (0 < self.near < self.far):
             raise InvalidParameterError("camera requires 0 < near < far")
-        if not (self.width > 0 and self.height > 0):
-            raise InvalidParameterError("image size must be positive")
+        if not all(isinstance(n, numbers.Integral) and n > 0 for n in (self.width, self.height)):
+            raise InvalidParameterError("image width and height must be positive integers")
         err = np.max(np.abs(self.rotation @ self.rotation.T - np.eye(3)))
         if err > 1e-6:
             raise InvalidParameterError(f"rotation not orthonormal (err={err:.2e})")
@@ -40,10 +41,6 @@ class Camera:
     def center(self):
         """Camera position in world coordinates."""
         return -self.rotation.T @ self.translation
-
-    def world_to_camera(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
 
 
 def look_at(position, target, up=(0.0, 0.0, 1.0)):

@@ -99,9 +99,6 @@ class TemporalHierarchy:
 
     # ---------------------------------------------------------------- geometry
 
-    def segment_count(self, level):
-        return self.levels[level].count
-
     def _edge(self, n, level=_DOWN):
         """Start of segment n as `Level.span` computes it; by default level l on row l."""
         return self._offset[level] + n * self._seg_length[level]

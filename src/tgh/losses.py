@@ -1,5 +1,6 @@
 """Reconstruction objective: weighted MSE + SSIM terms with image gradients."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,14 +9,14 @@ from .errors import InvalidParameterError
 from .ssim import ssim
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     mse: float = 0.8
     ssim: float = 0.2
 
-    def validate(self):
-        if not (self.mse >= 0 and self.ssim >= 0):
-            raise InvalidParameterError("loss weights must be non-negative")
+    def __post_init__(self):
+        if not (0 <= self.mse < math.inf and 0 <= self.ssim < math.inf):
+            raise InvalidParameterError("loss weights must be finite and non-negative")
 
 
 def loss(rendered, target, weights: LossWeights = LossWeights()):
@@ -23,7 +24,6 @@ def loss(rendered, target, weights: LossWeights = LossWeights()):
 
     L = w_mse * mean((I - I_gt)^2) + w_ssim * (1 - SSIM(I, I_gt)).
     """
-    weights.validate()
     rendered = np.asarray(rendered, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if rendered.shape != target.shape:

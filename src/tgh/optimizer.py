@@ -8,9 +8,28 @@ attaches `TRAINING_ROWS` (Adam moments and step counts, densification
 accumulators) to the hierarchy's store when it starts and detaches them when
 it returns or raises, so the store grows, reuses and zeroes them with the
 parameters it holds.
+
+The method runs on fixed settings, module constants here:
+
+- `LEARNING_RATES`: Adam's rate per parameter column. The base rate 1.6e-4
+  is 3DGS's initial position rate (arXiv 2308.04079), and as there the
+  `mu` rate is multiplied by the scene extent; scales and rotors run at 5x,
+  opacity at 25x, and base color and residual SH at 12.5x the base rate.
+- The density-control settings are the 3DGS defaults:
+  `GRAD_DENSIFY_THRESHOLD` (its densify_grad_threshold, in view-space NDC
+  units), `PRUNE_OPACITY_THRESHOLD` (its min opacity), `SPLIT_SCALE_DIVISOR`
+  (a split child's scale is 1 / (0.8 N) of its parent's with N = 2
+  children) and `CLONE_SIZE_FRACTION` (its percent_dense: of the scene
+  extent, clone below, split above). `CLONE_NUDGE` moves a clone against
+  its mean world-space gradient by half its mean spatial scale, where 3DGS
+  leaves the clone in place.
+
+The loss weights (0.8 MSE, 0.2 D-SSIM, as 3DGS weighs L1 and D-SSIM) and the
+appearance gate (g_th = 1e-6 and the paper's cutoff lambda_h = 0.15) are the
+defaults of `LossWeights` and `AppearanceGate`.
 """
 
-import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -24,6 +43,15 @@ from .hierarchy import TemporalHierarchy
 from .losses import LossWeights, psnr
 from .store import COLUMNS as PARAM_GROUPS, SHAPES
 
+LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
+    ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
+    ("opacity", 25.0), ("base_color", 12.5), ("sh_residual", 12.5))}
+GRAD_DENSIFY_THRESHOLD = 2e-4
+PRUNE_OPACITY_THRESHOLD = 5e-3
+SPLIT_SCALE_DIVISOR = 1.6
+CLONE_SIZE_FRACTION = 0.01
+CLONE_NUDGE = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -35,39 +63,19 @@ class TrainConfig:
     the run ends; pruning runs at every pass.
     """
 
-    lr: float = 1.6e-4                   # base learning rate (positions)
-    lr_scale_mult: float = 5.0           # scales and rotors
-    lr_opacity_mult: float = 25.0
-    lr_color_mult: float = 12.5          # base color and residual SH
-    lambda_mse: float = 0.8
-    lambda_ssim: float = 0.2
     iterations: int | None = None        # None: 50000 scaled by frames/1200
     densify_interval: int = 100
-    grad_densify_threshold: float = 2e-4      # view-space NDC units
-    prune_opacity_threshold: float = 5e-3
-    split_scale_divisor: float = 1.6
-    clone_size_fraction: float = 0.01    # of scene extent: clone below, split above
-    clone_nudge: float = 0.5             # offset in units of mean spatial scale
     max_gaussians: int | None = None     # densification safety cap
-    g_th: float = 1e-6
-    lambda_h: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "lr_scale_mult", "lr_opacity_mult", "lr_color_mult",
-                     "densify_interval", "grad_densify_threshold",
-                     "prune_opacity_threshold", "split_scale_divisor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be positive and finite")
-        for name in ("lambda_mse", "lambda_ssim", "clone_size_fraction", "clone_nudge"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be >= 0 and finite")
-        for name in ("iterations", "max_gaussians"):
-            if getattr(self, name) is not None and not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be None or >= 0")
-
-    def loss_weights(self):
-        return LossWeights(mse=self.lambda_mse, ssim=self.lambda_ssim)
+        for name, low in (("iterations", 0), ("densify_interval", 1), ("max_gaussians", 0),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name in ("iterations", "max_gaussians"):
+                continue  # unset: scaled from the frame count, or no cap
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise InvalidParameterError(f"{name} must be an integer >= {low}")
 
     def resolve_iterations(self, frames):
         if self.iterations is not None:
@@ -140,7 +148,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
     store = h.store
     touched = np.flatnonzero(store.touch_count > 0)
     rows = touched[store.ids_at_rows(touched) >= 0]
-    prune_mask = store.opacity[rows] < cfg.prune_opacity_threshold
+    prune_mask = store.opacity[rows] < PRUNE_OPACITY_THRESHOLD
     if prune_mask.any():
         pruned = store.ids_at_rows(rows[prune_mask])
         h.remove(pruned)
@@ -152,9 +160,9 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
         return report
 
     mean_grad = store.grad_accum[rows] / store.touch_count[rows]
-    hot = mean_grad >= cfg.grad_densify_threshold
+    hot = mean_grad >= GRAD_DENSIFY_THRESHOLD
     max_spatial = np.max(store.scale[rows, :3], axis=1)
-    size_cut = cfg.clone_size_fraction * scene_extent
+    size_cut = CLONE_SIZE_FRACTION * scene_extent
     clone_rows = rows[hot & (max_spatial <= size_cut)]
     split_rows = rows[hot & (max_spatial > size_cut)]
     if cfg.max_gaussians is not None:
@@ -170,7 +178,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
         norm = np.sqrt((wg[:, None, :] @ wg[:, :, None])[:, 0, 0])
         moved = norm > 0  # a zero mean gradient leaves the clone in place
         clones = new["mu"][:n_clones]
-        clones[moved, :3] -= ((wg[moved] / norm[moved, None]) * cfg.clone_nudge
+        clones[moved, :3] -= ((wg[moved] / norm[moved, None]) * CLONE_NUDGE
                               * np.mean(store.scale[clone_rows[moved], :3], axis=1)[:, None])
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
@@ -178,7 +186,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
             chol = np.linalg.cholesky(cov + 1e-12 * np.eye(3))
             z = rng.standard_normal((len(split_rows), 2, 3))
             new["mu"][n_clones:, :3] += (chol[:, None] @ z[..., None]).reshape(-1, 3)
-            new["scale"][n_clones:, :3] /= cfg.split_scale_divisor
+            new["scale"][n_clones:, :3] /= SPLIT_SCALE_DIVISOR
         report.new_ids = h.insert_batch(**new)
         report.cloned = n_clones
     if len(split_rows):
@@ -199,11 +207,11 @@ def _reset_accumulators(store, rows):
 
 @dataclass(frozen=True)
 class MetricRow:
-    """One metrics-CSV row, written at each control pass.
+    """One metrics row, appended at each control pass.
 
     Rows compare equal on their deterministic columns only: the wall-clock
     `seconds_per_iter` is left out, so two runs with one seed give equal rows.
-    `row["loss"]` reads a column by its CSV name.
+    `row["loss"]` reads a column by its name.
     """
 
     iteration: int
@@ -227,8 +235,6 @@ class TrainResult:
     metrics: list                       # MetricRow per control pass
     gate: ap.AppearanceGate
     vdep_history: list                  # (iteration, view-dependent fraction)
-    max_working_set: int = 0
-    max_touched: int = 0
 
 
 def scene_extent_of(store):
@@ -256,22 +262,13 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
     cfg = cfg or TrainConfig()
     if len(scene.cameras) == 0 or scene.frames == 0:
         raise InvalidParameterError("scene has no (view, time) samples")
-    weights = cfg.loss_weights()
-    weights.validate()
+    weights = LossWeights()
     iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
-    gate = ap.AppearanceGate(g_th=cfg.g_th, lambda_h=cfg.lambda_h)
+    gate = ap.AppearanceGate()
     extent = scene_extent_of(h.store)
     opts = rn.RenderOptions()
-    lr_of = {
-        "mu": cfg.lr * extent,
-        "scale": cfg.lr * cfg.lr_scale_mult,
-        "rotor_left": cfg.lr * cfg.lr_scale_mult,
-        "rotor_right": cfg.lr * cfg.lr_scale_mult,
-        "opacity": cfg.lr * cfg.lr_opacity_mult,
-        "base_color": cfg.lr * cfg.lr_color_mult,
-        "sh_residual": cfg.lr * cfg.lr_color_mult,
-    }
+    lr_of = {**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}
 
     result = TrainResult(metrics=[], gate=gate, vdep_history=[])
     interval_loss = []
@@ -286,7 +283,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
             cam = scene.cameras[cam_i]
             t_stamp = frame / scene.frame_rate
             ws = h.query(t_stamp)
-            result.max_working_set = max(result.max_working_set, len(ws.gaussian_ids))
             batch = h.materialize(ws)
             target = scene.target(cam_i, frame)
             value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target,
@@ -314,7 +310,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
                     getattr(store, attr)[rows] = q
                 h.update_levels(ws.gaussian_ids)
                 touched = grads.touched
-                result.max_touched = max(result.max_touched, int(touched.sum()))
                 if np.any(touched):
                     hit = rows[touched]
                     store.grad_accum[hit] += grads.viewspace_norm[touched]
@@ -343,12 +338,3 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
                 interval_loss = []
                 t_interval = time.perf_counter()
     return result
-
-
-def write_metrics_csv(path, metrics):
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
-        writer.writeheader()
-        for row in metrics:
-            writer.writerow({k: row[k] for k in METRIC_COLUMNS})

@@ -27,7 +27,7 @@ all fragments would drop the layer loop, but its rounding would depend on the
 pixels sorted before each one, so a pixel's value would no longer be exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -65,20 +65,12 @@ class Framebuffer:
     transmittance: np.ndarray    # (H, W), remaining background visibility
 
 
-@dataclass
-class ParamGradients:
-    """Per-Gaussian gradients aligned with the rendered batch's ids."""
-
-    ids: np.ndarray
-    mu: np.ndarray
-    scale: np.ndarray
-    rotor_left: np.ndarray
-    rotor_right: np.ndarray
-    opacity: np.ndarray
-    base_color: np.ndarray
-    sh_residual: np.ndarray
-    viewspace_norm: np.ndarray   # NDC-scale screen position gradient norms
-    touched: np.ndarray          # bool: splat survived culling and covered pixels
+# one gradient array per parameter column, plus each splat's NDC-scale screen
+# position gradient norm (`viewspace_norm`) and whether it survived culling
+# and covered pixels (`touched`, bool)
+ParamGradients = make_dataclass(
+    "ParamGradients", ("ids",) + COLUMNS + ("viewspace_norm", "touched"), slots=True, eq=False,
+    namespace={"__doc__": "Per-Gaussian gradients aligned with the rendered batch's ids."})
 
 
 # --------------------------------------------------------------------------

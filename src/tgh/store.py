@@ -81,14 +81,6 @@ class GaussianStore:
     def __len__(self):
         return self._top - len(self._free)
 
-    def __contains__(self, gid):
-        return bool(self.holds([gid])[0])
-
-    @property
-    def next_id(self):
-        """The id the next insert assigns first."""
-        return self._next_id
-
     @property
     def ids(self):
         return np.flatnonzero(self._row_of_id[:self._next_id] >= 0).tolist()

@@ -23,8 +23,8 @@ def test_large_gradient_on_diffuse_passes():
 
 
 def test_view_dependent_always_passes_even_frozen():
-    gate = ap.AppearanceGate(g_th=1e-6)
-    gate.freeze()
+    gate = ap.AppearanceGate(g_th=math.inf)
+    assert gate.frozen
     h = np.zeros(45)
     h[3] = 0.2
     g = np.full(45, 1e-12)
@@ -32,8 +32,8 @@ def test_view_dependent_always_passes_even_frozen():
 
 
 def test_frozen_gate_blocks_all_diffuse():
-    gate = ap.AppearanceGate(g_th=1e-6)
-    gate.freeze()
+    gate = ap.AppearanceGate(g_th=math.inf)
+    assert gate.frozen
     h = np.zeros(45)
     g = np.full(45, 100.0)
     assert np.all(ap.gate_gradients(h, g, gate) == 0.0)
@@ -72,23 +72,13 @@ class TestRatioCutoff:
         assert gate.frozen and gate.g_th == math.inf
 
 
-def test_fraction_and_grouping(rng):
+def test_view_dependent_fraction(rng):
     h = np.zeros((10, 45))
     vdep_rows = [1, 4, 7]
     for r in vdep_rows:
         h[r, rng.integers(45)] = rng.normal()
-    ids = np.arange(100, 110)
     assert ap.view_dependent_fraction(h) == pytest.approx(0.3)
-    diffuse, vdep = ap.group_by_appearance(ids, h)
-    assert vdep == [101, 104, 107]
-    assert diffuse == [100, 102, 103, 105, 106, 108, 109]
-    assert sorted(diffuse + vdep) == list(ids)
-
-
-def test_grouping_all_diffuse():
-    h = np.zeros((5, 45))
-    diffuse, vdep = ap.group_by_appearance([5, 3, 1, 2, 4], h)
-    assert diffuse == [1, 2, 3, 4, 5] and vdep == []
+    assert ap.view_dependent_fraction(np.zeros((5, 45))) == 0.0
 
 
 def test_monotone_fraction_under_gating(rng):
@@ -110,3 +100,17 @@ def test_monotone_fraction_under_gating(rng):
 def test_invalid_gate_rejected(setting):
     with pytest.raises(InvalidParameterError):
         ap.AppearanceGate(**setting)
+
+
+def test_frozen_is_read_from_the_threshold():
+    # a gate is frozen exactly when its threshold is infinite, so it cannot
+    # report itself frozen while it still lets a diffuse gradient through
+    with pytest.raises(TypeError):
+        ap.AppearanceGate(frozen=True)
+    gate = ap.AppearanceGate()
+    with pytest.raises(AttributeError):
+        gate.frozen = True
+    assert not gate.frozen
+    ap.update_ratio_cutoff(gate, gate.lambda_h)
+    assert gate.frozen
+    assert np.all(ap.gate_gradients(np.zeros(45), np.ones(45), gate) == 0.0)

@@ -73,7 +73,7 @@ class TestGeometry:
         h = build(duration=10.0, root_length=10.0, num_levels=1)
         assert len(h.levels) == 1
         assert h.levels[0].offset == -2.5
-        assert h.segment_count(0) == math.ceil(12.5 / 10.0) == 2
+        assert h.levels[0].count == math.ceil(12.5 / 10.0) == 2
 
     def test_segments_cover_duration(self):
         for T in (10.0, 40.0, 123.4):
@@ -169,13 +169,14 @@ class TestPlace:
         huge["scale"][0, 3] = 1e200
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             h.insert_batch(**huge)
-        assert len(h.store) == len(h) == 1 and h.store.next_id == 1
+        assert len(h.store) == len(h) == 1
         [row] = h.store.rows_of([gid])
         h.store.scale[row, 3] = 1e200
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             h.update_levels([gid])
         assert (h.placement_of(gid), h.range_of(gid)) == before
         h.audit()
+        assert h.insert_batch(**time_gaussian(2.0, 1.0)) == [1]  # no id was spent
 
 
 class TestQuery:
@@ -189,7 +190,7 @@ class TestQuery:
         for t in (0.0, 40.0):
             ws = h.query(t)
             for level, n in ws.segment_refs[:-1]:
-                assert 0 <= n < h.segment_count(level)
+                assert 0 <= n < h.levels[level].count
 
     def test_out_of_range(self):
         h = build(duration=40.0)
@@ -301,7 +302,7 @@ class TestInsertRemoveOccupancy:
         bad["opacity"] = bad["opacity"][:3]
         with pytest.raises(ValueError):
             h.insert_batch(**bad)
-        assert len(h.store) == len(h) == 4 and h.store.next_id == 4
+        assert len(h.store) == len(h) == 4
         assert h.insert_batch(**random_params(rng, 2)) == [4, 5]
         assert h.store.rows_of(ids + [4, 5]).tolist() == list(range(6))
         h.audit()
@@ -315,8 +316,9 @@ class TestInsertRemoveOccupancy:
             bad[column][(entry,) * bad[column].ndim] = np.nan
             with pytest.raises(InvalidParameterError):
                 h.insert_batch(**bad)
-            assert len(h.store) == len(h) == 2 and h.store.next_id == 2
+            assert len(h.store) == len(h) == 2
         h.audit()
+        assert h.insert_batch(**random_params(rng, 1)) == [2]  # no id was spent
 
     def test_remove_unknown(self):
         h = build(duration=40.0)

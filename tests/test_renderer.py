@@ -254,13 +254,21 @@ def test_invalid_render_options_rejected(options):
 @pytest.mark.parametrize("field, value", [
     ("fx", np.inf), ("fy", np.inf), ("cx", np.nan), ("cy", np.inf),
     ("rotation", np.full((3, 3), np.nan)), ("translation", [0.0, np.nan, 0.0]),
-    ("width", np.nan)], ids=["fx", "fy", "cx", "cy", "rotation", "translation", "width"])
+    ("width", np.nan), ("width", 8.5), ("height", 8.0)],
+    ids=["fx", "fy", "cx", "cy", "rotation", "translation", "width", "width_fraction",
+         "height_float"])
 def test_invalid_camera_rejected(field, value):
     settings = dict(fx=100.0, fy=100.0, cx=32.0, cy=32.0, rotation=np.eye(3),
                     translation=np.zeros(3), width=64, height=64)
     settings[field] = value
     with pytest.raises(InvalidParameterError):
         Camera(**settings)
+
+
+def test_camera_accepts_numpy_integer_size():
+    cam = Camera(fx=10.0, fy=10.0, cx=4.0, cy=3.0, rotation=np.eye(3),
+                 translation=[0.0, 0.0, 5.0], width=np.int64(8), height=np.int32(6))
+    assert rn.render_batch(single_gaussian_scene(), 1.0, cam).rgb.shape == (6, 8, 3)
 
 
 @pytest.mark.parametrize("column", COLUMNS)

@@ -86,3 +86,11 @@ def test_psnr_reference():
     b = np.full((4, 4, 3), 0.1)
     assert psnr(a, b) == pytest.approx(20.0, rel=1e-9)
     assert psnr(a, a) == np.inf
+
+
+@pytest.mark.parametrize("setting", [
+    dict(mse=np.nan), dict(ssim=np.inf), dict(mse=np.inf), dict(ssim=np.nan), dict(mse=-1.0)],
+    ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
+def test_invalid_loss_weights_rejected(setting):
+    with pytest.raises(InvalidParameterError):
+        LossWeights(**setting)

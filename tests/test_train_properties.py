@@ -2,9 +2,8 @@
 small scene end with the same metrics, population, parameters and
 placements, and every kind of density control happens on the way."""
 
-from contextlib import contextmanager
-
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tgh import optimizer as opt
@@ -46,20 +45,14 @@ def small_scene(seed, n, size):
     return scene, h
 
 
-@contextmanager
-def control_reports():
-    """Collect the ControlReport of every density-control pass `train()` runs."""
-    reports, original = [], opt.adaptive_control
+def recording(reports):
+    """`adaptive_control` that appends each pass's ControlReport to `reports`."""
+    original = opt.adaptive_control
 
-    def recording(*args, **kwargs):
+    def control(*args, **kwargs):
         reports.append(original(*args, **kwargs))
         return reports[-1]
-
-    opt.adaptive_control = recording
-    try:
-        yield reports
-    finally:
-        opt.adaptive_control = original
+    return control
 
 
 @settings(max_examples=10)
@@ -69,11 +62,12 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
     runs = []
     for _ in range(2):
         scene, h = small_scene(seed, n, size)
-        cfg = opt.TrainConfig(iterations=30, densify_interval=interval,
-                              grad_densify_threshold=1e-12,
-                              clone_size_fraction=CLONE_BELOW / opt.scene_extent_of(h.store),
-                              lambda_mse=1.0, lambda_ssim=0.0, seed=seed)
-        with control_reports() as reports:
+        cfg = opt.TrainConfig(iterations=30, densify_interval=interval, seed=seed)
+        reports = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
+            mp.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+            mp.setattr(opt, "adaptive_control", recording(reports))
             result = opt.train(scene, h, cfg)
         h.audit()
         ids = h.store.ids
