@@ -19,16 +19,21 @@ class LossWeights:
             raise InvalidParameterError("loss weights must be finite and non-negative")
 
 
+def _image_pair(img, ref):
+    """Both images as float64 arrays; their shapes must match exactly."""
+    img = np.asarray(img, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    if img.shape != ref.shape:
+        raise InvalidParameterError(f"image shapes differ: {img.shape} vs {ref.shape}")
+    return img, ref
+
+
 def loss(rendered, target, weights: LossWeights = LossWeights()):
     """Objective value and its per-pixel gradient image.
 
     L = w_mse * mean((I - I_gt)^2) + w_ssim * (1 - SSIM(I, I_gt)).
     """
-    rendered = np.asarray(rendered, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if rendered.shape != target.shape:
-        raise InvalidParameterError(
-            f"image shapes differ: {rendered.shape} vs {target.shape}")
+    rendered, target = _image_pair(rendered, target)
     diff = rendered - target
     value = weights.mse * np.mean(diff * diff)
     grad = weights.mse * 2.0 * diff / diff.size
@@ -41,7 +46,8 @@ def loss(rendered, target, weights: LossWeights = LossWeights()):
 
 def psnr(img, ref, peak=1.0):
     """Peak signal-to-noise ratio in dB; inf for identical images."""
-    mse = np.mean((np.asarray(img, dtype=np.float64) - np.asarray(ref, dtype=np.float64)) ** 2)
+    img, ref = _image_pair(img, ref)
+    mse = np.mean((img - ref) ** 2)
     if mse == 0.0:
         return np.inf
     return 10.0 * np.log10(peak * peak / mse)

@@ -1,9 +1,106 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tgh import ssim as sm
 from tgh.errors import InvalidParameterError
 from tgh.losses import LossWeights, loss, psnr
+from tgh.ssim import C1, C2, KERNEL, WINDOW
+
+# The per-channel SSIM that `tgh.ssim` replaced, kept verbatim as the reference:
+# five forward and five adjoint filters per channel, one plane at a time, each
+# a column pass then a row pass.
+
+
+def _filt_valid(img):
+    """Separable windowed mean, valid region only: (H, W) -> (H-10, W-10)."""
+    out = sliding_window_view(img, WINDOW, axis=0) @ KERNEL
+    return sliding_window_view(out, WINDOW, axis=1) @ KERNEL
+
+
+def _filt_adjoint(grad):
+    """Adjoint of _filt_valid (the window is symmetric): (H-10, W-10) -> (H, W)."""
+    pad = WINDOW - 1
+    padded = np.pad(grad, ((pad, pad), (pad, pad)))
+    return _filt_valid(padded)
+
+
+def ssim(img, ref, grad=False):
+    """Mean SSIM over channels and the valid region.
+
+    With grad=True also returns d(mean SSIM)/d(img) as an image-shaped array.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    if img.shape != ref.shape or img.ndim != 3:
+        raise InvalidParameterError("images must share an (H, W, C) shape")
+    h, w, channels = img.shape
+    if h < WINDOW or w < WINDOW:
+        raise InvalidParameterError(f"images must be at least {WINDOW}x{WINDOW} for SSIM")
+
+    total = 0.0
+    grad_img = np.zeros_like(img) if grad else None
+    n_valid = (h - WINDOW + 1) * (w - WINDOW + 1)
+    for ch in range(channels):
+        x, y = img[..., ch], ref[..., ch]
+        mu_x, mu_y = _filt_valid(x), _filt_valid(y)
+        sxx = _filt_valid(x * x) - mu_x * mu_x
+        syy = _filt_valid(y * y) - mu_y * mu_y
+        sxy = _filt_valid(x * y) - mu_x * mu_y
+        a1 = 2 * mu_x * mu_y + C1
+        a2 = 2 * sxy + C2
+        b1 = mu_x * mu_x + mu_y * mu_y + C1
+        b2 = sxx + syy + C2
+        s = (a1 * a2) / (b1 * b2)
+        total += s.mean()
+        if grad:
+            scale = 1.0 / (n_valid * channels)
+            ds_da1 = a2 / (b1 * b2)
+            ds_da2 = a1 / (b1 * b2)
+            ds_db1 = -s / b1
+            ds_db2 = -s / b2
+            g_mu = (ds_da1 * 2 * mu_y + ds_db1 * 2 * mu_x) * scale
+            g_sx = ds_db2 * scale
+            g_xy = ds_da2 * 2 * scale
+            grad_img[..., ch] = (
+                _filt_adjoint(g_mu)
+                + 2 * x * _filt_adjoint(g_sx) - 2 * _filt_adjoint(g_sx * mu_x)
+                + y * _filt_adjoint(g_xy) - _filt_adjoint(g_xy * mu_y)
+            )
+    mean_ssim = total / channels
+    return (mean_ssim, grad_img) if grad else mean_ssim
+
+
+ORACLE_SHAPES = [(256, 256, 3), (37, 53, 1), (20, 29, 4)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_matches_reference(rng, shape):
+    img = rng.uniform(size=shape)
+    ref = np.clip(img + rng.normal(scale=0.1, size=shape), 0.0, 1.0)
+    value, grad = sm.ssim(img, ref, grad=True)
+    want_value, want_grad = ssim(img, ref, grad=True)
+    assert value == pytest.approx(want_value, rel=1e-12)
+    # Folding the adjoints rounds differently. Both gradients lie within
+    # ~2e-15 * max|g| of an extended-precision evaluation, so the bound scales
+    # with max|g|: about 4e-19 at 256x256 (max|g| ~4e-5), 5e-17 at 20x29.
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
+    planes = np.moveaxis(img, -1, 0)
+    np.testing.assert_allclose(sm._filt_valid(planes),
+                               np.stack([_filt_valid(p) for p in planes]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("view", [lambda a: a[:, ::-1], lambda a: a.swapaxes(0, 1),
+                                  lambda a: a.astype(np.float32)],
+                         ids=["reversed-columns", "swapped-axes", "float32"])
+def test_layout_and_dtype_do_not_change_result(rng, view):
+    img = view(rng.uniform(size=(23, 31, 3)))
+    ref = view(rng.uniform(size=(23, 31, 3)))
+    value, grad = sm.ssim(img, ref, grad=True)
+    want_value, want_grad = sm.ssim(np.ascontiguousarray(img, dtype=np.float64),
+                                    np.ascontiguousarray(ref, dtype=np.float64), grad=True)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
 
 
 def test_identical_images_perfect_ssim(rng):
@@ -18,11 +115,14 @@ def test_ssim_decreases_with_noise(rng):
 
 
 def test_filter_adjoint_identity(rng):
-    x = rng.normal(size=(19, 23))
-    y = rng.normal(size=(9, 13))
-    lhs = np.sum(sm._filt_valid(x) * y)
-    rhs = np.sum(x * sm._filt_adjoint(y))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    # ssim's gradient filters zero-padded planes as the adjoint of _filt_valid
+    for lead in [(), (3,)]:
+        x = rng.normal(size=lead + (19, 23))
+        y = rng.normal(size=lead + (9, 13))
+        padded = np.pad(y, [(0, 0)] * len(lead) + [(sm.PAD, sm.PAD)] * 2)
+        lhs = np.sum(sm._filt_valid(x) * y, axis=(-2, -1))
+        rhs = np.sum(x * sm._filt_valid(padded), axis=(-2, -1))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_ssim_gradient_matches_finite_differences(rng):
@@ -41,6 +141,12 @@ def test_ssim_gradient_matches_finite_differences(rng):
 
 def test_small_image_rejected(rng):
     img = rng.uniform(size=(8, 8, 3))
+    with pytest.raises(InvalidParameterError):
+        sm.ssim(img, img)
+
+
+def test_zero_channels_rejected():
+    img = np.zeros((12, 12, 0))
     with pytest.raises(InvalidParameterError):
         sm.ssim(img, img)
 
@@ -86,6 +192,11 @@ def test_psnr_reference():
     b = np.full((4, 4, 3), 0.1)
     assert psnr(a, b) == pytest.approx(20.0, rel=1e-9)
     assert psnr(a, a) == np.inf
+
+
+def test_psnr_shape_mismatch():
+    with pytest.raises(InvalidParameterError):
+        psnr(np.zeros((4, 4, 3)), np.full((4, 4, 1), 0.1))
 
 
 @pytest.mark.parametrize("setting", [
