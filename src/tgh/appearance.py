@@ -8,23 +8,21 @@ threshold goes to infinity: the current diffuse set is locked in for good.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
+G_TH = 1e-6             # gradient-norm threshold while the gate is open
+LAMBDA_H = 0.15         # the paper's view-dependent ratio cutoff
 
-@dataclass
+
 class AppearanceGate:
-    g_th: float = 1e-6          # gradient-norm threshold; +inf once frozen
-    lambda_h: float = 0.15      # view-dependent ratio cutoff
+    """The gate's state: its threshold `g_th`, G_TH until the gate freezes
+    and +inf from then on."""
 
-    def __post_init__(self):
-        if not self.g_th >= 0:
-            raise InvalidParameterError("g_th must be >= 0")
-        if not 0.0 <= self.lambda_h <= 1.0:
-            raise InvalidParameterError("lambda_h must lie in [0, 1]")
+    def __init__(self):
+        self.g_th = G_TH
 
     @property
     def frozen(self):
@@ -61,10 +59,10 @@ def view_dependent_fraction(h):
 
 
 def update_ratio_cutoff(gate: AppearanceGate, fraction):
-    """Freeze the gate once the view-dependent fraction reaches lambda_h.
+    """Freeze the gate once the view-dependent fraction reaches LAMBDA_H.
 
     Freezing is permanent; later calls never revert it. Returns the gate.
     """
-    if not gate.frozen and fraction >= gate.lambda_h:
+    if not gate.frozen and fraction >= LAMBDA_H:
         gate.g_th = math.inf
     return gate

@@ -43,13 +43,14 @@ class Camera:
         return -self.rotation.T @ self.translation
 
 
-def look_at(position, target, up=(0.0, 0.0, 1.0)):
+def look_at(position, target):
     """World-to-camera rotation/translation for a camera at `position`
-    looking toward `target` (camera +z forward, +x right, +y down)."""
+    looking toward `target` (camera +z forward, +x right, +y down), with
+    world +z up."""
     position = np.asarray(position, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - position
     forward = forward / np.linalg.norm(forward)
-    right = np.cross(forward, np.asarray(up, dtype=np.float64))
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
     n = np.linalg.norm(right)
     if n < 1e-12:
         right = np.cross(forward, np.array([0.0, 1.0, 0.0]))

@@ -22,13 +22,14 @@ Materialized working sets are snapshots and stay valid after later writes.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussians as ga
 from .errors import InvalidParameterError, OutOfRangeError, TGHError
-from .store import GaussianStore
+from .store import GaussianStore, checked_columns
 
 GLOBAL_LEVEL = -1
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)
@@ -75,12 +76,12 @@ def _influence_ranges(mu, scale, rotor_left, rotor_right):
 
 class TemporalHierarchy:
     def __init__(self, duration, root_length=10.0, num_levels=9):
-        if not (duration > 0 and math.isfinite(duration)):
-            raise InvalidParameterError(f"duration must be positive, got {duration}")
-        if not (root_length > 0 and math.isfinite(root_length)):
-            raise InvalidParameterError(f"root_length must be positive, got {root_length}")
-        if not 1 <= int(num_levels) <= 32:
-            raise InvalidParameterError(f"num_levels must be in [1, 32], got {num_levels}")
+        for name, value in (("duration", duration), ("root_length", root_length)):
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(num_levels, numbers.Integral) and 1 <= num_levels <= 32):
+            raise InvalidParameterError(f"num_levels must be an integer in [1, 32], "
+                                        f"got {num_levels!r}")
         self.duration = float(duration)
         self.root_length = float(root_length)
         self.num_levels = int(num_levels)
@@ -150,10 +151,13 @@ class TemporalHierarchy:
     def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
                      base_color, sh_residual):
         """Store Gaussians and place each by its influence range; returns
-        their ids. A call that raises stores and places nothing."""
-        start, end = _influence_ranges(mu, scale, rotor_left, rotor_right)
-        ids = self.store.insert_arrays(mu, scale, rotor_left, rotor_right,
-                                       opacity, base_color, sh_residual)
+        their ids. A call that raises stores and places nothing and spends
+        no id: an array of the wrong shape or with a non-finite value raises
+        InvalidParameterError."""
+        columns = checked_columns(mu, scale, rotor_left, rotor_right,
+                                  opacity, base_color, sh_residual)
+        start, end = _influence_ranges(*columns[:4])
+        ids = self.store.insert_arrays(*columns)
         rows = self.store.rows_of(ids)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat

@@ -24,11 +24,13 @@ The method runs on fixed settings, module constants here:
   its mean world-space gradient by half its mean spatial scale, where 3DGS
   leaves the clone in place.
 
-The loss weights (0.8 MSE, 0.2 D-SSIM, as 3DGS weighs L1 and D-SSIM) and the
-appearance gate (g_th = 1e-6 and the paper's cutoff lambda_h = 0.15) are the
-defaults of `LossWeights` and `AppearanceGate`.
+The loss weights are `losses.MSE_WEIGHT` (0.8) and `losses.SSIM_WEIGHT`
+(0.2), as 3DGS weighs L1 and D-SSIM. The appearance gate's threshold is
+`appearance.G_TH` (1e-6) and its cutoff the paper's `appearance.LAMBDA_H`
+(0.15). The renderer's settings are the constants of `renderer`.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -40,7 +42,7 @@ from . import gaussians as ga
 from . import renderer as rn
 from .errors import InvalidParameterError
 from .hierarchy import TemporalHierarchy
-from .losses import LossWeights, psnr
+from .losses import psnr
 from .store import COLUMNS as PARAM_GROUPS, SHAPES
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
@@ -246,7 +248,7 @@ def scene_extent_of(store):
     return float(diag) if diag > 0 else 1.0
 
 
-def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None):
+def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
     """Fit the hierarchy's Gaussians to the scene's posed images.
 
     `scene` provides cameras, frames, frame_rate and target(cam, frame).
@@ -256,18 +258,18 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
     last one. It prunes at every pass but clones and splits only while
     `it <= iterations // 2`, as 3DGS densifies only in the first half of its
     run; a split at the end would leave children that no step fits. Each
-    pass appends a MetricRow to `result.metrics` and calls
-    `on_interval(it, result)`.
+    pass appends a MetricRow to `result.metrics`.
     """
     cfg = cfg or TrainConfig()
     if len(scene.cameras) == 0 or scene.frames == 0:
         raise InvalidParameterError("scene has no (view, time) samples")
-    weights = LossWeights()
+    if not 0 < scene.frame_rate < math.inf:
+        raise InvalidParameterError(f"frame_rate must be finite and positive, "
+                                    f"got {scene.frame_rate!r}")
     iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
     gate = ap.AppearanceGate()
     extent = scene_extent_of(h.store)
-    opts = rn.RenderOptions()
     lr_of = {**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}
 
     result = TrainResult(metrics=[], gate=gate, vdep_history=[])
@@ -285,8 +287,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
             ws = h.query(t_stamp)
             batch = h.materialize(ws)
             target = scene.target(cam_i, frame)
-            value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target,
-                                                        weights, opts)
+            value, fb, grads = rn.render_with_gradients(batch, t_stamp, cam, target)
             interval_loss.append(value)
 
             if len(batch) > 0:
@@ -333,8 +334,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None, on_interval=None
                     working_set_size=len(ws.gaussian_ids),
                     seconds_per_iter=elapsed / max(n_iters, 1),
                 ))
-                if on_interval is not None:
-                    on_interval(it, result)
                 interval_loss = []
                 t_interval = time.perf_counter()
     return result

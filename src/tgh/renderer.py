@@ -16,6 +16,14 @@ A frame runs these stages, each by one function:
 `render_with_gradients` runs the same stages and back-propagates the image
 loss analytically to every Gaussian parameter (`_backward`).
 
+The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
+as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
+culled and the others cover the rectangle bounding their ALPHA_MIN level set,
+a fragment's alpha is clamped at `ALPHA_CLAMP` = 0.99, frames are composited
+over a black `BACKGROUND`, and `COV2_LOWPASS` is the 0.3 px^2 screen-space
+dilation. The clamp stays below 1 because the backward pass divides by
+1 - alpha.
+
 Blending runs on a layer-major fragment layout: fragments are grouped by
 pixel, pixels are ranked by fragment count, deepest first, and the j-th
 fragments of all pixels that have one form one contiguous block. The forward
@@ -27,7 +35,7 @@ all fragments would drop the layer loop, but its rounding would depend on the
 pixels sorted before each one, so a pixel's value would no longer be exact.
 """
 
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -35,26 +43,13 @@ from . import gaussians as ga
 from . import sh
 from .camera import Camera
 from .errors import InvalidParameterError
-from .losses import LossWeights, loss as image_loss
+from .losses import loss as image_loss
 from .store import COLUMNS, SHAPES, GaussianBatch
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
-
-
-@dataclass
-class RenderOptions:
-    background: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    alpha_min: float = 1.0 / 255.0      # quad opacity threshold
-    alpha_clamp: float = 0.99           # per-fragment opacity ceiling
-
-    def __post_init__(self):
-        self.background = np.asarray(self.background, dtype=np.float64).reshape(3)
-        if not 0.0 < self.alpha_min < 1.0:
-            raise InvalidParameterError("alpha_min must lie in (0, 1)")
-        if not 0.0 < self.alpha_clamp <= 1.0:
-            raise InvalidParameterError("alpha_clamp must lie in (0, 1]")
-        if not np.isfinite(self.background).all():
-            raise InvalidParameterError("background must be finite")
+BACKGROUND = np.zeros(3)                # color behind every splat
+ALPHA_MIN = 1.0 / 255.0                 # quad opacity threshold
+ALPHA_CLAMP = 0.99                      # per-fragment opacity ceiling
 
 
 @dataclass
@@ -98,13 +93,12 @@ def project(cam_pts, cov3, cam: Camera):
     return center2, jac, k_mat, cov2
 
 
-def depth_sort(depths, ids=None):
+def depth_sort(depths, ids):
     """Back-to-front permutation: decreasing depth, ties by ascending id."""
     depths = np.asarray(depths, dtype=np.float64)
     if not np.all(np.isfinite(depths)):
         raise InvalidParameterError("depths must be finite")
-    ids = np.arange(len(depths)) if ids is None else np.asarray(ids)
-    return np.lexsort((ids, -depths))
+    return np.lexsort((np.asarray(ids), -depths))
 
 
 def expand_quad(center2, cov2, alpha, alpha_min, width, height):
@@ -130,25 +124,24 @@ def expand_quad(center2, cov2, alpha, alpha_min, width, height):
 # --------------------------------------------------------------------------
 # fragment machinery
 
-def _build_fragments(center2, conic, rects):
+def _build_fragments(center2, conic, rects, order):
     """Flatten splat rectangles into per-fragment arrays.
 
-    Splats must already be in front-to-back order so that the per-pixel
-    fragment sequences come out depth-ordered. Fragments are emitted splat by
-    splat, each rectangle row-major. Returns (sidx, col, row, gauss, dx, dy):
-    the splat index (ascending), pixel column and row, kernel value
+    Fragments are emitted splat by splat in `order`, front to back, so that
+    the per-pixel fragment sequences come out depth-ordered; each rectangle
+    is row-major. Returns (sidx, col, row, gauss, dx, dy): the splat index
+    (into center2, conic and rects), pixel column and row, kernel value
     exp(-q/2), and the offset of the pixel center from the splat center.
     """
     x0, x1, y0, y1 = rects
     widths = x1 - x0 + 1
-    heights = y1 - y0 + 1
-    areas = widths * heights
-    total = int(areas.sum())
+    counts = (widths * (y1 - y0 + 1))[order]
+    total = int(counts.sum())
     if total == 0:
         return (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 3
-    sidx = np.repeat(np.arange(len(areas), dtype=np.intp), areas)
-    starts = np.concatenate([[0], np.cumsum(areas)[:-1]])
-    offset = np.arange(total, dtype=np.intp) - starts[sidx]
+    sidx = np.repeat(order, counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    offset = np.arange(total, dtype=np.intp) - starts
     col = x0[sidx] + offset % widths[sidx]
     row = y0[sidx] + offset // widths[sidx]
     dx = (col + 0.5) - center2[sidx, 0]
@@ -258,14 +251,14 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
 # --------------------------------------------------------------------------
 # batch forward
 
-def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
+def _forward(batch: GaussianBatch, t, cam: Camera):
     """Run the full pipeline on a parameter batch; returns (framebuffer, ctx).
 
     ctx carries every intermediate needed by the analytic backward pass.
     """
     if not all(np.isfinite(getattr(batch, name)).all() for name in COLUMNS):
         raise InvalidParameterError("non-finite Gaussian parameters")
-    ctx = {"n": len(batch), "batch": batch, "cam": cam, "opts": opts}
+    ctx = {"n": len(batch), "batch": batch, "cam": cam}
     h_img, w_img = cam.height, cam.width
     geom = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)
     cond = ga.condition_at_time(batch.mu, geom[-1], t)
@@ -274,10 +267,10 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
     cam_pts = mean3 @ cam.rotation.T + cam.translation
     keep = np.flatnonzero((w_t >= ga.TEMPORAL_THRESHOLD)
                           & (cam_pts[:, 2] >= cam.near) & (cam_pts[:, 2] <= cam.far)
-                          & (alpha_splat >= opts.alpha_min))
+                          & (alpha_splat >= ALPHA_MIN))
     ctx.update(geom=geom, cond=cond, keep=keep)
     if len(keep) == 0:
-        rgb = np.broadcast_to(opts.background, (h_img, w_img, 3)).copy()
+        rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
         return Framebuffer(w_img, h_img, rgb, np.ones((h_img, w_img))), ctx
 
     pts = cam_pts[keep]
@@ -294,40 +287,37 @@ def _forward(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions):
     color_raw = batch.base_color[keep] + np.einsum("nb,nbc->nc", basis, coeffs)
     color = np.clip(color_raw, 0.0, 1.0)
 
-    # back-to-front ordering; fragments are generated front-to-back (reverse)
-    order_btf = depth_sort(pts[:, 2], ids=batch.ids[keep])
-    front = order_btf[::-1].copy()
-
+    # fragments are generated front to back: the back-to-front order reversed
+    front = depth_sort(pts[:, 2], batch.ids[keep])[::-1]
     alpha_k = alpha_splat[keep]
-    x0, x1, y0, y1 = expand_quad(center2, cov2, alpha_k, opts.alpha_min, w_img, h_img)
-    sidx, col, row, gauss, dx, dy = _build_fragments(
-        center2[front], conic[front], (x0[front], x1[front], y0[front], y1[front]))
-    frag_alpha = np.minimum(alpha_k[front][sidx] * gauss, opts.alpha_clamp)
-    frag_color = np.take(color[front], sidx, axis=0)
+    rects = expand_quad(center2, cov2, alpha_k, ALPHA_MIN, w_img, h_img)
+    sidx, col, row, gauss, dx, dy = _build_fragments(center2, conic, rects, front)
+    frag_alpha = np.minimum(alpha_k[sidx] * gauss, ALPHA_CLAMP)
+    frag_color = np.take(color, sidx, axis=0)
     px = row * w_img + col
 
     ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
-               basis=basis, color_raw=color_raw, front=front, sidx=sidx,
+               basis=basis, color_raw=color_raw, sidx=sidx,
                gauss=gauss, dx=dx, dy=dy, px=px, alpha_k=alpha_k)
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color, save=True)
     unique_px, csum, trans = ctx["composite"][:3]
-    rgb = np.broadcast_to(opts.background, (h_img, w_img, 3)).copy()
+    rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
     trans_img = np.ones((h_img, w_img))
-    rgb.reshape(-1, 3)[unique_px] = csum + trans[:, None] * opts.background
+    rgb.reshape(-1, 3)[unique_px] = csum + trans[:, None] * BACKGROUND
     trans_img.reshape(-1)[unique_px] = trans
     return Framebuffer(w_img, h_img, rgb, trans_img), ctx
 
 
-def render_batch(batch: GaussianBatch, t, cam: Camera, opts: RenderOptions = None):
+def render_batch(batch: GaussianBatch, t, cam: Camera):
     """Render a parameter batch at timestamp t."""
-    fb, _ = _forward(batch, t, cam, opts or RenderOptions())
+    fb, _ = _forward(batch, t, cam)
     return fb
 
 
-def render(h, t, cam: Camera, opts: RenderOptions = None):
+def render(h, t, cam: Camera):
     """Render the hierarchy's working set at timestamp t."""
-    return render_batch(h.materialize(h.query(t)), t, cam, opts)
+    return render_batch(h.materialize(h.query(t)), t, cam)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +353,6 @@ def _backward(ctx, dl_dimage):
     """Propagate an image gradient to all batch parameters."""
     batch = ctx["batch"]
     n = ctx["n"]
-    opts = ctx["opts"]
     cam = ctx["cam"]
     grads = ParamGradients(
         ids=np.asarray(batch.ids).copy(),
@@ -372,7 +361,6 @@ def _backward(ctx, dl_dimage):
     keep = ctx["keep"]
     if len(keep) == 0:
         return grads
-    front = ctx["front"]
     nk = len(keep)
     dl_flat = dl_dimage.reshape(-1, 3)
     rot_l, rot_r, left, right, s_cl, rot4, m4, _ = ctx["geom"]
@@ -382,47 +370,37 @@ def _backward(ctx, dl_dimage):
     sidx = ctx["sidx"]
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
     g_a, g_c = _composite_backward(
-        dl_flat[unique_px], opts.background, sa, sc, trans, t_frag, off, width)
+        dl_flat[unique_px], BACKGROUND, sa, sc, trans, t_frag, off, width)
     grad_frag_alpha = np.empty(len(sidx))
     grad_frag_alpha[perm] = g_a
     # (3, N): one contiguous row per channel for the per-splat sums
     grad_frag_color = np.empty((3, len(sidx)))
     grad_frag_color[:, perm] = g_c.T
 
-    # fragment -> splat (front-order indexing)
-    alpha_front = ctx["alpha_k"][front]
+    # fragment -> kept splat
+    alpha_k = ctx["alpha_k"]
     gauss = ctx["gauss"]
-    raw = alpha_front[sidx] * gauss
-    unclamped = raw < opts.alpha_clamp
+    raw = alpha_k[sidx] * gauss
+    unclamped = raw < ALPHA_CLAMP
     grad_raw = grad_frag_alpha * unclamped
-    grad_alpha_f = np.bincount(sidx, weights=grad_raw * gauss, minlength=nk)
-    grad_gauss = grad_raw * alpha_front[sidx]
+    grad_alpha_k = np.bincount(sidx, weights=grad_raw * gauss, minlength=nk)
+    grad_gauss = grad_raw * alpha_k[sidx]
     grad_q = -0.5 * gauss * grad_gauss
     dx, dy = ctx["dx"], ctx["dy"]
-    conic_f = ctx["conic"][front]
-    grad_conic_f = _splat_sum(
+    conic = ctx["conic"]
+    grad_conic = _splat_sum(
         sidx, (grad_q * dx * dx, grad_q * 2.0 * dx * dy, grad_q * dy * dy), nk)
-    a_f = conic_f[sidx, 0]
-    b_f = conic_f[sidx, 1]
-    c_f = conic_f[sidx, 2]
+    a_f = conic[sidx, 0]
+    b_f = conic[sidx, 1]
+    c_f = conic[sidx, 2]
     grad_dx = grad_q * 2.0 * (a_f * dx + b_f * dy)
     grad_dy = grad_q * 2.0 * (b_f * dx + c_f * dy)
-    grad_center2_f = _splat_sum(sidx, (-grad_dx, -grad_dy), nk)
-    grad_color_f = _splat_sum(sidx, grad_frag_color, nk)
-    touched_f = np.bincount(sidx, minlength=nk) > 0
-
-    # undo the front reordering: quantities per kept splat
-    inv = np.empty(nk, dtype=np.intp)
-    inv[front] = np.arange(nk)
-    grad_alpha_k = grad_alpha_f[inv]
-    grad_conic = grad_conic_f[inv]
-    grad_center2 = grad_center2_f[inv]
-    grad_color = grad_color_f[inv]
-    touched_k = touched_f[inv]
+    grad_center2 = _splat_sum(sidx, (-grad_dx, -grad_dy), nk)
+    grad_color = _splat_sum(sidx, grad_frag_color, nk)
+    touched_k = np.bincount(sidx, minlength=nk) > 0
 
     # conic -> cov2 via d(X^-1) = -X^-1 dX X^-1
-    conic_full = _sym_matrix(ctx["conic"][:, 0], ctx["conic"][:, 1],
-                             ctx["conic"][:, 2])
+    conic_full = _sym_matrix(conic[:, 0], conic[:, 1], conic[:, 2])
     g_conic_full = _sym_from_packed(grad_conic[:, 0], grad_conic[:, 1],
                                     grad_conic[:, 2])
     grad_cov2 = -conic_full @ g_conic_full @ conic_full
@@ -516,12 +494,9 @@ def _backward(ctx, dl_dimage):
     return grads
 
 
-def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target,
-                          weights: LossWeights = None,
-                          opts: RenderOptions = None):
+def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target):
     """Render a parameter batch, compare against a target image and
     back-propagate. Returns (loss value, framebuffer, ParamGradients)."""
-    weights = weights or LossWeights()
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (cam.height, cam.width, 3):
         raise InvalidParameterError(
@@ -529,7 +504,7 @@ def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target,
             f"({cam.height}, {cam.width}, 3)")
     if not np.isfinite(target).all():
         raise InvalidParameterError("target has a non-finite value")
-    fb, ctx = _forward(batch, t, cam, opts or RenderOptions())
-    value, dl_dimage = image_loss(fb.rgb, target, weights)
+    fb, ctx = _forward(batch, t, cam)
+    value, dl_dimage = image_loss(fb.rgb, target)
     grads = _backward(ctx, dl_dimage)
     return value, fb, grads

@@ -57,11 +57,9 @@ def _filt_valid(img):
     return (sliding_window_view(out, WINDOW, axis=-2) @ KERNEL).swapaxes(-1, -2)
 
 
-def ssim(img, ref, grad=False):
-    """Mean SSIM over channels and the valid region.
-
-    With grad=True also returns d(mean SSIM)/d(img) as an image-shaped array.
-    """
+def ssim(img, ref):
+    """Mean SSIM over channels and the valid region, and d(mean SSIM)/d(img)
+    as an image-shaped array."""
     img = np.asarray(img, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if img.shape != ref.shape or img.ndim != 3:
@@ -76,14 +74,13 @@ def ssim(img, ref, grad=False):
     # d(mean SSIM)/d(statistic) carries 1/(pixels * channels); k folds in the 2
     k = 2.0 / ((h - PAD) * (w - PAD) * channels)
     planes = np.empty((5, h, w))
-    if grad:
-        grad_img = np.empty_like(img)
-        # adjoint inputs 2*g_sx, g_xy and the folded g_mu term inside a zero
-        # border. The buffer is stored transposed, as _filt_valid's output is,
-        # so the writes into it are contiguous; F weights both axes alike, so
-        # filtering the stored (W, H) planes gives the transposed adjoint.
-        adjoint = np.zeros((3, w + PAD, h + PAD))
-        g_sx2, g_xy, g_rest = adjoint[:, PAD:-PAD, PAD:-PAD].swapaxes(-1, -2)
+    grad_img = np.empty_like(img)
+    # adjoint inputs 2*g_sx, g_xy and the folded g_mu term inside a zero
+    # border. The buffer is stored transposed, as _filt_valid's output is,
+    # so the writes into it are contiguous; F weights both axes alike, so
+    # filtering the stored (W, H) planes gives the transposed adjoint.
+    adjoint = np.zeros((3, w + PAD, h + PAD))
+    g_sx2, g_xy, g_rest = adjoint[:, PAD:-PAD, PAD:-PAD].swapaxes(-1, -2)
     for ch in range(channels):
         planes[0], planes[1] = img[..., ch], ref[..., ch]
         x, y = planes[0], planes[1]
@@ -100,15 +97,13 @@ def ssim(img, ref, grad=False):
         q = a1 * inv  # dS/da2
         s = q * a2
         total += s.mean()
-        if grad:
-            # g_sx = -S/b2 * k/2, g_xy = q * k, g_mu = (mu_y*a2/(b1*b2) - mu_x*S/b1) * k
-            s_b2 = s / b2
-            np.multiply(s_b2, -k, out=g_sx2)
-            np.multiply(q, k, out=g_xy)
-            # g_mu - 2*g_sx*mu_x - g_xy*mu_y = (mu_y*(p - q) + mu_x*(S/b2 - S/b1)) * k
-            p = a2 * inv  # dS/da1
-            np.multiply(mu_y * (p - q) + mu_x * (s_b2 - s / b1), k, out=g_rest)
-            a_sx2, a_xy, a_rest = _filt_valid(adjoint).swapaxes(-1, -2)
-            grad_img[..., ch] = x * a_sx2 + y * a_xy + a_rest
-    mean_ssim = total / channels
-    return (mean_ssim, grad_img) if grad else mean_ssim
+        # g_sx = -S/b2 * k/2, g_xy = q * k, g_mu = (mu_y*a2/(b1*b2) - mu_x*S/b1) * k
+        s_b2 = s / b2
+        np.multiply(s_b2, -k, out=g_sx2)
+        np.multiply(q, k, out=g_xy)
+        # g_mu - 2*g_sx*mu_x - g_xy*mu_y = (mu_y*(p - q) + mu_x*(S/b2 - S/b1)) * k
+        p = a2 * inv  # dS/da1
+        np.multiply(mu_y * (p - q) + mu_x * (s_b2 - s / b1), k, out=g_rest)
+        a_sx2, a_xy, a_rest = _filt_valid(adjoint).swapaxes(-1, -2)
+        grad_img[..., ch] = x * a_sx2 + y * a_xy + a_rest
+    return total / channels, grad_img

@@ -25,6 +25,7 @@ SHAPES = {"mu": (4,), "scale": (4,), "rotor_left": (4,), "rotor_right": (4,),
 COLUMNS = tuple(SHAPES)
 # each row's flat segment index and influence range (start, end) in seconds
 PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
+INITIAL_CAPACITY = 256      # rows allocated before the first insert
 
 GaussianBatch = make_dataclass(
     "GaussianBatch", ("ids",) + COLUMNS, slots=True, eq=False,
@@ -32,9 +33,25 @@ GaussianBatch = make_dataclass(
                "__len__": lambda self: len(self.ids)})
 
 
+def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual):
+    """The parameter columns of one insert as float64 arrays, in `COLUMNS`
+    order. InvalidParameterError unless each has exactly the shape
+    (n,) + SHAPES[name], with n = len(mu), and finite values."""
+    values = [np.asarray(value, dtype=np.float64)
+              for value in (mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual)]
+    lead = values[0].shape[:1]  # (n,); () for a 0-d mu, which fails its own check
+    for name, value in zip(COLUMNS, values):
+        if value.shape != lead + SHAPES[name]:
+            raise InvalidParameterError(
+                f"{name} has shape {value.shape}, expected {lead + SHAPES[name]}")
+        if not np.isfinite(value).all():
+            raise InvalidParameterError(f"non-finite {name}")
+    return values
+
+
 class GaussianStore:
-    def __init__(self, capacity=256):
-        self.capacity = max(capacity, 16)
+    def __init__(self):
+        self.capacity = INITIAL_CAPACITY
         self._row_arrays = []      # names of row-indexed arrays, COLUMNS first
         self._attach({name: (shape, np.float64) for name, shape in SHAPES.items()})
         self._attach(PLACEMENT)
@@ -129,21 +146,14 @@ class GaussianStore:
 
     def insert_arrays(self, mu, scale, rotor_left, rotor_right, opacity,
                       base_color, sh_residual):
-        """Bulk insert; arrays share the leading dimension. Returns new ids.
-        An array that does not fit its column, or holds a non-finite value,
-        raises before anything changes."""
-        n = len(mu)
-        values = [np.broadcast_to(np.asarray(value, dtype=np.float64), (n,) + SHAPES[name])
-                  for name, value in zip(COLUMNS, (mu, scale, rotor_left, rotor_right,
-                                                   opacity, base_color, sh_residual))]
-        for name, value in zip(COLUMNS, values):
-            if not np.isfinite(value).all():
-                raise InvalidParameterError(f"non-finite {name}")
-        rows = self._take_rows(n)
-        for name, value in zip(COLUMNS, values):
+        """Bulk insert of columns that passed `checked_columns`, which the
+        hierarchy runs once before it places them. Returns new ids."""
+        rows = self._take_rows(len(mu))
+        for name, value in zip(COLUMNS, (mu, scale, rotor_left, rotor_right, opacity,
+                                         base_color, sh_residual)):
             getattr(self, name)[rows] = value
-        ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
-        self._next_id += n
+        ids = np.arange(self._next_id, self._next_id + len(rows), dtype=np.int64)
+        self._next_id += len(rows)
         if self._next_id > len(self._row_of_id):
             self._row_of_id = _grown(self._row_of_id, 2 * self._next_id)
         self._row_of_id[ids] = rows

@@ -4,26 +4,33 @@ import numpy as np
 import pytest
 
 from tgh import appearance as ap
-from tgh.errors import InvalidParameterError
 
 
-def test_small_gradient_on_diffuse_is_zeroed():
-    gate = ap.AppearanceGate(g_th=1e-6)
+def frozen_gate():
+    gate = ap.AppearanceGate()
+    gate.g_th = math.inf
+    return gate
+
+
+def test_small_gradient_on_diffuse_is_zeroed(monkeypatch):
+    monkeypatch.setattr(ap, "G_TH", 1e-6)
+    gate = ap.AppearanceGate()
     h = np.zeros(45)
     g = np.full(45, 1e-7 / math.sqrt(45))
     assert np.linalg.norm(g) < 1e-6
     assert np.all(ap.gate_gradients(h, g, gate) == 0.0)
 
 
-def test_large_gradient_on_diffuse_passes():
-    gate = ap.AppearanceGate(g_th=1e-6)
+def test_large_gradient_on_diffuse_passes(monkeypatch):
+    monkeypatch.setattr(ap, "G_TH", 1e-6)
+    gate = ap.AppearanceGate()
     h = np.zeros(45)
     g = np.full(45, 1e-5)
     assert np.array_equal(ap.gate_gradients(h, g, gate), g)
 
 
 def test_view_dependent_always_passes_even_frozen():
-    gate = ap.AppearanceGate(g_th=math.inf)
+    gate = frozen_gate()
     assert gate.frozen
     h = np.zeros(45)
     h[3] = 0.2
@@ -32,15 +39,16 @@ def test_view_dependent_always_passes_even_frozen():
 
 
 def test_frozen_gate_blocks_all_diffuse():
-    gate = ap.AppearanceGate(g_th=math.inf)
+    gate = frozen_gate()
     assert gate.frozen
     h = np.zeros(45)
     g = np.full(45, 100.0)
     assert np.all(ap.gate_gradients(h, g, gate) == 0.0)
 
 
-def test_batch_gate_mixed_rows(rng):
-    gate = ap.AppearanceGate(g_th=1e-3)
+def test_batch_gate_mixed_rows(rng, monkeypatch):
+    monkeypatch.setattr(ap, "G_TH", 1e-3)
+    gate = ap.AppearanceGate()
     h = np.zeros((4, 45))
     h[1, 0] = 0.5                       # view-dependent
     g = np.zeros((4, 45))
@@ -55,18 +63,23 @@ def test_batch_gate_mixed_rows(rng):
 
 
 class TestRatioCutoff:
+    @pytest.fixture(autouse=True)
+    def settings(self, monkeypatch):
+        monkeypatch.setattr(ap, "G_TH", 1e-6)
+        monkeypatch.setattr(ap, "LAMBDA_H", 0.15)
+
     def test_below_threshold_unchanged(self):
-        gate = ap.AppearanceGate(lambda_h=0.15)
+        gate = ap.AppearanceGate()
         ap.update_ratio_cutoff(gate, 0.14)
         assert not gate.frozen and gate.g_th == 1e-6
 
     def test_at_threshold_freezes(self):
-        gate = ap.AppearanceGate(lambda_h=0.15)
+        gate = ap.AppearanceGate()
         ap.update_ratio_cutoff(gate, 0.15)
         assert gate.frozen and gate.g_th == math.inf
 
     def test_freeze_is_permanent(self):
-        gate = ap.AppearanceGate(lambda_h=0.15)
+        gate = ap.AppearanceGate()
         ap.update_ratio_cutoff(gate, 0.2)
         ap.update_ratio_cutoff(gate, 0.0)
         assert gate.frozen and gate.g_th == math.inf
@@ -81,9 +94,11 @@ def test_view_dependent_fraction(rng):
     assert ap.view_dependent_fraction(np.zeros((5, 45))) == 0.0
 
 
-def test_monotone_fraction_under_gating(rng):
+def test_monotone_fraction_under_gating(rng, monkeypatch):
     # simulated gated optimization: fraction never decreases before freezing
-    gate = ap.AppearanceGate(g_th=0.5, lambda_h=0.9)
+    monkeypatch.setattr(ap, "G_TH", 0.5)
+    monkeypatch.setattr(ap, "LAMBDA_H", 0.9)
+    gate = ap.AppearanceGate()
     h = np.zeros((50, 45))
     prev = 0.0
     for _ in range(100):
@@ -92,14 +107,6 @@ def test_monotone_fraction_under_gating(rng):
         frac = ap.view_dependent_fraction(h)
         assert frac >= prev
         prev = frac
-
-
-@pytest.mark.parametrize("setting", [dict(g_th=-1.0), dict(g_th=math.nan),
-                                     dict(lambda_h=math.nan), dict(lambda_h=1.5)],
-                         ids=["g_th_negative", "g_th_nan", "lambda_h_nan", "lambda_h_above_one"])
-def test_invalid_gate_rejected(setting):
-    with pytest.raises(InvalidParameterError):
-        ap.AppearanceGate(**setting)
 
 
 def test_frozen_is_read_from_the_threshold():
@@ -111,6 +118,6 @@ def test_frozen_is_read_from_the_threshold():
     with pytest.raises(AttributeError):
         gate.frozen = True
     assert not gate.frozen
-    ap.update_ratio_cutoff(gate, gate.lambda_h)
+    ap.update_ratio_cutoff(gate, ap.LAMBDA_H)
     assert gate.frozen
     assert np.all(ap.gate_gradients(np.zeros(45), np.ones(45), gate) == 0.0)

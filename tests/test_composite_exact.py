@@ -101,13 +101,13 @@ def deep_overlap(rng):
         g["scale"][0, :3] = rng.uniform(0.2, 0.5, size=3)
         g["scale"][0, 3] = rng.uniform(0.3, 0.6)
         gaussians.append(g)
-    return batch_of(gaussians), rn.RenderOptions(background=np.array([0.1, 0.2, 0.3]))
+    return batch_of(gaussians), {"BACKGROUND": np.array([0.1, 0.2, 0.3])}
 
 
 def single_pixel(rng):
     """Three point-like Gaussians in front of the center of pixel (12, 12).
 
-    With alpha_min 0.3 and opacity 0.5 the level-set rectangle of a splat
+    With ALPHA_MIN 0.3 and opacity 0.5 the level-set rectangle of a splat
     whose screen covariance is the 0.3 px^2 low-pass has half-width 0.55 px,
     so each covers that one pixel only.
     """
@@ -116,7 +116,7 @@ def single_pixel(rng):
         xy = 0.5 * z / 40.0  # projects to 12.5 px under `camera()`
         gaussians.append(params(mu=[xy, xy, z, 1.0], scale=[1e-3, 1e-3, 1e-3, 0.2],
                                 opacity=0.5, base_color=rng.uniform(0.2, 0.8, size=3)))
-    return batch_of(gaussians), rn.RenderOptions(alpha_min=0.3)
+    return batch_of(gaussians), {"ALPHA_MIN": 0.3}
 
 
 def culled(rng):
@@ -130,7 +130,7 @@ def culled(rng):
             g["mu"][0] = [0.0, 0.0, 5.0, 9.0]
             g["scale"][0, 3] = 0.1
         gaussians.append(g)
-    return batch_of(gaussians), rn.RenderOptions()
+    return batch_of(gaussians), {}
 
 
 def offscreen(rng):
@@ -141,19 +141,24 @@ def offscreen(rng):
         g["mu"][0, :3] = [40.0, rng.uniform(-1.0, 1.0), 5.0]
         g["scale"][0, 3] = 1.0
         gaussians.append(g)
-    return batch_of(gaussians), rn.RenderOptions()
+    return batch_of(gaussians), {}
 
 
 SCENES = {"deep_overlap": deep_overlap, "single_pixel": single_pixel,
           "culled": culled, "offscreen": offscreen}
 
 
-def scene(name):
-    return SCENES[name](np.random.default_rng(sorted(SCENES).index(name) + 5))
+def scene(name, patch):
+    """The named scene's batch, with the renderer constants it changes set
+    through `patch`."""
+    batch, constants = SCENES[name](np.random.default_rng(sorted(SCENES).index(name) + 5))
+    for constant, value in constants.items():
+        patch.setattr(rn, constant, value)
+    return batch
 
 
-def render(batch, opts, target, cam):
-    return rn.render_with_gradients(batch, 1.0, cam, target, opts=opts)
+def render(batch, target, cam):
+    return rn.render_with_gradients(batch, 1.0, cam, target)
 
 
 def assert_identical(new, ref):
@@ -167,13 +172,13 @@ def assert_identical(new, ref):
 
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_render_with_gradients_matches_reference(name, monkeypatch):
-    batch, opts = scene(name)
+    batch = scene(name, monkeypatch)
     cam = camera()
     target = np.random.default_rng(3).uniform(size=(cam.height, cam.width, 3))
-    new = render(batch, opts, target, cam)
+    new = render(batch, target, cam)
     monkeypatch.setattr(rn, "_composite_ordered", _composite_ordered)
     monkeypatch.setattr(rn, "_composite_backward", _composite_backward)
-    ref = render(batch, opts, target, cam)
+    ref = render(batch, target, cam)
     assert_identical(new, ref)
 
 
@@ -181,8 +186,8 @@ def test_scenes_have_their_shape():
     cam = camera()
     depth = {}
     for name in SCENES:
-        batch, opts = scene(name)
-        fb, ctx = rn._forward(batch, 1.0, cam, opts)
+        with pytest.MonkeyPatch.context() as patch:
+            fb, ctx = rn._forward(scene(name, patch), 1.0, cam)
         px = ctx.get("px", np.empty(0, dtype=np.intp))
         depth[name] = int(np.bincount(px).max()) if len(px) else 0
         covered = np.count_nonzero(fb.transmittance < 1.0)

@@ -103,6 +103,19 @@ class TestGeometry:
             with pytest.raises(InvalidParameterError):
                 build(**kwargs)
 
+    @pytest.mark.parametrize("geometry", [
+        dict(num_levels=2.5), dict(num_levels="3"), dict(num_levels=math.nan),
+        dict(num_levels=np.float64(3.0)), dict(root_length="5"), dict(root_length=math.nan),
+        dict(root_length=math.inf), dict(root_length=np.array([5.0]))],
+        ids=lambda geometry: "-".join(f"{k}={v!r}" for k, v in geometry.items()))
+    def test_untyped_geometry_rejected(self, geometry):
+        with pytest.raises(InvalidParameterError):
+            build(10.0, **geometry)
+
+    def test_numpy_geometry_accepted(self):
+        h = build(np.float64(10.0), root_length=np.float32(5.0), num_levels=np.int64(3))
+        assert len(h.levels) == 3 and h.levels[0].seg_length == 5.0
+
 
 class TestPlace:
     def test_mid_scale_range(self):
@@ -306,6 +319,22 @@ class TestInsertRemoveOccupancy:
         assert h.insert_batch(**random_params(rng, 2)) == [4, 5]
         assert h.store.rows_of(ids + [4, 5]).tolist() == list(range(6))
         h.audit()
+
+    @pytest.mark.parametrize("column, shape", [
+        ("mu", ()), ("mu", (4,)), ("mu", (3, 3)), ("scale", (3, 3)), ("opacity", (3, 1)),
+        ("sh_residual", (3, 44)), ("opacity", (2,))],
+        ids=["mu_scalar", "mu_one_row", "mu_3_wide", "scale_3_wide", "opacity_2d",
+             "sh_44_wide", "short_column"])
+    def test_misshapen_insert_raises_typed_error(self, rng, column, shape):
+        h = build(duration=40.0)
+        h.insert_batch(**random_params(rng, 2))
+        bad = random_params(rng, 3)
+        bad[column] = np.resize(bad[column], shape)
+        with pytest.raises(InvalidParameterError):
+            h.insert_batch(**bad)
+        assert len(h.store) == len(h) == 2
+        h.audit()
+        assert h.insert_batch(**random_params(rng, 1)) == [2]  # no id was spent
 
     @pytest.mark.parametrize("column", COLUMNS)
     def test_non_finite_insert_changes_nothing(self, rng, column):

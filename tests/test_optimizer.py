@@ -159,8 +159,7 @@ def make_training_setup(rng, iterations, seed=0, frames=4):
     from test_renderer import batch_of
     images = {}
     for f in range(frames):
-        img = rn.render_batch(batch_of(reference), f / 30.0, cam,
-                              rn.RenderOptions()).rgb
+        img = rn.render_batch(batch_of(reference), f / 30.0, cam).rgb
         images[(0, f)] = img
     scene = StaticScene([cam], frames, 30.0, images)
     h = build(duration=frames / 30.0)
@@ -213,8 +212,8 @@ class TestTrain:
         cfg = dataclasses.replace(cfg, densify_interval=50)
         counts = [(0, len(h.store))]
         held = set(vars(h.store))
-        opt.train(scene, h, cfg,
-                  on_interval=lambda it, result: counts.append((it, len(h.store))))
+        result = opt.train(scene, h, cfg)
+        counts += [(row.iteration, row.num_gaussians) for row in result.metrics]
         assert set(vars(h.store)) == held  # the training state is detached
         assert [it for it, _ in counts] == [0, 50, 100, 150, 200, 250, 300]
         grown = [it for (_, before), (it, after) in zip(counts, counts[1:])
@@ -247,7 +246,7 @@ class TestTrain:
         from test_renderer import batch_of
         wide = batch_of([params(scale=[0.2, 0.2, 0.2, 0.6], **blob)])
         scene = StaticScene([cam], 1, 30.0,
-                            {(0, 0): rn.render_batch(wide, 0.0, cam, rn.RenderOptions()).rgb})
+                            {(0, 0): rn.render_batch(wide, 0.0, cam).rgb})
         h = build(duration=1.0)
         [gid] = h.insert_batch(**params(scale=[ga.MIN_SCALE_SPATIAL] * 3 + [0.6], **blob))
         opt.train(scene, h, opt.TrainConfig(iterations=20))
@@ -261,6 +260,19 @@ class TestTrain:
         before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
+        for name, column in before.items():
+            assert getattr(h.store, name).tobytes() == column, name
+
+    @pytest.mark.parametrize("frame_rate", [np.inf, 0.0, -30.0, np.nan])
+    def test_bad_frame_rate_rejected(self, rng, frame_rate):
+        # an infinite rate would train every step at t = 0, a zero one divide by zero
+        scene, h, cfg = make_training_setup(rng, iterations=10)
+        scene.frame_rate = frame_rate
+        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        held = set(vars(h.store))
+        with pytest.raises(InvalidParameterError):
+            opt.train(scene, h, cfg)
+        assert set(vars(h.store)) == held
         for name, column in before.items():
             assert getattr(h.store, name).tobytes() == column, name
 

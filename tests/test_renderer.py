@@ -36,12 +36,12 @@ def rotated_camera(width=24, height=24):
                   near=0.1, far=100.0)
 
 
-def reference_render(batch, t, cam, opts):
+def reference_render(batch, t, cam):
     """Independent per-splat projection and per-pixel back-to-front
     over-compositing loop: each splat's Jacobian, screen covariance and
     level-set rectangle are computed here, one splat at a time."""
     img = np.empty((cam.height, cam.width, 3))
-    img[:] = opts.background
+    img[:] = rn.BACKGROUND
     cov = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)[-1]
     _, _, _, mean3, cov3, w_t = ga.condition_at_time(batch.mu, cov, t)
     splats = []
@@ -49,7 +49,7 @@ def reference_render(batch, t, cam, opts):
         x, y, z = cam.rotation @ mean3[i] + cam.translation
         alpha = float(batch.opacity[i] * w_t[i])
         if (w_t[i] < ga.TEMPORAL_THRESHOLD or not cam.near <= z <= cam.far
-                or alpha < opts.alpha_min):
+                or alpha < rn.ALPHA_MIN):
             continue
         center2 = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
         J = np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
@@ -61,8 +61,8 @@ def reference_render(batch, t, cam, opts):
         color = np.clip(batch.base_color[i] + residual, 0.0, 1.0)
         splats.append((-z, int(batch.ids[i]), center2, cov2, alpha, color))
     for _, _, center2, cov2, alpha, color in sorted(splats, key=lambda s: s[:2]):
-        # back to front; the rectangle bounds alpha * exp(-q / 2) >= alpha_min
-        half = np.sqrt(2.0 * math.log(alpha / opts.alpha_min) * np.diag(cov2))
+        # back to front; the rectangle bounds alpha * exp(-q / 2) >= ALPHA_MIN
+        half = np.sqrt(2.0 * math.log(alpha / rn.ALPHA_MIN) * np.diag(cov2))
         x0 = max(math.ceil(center2[0] - half[0] - 0.5), 0)
         x1 = min(math.floor(center2[0] + half[0] - 0.5), cam.width - 1)
         y0 = max(math.ceil(center2[1] - half[1] - 0.5), 0)
@@ -71,7 +71,7 @@ def reference_render(batch, t, cam, opts):
         for r in range(y0, y1 + 1):
             for c in range(x0, x1 + 1):
                 d = np.array([c + 0.5, r + 0.5]) - center2
-                a = min(alpha * math.exp(-0.5 * d @ conic @ d), opts.alpha_clamp)
+                a = min(alpha * math.exp(-0.5 * d @ conic @ d), rn.ALPHA_CLAMP)
                 img[r, c] = a * color + (1 - a) * img[r, c]
     return img
 
@@ -136,7 +136,7 @@ class TestExpandQuad:
         assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0), size=10) == (16, 15, 18, 17)
 
     def test_dim_splat_empty(self):
-        # peak alpha 0.001 < alpha_min = 1/255: the splat is culled before
+        # peak alpha 0.001 < ALPHA_MIN = 1/255: the splat is culled before
         # it gets a rectangle, so it covers no pixel
         g = params(mu=[0.0, 0.0, 5.0, 1.0], scale=[0.1, 0.1, 0.1, 0.2],
                    opacity=0.001, base_color=[1.0, 1.0, 1.0])
@@ -160,13 +160,14 @@ class TestComposite:
     def test_over_operator_reference(self):
         back = self.huge_gaussian([0, 1, 0], 0.5, z=10.0)
         front = self.huge_gaussian([1, 0, 0], 0.5, z=5.0)
-        fb = rn.render_batch(batch_of([back, front]), 1.0, self.cam, rn.RenderOptions())
+        fb = rn.render_batch(batch_of([back, front]), 1.0, self.cam)
         assert np.allclose(fb.rgb[2, 2], [0.5, 0.25, 0.0], atol=1e-9)
 
-    def test_zero_alpha_leaves_background(self):
+    def test_zero_alpha_leaves_background(self, monkeypatch):
         bg = np.array([0.2, 0.4, 0.6])
+        monkeypatch.setattr(rn, "BACKGROUND", bg)
         batch = batch_of([self.huge_gaussian([1, 1, 1], 0.0, z=z) for z in (3.0, 7.0)])
-        fb = rn.render_batch(batch, 1.0, self.cam, rn.RenderOptions(background=bg))
+        fb = rn.render_batch(batch, 1.0, self.cam)
         assert np.allclose(fb.rgb, bg)
         assert np.all(fb.transmittance == 1.0)
 
@@ -177,18 +178,18 @@ def single_gaussian_scene(opacity=0.8, color=(1.0, 1.0, 1.0), z=5.0, t_mu=1.0):
 
 
 class TestRender:
-    def test_empty_hierarchy_background(self):
+    def test_empty_hierarchy_background(self, monkeypatch):
         h = build(duration=10.0)
         cam = simple_camera()
-        opts = rn.RenderOptions(background=np.array([0.1, 0.2, 0.3]))
-        fb = rn.render(h, 3.0, cam, opts)
+        monkeypatch.setattr(rn, "BACKGROUND", np.array([0.1, 0.2, 0.3]))
+        fb = rn.render(h, 3.0, cam)
         assert np.allclose(fb.rgb, [0.1, 0.2, 0.3])
 
     def test_peak_alpha_at_principal_point(self):
         # principal point at the center of pixel (32, 32)
         cam = simple_camera(cx=32.5, cy=32.5)
         batch = single_gaussian_scene(opacity=0.8)
-        fb = rn.render_batch(batch, 1.0, cam, rn.RenderOptions())
+        fb = rn.render_batch(batch, 1.0, cam)
         assert fb.rgb[32, 32, 0] == pytest.approx(0.8, abs=1e-9)
         assert fb.rgb.max() == pytest.approx(0.8, abs=1e-9)
 
@@ -196,14 +197,14 @@ class TestRender:
         cam = simple_camera()
         batch = single_gaussian_scene()
         r = ga.influence_radius(0.2 ** 2)
-        inside = rn.render_batch(batch, 1.0, cam, rn.RenderOptions())
-        outside = rn.render_batch(batch, 1.0 + 1.1 * float(r), cam, rn.RenderOptions())
+        inside = rn.render_batch(batch, 1.0, cam)
+        outside = rn.render_batch(batch, 1.0 + 1.1 * float(r), cam)
         assert inside.rgb.max() > 0.5
         assert np.allclose(outside.rgb, 0.0)
 
     @pytest.mark.parametrize("cam", [simple_camera(width=24, height=24, fx=40.0),
                                      rotated_camera()], ids=["identity", "look_at"])
-    def test_matches_reference_loop(self, rng, cam):
+    def test_matches_reference_loop(self, rng, cam, monkeypatch):
         gaussians = []
         for _ in range(6):
             g = random_params(rng, t_center_range=(0.9, 1.1))
@@ -211,9 +212,9 @@ class TestRender:
             g["scale"][0, :3] = rng.uniform(0.05, 0.4, size=3)
             gaussians.append(g)
         batch = batch_of(gaussians)
-        opts = rn.RenderOptions(background=np.array([0.05, 0.1, 0.15]))
-        fb = rn.render_batch(batch, 1.0, cam, opts)
-        ref = reference_render(batch, 1.0, cam, opts)
+        monkeypatch.setattr(rn, "BACKGROUND", np.array([0.05, 0.1, 0.15]))
+        fb = rn.render_batch(batch, 1.0, cam)
+        ref = reference_render(batch, 1.0, cam)
         assert np.count_nonzero(fb.transmittance < 1.0) > 100
         assert np.max(np.abs(fb.rgb - ref)) < 1e-9
 
@@ -224,31 +225,41 @@ class TestRender:
             g = random_params(rng, t_center_range=(0.9, 1.1))
             g["mu"][0, :3] = rng.uniform(-0.5, 0.5, size=3) + np.array([0, 0, 5.0])
             gaussians.append(g)
-        fb = rn.render_batch(batch_of(gaussians), 1.0, cam, rn.RenderOptions())
+        fb = rn.render_batch(batch_of(gaussians), 1.0, cam)
         assert np.all(fb.transmittance >= 0.0) and np.all(fb.transmittance <= 1.0)
 
-    def test_energy_sanity_opaque_splat(self):
+    def test_energy_sanity_opaque_splat(self, monkeypatch):
         cam = simple_camera()
         g = params(mu=[0.0, 0.0, 1.0, 1.0], scale=[50.0, 50.0, 0.01, 0.2],
                    opacity=1.0, base_color=[0.3, 0.6, 0.9])
-        opts = rn.RenderOptions(alpha_clamp=1.0)
-        fb = rn.render_batch(batch_of([g]), 1.0, cam, opts)
+        monkeypatch.setattr(rn, "ALPHA_CLAMP", 1.0)
+        fb = rn.render_batch(batch_of([g]), 1.0, cam)
         assert np.max(np.abs(fb.rgb - np.array([0.3, 0.6, 0.9]))) < 1e-3
 
     def test_out_of_range_time(self):
         h = build(duration=10.0)
         with pytest.raises(OutOfRangeError):
-            rn.render(h, 11.0, simple_camera(), rn.RenderOptions())
+            rn.render(h, 11.0, simple_camera())
 
-
-@pytest.mark.parametrize("options", [
-    dict(alpha_clamp=-0.2), dict(alpha_clamp=0.0), dict(alpha_clamp=1.5),
-    dict(background=[np.nan, 0.0, 0.0]), dict(background=[0.0, np.inf, 0.0]),
-    dict(alpha_min=0.0)], ids=["clamp_negative", "clamp_zero", "clamp_above_one",
-                               "background_nan", "background_inf", "alpha_min_zero"])
-def test_invalid_render_options_rejected(options):
-    with pytest.raises(InvalidParameterError):
-        rn.RenderOptions(**options)
+    def test_alpha_one_fragment_keeps_finite_gradients(self):
+        # an opacity-1 splat centred on pixel (32, 32) at its temporal mean
+        # reaches alpha exactly 1 there;
+        # the backward pass divides the color behind a fragment by 1 - alpha,
+        # so the clamp must stay below 1 for the splat behind to get finite
+        # gradients
+        assert 0.0 < rn.ALPHA_CLAMP < 1.0
+        cam = simple_camera(cx=32.5, cy=32.5)
+        front = params(mu=[0.0, 0.0, 5.0, 1.0], scale=[0.05, 0.05, 0.05, 0.2],
+                       opacity=1.0, base_color=[0.9, 0.2, 0.1])
+        behind = params(mu=[0.0, 0.0, 8.0, 1.0], scale=[0.1, 0.1, 0.1, 0.2],
+                        opacity=0.7, base_color=[0.1, 0.5, 0.9])
+        target = np.full((64, 64, 3), 0.5)
+        _, fb, grads = rn.render_with_gradients(batch_of([front, behind]), 1.0, cam, target)
+        # the front fragment at (32, 32) is clamped: 1 - ALPHA_CLAMP of the light passes
+        assert 0.0 < fb.transmittance[32, 32] < 1.0 - rn.ALPHA_CLAMP
+        assert grads.touched.all()
+        for column in COLUMNS + ("viewspace_norm",):
+            assert np.isfinite(getattr(grads, column)).all(), column
 
 
 @pytest.mark.parametrize("field, value", [

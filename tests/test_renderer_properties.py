@@ -2,7 +2,8 @@
 transmittance bounds, on small random scenes drawn by hypothesis."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from tgh import renderer as rn
 from tgh.camera import Camera
@@ -62,11 +63,16 @@ def test_batch_order_does_not_change_output(seed, n, data):
         assert np.array_equal(getattr(grads_p, name), getattr(grads, name)[perm]), name
 
 
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(26180705779817071846778421121710096855824193843337944819220368967095869777879123691240614868869159708526151227139045)
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 24),
        alpha_clamp=st.floats(0.5, 1.0), t=st.floats(0.5, 1.5))
 def test_transmittance_in_unit_interval(seed, n, alpha_clamp, t):
     batch = random_batch(seed, n)
-    fb = rn.render_batch(batch, t, camera(), rn.RenderOptions(alpha_clamp=alpha_clamp))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rn, "ALPHA_CLAMP", alpha_clamp)
+        fb = rn.render_batch(batch, t, camera())
     assert np.all(fb.transmittance >= 0.0) and np.all(fb.transmittance <= 1.0)
     assert np.all(np.isfinite(fb.rgb))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tgh import sh
+from tgh import store as st
 from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.store import GaussianStore
 
@@ -14,10 +15,11 @@ def arrays(n, value=0.0):
                 sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)))
 
 
-def test_rows_reused_last_freed_first_then_fresh():
+def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
     # training draws split offsets in row order, so the order rows are
     # handed out in is part of the store's contract
-    store = GaussianStore(capacity=16)
+    monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
+    store = GaussianStore()
     ids = store.insert_arrays(**arrays(10))
     with store.attached({"extra": ((2,), np.int64)}):
         store.extra[:10] = 7
@@ -39,8 +41,9 @@ def test_rows_reused_last_freed_first_then_fresh():
     assert store.ids_at_rows([4, 7, 2]).tolist() == [10, 11, 12]
 
 
-def test_rows_grow_past_capacity():
-    store = GaussianStore(capacity=16)
+def test_rows_grow_past_capacity(monkeypatch):
+    monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
+    store = GaussianStore()
     first = store.insert_arrays(**arrays(10))
     with store.attached({"extra": ((), np.int64)}):
         store.extra[:10] = np.arange(1, 11)
