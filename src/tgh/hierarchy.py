@@ -2,18 +2,19 @@
 global segment, each Gaussian living in the shortest segment that contains
 its influence range.
 
-Level l has segment length s_l = S / 2^l and a corrected offset of
--S / 2^(l+2) that staggers boundaries across levels. Per-timestamp queries
-touch exactly one segment per level (plus global), independent of duration
-and population size.
+Level l has segment length seg_length_l = S / 2^l and a corrected offset
+offset_l = -S / 2^(l+2) that staggers boundaries across levels. Per-timestamp
+queries touch exactly one segment per level (plus global), independent of
+duration and population size.
 
-Placement is a formula: level l's segment holding t is
-floor((t - offset_l) / s_l), moved by one where rounding crossed a boundary
-of `Level.span`. Members are kept for occupied segments only, so memory is
-O(levels + population) at any duration. Each Gaussian's flat segment and the
-influence range it was placed by live in its store row (`store.PLACEMENT`),
-so a placed id is exactly a stored id; only ids whose segment changed touch
-a member set. Every writer takes a batch of ids.
+Placement is a formula: segment n of level l starts at offset_l + n *
+seg_length_l, and the one holding t is floor((t - offset_l) / seg_length_l),
+moved by one where rounding crossed a boundary. Members are kept for
+occupied segments only, so memory is O(levels + population) at any
+duration. Each Gaussian's flat segment and the influence range it was
+placed by live in its store row (`store.PLACEMENT`), so a placed id is
+exactly a stored id; only ids whose segment changed touch a member set.
+Every writer takes a batch of ids.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 update) must not run concurrently with each other or with reads.
@@ -32,7 +33,6 @@ from .errors import InvalidParameterError, OutOfRangeError, TGHError
 from .store import GaussianStore, checked_columns
 
 GLOBAL_LEVEL = -1
-GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
 _DOWN = (slice(None), None)      # views a per-level array as a column
 
@@ -42,23 +42,9 @@ class AuditError(TGHError):
 
 
 @dataclass
-class Level:
-    index: int
-    seg_length: float
-    offset: float
-    count: int                   # segments 0 .. count - 1 cover [0, duration]
-
-    def span(self, n):
-        return (self.offset + n * self.seg_length,
-                self.offset + (n + 1) * self.seg_length)
-
-
-@dataclass
 class WorkingSet:
     """All Gaussians relevant at one timestamp: one segment per level + global."""
 
-    timestamp: float
-    segment_refs: list              # [(level, index)] of length num_levels + 1
     gaussian_ids: np.ndarray        # concatenated members, int64
 
 
@@ -88,9 +74,8 @@ class TemporalHierarchy:
         l = np.arange(self.num_levels)
         self._seg_length = self.root_length / 2.0 ** l
         self._offset = -self.root_length / 2.0 ** (l + 2)
+        # segments 0 .. count - 1 of each level cover [0, duration]
         self._count = np.ceil((self.duration - self._offset) / self._seg_length).astype(np.int64)
-        self.levels = [Level(*level) for level in zip(
-            l.tolist(), self._seg_length.tolist(), self._offset.tolist(), self._count.tolist())]
         self.store = GaussianStore()
         # flat segment index: 0 is global, then each level's segments in order
         self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])
@@ -101,7 +86,7 @@ class TemporalHierarchy:
     # ---------------------------------------------------------------- geometry
 
     def _edge(self, n, level=_DOWN):
-        """Start of segment n as `Level.span` computes it; by default level l on row l."""
+        """Start of segment n, offset_l + n * seg_length_l; by default level l on row l."""
         return self._offset[level] + n * self._seg_length[level]
 
     def _index_at(self, t):
@@ -116,9 +101,10 @@ class TemporalHierarchy:
     def _find_placements(self, start, end):
         """Flat index of the deepest segment containing each [start, end].
 
-        Segment [a, b) of `Level.span` contains the range iff a <= start and
-        end <= b; per level, only the segment holding start can. Flat indices
-        grow with depth, so the deepest fit is the largest; no fit gives 0.
+        Segment n, [a, b) = [`_edge(n)`, `_edge(n + 1)`), contains the range
+        iff a <= start and end <= b; per level, only the segment holding start
+        can. Flat indices grow with depth, so the deepest fit is the largest;
+        no fit gives 0.
         """
         n = self._index_at(np.clip(start, *self._t_bounds))
         fits = (n >= 0) & (n < self._count[_DOWN]) & (end <= self._edge(n + 1))
@@ -169,8 +155,8 @@ class TemporalHierarchy:
         """Remove Gaussians from their segments and the store. An unknown id
         raises NotFoundError and a repeated one InvalidParameterError, and
         either leaves the hierarchy as it was."""
+        flat = self.store.segment[self.store.rows_of(gids)]  # checks the dtype before the cast
         gids = np.asarray(gids, dtype=np.int64).reshape(-1)
-        flat = self.store.segment[self.store.rows_of(gids)]
         self.store.remove(gids)  # validates every id before it changes anything
         self._file(flat, gids, add=False)
 
@@ -209,12 +195,10 @@ class TemporalHierarchy:
 
     def query(self, t):
         """Working set at timestamp t: one segment per level plus global, O(L)."""
-        indices = self.query_indices(t)
-        refs = list(enumerate(indices)) + [GLOBAL_SEGMENT]
-        flats = [*(self._first + indices).tolist(), _GLOBAL_FLAT]
+        flats = [*(self._first + self.query_indices(t)).tolist(), _GLOBAL_FLAT]
         members = self._members
         ids = np.array([g for f in flats for g in sorted(members.get(f, ()))], dtype=np.int64)
-        return WorkingSet(timestamp=float(t), segment_refs=refs, gaussian_ids=ids)
+        return WorkingSet(ids)
 
     def query_indices(self, t):
         """Per-level segment indices only (no member enumeration)."""
@@ -234,7 +218,7 @@ class TemporalHierarchy:
         keys = sorted(self._members)
         per_segment = dict(zip(self._placements(np.array(keys, dtype=np.int64)),
                                (len(self._members[k]) for k in keys)))
-        per_level = dict.fromkeys([lv.index for lv in self.levels] + [GLOBAL_LEVEL], 0)
+        per_level = dict.fromkeys([*range(self.num_levels), GLOBAL_LEVEL], 0)
         for (level, _), size in per_segment.items():
             per_level[level] += size
         return per_level, per_segment

@@ -40,10 +40,10 @@ import numpy as np
 from . import appearance as ap
 from . import gaussians as ga
 from . import renderer as rn
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, OutOfRangeError
 from .hierarchy import TemporalHierarchy
 from .losses import psnr
-from .store import COLUMNS as PARAM_GROUPS, SHAPES
+from .store import COLUMNS, SHAPES
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
     ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
@@ -174,7 +174,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     sources = np.concatenate([clone_rows, np.repeat(split_rows, 2)])
     if len(sources):
-        new = {name: getattr(store, name)[sources] for name in PARAM_GROUPS}
+        new = {name: getattr(store, name)[sources] for name in COLUMNS}
         n_clones = len(clone_rows)
         wg = store.world_grad[clone_rows] / store.touch_count[clone_rows, None]
         norm = np.sqrt((wg[:, None, :] @ wg[:, :, None])[:, 0, 0])
@@ -235,8 +235,6 @@ METRIC_COLUMNS = tuple(f.name for f in fields(MetricRow))
 @dataclass
 class TrainResult:
     metrics: list                       # MetricRow per control pass
-    gate: ap.AppearanceGate
-    vdep_history: list                  # (iteration, view-dependent fraction)
 
 
 def scene_extent_of(store):
@@ -252,7 +250,9 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
     """Fit the hierarchy's Gaussians to the scene's posed images.
 
     `scene` provides cameras, frames, frame_rate and target(cam, frame).
-    Returns a TrainResult; the hierarchy is optimized in place.
+    Returns a TrainResult; the hierarchy is optimized in place. Nothing
+    changes unless the scene has a camera, an integer frame count >= 1, a
+    finite positive frame rate and its last frame within `h.duration`.
 
     A control pass runs every `cfg.densify_interval` iterations and at the
     last one. It prunes at every pass but clones and splits only while
@@ -261,18 +261,22 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
     pass appends a MetricRow to `result.metrics`.
     """
     cfg = cfg or TrainConfig()
-    if len(scene.cameras) == 0 or scene.frames == 0:
-        raise InvalidParameterError("scene has no (view, time) samples")
+    if len(scene.cameras) == 0 or not (isinstance(scene.frames, numbers.Integral)
+                                       and scene.frames >= 1):
+        raise InvalidParameterError(f"scene needs a camera and an integer frame count "
+                                    f">= 1, got frames={scene.frames!r}")
     if not 0 < scene.frame_rate < math.inf:
         raise InvalidParameterError(f"frame_rate must be finite and positive, "
                                     f"got {scene.frame_rate!r}")
+    if (scene.frames - 1) / scene.frame_rate > h.duration:
+        raise OutOfRangeError(f"frame {scene.frames - 1} falls after duration {h.duration}")
     iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
-    gate = ap.AppearanceGate()
+    g_th = ap.G_TH
     extent = scene_extent_of(h.store)
     lr_of = {**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}
 
-    result = TrainResult(metrics=[], gate=gate, vdep_history=[])
+    result = TrainResult(metrics=[])
     interval_loss = []
     last_psnr = float("nan")
     t_interval = time.perf_counter()
@@ -292,11 +296,11 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
 
             if len(batch) > 0:
                 grads.sh_residual = ap.gate_gradients(batch.sh_residual,
-                                                      grads.sh_residual, gate)
+                                                      grads.sh_residual, g_th)
                 rows = store.rows_of(ws.gaussian_ids)
                 store.adam_steps[rows] += 1
                 steps = store.adam_steps[rows]
-                for name in PARAM_GROUPS:
+                for name in COLUMNS:
                     col, m_col, v_col = (getattr(store, name + end) for end in ("", "_m", "_v"))
                     p, m, v = col[rows], m_col[rows], v_col[rows]
                     adam_step(p, getattr(grads, name), m, v, steps, lr_of[name])
@@ -319,10 +323,9 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
 
             if it % cfg.densify_interval == 0 or it == iterations:
                 adaptive_control(h, cfg, rng, extent, grow=it <= iterations // 2)
-                live = store.live_rows()
-                fraction = ap.view_dependent_fraction(store.sh_residual[live])
-                ap.update_ratio_cutoff(gate, fraction)
-                result.vdep_history.append((it, fraction))
+                if g_th < math.inf:
+                    fraction = ap.view_dependent_fraction(store.sh_residual[store.live_rows()])
+                    g_th = ap.update_ratio_cutoff(g_th, fraction)
                 elapsed = time.perf_counter() - t_interval
                 n_iters = len(interval_loss)
                 last_psnr = psnr(fb.rgb, target)

@@ -54,8 +54,6 @@ ALPHA_CLAMP = 0.99                      # per-fragment opacity ceiling
 
 @dataclass
 class Framebuffer:
-    width: int
-    height: int
     rgb: np.ndarray              # (H, W, 3)
     transmittance: np.ndarray    # (H, W), remaining background visibility
 
@@ -64,8 +62,8 @@ class Framebuffer:
 # position gradient norm (`viewspace_norm`) and whether it survived culling
 # and covered pixels (`touched`, bool)
 ParamGradients = make_dataclass(
-    "ParamGradients", ("ids",) + COLUMNS + ("viewspace_norm", "touched"), slots=True, eq=False,
-    namespace={"__doc__": "Per-Gaussian gradients aligned with the rendered batch's ids."})
+    "ParamGradients", COLUMNS + ("viewspace_norm", "touched"), slots=True, eq=False,
+    namespace={"__doc__": "Per-Gaussian gradients aligned with the rendered batch's rows."})
 
 
 # --------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     ctx.update(geom=geom, cond=cond, keep=keep)
     if len(keep) == 0:
         rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
-        return Framebuffer(w_img, h_img, rgb, np.ones((h_img, w_img))), ctx
+        return Framebuffer(rgb, np.ones((h_img, w_img))), ctx
 
     pts = cam_pts[keep]
     center2, _, k_mat, cov2 = project(pts, cov3[keep], cam)
@@ -306,7 +304,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     trans_img = np.ones((h_img, w_img))
     rgb.reshape(-1, 3)[unique_px] = csum + trans[:, None] * BACKGROUND
     trans_img.reshape(-1)[unique_px] = trans
-    return Framebuffer(w_img, h_img, rgb, trans_img), ctx
+    return Framebuffer(rgb, trans_img), ctx
 
 
 def render_batch(batch: GaussianBatch, t, cam: Camera):
@@ -355,7 +353,6 @@ def _backward(ctx, dl_dimage):
     n = ctx["n"]
     cam = ctx["cam"]
     grads = ParamGradients(
-        ids=np.asarray(batch.ids).copy(),
         **{name: np.zeros((n,) + shape) for name, shape in SHAPES.items()},
         viewspace_norm=np.zeros(n), touched=np.zeros(n, dtype=bool))
     keep = ctx["keep"]

@@ -108,8 +108,12 @@ class GaussianStore:
         return np.flatnonzero(rows >= 0)
 
     def _rows(self, gids):
-        """Rows of the given ids, -1 where an id is unknown or removed."""
-        gids = np.asarray(gids, dtype=np.int64).reshape(-1)
+        """Rows of the given ids, -1 where an id is unknown or removed.
+        InvalidParameterError unless the ids have an integer dtype."""
+        gids = np.asarray(gids)
+        if gids.size and not np.issubdtype(gids.dtype, np.integer):
+            raise InvalidParameterError(f"ids must be integers, got dtype {gids.dtype}")
+        gids = gids.astype(np.int64, copy=False).reshape(-1)
         inside = (gids >= 0) & (gids < self._next_id)
         return np.where(inside, self._row_of_id.take(gids, mode="clip"), -1)
 

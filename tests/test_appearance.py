@@ -4,58 +4,57 @@ import numpy as np
 import pytest
 
 from tgh import appearance as ap
+from tgh import optimizer as opt
+
+from test_train_properties import small_scene
 
 
-def frozen_gate():
-    gate = ap.AppearanceGate()
-    gate.g_th = math.inf
-    return gate
+def frozen_threshold():
+    """The threshold of a gate frozen by the cutoff."""
+    return ap.update_ratio_cutoff(ap.G_TH, ap.LAMBDA_H)
 
 
 def test_small_gradient_on_diffuse_is_zeroed(monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-6)
-    gate = ap.AppearanceGate()
-    h = np.zeros(45)
-    g = np.full(45, 1e-7 / math.sqrt(45))
+    h = np.zeros((1, 45))
+    g = np.full((1, 45), 1e-7 / math.sqrt(45))
     assert np.linalg.norm(g) < 1e-6
-    assert np.all(ap.gate_gradients(h, g, gate) == 0.0)
+    assert np.all(ap.gate_gradients(h, g, ap.G_TH) == 0.0)
 
 
 def test_large_gradient_on_diffuse_passes(monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-6)
-    gate = ap.AppearanceGate()
-    h = np.zeros(45)
-    g = np.full(45, 1e-5)
-    assert np.array_equal(ap.gate_gradients(h, g, gate), g)
+    h = np.zeros((1, 45))
+    g = np.full((1, 45), 1e-5)
+    assert np.array_equal(ap.gate_gradients(h, g, ap.G_TH), g)
 
 
 def test_view_dependent_always_passes_even_frozen():
-    gate = frozen_gate()
-    assert gate.frozen
-    h = np.zeros(45)
-    h[3] = 0.2
-    g = np.full(45, 1e-12)
-    assert np.array_equal(ap.gate_gradients(h, g, gate), g)
+    g_th = frozen_threshold()
+    assert g_th == math.inf
+    h = np.zeros((1, 45))
+    h[0, 3] = 0.2
+    g = np.full((1, 45), 1e-12)
+    assert np.array_equal(ap.gate_gradients(h, g, g_th), g)
 
 
 def test_frozen_gate_blocks_all_diffuse():
-    gate = frozen_gate()
-    assert gate.frozen
-    h = np.zeros(45)
-    g = np.full(45, 100.0)
-    assert np.all(ap.gate_gradients(h, g, gate) == 0.0)
+    g_th = frozen_threshold()
+    assert g_th == math.inf
+    h = np.zeros((1, 45))
+    g = np.full((1, 45), 100.0)
+    assert np.all(ap.gate_gradients(h, g, g_th) == 0.0)
 
 
 def test_batch_gate_mixed_rows(rng, monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-3)
-    gate = ap.AppearanceGate()
     h = np.zeros((4, 45))
     h[1, 0] = 0.5                       # view-dependent
     g = np.zeros((4, 45))
     g[0] = 1e-6                         # diffuse, tiny -> zeroed
     g[1] = 1e-6                         # vdep -> passes
     g[2] = 1.0                          # diffuse, large -> passes
-    out = ap.gate_gradients(h, g, gate)
+    out = ap.gate_gradients(h, g, ap.G_TH)
     assert np.all(out[0] == 0.0)
     assert np.array_equal(out[1], g[1])
     assert np.array_equal(out[2], g[2])
@@ -69,20 +68,17 @@ class TestRatioCutoff:
         monkeypatch.setattr(ap, "LAMBDA_H", 0.15)
 
     def test_below_threshold_unchanged(self):
-        gate = ap.AppearanceGate()
-        ap.update_ratio_cutoff(gate, 0.14)
-        assert not gate.frozen and gate.g_th == 1e-6
+        g_th = ap.update_ratio_cutoff(ap.G_TH, 0.14)
+        assert g_th == 1e-6
 
     def test_at_threshold_freezes(self):
-        gate = ap.AppearanceGate()
-        ap.update_ratio_cutoff(gate, 0.15)
-        assert gate.frozen and gate.g_th == math.inf
+        g_th = ap.update_ratio_cutoff(ap.G_TH, 0.15)
+        assert g_th == math.inf
 
     def test_freeze_is_permanent(self):
-        gate = ap.AppearanceGate()
-        ap.update_ratio_cutoff(gate, 0.2)
-        ap.update_ratio_cutoff(gate, 0.0)
-        assert gate.frozen and gate.g_th == math.inf
+        g_th = ap.update_ratio_cutoff(ap.G_TH, 0.2)
+        g_th = ap.update_ratio_cutoff(g_th, 0.0)
+        assert g_th == math.inf
 
 
 def test_view_dependent_fraction(rng):
@@ -98,26 +94,44 @@ def test_monotone_fraction_under_gating(rng, monkeypatch):
     # simulated gated optimization: fraction never decreases before freezing
     monkeypatch.setattr(ap, "G_TH", 0.5)
     monkeypatch.setattr(ap, "LAMBDA_H", 0.9)
-    gate = ap.AppearanceGate()
     h = np.zeros((50, 45))
     prev = 0.0
     for _ in range(100):
         g = rng.normal(scale=0.2, size=(50, 45))
-        h -= 0.1 * ap.gate_gradients(h, g, gate)
+        h -= 0.1 * ap.gate_gradients(h, g, ap.G_TH)
         frac = ap.view_dependent_fraction(h)
         assert frac >= prev
         prev = frac
 
 
-def test_frozen_is_read_from_the_threshold():
-    # a gate is frozen exactly when its threshold is infinite, so it cannot
-    # report itself frozen while it still lets a diffuse gradient through
-    with pytest.raises(TypeError):
-        ap.AppearanceGate(frozen=True)
-    gate = ap.AppearanceGate()
-    with pytest.raises(AttributeError):
-        gate.frozen = True
-    assert not gate.frozen
-    ap.update_ratio_cutoff(gate, ap.LAMBDA_H)
-    assert gate.frozen
-    assert np.all(ap.gate_gradients(np.zeros(45), np.ones(45), gate) == 0.0)
+
+def test_train_freezes_the_gate_at_the_first_pass_over_the_cutoff(monkeypatch):
+    # on this run the view-dependent fraction is 0.667 at the first two
+    # control passes and 0.708 at the third
+    monkeypatch.setattr(ap, "G_TH", 2e-3)
+    monkeypatch.setattr(ap, "LAMBDA_H", 0.7)
+    events = []                 # ("step", threshold) and ("pass", fraction), in call order
+    gate, fraction = ap.gate_gradients, ap.view_dependent_fraction
+
+    def recorded_gate(h, grad_h, g_th):
+        events.append(("step", g_th))
+        return gate(h, grad_h, g_th)
+
+    def recorded_fraction(h):
+        events.append(("pass", fraction(h)))
+        return events[-1][1]
+
+    monkeypatch.setattr(ap, "gate_gradients", recorded_gate)
+    monkeypatch.setattr(ap, "view_dependent_fraction", recorded_fraction)
+    scene, h = small_scene(0, 6, 16)
+    opt.train(scene, h, opt.TrainConfig(iterations=60, densify_interval=10))
+    passes = [i for i, (kind, _) in enumerate(events) if kind == "pass"]
+    fractions = [events[i][1] for i in passes]
+    # the gate stays open for two passes, then no fraction is computed again
+    assert len(fractions) == 3
+    assert max(fractions[:-1]) < ap.LAMBDA_H <= fractions[-1]
+    before = [v for kind, v in events[:passes[-1]] if kind == "step"]
+    after = [v for kind, v in events[passes[-1]:] if kind == "step"]
+    assert len(before) == len(after) == 30
+    assert all(v == 2e-3 for v in before)
+    assert all(v == math.inf for v in after)

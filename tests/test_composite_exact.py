@@ -82,7 +82,7 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
 
 
 
-GRAD_FIELDS = ("ids", "mu", "scale", "rotor_left", "rotor_right", "opacity",
+GRAD_FIELDS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
                "base_color", "sh_residual", "viewspace_norm", "touched")
 
 

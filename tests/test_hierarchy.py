@@ -1,22 +1,47 @@
 import math
 import time
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
-from tgh.hierarchy import GLOBAL_SEGMENT, AuditError, TemporalHierarchy, build
+from tgh.hierarchy import GLOBAL_LEVEL, AuditError, TemporalHierarchy, build
 from tgh.store import COLUMNS
 
 from conftest import params, random_params, stack
+
+GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)  # the placement of a range no level segment contains
+
+
+class Level(NamedTuple):
+    index: int
+    seg_length: float
+    offset: float
+    count: int                   # segments 0 .. count - 1 cover [0, duration]
+
+    def span(self, n):
+        return (self.offset + n * self.seg_length,
+                self.offset + (n + 1) * self.seg_length)
+
+
+def levels(h):
+    """Each level of `h` by the documented formulas, from its construction
+    arguments alone: segment length S / 2^l, offset -S / 2^(l+2), and as
+    many segments as reach past the duration."""
+    out = []
+    for l in range(h.num_levels):
+        seg_length, offset = h.root_length / 2.0 ** l, -h.root_length / 2.0 ** (l + 2)
+        out.append(Level(l, seg_length, offset, math.ceil((h.duration - offset) / seg_length)))
+    return out
 
 
 def brute_force_placement(h, start, end):
     """Scan every (level, segment) pair; deepest containing segment wins."""
     best = GLOBAL_SEGMENT
-    for lv in h.levels:
+    for lv in levels(h):
         n = np.arange(lv.count)
         a = lv.offset + n * lv.seg_length
         b = lv.offset + (n + 1) * lv.seg_length
@@ -28,9 +53,9 @@ def brute_force_placement(h, start, end):
 
 def brute_force_indices(h, ts):
     """Per timestamp, each level's last segment starting at or before it."""
-    starts = [lv.offset + np.arange(lv.count) * lv.seg_length for lv in h.levels]
+    starts = [lv.offset + np.arange(lv.count) * lv.seg_length for lv in levels(h)]
     return np.stack([np.minimum(b.searchsorted(ts, side="right") - 1, lv.count - 1)
-                     for lv, b in zip(h.levels, starts)], axis=1)
+                     for lv, b in zip(levels(h), starts)], axis=1)
 
 
 def random_ranges(rng, n, duration):
@@ -63,24 +88,24 @@ def placement(h, start, end):
 class TestGeometry:
     def test_reference_level_sizes(self):
         h = build(duration=40.0, root_length=10.0, num_levels=9)
-        assert h.levels[0].seg_length == 10.0
-        assert h.levels[8].seg_length == 10.0 / 256 == 0.0390625
-        assert h.levels[0].offset == -2.5
-        assert h.levels[1].offset == -1.25
-        assert h.levels[2].offset == -0.625
+        assert h._seg_length[0] == 10.0
+        assert h._seg_length[8] == 10.0 / 256 == 0.0390625
+        assert h._offset[0] == -2.5
+        assert h._offset[1] == -1.25
+        assert h._offset[2] == -0.625
 
     def test_single_level_segment_count(self):
         h = build(duration=10.0, root_length=10.0, num_levels=1)
-        assert len(h.levels) == 1
-        assert h.levels[0].offset == -2.5
-        assert h.levels[0].count == math.ceil(12.5 / 10.0) == 2
+        assert len(h._count) == 1
+        assert h._offset[0] == -2.5
+        assert h._count[0] == math.ceil(12.5 / 10.0) == 2
 
     def test_segments_cover_duration(self):
         for T in (10.0, 40.0, 123.4):
             h = build(duration=T)
-            for lv in h.levels:
-                first, _ = lv.span(0)
-                _, last = lv.span(lv.count - 1)
+            for level in range(h.num_levels):
+                first = h._edge(0, level)
+                last = h._edge(h._count[level], level)  # the end of the last segment
                 assert first <= 0.0 and last >= T
 
     def test_memory_independent_of_duration(self):
@@ -114,7 +139,7 @@ class TestGeometry:
 
     def test_numpy_geometry_accepted(self):
         h = build(np.float64(10.0), root_length=np.float32(5.0), num_levels=np.int64(3))
-        assert len(h.levels) == 3 and h.levels[0].seg_length == 5.0
+        assert len(h._count) == 3 and h._seg_length[0] == 5.0
 
 
 class TestPlace:
@@ -153,7 +178,7 @@ class TestPlace:
         # quotient lands a segment off either way near a boundary
         h = build(duration=4 * root_length, root_length=root_length, num_levels=6)
         starts, ends = [], []
-        for lv in h.levels:
+        for lv in levels(h):
             a = lv.offset + np.arange(lv.count + 1) * lv.seg_length
             for start in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)):
                 for end in (a + lv.seg_length, np.nextafter(start, np.inf)):
@@ -195,15 +220,13 @@ class TestPlace:
 class TestQuery:
     def test_reference_indices(self):
         h = build(duration=10.0, root_length=10.0, num_levels=3)
-        ws = h.query(7.0)
-        assert ws.segment_refs == [(0, 0), (1, 1), (2, 3), GLOBAL_SEGMENT]
+        assert h.query_indices(7.0) == [0, 1, 3]
 
     def test_t_zero_and_duration_valid(self):
         h = build(duration=40.0)
         for t in (0.0, 40.0):
-            ws = h.query(t)
-            for level, n in ws.segment_refs[:-1]:
-                assert 0 <= n < h.levels[level].count
+            for lv, n in zip(levels(h), h.query_indices(t), strict=True):
+                assert 0 <= n < lv.count
 
     def test_out_of_range(self):
         h = build(duration=40.0)
@@ -215,7 +238,7 @@ class TestQuery:
         for T in (10.0, 100.0, 1000.0, 10000.0):
             h = build(duration=T, num_levels=9)
             for t in (0.0, T / 3, T):
-                assert len(h.query(t).segment_refs) == 10
+                assert len(h.query_indices(t)) + 1 == 10  # and the global segment
 
     def test_completeness_against_linear_scan(self, rng):
         h = build(duration=40.0)
@@ -229,7 +252,7 @@ class TestQuery:
         h = build(duration=40.0)
         insert_ranges(h, random_ranges(rng, 300, 40.0))
         w1, w2 = h.query(17.3), h.query(17.3)
-        assert w1.segment_refs == w2.segment_refs
+        assert h.query_indices(17.3) == h.query_indices(17.3)
         assert np.array_equal(w1.gaussian_ids, w2.gaussian_ids)
 
     def test_query_cost_independent_of_population(self, rng):
@@ -285,7 +308,7 @@ class TestUpdateLevel:
         level, n = h.placement_of(gid)
         assert level == 8
         [row] = h.store.rows_of([gid])
-        h.store.mu[row, 3] += h.levels[8].seg_length
+        h.store.mu[row, 3] += levels(h)[8].seg_length
         old, new = h.update_levels([gid])[0]
         assert old == (8, n) and new == (8, n + 1)
         start, end = h.range_of(gid)
@@ -367,6 +390,23 @@ class TestInsertRemoveOccupancy:
         h.remove([ids[1], ids[3]])
         new = h.insert_batch(**random_params(rng, 3))
         assert sorted(h.store.rows_of(new).tolist()) == [1, 3, 5]
+        h.audit()
+
+    @pytest.mark.parametrize("call", ["remove", "update_levels", "gather", "placement_of"])
+    @pytest.mark.parametrize("gids", [[1.7], np.array([2.9]), ["3"], [True]],
+                             ids=["float", "float_array", "string", "bool"])
+    def test_non_integer_ids_rejected(self, rng, call, gids):
+        # a cast would act on the id the value truncates to
+        h = build(duration=40.0)
+        ids = h.insert_batch(**random_params(rng, 5))
+        placements = [h.placement_of(g) for g in ids]
+        act = {"remove": h.remove, "update_levels": h.update_levels, "gather": h.store.gather,
+               "placement_of": lambda gids: h.placement_of(gids[0])}[call]
+        with pytest.raises(InvalidParameterError):
+            act(gids)
+        assert h.store.ids == ids
+        assert [h.placement_of(g) for g in ids] == placements
+        h.remove([])  # an empty id list is no id of the wrong type
         h.audit()
 
     def test_occupancy_partition(self, rng):

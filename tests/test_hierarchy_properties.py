@@ -7,13 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tgh import sh
 from tgh.errors import NotFoundError
 from tgh.hierarchy import build
 
-from test_hierarchy import brute_force_indices, brute_force_placement, placement
+from test_hierarchy import brute_force_indices, brute_force_placement, levels, placement
 
 DURATION = 40.0
 
@@ -84,7 +84,7 @@ def boundary_ranges(h, data, count):
     """
     starts, ends = [], []
     for _ in range(count):
-        lv = h.levels[data.draw(st.integers(0, h.num_levels - 1))]
+        lv = levels(h)[data.draw(st.integers(0, h.num_levels - 1))]
         n = data.draw(st.integers(0, lv.count - 1))
         a, b = lv.span(n)
         start = data.draw(st.sampled_from([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)])
@@ -106,6 +106,9 @@ def edge_ranges(duration):
             (duration + 50.0, duration + 60.0)]
 
 
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(17909529640588843448530858852399247270444608794347068319469909138829500235418035216064945544367668736431341864941307)
 @settings(max_examples=30)
 @given(num_levels=st.integers(1, 9), duration=st.sampled_from([10.0, 40.0, 123.4]),
        data=st.data())
@@ -129,7 +132,7 @@ def test_batch_placement_matches_brute_force(num_levels, duration, data):
         h.insert_batch(**random_arrays(rng, 5))
         h.audit()
         # 0, the duration and every level boundary between them
-        bounds = [lv.offset + np.arange(lv.count + 1) * lv.seg_length for lv in h.levels]
+        bounds = [lv.offset + np.arange(lv.count + 1) * lv.seg_length for lv in levels(h)]
         ts = np.unique(np.concatenate([[0.0, duration], *bounds]))
         ts = ts[(ts >= 0.0) & (ts <= duration)]
         for t, want in zip(ts.tolist(), brute_force_indices(h, ts).tolist()):

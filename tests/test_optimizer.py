@@ -8,7 +8,7 @@ from tgh import gaussians as ga
 from tgh import optimizer as opt
 from tgh import renderer as rn
 from tgh.camera import Camera, look_at
-from tgh.errors import InvalidParameterError
+from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
 from tgh.store import COLUMNS, PLACEMENT
 
@@ -275,6 +275,28 @@ class TestTrain:
         assert set(vars(h.store)) == held
         for name, column in before.items():
             assert getattr(h.store, name).tobytes() == column, name
+
+    @pytest.mark.parametrize("frames", [6, 2.5, -1, np.float64(3.0)])
+    def test_bad_frame_count_rejected(self, rng, frames):
+        # the clip is 4/30 s: frame 5 would fall at 5/30 s, after it, and
+        # fail mid-run once training had moved the Gaussians
+        scene, h, cfg = make_training_setup(rng, iterations=10, seed=1)
+        scene._images.update({(0, f): scene._images[(0, 3)] for f in (4, 5)})
+        scene.frames = frames
+        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        held = set(vars(h.store))
+        with pytest.raises((InvalidParameterError, OutOfRangeError)):
+            opt.train(scene, h, cfg)
+        assert set(vars(h.store)) == held
+        for name, column in before.items():
+            assert getattr(h.store, name).tobytes() == column, name
+
+    def test_numpy_frame_count_accepted(self, rng):
+        # with 5 frames the last one falls exactly at the end of the clip
+        scene, h, cfg = make_training_setup(rng, iterations=10)
+        scene._images[(0, 4)] = scene._images[(0, 3)]
+        scene.frames = np.int64(5)
+        assert len(opt.train(scene, h, cfg).metrics) == 1
 
     def test_empty_scene_rejected(self, rng):
         scene, h, cfg = make_training_setup(rng, iterations=10)

@@ -4,11 +4,12 @@ placements, and every kind of density control happens on the way."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tgh import optimizer as opt
 from tgh.camera import Camera
 from tgh.hierarchy import build
+from tgh.store import COLUMNS
 
 from conftest import params, stack
 from test_optimizer import StaticScene
@@ -55,6 +56,9 @@ def recording(reports):
     return control
 
 
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(10281869782716536324757331828471411636874583558278456082715895499050347552805707304205726142743286418697002933376145)
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6), size=st.integers(16, 24),
        interval=st.integers(5, 10))
@@ -75,7 +79,7 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
                      [h.placement_of(g) for g in ids], reports))
     (metrics, ids, batch, placements, reports), again = runs
     assert again[0] == metrics and again[1] == ids and again[3] == placements
-    for name in opt.PARAM_GROUPS:
+    for name in COLUMNS:
         assert np.array_equal(getattr(again[2], name), getattr(batch, name)), name
     assert sum(r.cloned for r in reports) > 0
     assert sum(r.split for r in reports) > 0
