@@ -261,8 +261,8 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
     pass appends a MetricRow to `result.metrics`.
     """
     cfg = cfg or TrainConfig()
-    if len(scene.cameras) == 0 or not (isinstance(scene.frames, numbers.Integral)
-                                       and scene.frames >= 1):
+    if len(scene.cameras) == 0 or isinstance(scene.frames, bool) or not (
+            isinstance(scene.frames, numbers.Integral) and scene.frames >= 1):
         raise InvalidParameterError(f"scene needs a camera and an integer frame count "
                                     f">= 1, got frames={scene.frames!r}")
     if not 0 < scene.frame_rate < math.inf:

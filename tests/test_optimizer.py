@@ -276,7 +276,7 @@ class TestTrain:
         for name, column in before.items():
             assert getattr(h.store, name).tobytes() == column, name
 
-    @pytest.mark.parametrize("frames", [6, 2.5, -1, np.float64(3.0)])
+    @pytest.mark.parametrize("frames", [6, 2.5, -1, np.float64(3.0), True])
     def test_bad_frame_count_rejected(self, rng, frames):
         # the clip is 4/30 s: frame 5 would fall at 5/30 s, after it, and
         # fail mid-run once training had moved the Gaussians

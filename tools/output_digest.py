@@ -1,11 +1,11 @@
 """Digest of seeded training outputs, to check that a change keeps them bit-identical.
 
-    python3 tools/output_digest.py [--seeds 0 1]
+    python3 tools/output_digest.py
 
 Run from the root of a checkout; `tgh` is imported from its `src/` and the
 scenes from `bench/scene.py`, which this script only reads. For each bench
 scene at 96x96 (the short one with 2,000 Gaussians, the long one with
-20,000) and each seed, it runs `train()` for 40 iterations with a control
+20,000) and seeds 0 and 1, it runs `train()` for 40 iterations with a control
 pass every 10 and density-control settings under which clones and splits
 both run, then prints one SHA-256 over the stored ids and their rows,
 every parameter and placement column of the live rows, the deterministic
@@ -13,7 +13,6 @@ metric columns and one render. Equal digests before and after a change mean
 equal outputs, byte for byte.
 """
 
-import argparse
 import dataclasses
 import hashlib
 import os
@@ -37,6 +36,7 @@ SCENES = {
     "short": dataclasses.replace(workloads.SHORT, size=SIZE),
     "long": dataclasses.replace(workloads.LONG, gaussians=20_000, size=SIZE),
 }
+SEEDS = (0, 1)
 ITERATIONS = 40
 DENSIFY_INTERVAL = 10
 # density-control settings under which clones and splits both run
@@ -74,12 +74,9 @@ def digest(spec, seed):
     return len(ids), sha.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    args = parser.parse_args(argv)
+def main():
     for name, spec in SCENES.items():
-        for seed in args.seeds:
+        for seed in SEEDS:
             population, hexdigest = digest(spec, seed)
             print(f"{name} seed={seed} gaussians={spec.gaussians}->{population} {hexdigest}",
                   flush=True)
