@@ -31,7 +31,8 @@ class Camera:
             raise InvalidParameterError("intrinsics, rotation and translation must be finite")
         if not (0 < self.near < self.far):
             raise InvalidParameterError("camera requires 0 < near < far")
-        if not all(isinstance(n, numbers.Integral) and n > 0 for n in (self.width, self.height)):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0
+                   for n in (self.width, self.height)):
             raise InvalidParameterError("image width and height must be positive integers")
         err = np.max(np.abs(self.rotation @ self.rotation.T - np.eye(3)))
         if err > 1e-6:

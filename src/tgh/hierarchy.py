@@ -65,7 +65,8 @@ class TemporalHierarchy:
         for name, value in (("duration", duration), ("root_length", root_length)):
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(num_levels, numbers.Integral) and 1 <= num_levels <= 32):
+        if isinstance(num_levels, bool) or not (isinstance(num_levels, numbers.Integral)
+                                                and 1 <= num_levels <= 32):
             raise InvalidParameterError(f"num_levels must be an integer in [1, 32], "
                                         f"got {num_levels!r}")
         self.duration = float(duration)

@@ -20,9 +20,8 @@ The method runs on fixed settings, module constants here:
   units), `PRUNE_OPACITY_THRESHOLD` (its min opacity), `SPLIT_SCALE_DIVISOR`
   (a split child's scale is 1 / (0.8 N) of its parent's with N = 2
   children) and `CLONE_SIZE_FRACTION` (its percent_dense: of the scene
-  extent, clone below, split above). `CLONE_NUDGE` moves a clone against
-  its mean world-space gradient by half its mean spatial scale, where 3DGS
-  leaves the clone in place.
+  extent, clone below, split above). A clone is an exact copy of its
+  source, as in 3DGS.
 
 The loss weights are `losses.MSE_WEIGHT` (0.8) and `losses.SSIM_WEIGHT`
 (0.2), as 3DGS weighs L1 and D-SSIM. The appearance gate's threshold is
@@ -32,7 +31,6 @@ The loss weights are `losses.MSE_WEIGHT` (0.8) and `losses.SSIM_WEIGHT`
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,7 +50,6 @@ GRAD_DENSIFY_THRESHOLD = 2e-4
 PRUNE_OPACITY_THRESHOLD = 5e-3
 SPLIT_SCALE_DIVISOR = 1.6
 CLONE_SIZE_FRACTION = 0.01
-CLONE_NUDGE = 0.5
 
 
 @dataclass
@@ -62,10 +59,10 @@ class TrainConfig:
     Density control runs every `densify_interval` iterations and at the last
     one. Clone and split run only at passes in the first half of the run
     (`it <= iterations // 2`), so every Gaussian they add is fitted before
-    the run ends; pruning runs at every pass.
+    the run ends; pruning runs at every pass. `iterations` is required.
     """
 
-    iterations: int | None = None        # None: 50000 scaled by frames/1200
+    iterations: int
     densify_interval: int = 100
     max_gaussians: int | None = None     # densification safety cap
     seed: int = 0
@@ -74,15 +71,11 @@ class TrainConfig:
         for name, low in (("iterations", 0), ("densify_interval", 1), ("max_gaussians", 0),
                           ("seed", 0)):
             value = getattr(self, name)
-            if value is None and name in ("iterations", "max_gaussians"):
-                continue  # unset: scaled from the frame count, or no cap
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if value is None and name == "max_gaussians":
+                continue  # no cap
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= low):
                 raise InvalidParameterError(f"{name} must be an integer >= {low}")
-
-    def resolve_iterations(self, frames):
-        if self.iterations is not None:
-            return int(self.iterations)
-        return max(1, round(50_000 * frames / 1200))
 
 
 # Adam: moments are zero until a row's first applied update
@@ -99,7 +92,6 @@ TRAINING_ROWS = {
     **{f"{name}_v": (shape, np.float64) for name, shape in SHAPES.items()},
     "adam_steps": ((), np.int64),
     "grad_accum": ((), np.float64),
-    "world_grad": ((3,), np.float64),
     "touch_count": ((), np.int64),
 }
 
@@ -139,7 +131,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     Restricting control to sampled segments keeps its cost independent of
     the total population. Candidates are visited in ascending row order.
-    Clones step against their mean world-space gradient; split offsets are
+    A clone is an exact copy of its source, as in 3DGS; split offsets are
     drawn as one (n, 2, 3) block of standard normals, two children per split.
     Under `max_gaussians` the room left after pruning goes to clones first,
     then to splits. Clones and split children are added in that order with
@@ -176,12 +168,6 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
     if len(sources):
         new = {name: getattr(store, name)[sources] for name in COLUMNS}
         n_clones = len(clone_rows)
-        wg = store.world_grad[clone_rows] / store.touch_count[clone_rows, None]
-        norm = np.sqrt((wg[:, None, :] @ wg[:, :, None])[:, 0, 0])
-        moved = norm > 0  # a zero mean gradient leaves the clone in place
-        clones = new["mu"][:n_clones]
-        clones[moved, :3] -= ((wg[moved] / norm[moved, None]) * CLONE_NUDGE
-                              * np.mean(store.scale[clone_rows[moved], :3], axis=1)[:, None])
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
                                       store.rotor_right[split_rows])[-1][:, :3, :3]
@@ -203,17 +189,13 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
 def _reset_accumulators(store, rows):
     store.grad_accum[rows] = 0.0
-    store.world_grad[rows] = 0.0
     store.touch_count[rows] = 0
 
 
 @dataclass(frozen=True)
 class MetricRow:
-    """One metrics row, appended at each control pass.
-
-    Rows compare equal on their deterministic columns only: the wall-clock
-    `seconds_per_iter` is left out, so two runs with one seed give equal rows.
-    `row["loss"]` reads a column by its name.
+    """One metrics row, appended at each control pass; two runs with one
+    seed give equal rows. `row["loss"]` reads a column by its name.
     """
 
     iteration: int
@@ -221,7 +203,6 @@ class MetricRow:
     psnr: float                         # of the last iteration's render
     num_gaussians: int
     working_set_size: int
-    seconds_per_iter: float = field(compare=False)
 
     def __getitem__(self, column):
         if column not in METRIC_COLUMNS:
@@ -246,7 +227,7 @@ def scene_extent_of(store):
     return float(diag) if diag > 0 else 1.0
 
 
-def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
+def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
     """Fit the hierarchy's Gaussians to the scene's posed images.
 
     `scene` provides cameras, frames, frame_rate and target(cam, frame).
@@ -260,7 +241,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
     run; a split at the end would leave children that no step fits. Each
     pass appends a MetricRow to `result.metrics`.
     """
-    cfg = cfg or TrainConfig()
     if len(scene.cameras) == 0 or isinstance(scene.frames, bool) or not (
             isinstance(scene.frames, numbers.Integral) and scene.frames >= 1):
         raise InvalidParameterError(f"scene needs a camera and an integer frame count "
@@ -270,7 +250,6 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
                                     f"got {scene.frame_rate!r}")
     if (scene.frames - 1) / scene.frame_rate > h.duration:
         raise OutOfRangeError(f"frame {scene.frames - 1} falls after duration {h.duration}")
-    iterations = cfg.resolve_iterations(scene.frames)
     rng = np.random.default_rng(cfg.seed)
     g_th = ap.G_TH
     extent = scene_extent_of(h.store)
@@ -278,12 +257,10 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
 
     result = TrainResult(metrics=[])
     interval_loss = []
-    last_psnr = float("nan")
-    t_interval = time.perf_counter()
     store = h.store
 
     with store.attached(TRAINING_ROWS):
-        for it in range(1, iterations + 1):
+        for it in range(1, cfg.iterations + 1):
             cam_i = int(rng.integers(len(scene.cameras)))
             frame = int(rng.integers(scene.frames))
             cam = scene.cameras[cam_i]
@@ -318,25 +295,19 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig = None):
                 if np.any(touched):
                     hit = rows[touched]
                     store.grad_accum[hit] += grads.viewspace_norm[touched]
-                    store.world_grad[hit] += grads.mu[touched][:, :3]
                     store.touch_count[hit] += 1
 
-            if it % cfg.densify_interval == 0 or it == iterations:
-                adaptive_control(h, cfg, rng, extent, grow=it <= iterations // 2)
+            if it % cfg.densify_interval == 0 or it == cfg.iterations:
+                adaptive_control(h, cfg, rng, extent, grow=it <= cfg.iterations // 2)
                 if g_th < math.inf:
                     fraction = ap.view_dependent_fraction(store.sh_residual[store.live_rows()])
                     g_th = ap.update_ratio_cutoff(g_th, fraction)
-                elapsed = time.perf_counter() - t_interval
-                n_iters = len(interval_loss)
-                last_psnr = psnr(fb.rgb, target)
                 result.metrics.append(MetricRow(
                     iteration=it,
-                    loss=float(np.mean(interval_loss)) if interval_loss else 0.0,
-                    psnr=float(last_psnr),
+                    loss=float(np.mean(interval_loss)),
+                    psnr=float(psnr(fb.rgb, target)),
                     num_gaussians=len(store),
                     working_set_size=len(ws.gaussian_ids),
-                    seconds_per_iter=elapsed / max(n_iters, 1),
                 ))
                 interval_loss = []
-                t_interval = time.perf_counter()
     return result

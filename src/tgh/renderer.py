@@ -175,7 +175,7 @@ def _layer_major(px):
     return perm, off, width
 
 
-def _composite_ordered(px, frag_alpha, frag_color, save=False):
+def _composite_ordered(px, frag_alpha, frag_color):
     """Sequential per-pixel over-compositing of depth-ordered fragments.
 
     px: flat pixel index per fragment, fragments front-to-back within a pixel.
@@ -187,8 +187,8 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
     and add sequence, front to back, as in a loop over that pixel alone, so
     the result is bit-identical to it whichever other pixels share the call.
 
-    Returns (unique_px, color_sum, final_T[, perm, T_frag, off, width, sa,
-    sc]), one entry per pixel group in layout order. perm maps a layout
+    Returns (unique_px, color_sum, final_T, perm, T_frag, off, width, sa,
+    sc), one entry per pixel group in layout order. perm maps a layout
     position to its fragment; T_frag, sa and sc are the transmittance in
     front of, the alpha and the color of each layout position.
     """
@@ -199,18 +199,15 @@ def _composite_ordered(px, frag_alpha, frag_color, save=False):
     unique_px = px[perm[:groups]]
     trans = np.ones(groups)
     color = np.zeros((groups, 3))
-    t_frag = np.empty(len(sa)) if save else None
+    t_frag = np.empty(len(sa))
     for o, k in zip(off.tolist(), width.tolist()):
         s = slice(o, o + k)
-        if save:
-            t_frag[s] = trans[:k]
+        t_frag[s] = trans[:k]
         a = sa[s]
         w = a * trans[:k]
         color[:k] += w[:, None] * sc[s]
         trans[:k] *= 1.0 - a
-    if save:
-        return unique_px, color, trans, perm, t_frag, off, width, sa, sc
-    return unique_px, color, trans
+    return unique_px, color, trans, perm, t_frag, off, width, sa, sc
 
 
 def _composite_backward(dl_dpx_color, background, sa, sc,
@@ -254,6 +251,8 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
 
     ctx carries every intermediate needed by the analytic backward pass.
     """
+    if not np.isfinite(t):
+        raise InvalidParameterError(f"timestamp must be finite, got {t!r}")
     if not all(np.isfinite(getattr(batch, name)).all() for name in COLUMNS):
         raise InvalidParameterError("non-finite Gaussian parameters")
     ctx = {"n": len(batch), "batch": batch, "cam": cam}
@@ -298,7 +297,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
                basis=basis, color_raw=color_raw, sidx=sidx,
                gauss=gauss, dx=dx, dy=dy, px=px, alpha_k=alpha_k)
 
-    ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color, save=True)
+    ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color)
     unique_px, csum, trans = ctx["composite"][:3]
     rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
     trans_img = np.ones((h_img, w_img))

@@ -17,9 +17,6 @@ C3 = (-0.5900435899266435, 2.890611442640554, -0.4570457994644658,
 NUM_RESIDUAL_BASES = 15
 RESIDUAL_COEFFS = NUM_RESIDUAL_BASES * 3
 
-# (band, index-within-layout) for parity tests: l=1 bases 0..2, l=2 bases 3..7, l=3 bases 8..14
-BAND_SLICES = {1: slice(0, 3), 2: slice(3, 8), 3: slice(8, 15)}
-
 
 def eval_basis(dirs):
     """Evaluate the 15 residual bases at unit directions.

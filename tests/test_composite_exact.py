@@ -9,6 +9,8 @@ a reordering of any pixel's arithmetic would show here, where the 1e-9
 tolerance of `test_matches_reference_loop` would hide it.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,8 @@ def test_render_with_gradients_matches_reference(name, monkeypatch):
     cam = camera()
     target = np.random.default_rng(3).uniform(size=(cam.height, cam.width, 3))
     new = render(batch, target, cam)
-    monkeypatch.setattr(rn, "_composite_ordered", _composite_ordered)
+    monkeypatch.setattr(rn, "_composite_ordered",
+                        functools.partial(_composite_ordered, save=True))
     monkeypatch.setattr(rn, "_composite_backward", _composite_backward)
     ref = render(batch, target, cam)
     assert_identical(new, ref)
@@ -208,7 +211,7 @@ def test_kernels_match_reference_per_fragment():
     alpha = rng.uniform(0.0, 0.99, size=n)
     color = rng.uniform(size=(n, 3))
     background = np.array([0.3, 0.1, 0.6])
-    new = rn._composite_ordered(px, alpha, color, save=True)
+    new = rn._composite_ordered(px, alpha, color)
     ref = _composite_ordered(px, alpha, color, save=True)
     by_px_new, by_px_ref = np.argsort(new[0]), np.argsort(ref[0])
     assert np.array_equal(new[0][by_px_new], ref[0][by_px_ref])

@@ -131,7 +131,7 @@ class TestGeometry:
     @pytest.mark.parametrize("geometry", [
         dict(num_levels=2.5), dict(num_levels="3"), dict(num_levels=math.nan),
         dict(num_levels=np.float64(3.0)), dict(root_length="5"), dict(root_length=math.nan),
-        dict(root_length=math.inf), dict(root_length=np.array([5.0]))],
+        dict(root_length=math.inf), dict(root_length=np.array([5.0])), dict(num_levels=True)],
         ids=lambda geometry: "-".join(f"{k}={v!r}" for k, v in geometry.items()))
     def test_untyped_geometry_rejected(self, geometry):
         with pytest.raises(InvalidParameterError):

@@ -265,9 +265,9 @@ class TestRender:
 @pytest.mark.parametrize("field, value", [
     ("fx", np.inf), ("fy", np.inf), ("cx", np.nan), ("cy", np.inf),
     ("rotation", np.full((3, 3), np.nan)), ("translation", [0.0, np.nan, 0.0]),
-    ("width", np.nan), ("width", 8.5), ("height", 8.0)],
+    ("width", np.nan), ("width", 8.5), ("height", 8.0), ("width", True), ("height", True)],
     ids=["fx", "fy", "cx", "cy", "rotation", "translation", "width", "width_fraction",
-         "height_float"])
+         "height_float", "width_bool", "height_bool"])
 def test_invalid_camera_rejected(field, value):
     settings = dict(fx=100.0, fy=100.0, cx=32.0, cy=32.0, rotation=np.eye(3),
                     translation=np.zeros(3), width=64, height=64)
@@ -294,3 +294,16 @@ def test_non_finite_parameters_raise(column):
         with pytest.raises(InvalidParameterError):
             rn.render_with_gradients(batch, 1.0, cam, np.zeros((64, 64, 3)))
         values[entry] = 1.0
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["render_batch", "render_with_gradients"])
+def test_non_finite_timestamp_raises(entry, t):
+    # such a t gives every splat a temporal weight of 0 or NaN, which would
+    # cull them all and leave an empty frame with zero gradients
+    cam = simple_camera()
+    batch = single_gaussian_scene()
+    extra = (np.zeros((64, 64, 3)),) if entry == "render_with_gradients" else ()
+    assert (rn.render_batch(batch, 1.0, cam).transmittance < 1.0).any()
+    with pytest.raises(InvalidParameterError):
+        getattr(rn, entry)(batch, t, cam, *extra)

@@ -5,6 +5,9 @@ from tgh import sh
 
 from conftest import params, random_params
 
+# (band, index-within-layout): l=1 bases 0..2, l=2 bases 3..7, l=3 bases 8..14
+BAND_SLICES = {1: slice(0, 3), 2: slice(3, 8), 3: slice(8, 15)}
+
 
 def unit_dirs(rng, n):
     v = rng.normal(size=(n, 3))
@@ -48,7 +51,7 @@ def test_band_parity_under_antipodal_directions(rng):
         d = unit_dirs(rng, 1)[0]
         for band, parity in ((1, -1.0), (2, 1.0), (3, -1.0)):
             c = np.zeros((15, 3))
-            c[sh.BAND_SLICES[band]] = coeffs[sh.BAND_SLICES[band]]
+            c[BAND_SLICES[band]] = coeffs[BAND_SLICES[band]]
             plus = eval_residual(c.ravel(), d)
             minus = eval_residual(c.ravel(), -d)
             assert np.allclose(minus, parity * plus, atol=1e-12)

@@ -1,6 +1,7 @@
-"""Property test for training: two `train()` runs with one seed on a random
+"""Property tests for training: two `train()` runs with one seed on a random
 small scene end with the same metrics, population, parameters and
-placements, and every kind of density control happens on the way."""
+placements, and every kind of density control happens on the way; a clone
+is an exact copy of its source."""
 
 import numpy as np
 import pytest
@@ -84,3 +85,30 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
     assert sum(r.cloned for r in reports) > 0
     assert sum(r.split for r in reports) > 0
     assert sum(r.pruned for r in reports) > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_clone_is_an_exact_copy_of_its_source(seed, monkeypatch):
+    scene, h = small_scene(seed, n=4, size=16)
+    monkeypatch.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
+    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+    original = opt.adaptive_control
+    passes = []  # (live parameter rows before a pass, the rows of its clones)
+
+    def control(h, *args, **kwargs):
+        def rows(ids):
+            batch = h.store.gather(ids)
+            return np.concatenate([getattr(batch, name).reshape(len(ids), -1)
+                                   for name in COLUMNS], axis=1)
+        before = rows(h.store.ids)
+        report = original(h, *args, **kwargs)
+        if report.cloned:
+            passes.append((before, rows(report.new_ids[:report.cloned])))
+        return report
+
+    monkeypatch.setattr(opt, "adaptive_control", control)
+    opt.train(scene, h, opt.TrainConfig(iterations=30, densify_interval=5, seed=seed))
+    assert passes
+    for before, clones in passes:
+        for clone in clones:
+            assert (before == clone).all(axis=1).any()

@@ -8,8 +8,8 @@ scene at 96x96 (the short one with 2,000 Gaussians, the long one with
 20,000) and seeds 0 and 1, it runs `train()` for 40 iterations with a control
 pass every 10 and density-control settings under which clones and splits
 both run, then prints one SHA-256 over the stored ids and their rows,
-every parameter and placement column of the live rows, the deterministic
-metric columns and one render. Equal digests before and after a change mean
+every parameter and placement column of the live rows, every metric
+column and one render. Equal digests before and after a change mean
 equal outputs, byte for byte.
 """
 
@@ -41,8 +41,6 @@ ITERATIONS = 40
 DENSIFY_INTERVAL = 10
 # density-control settings under which clones and splits both run
 SETTINGS = {"GRAD_DENSIFY_THRESHOLD": 2e-5, "CLONE_SIZE_FRACTION": 0.05}
-# the wall-clock column differs from run to run
-METRIC_COLUMNS = tuple(c for c in optimizer.METRIC_COLUMNS if c != "seconds_per_iter")
 
 
 def digest(spec, seed):
@@ -62,7 +60,7 @@ def digest(spec, seed):
     rows = h.store.rows_of(ids)
     parts = [ids, rows.astype(np.int64)]
     parts += [getattr(h.store, name)[rows] for name in store.COLUMNS + tuple(store.PLACEMENT)]
-    parts.append(np.array([[row[c] for c in METRIC_COLUMNS] for row in result.metrics],
+    parts.append(np.array([[row[c] for c in optimizer.METRIC_COLUMNS] for row in result.metrics],
                           dtype=np.float64))
     fb = renderer.render(h, spec.duration / 2.0, scene.cameras[0])
     parts += [fb.rgb, fb.transmittance]
