@@ -63,7 +63,8 @@ def _influence_ranges(mu, scale, rotor_left, rotor_right):
 class TemporalHierarchy:
     def __init__(self, duration, root_length=10.0, num_levels=9):
         for name, value in (("duration", duration), ("root_length", root_length)):
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < math.inf):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
         if isinstance(num_levels, bool) or not (isinstance(num_levels, numbers.Integral)
                                                 and 1 <= num_levels <= 32):

@@ -160,7 +160,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
     clone_rows = rows[hot & (max_spatial <= size_cut)]
     split_rows = rows[hot & (max_spatial > size_cut)]
     if cfg.max_gaussians is not None:
-        room = max(0, cfg.max_gaussians - len(store))
+        room = max(0, int(cfg.max_gaussians) - len(store))
         clone_rows = clone_rows[:room]
         split_rows = split_rows[:room - len(clone_rows)]
 

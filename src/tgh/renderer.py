@@ -9,20 +9,33 @@ A frame runs these stages, each by one function:
 4. project to screen-space 2D Gaussians, EWA first-order (`project`);
 5. color each splat from its base color and residual SH (`_forward`);
 6. sort back to front (`depth_sort`);
-7. bound each splat by its opacity level set (`expand_quad`) and flatten the
-   rectangles into fragments (`_build_fragments`);
-8. alpha-blend the fragments in depth order (`_composite_ordered`).
+7. bound each splat's rows by its opacity level set (`expand_quad`) and
+   emit, row by row, the pixels whose centres lie inside the level set
+   (`_build_fragments`);
+8. give each fragment its alpha (`_frag_alpha`) and alpha-blend the
+   fragments in depth order (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
 loss analytically to every Gaussian parameter (`_backward`).
 
 The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
 as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
-culled and the others cover the rectangle bounding their ALPHA_MIN level set,
-a fragment's alpha is clamped at `ALPHA_CLAMP` = 0.99, frames are composited
-over a black `BACKGROUND`, and `COV2_LOWPASS` is the 0.3 px^2 screen-space
-dilation. The clamp stays below 1 because the backward pass divides by
-1 - alpha.
+culled, a fragment's alpha is clamped at `ALPHA_CLAMP` = 0.99, frames are
+composited over a black `BACKGROUND`, and `COV2_LOWPASS` is the 0.3 px^2
+screen-space dilation. The clamp stays below 1 because the backward pass
+divides by 1 - alpha.
+
+`ALPHA_MIN` also bounds what a splat covers: only the pixels whose raw
+alpha a * exp(-q/2) reaches it, the ellipse q <= 2 ln(a / ALPHA_MIN), become
+fragments, one row span at a time as in Speedy-Splat (arXiv 2412.00578).
+3DGS skips the fragments under the threshold after generating them; here
+they are never generated. So that the cut is continuous, and the loss and
+its analytic gradients with it, the fragment alpha
+min(max(2 (raw - ALPHA_MIN), 0), raw, ALPHA_CLAMP) equals 3DGS's
+min(raw, ALPHA_CLAMP) from raw = 2 ALPHA_MIN up and ramps linearly to 0 at
+the level set. A pixel that rounding moves across the edge of a span thus
+has an alpha within rounding of 0 either way, and a splat whose peak alpha
+nears ALPHA_MIN fades out instead of popping off.
 
 Blending runs on a layer-major fragment layout: fragments are grouped by
 pixel, pixels are ranked by fragment count, deepest first, and the j-th
@@ -48,7 +61,7 @@ from .store import COLUMNS, SHAPES, GaussianBatch
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
 BACKGROUND = np.zeros(3)                # color behind every splat
-ALPHA_MIN = 1.0 / 255.0                 # quad opacity threshold
+ALPHA_MIN = 1.0 / 255.0                 # splat and fragment opacity threshold
 ALPHA_CLAMP = 0.99                      # per-fragment opacity ceiling
 
 
@@ -106,7 +119,8 @@ def expand_quad(center2, cov2, alpha, alpha_min, width, height):
     Every alpha must be at least alpha_min; `_forward` culls dimmer splats.
     Returns int64 (x0, x1, y0, y1), inclusive column and row ranges. A
     rectangle that misses the frame becomes x1 = x0 - 1, y1 = y0 - 1: zero
-    area, so it emits no fragments.
+    area. The renderer reads the row range only: `_build_fragments` cuts
+    each row to the ellipse itself.
     """
     level = 2.0 * np.log(alpha / alpha_min)
     half_x = np.sqrt(level * np.maximum(cov2[:, 0, 0], 0.0))
@@ -122,31 +136,61 @@ def expand_quad(center2, cov2, alpha, alpha_min, width, height):
 # --------------------------------------------------------------------------
 # fragment machinery
 
-def _build_fragments(center2, conic, rects, order):
-    """Flatten splat rectangles into per-fragment arrays.
+def _build_fragments(center2, conic, alpha, rows, order, width):
+    """Fragments of each splat's ALPHA_MIN level set, one row span at a time.
+
+    `rows` = (y0, y1) are the inclusive row ranges of `expand_quad`. On a row
+    whose pixel centres sit dy below the splat centre, alpha * exp(-q / 2)
+    >= ALPHA_MIN, that is q(dx, dy) <= L = 2 ln(alpha / ALPHA_MIN), holds for
+    the offsets dx between (-b dy - sqrt(disc)) / a and (-b dy + sqrt(disc)) / a,
+    with (a, b, c) the conic and disc = a L - dy^2 (a c - b^2); a row with
+    disc < 0 is empty. The span becomes the columns whose centres it holds,
+    clipped to the frame.
 
     Fragments are emitted splat by splat in `order`, front to back, so that
-    the per-pixel fragment sequences come out depth-ordered; each rectangle
-    is row-major. Returns (sidx, col, row, gauss, dx, dy): the splat index
-    (into center2, conic and rects), pixel column and row, kernel value
-    exp(-q/2), and the offset of the pixel center from the splat center.
+    the per-pixel fragment sequences come out depth-ordered; each splat's
+    rows come top to bottom, each row left to right. Returns (sidx, col, row,
+    gauss, dx, dy): the splat index (into center2, conic, alpha and rows),
+    pixel column and row, kernel value exp(-q/2), and the offset of the pixel
+    center from the splat center.
     """
-    x0, x1, y0, y1 = rects
-    widths = x1 - x0 + 1
-    counts = (widths * (y1 - y0 + 1))[order]
+    y0, y1 = rows
+    nrows = (y1 - y0 + 1)[order]
+    rsid = np.repeat(order, nrows)
+    row_r = y0[rsid] + np.arange(len(rsid)) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+    cx_r, cy_r = center2[rsid].T
+    dy_r = (row_r + 0.5) - cy_r
+    a_, b_, c_ = conic[rsid].T
+    level = 2.0 * np.log(alpha[rsid] / ALPHA_MIN)
+    disc = a_ * level - dy_r * dy_r * (a_ * c_ - b_ * b_)
+    half = np.sqrt(np.maximum(disc, 0.0)) / a_
+    mid = cx_r - 0.5 - b_ * dy_r / a_
+    # clipped on both sides so that a span far off the frame casts to intp
+    c0 = np.clip(np.ceil(mid - half), 0, width)
+    c1 = np.minimum(np.floor(mid + half), width - 1)
+    counts = np.where(disc >= 0.0, np.maximum(c1 - c0 + 1, 0), 0).astype(np.intp)
     total = int(counts.sum())
     if total == 0:
         return (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 3
-    sidx = np.repeat(order, counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    offset = np.arange(total, dtype=np.intp) - starts
-    col = x0[sidx] + offset % widths[sidx]
-    row = y0[sidx] + offset // widths[sidx]
-    dx = (col + 0.5) - center2[sidx, 0]
-    dy = (row + 0.5) - center2[sidx, 1]
-    q = conic[sidx, 0] * dx * dx + 2.0 * conic[sidx, 1] * dx * dy + conic[sidx, 2] * dy * dy
+    # row values are repeated over their spans, never gathered per fragment
+    sidx = np.repeat(rsid, counts)
+    row = np.repeat(row_r, counts)
+    col = np.arange(total) - np.repeat(np.cumsum(counts) - counts - c0.astype(np.intp), counts)
+    dx = (col + 0.5) - np.repeat(cx_r, counts)
+    dy = np.repeat(dy_r, counts)
+    q = (np.repeat(a_, counts) * dx * dx + 2.0 * np.repeat(b_, counts) * dx * dy
+         + np.repeat(c_, counts) * dy * dy)
     gauss = np.exp(-0.5 * q)
     return sidx, col, row, gauss, dx, dy
+
+
+def _frag_alpha(raw):
+    """Fragment alpha min(max(2 (raw - ALPHA_MIN), 0), raw, ALPHA_CLAMP) of
+    the raw value raw = alpha * exp(-q/2): 3DGS's min(raw, ALPHA_CLAMP) from
+    raw = 2 ALPHA_MIN up, and a linear ramp to 0 at the level set below."""
+    alpha = np.maximum(2.0 * (raw - ALPHA_MIN), 0.0)
+    np.minimum(alpha, raw, out=alpha)
+    return np.minimum(alpha, ALPHA_CLAMP, out=alpha)
 
 
 def _layer_major(px):
@@ -287,9 +331,10 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     # fragments are generated front to back: the back-to-front order reversed
     front = depth_sort(pts[:, 2], batch.ids[keep])[::-1]
     alpha_k = alpha_splat[keep]
-    rects = expand_quad(center2, cov2, alpha_k, ALPHA_MIN, w_img, h_img)
-    sidx, col, row, gauss, dx, dy = _build_fragments(center2, conic, rects, front)
-    frag_alpha = np.minimum(alpha_k[sidx] * gauss, ALPHA_CLAMP)
+    rows = expand_quad(center2, cov2, alpha_k, ALPHA_MIN, w_img, h_img)[2:]
+    sidx, col, row, gauss, dx, dy = _build_fragments(center2, conic, alpha_k, rows,
+                                                     front, w_img)
+    frag_alpha = _frag_alpha(alpha_k[sidx] * gauss)
     frag_color = np.take(color, sidx, axis=0)
     px = row * w_img + col
 
@@ -377,8 +422,12 @@ def _backward(ctx, dl_dimage):
     alpha_k = ctx["alpha_k"]
     gauss = ctx["gauss"]
     raw = alpha_k[sidx] * gauss
-    unclamped = raw < ALPHA_CLAMP
-    grad_raw = grad_frag_alpha * unclamped
+    frag_alpha = _frag_alpha(raw)
+    # d alpha / d raw: 2 on the ramp, 1 in the body, 0 outside the level set
+    # and under the clamp
+    slope = np.where(frag_alpha < raw, 2.0, 1.0) * ((frag_alpha > 0.0)
+                                                    & (frag_alpha < ALPHA_CLAMP))
+    grad_raw = grad_frag_alpha * slope
     grad_alpha_k = np.bincount(sidx, weights=grad_raw * gauss, minlength=nk)
     grad_gauss = grad_raw * alpha_k[sidx]
     grad_q = -0.5 * gauss * grad_gauss

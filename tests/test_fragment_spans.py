@@ -1,0 +1,70 @@
+"""Property test for `_build_fragments`: the row spans of random screen-space
+splats hold exactly the pixels inside each splat's ALPHA_MIN level set."""
+
+import numpy as np
+from hypothesis import given, seed, settings, strategies as st
+
+from tgh import renderer as rn
+
+# pixels whose raw alpha is this close to ALPHA_MIN, relatively, may fall on
+# either side of the cut through rounding
+NEAR = 1e-9
+
+
+def random_splats(rng, n, width, height):
+    """Centres around and beyond the frame, rotated anisotropic screen
+    covariances with the renderer's low-pass, and peak alphas from
+    ALPHA_MIN to 1."""
+    center2 = np.column_stack([rng.uniform(-6.0, width + 6.0, n),
+                               rng.uniform(-6.0, height + 6.0, n)])
+    theta = rng.uniform(0.0, np.pi, n)
+    rot = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)],
+                   axis=1).reshape(n, 2, 2)
+    sigma = rng.uniform(0.05, 6.0, (n, 2))
+    cov2 = rot @ (sigma[:, :, None] ** 2 * np.eye(2)) @ np.swapaxes(rot, 1, 2)
+    cov2 += rn.COV2_LOWPASS * np.eye(2)
+    alpha = rn.ALPHA_MIN * np.exp(rng.uniform(0.0, np.log(1.0 / rn.ALPHA_MIN), n))
+    return center2, cov2, alpha
+
+
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(603758775493609660521017918071621322764454057611795012521926564967381140568594281002047410549050545477697560064012)
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10),
+       width=st.integers(1, 40), height=st.integers(1, 40))
+def test_spans_hold_exactly_the_level_set(seed, n, width, height):
+    rng = np.random.default_rng(seed)
+    center2, cov2, alpha = random_splats(rng, n, width, height)
+    inv = np.linalg.inv(cov2)
+    conic = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], axis=1)
+    x0, x1, y0, y1 = rn.expand_quad(center2, cov2, alpha, rn.ALPHA_MIN, width, height)
+    order = rng.permutation(n)
+    sidx, col, row, gauss, dx, dy = rn._build_fragments(
+        center2, conic, alpha, (y0, y1), order, width)
+
+    assert np.all((col >= 0) & (col < width) & (row >= 0) & (row < height))
+    for i in range(n):
+        mine = sidx == i
+        emitted = row[mine] * width + col[mine]
+        assert len(np.unique(emitted)) == len(emitted), "pixel emitted twice"
+        # brute force over the level-set rectangle and the emitted pixels
+        rr, cc = np.mgrid[y0[i]:y1[i] + 1, x0[i]:x1[i] + 1]
+        cand = np.union1d((rr * width + cc).ravel(), emitted)
+        d = np.column_stack([cand % width + 0.5, cand // width + 0.5]) - center2[i]
+        raw = alpha[i] * np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, inv[i], d))
+        inside = np.isin(cand, emitted)
+        assert np.all(raw[inside] >= rn.ALPHA_MIN * (1.0 - NEAR)), "pixel outside the set"
+        assert np.all(raw[~inside] < rn.ALPHA_MIN * (1.0 + NEAR)), "pixel of the set dropped"
+        at = np.searchsorted(cand, emitted)
+        assert np.allclose(alpha[i] * gauss[mine], raw[at], rtol=1e-12, atol=0.0)
+        assert np.allclose(dx[mine], d[at, 0]) and np.allclose(dy[mine], d[at, 1])
+
+    # within each pixel the fragments come out in `order`, front to back
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    by_px = np.argsort(row * width + col, kind="stable")
+    px_sorted = (row * width + col)[by_px]
+    rank_sorted = rank[sidx[by_px]]
+    same_px = px_sorted[1:] == px_sorted[:-1]
+    assert np.all(rank_sorted[1:][same_px] > rank_sorted[:-1][same_px])

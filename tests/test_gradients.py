@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from tgh import losses
 from tgh import renderer as rn
@@ -111,6 +111,8 @@ def test_full_loss_gradients_with_ssim(monkeypatch):
 @seed(30658299993794673493844998945893611219080768901232019407122433544031301034677996884340596411612120336536750612160582)
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), size=st.sampled_from([16, 24]))
+# at a hard level-set cut this draw differenced across a rectangle edge
+@example(seed=1833167, n=3, size=16)
 def test_random_scene_gradients_match_finite_differences(seed, n, size):
     """Both loss terms on a random small scene; four random entries of every
     parameter group (all of a smaller one) against central differences."""

@@ -137,6 +137,14 @@ class TestGeometry:
         with pytest.raises(InvalidParameterError):
             build(10.0, **geometry)
 
+    @pytest.mark.parametrize("geometry", [
+        dict(duration=True), dict(duration=np.True_), dict(root_length=True),
+        dict(root_length=False)],
+        ids=lambda geometry: "-".join(f"{k}={v!r}" for k, v in geometry.items()))
+    def test_bool_duration_or_root_length_rejected(self, geometry):
+        with pytest.raises(InvalidParameterError):
+            build(**{"duration": 10.0, **geometry})
+
     def test_numpy_geometry_accepted(self):
         h = build(np.float64(10.0), root_length=np.float32(5.0), num_levels=np.int64(3))
         assert len(h._count) == 3 and h._seg_length[0] == 5.0

@@ -145,6 +145,16 @@ class TestAdaptiveControl:
             assert len(trial.store) <= cap
             trial.audit()
 
+    @pytest.mark.parametrize("cap", [9, np.uint16(9), np.int8(9)], ids=repr)
+    def test_past_the_cap_adds_nothing(self, rng, monkeypatch, cap):
+        monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", 0.1)
+        h = populated_hierarchy(rng)
+        before = len(h.store)
+        cfg = opt.TrainConfig(iterations=1, max_gaussians=cap)
+        report = self.control(h, h.store.live_rows(), cfg, rng)
+        assert report.cloned == report.split == 0 and report.new_ids == []
+        assert len(h.store) == before - report.pruned
+
     def test_untouched_population_ignored(self, rng):
         h = populated_hierarchy(rng)
         before = len(h.store)

@@ -39,7 +39,11 @@ def rotated_camera(width=24, height=24):
 def reference_render(batch, t, cam):
     """Independent per-splat projection and per-pixel back-to-front
     over-compositing loop: each splat's Jacobian, screen covariance and
-    level-set rectangle are computed here, one splat at a time."""
+    level-set rectangle are computed here, one splat at a time. Every pixel
+    of the rectangle is blended with the fragment alpha
+    min(max(2 (raw - ALPHA_MIN), 0), raw, ALPHA_CLAMP), so a pixel that the
+    renderer's row spans leave out must blend with alpha 0 here, up to the
+    comparison's tolerance."""
     img = np.empty((cam.height, cam.width, 3))
     img[:] = rn.BACKGROUND
     cov = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)[-1]
@@ -71,7 +75,8 @@ def reference_render(batch, t, cam):
         for r in range(y0, y1 + 1):
             for c in range(x0, x1 + 1):
                 d = np.array([c + 0.5, r + 0.5]) - center2
-                a = min(alpha * math.exp(-0.5 * d @ conic @ d), rn.ALPHA_CLAMP)
+                raw = alpha * math.exp(-0.5 * d @ conic @ d)
+                a = min(max(2.0 * (raw - rn.ALPHA_MIN), 0.0), raw, rn.ALPHA_CLAMP)
                 img[r, c] = a * color + (1 - a) * img[r, c]
     return img
 
