@@ -9,12 +9,13 @@ duration and population size.
 
 Placement is a formula: segment n of level l starts at offset_l + n *
 seg_length_l, and the one holding t is floor((t - offset_l) / seg_length_l),
-moved by one where rounding crossed a boundary. Members are kept for
-occupied segments only, so memory is O(levels + population) at any
-duration. Each Gaussian's flat segment and the influence range it was
-placed by live in its store row (`store.PLACEMENT`), so a placed id is
-exactly a stored id; only ids whose segment changed touch a member set.
-Every writer takes a batch of ids.
+moved by one where rounding crossed a boundary. That index is a float, exact
+below 2^53, so a duration and root length that need 2^53 segments or more in
+all are rejected. Members are kept for occupied segments only, so memory is
+O(levels + population) at any duration. Each Gaussian's flat segment and the
+influence range it was placed by live in its store row (`store.PLACEMENT`),
+so a placed id is exactly a stored id; only ids whose segment changed touch a
+member set. Every writer takes a batch of ids.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 update) must not run concurrently with each other or with reads.
@@ -77,7 +78,14 @@ class TemporalHierarchy:
         self._seg_length = self.root_length / 2.0 ** l
         self._offset = -self.root_length / 2.0 ** (l + 2)
         # segments 0 .. count - 1 of each level cover [0, duration]
-        self._count = np.ceil((self.duration - self._offset) / self._seg_length).astype(np.int64)
+        with np.errstate(over="ignore"):
+            count = np.ceil((self.duration - self._offset) / self._seg_length)
+        # flat segment indices pass through float64 (`_index_at`), exact below 2^53
+        if not 1.0 + count.sum() < 2.0 ** 53:
+            raise InvalidParameterError(
+                f"duration {self.duration!r} with root_length {self.root_length!r} needs "
+                f"{count.sum()!r} segments, past the 2^53 that float64 indexes exactly")
+        self._count = count.astype(np.int64)
         self.store = GaussianStore()
         # flat segment index: 0 is global, then each level's segments in order
         self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])

@@ -46,6 +46,19 @@ one at a time in depth order and never mixes with another pixel's values, so
 the output is bit-identical to a per-pixel loop. A log-space prefix sum over
 all fragments would drop the layer loop, but its rounding would depend on the
 pixels sorted before each one, so a pixel's value would no longer be exact.
+The layout takes two stable sorts, each done as one value sort of packed
+int64 keys (`_layer_major`).
+
+The backward pass reduces fragment gradients to splats in two levels, as
+gsplat (arXiv 2409.06765) sums per-pixel contributions within a warp before
+adding them to a Gaussian. The fragments of one row span are contiguous and
+share their splat and dy, and the spans of one splat are contiguous and share
+its conic. So each fragment forms only the terms that vary along a row (g,
+g dx, g dx^2 with g its q gradient, plus its alpha and color gradients),
+one segment sum per span reduces them, dy is folded in once per span, and a
+second segment sum per splat finishes (`_splat_sum`). These sums add the
+same products as a per-fragment formulation in another order, so gradients
+match it to rounding; the forward values are untouched.
 """
 
 from dataclasses import dataclass, make_dataclass
@@ -149,10 +162,13 @@ def _build_fragments(center2, conic, alpha, rows, order, width):
 
     Fragments are emitted splat by splat in `order`, front to back, so that
     the per-pixel fragment sequences come out depth-ordered; each splat's
-    rows come top to bottom, each row left to right. Returns (sidx, col, row,
-    gauss, dx, dy): the splat index (into center2, conic, alpha and rows),
-    pixel column and row, kernel value exp(-q/2), and the offset of the pixel
-    center from the splat center.
+    rows come top to bottom, each row left to right. So the fragments of one
+    row span are contiguous and share their splat, row and dy, and the spans
+    of one splat are contiguous. Returns (sidx, col, row, gauss, dx, dy,
+    spans): per fragment the splat index (into center2, conic, alpha and
+    rows), pixel column and row, kernel value exp(-q/2), and the offset of
+    the pixel center from the splat center; spans = (first, dy, sidx) holds
+    each non-empty span's first fragment, dy and splat index.
     """
     y0, y1 = rows
     nrows = (y1 - y0 + 1)[order]
@@ -170,18 +186,21 @@ def _build_fragments(center2, conic, alpha, rows, order, width):
     c1 = np.minimum(np.floor(mid + half), width - 1)
     counts = np.where(disc >= 0.0, np.maximum(c1 - c0 + 1, 0), 0).astype(np.intp)
     total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    filled = np.flatnonzero(counts)
+    spans = (first[filled], dy_r[filled], rsid[filled])
     if total == 0:
-        return (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 3
+        return (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 3 + (spans,)
     # row values are repeated over their spans, never gathered per fragment
     sidx = np.repeat(rsid, counts)
     row = np.repeat(row_r, counts)
-    col = np.arange(total) - np.repeat(np.cumsum(counts) - counts - c0.astype(np.intp), counts)
+    col = np.arange(total) - np.repeat(first - c0.astype(np.intp), counts)
     dx = (col + 0.5) - np.repeat(cx_r, counts)
     dy = np.repeat(dy_r, counts)
     q = (np.repeat(a_, counts) * dx * dx + 2.0 * np.repeat(b_, counts) * dx * dy
          + np.repeat(c_, counts) * dy * dy)
     gauss = np.exp(-0.5 * q)
-    return sidx, col, row, gauss, dx, dy
+    return sidx, col, row, gauss, dx, dy, spans
 
 
 def _frag_alpha(raw):
@@ -193,6 +212,21 @@ def _frag_alpha(raw):
     return np.minimum(alpha, ALPHA_CLAMP, out=alpha)
 
 
+def _sort_packed(high):
+    """Positions of `high` (non-negative ints) ordered by value, ties by
+    position: the stable argsort, found by one value sort of the unique keys
+    (high << b) | position, b the bits of the largest position. Returns
+    (positions, sorted high). InvalidParameterError if a key needs more than
+    63 bits."""
+    b = (len(high) - 1).bit_length()
+    if int(high.max()).bit_length() + b > 63:
+        raise InvalidParameterError(
+            f"sort key of {len(high)} values up to {int(high.max())} passes 63 bits")
+    key = (high.astype(np.int64, copy=False) << b) | np.arange(len(high))
+    key.sort()
+    return key & ((1 << b) - 1), key >> b
+
+
 def _layer_major(px):
     """Layer-major layout of fragments that are front-to-back within a pixel.
 
@@ -200,10 +234,15 @@ def _layer_major(px):
     perm[off[j] + g], the j-th fragment of the g-th pixel when pixels are
     ranked by fragment count, deepest first (ties in ascending pixel order).
     Pixels with more than j fragments are exactly the first width[j] ranks.
+
+    Both orders are stable sorts done as value sorts of packed int64 keys
+    (`_sort_packed`): fragments by pixel, and pixel groups by
+    (max_count - count, group). px must be non-negative.
     """
-    order = np.argsort(px, kind="stable")
-    spx = px[order]
-    n = len(spx)
+    n = len(px)
+    if n == 0:
+        return (np.empty(0, dtype=np.intp),) * 3
+    order, spx = _sort_packed(px)
     is_start = np.empty(n, dtype=bool)
     is_start[:1] = True
     is_start[1:] = spx[1:] != spx[:-1]
@@ -211,7 +250,7 @@ def _layer_major(px):
     counts = np.diff(np.append(starts, n))
     rank = np.arange(n) - np.repeat(starts, counts)
     slot = np.empty(len(counts), dtype=np.intp)
-    slot[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+    slot[_sort_packed(counts.max() - counts)[0]] = np.arange(len(counts))
     width = np.bincount(rank)
     off = np.cumsum(width) - width
     perm = np.empty(n, dtype=np.intp)
@@ -332,15 +371,16 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     front = depth_sort(pts[:, 2], batch.ids[keep])[::-1]
     alpha_k = alpha_splat[keep]
     rows = expand_quad(center2, cov2, alpha_k, ALPHA_MIN, w_img, h_img)[2:]
-    sidx, col, row, gauss, dx, dy = _build_fragments(center2, conic, alpha_k, rows,
-                                                     front, w_img)
-    frag_alpha = _frag_alpha(alpha_k[sidx] * gauss)
+    sidx, col, row, gauss, dx, _, spans = _build_fragments(center2, conic, alpha_k, rows,
+                                                           front, w_img)
+    raw = alpha_k[sidx] * gauss
+    frag_alpha = _frag_alpha(raw)
     frag_color = np.take(color, sidx, axis=0)
     px = row * w_img + col
 
     ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
-               basis=basis, color_raw=color_raw, sidx=sidx,
-               gauss=gauss, dx=dx, dy=dy, px=px, alpha_k=alpha_k)
+               basis=basis, color_raw=color_raw, gauss=gauss, dx=dx, px=px,
+               spans=spans, raw=raw, frag_alpha=frag_alpha)
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color)
     unique_px, csum, trans = ctx["composite"][:3]
@@ -381,14 +421,65 @@ def _sym_from_packed(ga_, gb_, gc_):
     return _sym_matrix(ga_, gb_ / 2.0, gc_)
 
 
-def _splat_sum(sidx, columns, nk):
-    """(nk, len(columns)) per-splat sums of per-fragment weight columns.
+def _fragment_terms(ctx, dl_flat):
+    """(7, N) per-fragment gradient terms in generation order: g, g dx,
+    g dx^2, grad_raw * gauss and the three color gradients, where grad_raw is
+    the loss gradient of the fragment's raw value alpha * gauss and
+    g = -1/2 raw grad_raw that of its q."""
+    unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
+    g_a, _ = _composite_backward(
+        dl_flat[unique_px], BACKGROUND, sa, sc, trans, t_frag, off, width)
+    raw, frag_alpha = ctx["raw"], ctx["frag_alpha"]
+    terms = np.empty((7, len(raw)))
+    g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
+    grad_raw = np.empty(len(raw))
+    grad_raw[perm] = g_a
+    # d alpha / d raw: 2 on the ramp, 1 in the body, 0 outside the level set
+    # and under the clamp
+    grad_raw *= np.where(frag_alpha < raw, 2.0, 1.0) * ((frag_alpha > 0.0)
+                                                        & (frag_alpha < ALPHA_CLAMP))
+    np.multiply(grad_raw, ctx["gauss"], out=g_alpha)
+    np.multiply(raw, grad_raw, out=g)
+    g *= -0.5
+    np.multiply(g, ctx["dx"], out=g_dx)
+    np.multiply(g_dx, ctx["dx"], out=g_dx2)
+    # the kernel's upstream * (alpha * T), formed in generation order
+    t_gen = np.empty(len(raw))
+    t_gen[perm] = t_frag
+    np.take(np.ascontiguousarray(dl_flat.T), ctx["px"], axis=1, out=g_color)
+    g_color *= frag_alpha * t_gen
+    return terms
 
-    bincount adds each bin's weights in input order starting from 0.0, which
-    is exactly what `np.add.at` into zeros does, at a fraction of its cost.
+
+def _splat_sum(ctx, dl_flat):
+    """Per kept splat: (grad_alpha, grad_conic, grad_center2, grad_color,
+    touched), the fragment gradients summed once per row span, then once per
+    splat.
+
+    The fragments of a span share dy and the spans of a splat share its
+    conic (a, b, c), so with G0, G1, G2 the span sums of g, g dx and g dx^2
+    (`_fragment_terms`), g dy = dy G0, g dx dy = dy G1 and g dy^2 = dy^2 G0
+    per span. Summed per splat: grad_conic = (sum G2, 2 sum dy G1,
+    sum dy^2 G0), and with Sx = sum G1, Sy = sum dy G0, grad_center2 =
+    -2 (a Sx + b Sy, b Sx + c Sy). A kept splat that owns no non-empty span
+    gets zeros and is not touched.
     """
-    return np.stack([np.bincount(sidx, weights=w, minlength=nk) for w in columns],
-                    axis=1)
+    nk = len(ctx["keep"])
+    first, span_dy, span_sidx = ctx["spans"]
+    per_span = np.add.reduceat(_fragment_terms(ctx, dl_flat), first, axis=1)
+    g0, g1, g2 = per_span[:3]
+    dy_g0 = span_dy * g0
+    folded = np.concatenate([[g2, span_dy * g1, span_dy * dy_g0, g1, dy_g0], per_span[3:]])
+    own = np.flatnonzero(np.diff(span_sidx, prepend=-1))
+    sums = np.zeros((9, nk))
+    sums[:, span_sidx[own]] = np.add.reduceat(folded, own, axis=1)
+    touched = np.zeros(nk, dtype=bool)
+    touched[span_sidx] = True
+    a_, b_, c_ = ctx["conic"].T
+    sx, sy = sums[3], sums[4]
+    grad_conic = np.stack([sums[0], 2.0 * sums[1], sums[2]], axis=1)
+    grad_center2 = -2.0 * np.stack([a_ * sx + b_ * sy, b_ * sx + c_ * sy], axis=1)
+    return sums[5], grad_conic, grad_center2, sums[6:].T, touched
 
 
 def _backward(ctx, dl_dimage):
@@ -402,47 +493,11 @@ def _backward(ctx, dl_dimage):
     keep = ctx["keep"]
     if len(keep) == 0:
         return grads
-    nk = len(keep)
-    dl_flat = dl_dimage.reshape(-1, 3)
     rot_l, rot_r, left, right, s_cl, rot4, m4, _ = ctx["geom"]
     v, sigma_t, dt, _, cov3, w_t = ctx["cond"]
-
-    # fragment-level gradients in layout order, scattered back to fragments
-    sidx = ctx["sidx"]
-    unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    g_a, g_c = _composite_backward(
-        dl_flat[unique_px], BACKGROUND, sa, sc, trans, t_frag, off, width)
-    grad_frag_alpha = np.empty(len(sidx))
-    grad_frag_alpha[perm] = g_a
-    # (3, N): one contiguous row per channel for the per-splat sums
-    grad_frag_color = np.empty((3, len(sidx)))
-    grad_frag_color[:, perm] = g_c.T
-
-    # fragment -> kept splat
-    alpha_k = ctx["alpha_k"]
-    gauss = ctx["gauss"]
-    raw = alpha_k[sidx] * gauss
-    frag_alpha = _frag_alpha(raw)
-    # d alpha / d raw: 2 on the ramp, 1 in the body, 0 outside the level set
-    # and under the clamp
-    slope = np.where(frag_alpha < raw, 2.0, 1.0) * ((frag_alpha > 0.0)
-                                                    & (frag_alpha < ALPHA_CLAMP))
-    grad_raw = grad_frag_alpha * slope
-    grad_alpha_k = np.bincount(sidx, weights=grad_raw * gauss, minlength=nk)
-    grad_gauss = grad_raw * alpha_k[sidx]
-    grad_q = -0.5 * gauss * grad_gauss
-    dx, dy = ctx["dx"], ctx["dy"]
+    grad_alpha_k, grad_conic, grad_center2, grad_color, touched_k = _splat_sum(
+        ctx, dl_dimage.reshape(-1, 3))
     conic = ctx["conic"]
-    grad_conic = _splat_sum(
-        sidx, (grad_q * dx * dx, grad_q * 2.0 * dx * dy, grad_q * dy * dy), nk)
-    a_f = conic[sidx, 0]
-    b_f = conic[sidx, 1]
-    c_f = conic[sidx, 2]
-    grad_dx = grad_q * 2.0 * (a_f * dx + b_f * dy)
-    grad_dy = grad_q * 2.0 * (b_f * dx + c_f * dy)
-    grad_center2 = _splat_sum(sidx, (-grad_dx, -grad_dy), nk)
-    grad_color = _splat_sum(sidx, grad_frag_color, nk)
-    touched_k = np.bincount(sidx, minlength=nk) > 0
 
     # conic -> cov2 via d(X^-1) = -X^-1 dX X^-1
     conic_full = _sym_matrix(conic[:, 0], conic[:, 1], conic[:, 2])

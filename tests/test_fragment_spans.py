@@ -40,10 +40,21 @@ def test_spans_hold_exactly_the_level_set(seed, n, width, height):
     conic = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], axis=1)
     x0, x1, y0, y1 = rn.expand_quad(center2, cov2, alpha, rn.ALPHA_MIN, width, height)
     order = rng.permutation(n)
-    sidx, col, row, gauss, dx, dy = rn._build_fragments(
+    sidx, col, row, gauss, dx, dy, (first, span_dy, span_sidx) = rn._build_fragments(
         center2, conic, alpha, (y0, y1), order, width)
 
     assert np.all((col >= 0) & (col < width) & (row >= 0) & (row < height))
+    # each non-empty span is a contiguous run of fragments sharing its splat,
+    # row and dy; the runs cover every fragment, one span per (splat, row)
+    length = np.diff(first, append=len(sidx))
+    assert np.all(length > 0) and (len(first) == 0 or first[0] == 0)
+    span_of = np.repeat(np.arange(len(first)), length)
+    assert np.array_equal(sidx, span_sidx[span_of])
+    assert np.array_equal(dy, span_dy[span_of])
+    assert np.array_equal(row, row[first][span_of])
+    assert len(np.unique(np.column_stack([span_sidx, row[first]]), axis=0)) == len(first)
+    # and the spans of one splat are contiguous
+    assert len(np.unique(span_sidx)) == np.count_nonzero(np.diff(span_sidx, prepend=-1))
     for i in range(n):
         mine = sidx == i
         emitted = row[mine] * width + col[mine]

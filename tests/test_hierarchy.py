@@ -145,6 +145,24 @@ class TestGeometry:
         with pytest.raises(InvalidParameterError):
             build(**{"duration": 10.0, **geometry})
 
+    @pytest.mark.parametrize("geometry", [
+        dict(duration=1e18), dict(duration=1e300), dict(duration=10.0, root_length=1e-300),
+        dict(duration=1e300, root_length=1e-300), dict(duration=2e14)],
+        ids=lambda geometry: "-".join(f"{k}={v!r}" for k, v in geometry.items()))
+    def test_segment_count_past_exact_floats_rejected(self, geometry):
+        # segment indices are computed in float64, exact only below 2^53
+        with pytest.raises(InvalidParameterError):
+            build(**geometry)
+
+    def test_largest_segment_count_accepted(self):
+        # 9 levels of a 10 s root: about 51.1 segments per second, 2^53 at ~1.76e14 s
+        h = build(1.7e14)
+        assert 1 + h._count.sum() < 2 ** 53
+        last = h.query_indices(h.duration)
+        assert last == (h._count - 1).tolist()
+        assert all(h._edge(n, level) <= h.duration <= h._edge(n + 1, level)
+                   for level, n in enumerate(last))
+
     def test_numpy_geometry_accepted(self):
         h = build(np.float64(10.0), root_length=np.float32(5.0), num_levels=np.int64(3))
         assert len(h._count) == 3 and h._seg_length[0] == 5.0
