@@ -9,11 +9,11 @@ A frame runs these stages, each by one function:
 4. project to screen-space 2D Gaussians, EWA first-order (`project`);
 5. color each splat from its base color and residual SH (`_forward`);
 6. sort back to front (`depth_sort`);
-7. bound each splat's rows by its opacity level set (`expand_quad`) and
-   emit, row by row, the pixels whose centres lie inside the level set
-   (`_build_fragments`);
-8. give each fragment its alpha (`_frag_alpha`) and alpha-blend the
-   fragments in depth order (`_composite_ordered`).
+7. bound each splat's rows by its opacity level set and emit, row by row,
+   the pixels whose centres lie inside it (`_build_fragments`);
+8. give each fragment its alpha (`_frag_alpha`), gather the fragment colors
+   once, in blend order, and alpha-blend the fragments in depth order
+   (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
 loss analytically to every Gaussian parameter (`_backward`).
@@ -99,8 +99,8 @@ def project(cam_pts, cov3, cam: Camera):
     """EWA first-order projection of camera-space means (K, 3) with their
     world-space covariances (K, 3, 3).
 
-    Returns (center2, jac, k_mat, cov2): pixel centers (K, 2), the Jacobian
-    of the perspective map at each mean (K, 2, 3), k_mat = jac @ R_cam and
+    Returns (center2, k_mat, cov2): pixel centers (K, 2), k_mat = J R_cam
+    with J the Jacobian of the perspective map at each mean (K, 2, 3), and
     cov2 = k_mat cov3 k_mat^T + COV2_LOWPASS I (K, 2, 2).
     """
     x, y, z = cam_pts[:, 0], cam_pts[:, 1], cam_pts[:, 2]
@@ -114,7 +114,7 @@ def project(cam_pts, cov3, cam: Camera):
     cov2 = np.einsum("nij,njk,nlk->nil", k_mat, cov3, k_mat)
     cov2[:, 0, 0] += COV2_LOWPASS
     cov2[:, 1, 1] += COV2_LOWPASS
-    return center2, jac, k_mat, cov2
+    return center2, k_mat, cov2
 
 
 def depth_sort(depths, ids):
@@ -125,60 +125,43 @@ def depth_sort(depths, ids):
     return np.lexsort((np.asarray(ids), -depths))
 
 
-def expand_quad(center2, cov2, alpha, alpha_min, width, height):
-    """Pixel rectangles bounding the level sets
-    alpha * exp(-0.5 d^T cov2^-1 d) >= alpha_min, clipped to the frame.
-
-    Every alpha must be at least alpha_min; `_forward` culls dimmer splats.
-    Returns int64 (x0, x1, y0, y1), inclusive column and row ranges. A
-    rectangle that misses the frame becomes x1 = x0 - 1, y1 = y0 - 1: zero
-    area. The renderer reads the row range only: `_build_fragments` cuts
-    each row to the ellipse itself.
-    """
-    level = 2.0 * np.log(alpha / alpha_min)
-    half_x = np.sqrt(level * np.maximum(cov2[:, 0, 0], 0.0))
-    half_y = np.sqrt(level * np.maximum(cov2[:, 1, 1], 0.0))
-    x0 = np.maximum(np.ceil(center2[:, 0] - half_x - 0.5), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(center2[:, 0] + half_x - 0.5), width - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(center2[:, 1] - half_y - 0.5), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(center2[:, 1] + half_y - 0.5), height - 1).astype(np.int64)
-    empty = (x0 > x1) | (y0 > y1)
-    return x0, np.where(empty, x0 - 1, x1), y0, np.where(empty, y0 - 1, y1)
-
-
 # --------------------------------------------------------------------------
 # fragment machinery
 
-def _build_fragments(center2, conic, alpha, rows, order, width):
+def _build_fragments(center2, conic, var_y, alpha, order, width, height):
     """Fragments of each splat's ALPHA_MIN level set, one row span at a time.
 
-    `rows` = (y0, y1) are the inclusive row ranges of `expand_quad`. On a row
-    whose pixel centres sit dy below the splat centre, alpha * exp(-q / 2)
-    >= ALPHA_MIN, that is q(dx, dy) <= L = 2 ln(alpha / ALPHA_MIN), holds for
+    alpha * exp(-q / 2) >= ALPHA_MIN is the ellipse q(dx, dy) <= L =
+    2 ln(alpha / ALPHA_MIN). Its rows are those whose pixel centres lie
+    within sqrt(L var_y) of the splat centre, var_y = cov2[1, 1], clipped to
+    the frame. On a row whose centres sit dy below the splat centre it holds
     the offsets dx between (-b dy - sqrt(disc)) / a and (-b dy + sqrt(disc)) / a,
     with (a, b, c) the conic and disc = a L - dy^2 (a c - b^2); a row with
     disc < 0 is empty. The span becomes the columns whose centres it holds,
-    clipped to the frame.
+    clipped to the frame, so a splat beside the frame walks its rows and
+    emits nothing.
 
     Fragments are emitted splat by splat in `order`, front to back, so that
     the per-pixel fragment sequences come out depth-ordered; each splat's
     rows come top to bottom, each row left to right. So the fragments of one
     row span are contiguous and share their splat, row and dy, and the spans
     of one splat are contiguous. Returns (sidx, col, row, gauss, dx, dy,
-    spans): per fragment the splat index (into center2, conic, alpha and
-    rows), pixel column and row, kernel value exp(-q/2), and the offset of
+    spans): per fragment the splat index (into center2, conic, var_y and
+    alpha), pixel column and row, kernel value exp(-q/2), and the offset of
     the pixel center from the splat center; spans = (first, dy, sidx) holds
     each non-empty span's first fragment, dy and splat index.
     """
-    y0, y1 = rows
-    nrows = (y1 - y0 + 1)[order]
+    level = 2.0 * np.log(alpha / ALPHA_MIN)
+    half_y = np.sqrt(level * np.maximum(var_y, 0.0))
+    y0 = np.maximum(np.ceil(center2[:, 1] - half_y - 0.5), 0).astype(np.int64)
+    y1 = np.minimum(np.floor(center2[:, 1] + half_y - 0.5), height - 1).astype(np.int64)
+    nrows = np.maximum(y1 - y0 + 1, 0)[order]
     rsid = np.repeat(order, nrows)
     row_r = y0[rsid] + np.arange(len(rsid)) - np.repeat(np.cumsum(nrows) - nrows, nrows)
     cx_r, cy_r = center2[rsid].T
     dy_r = (row_r + 0.5) - cy_r
     a_, b_, c_ = conic[rsid].T
-    level = 2.0 * np.log(alpha[rsid] / ALPHA_MIN)
-    disc = a_ * level - dy_r * dy_r * (a_ * c_ - b_ * b_)
+    disc = a_ * level[rsid] - dy_r * dy_r * (a_ * c_ - b_ * b_)
     half = np.sqrt(np.maximum(disc, 0.0)) / a_
     mid = cx_r - 0.5 - b_ * dy_r / a_
     # clipped on both sides so that a span far off the frame casts to intp
@@ -258,17 +241,19 @@ def _layer_major(px):
     return perm, off, width
 
 
-def _composite_ordered(px, frag_alpha, frag_color):
+def _composite_ordered(px, frag_alpha, color, sidx):
     """Sequential per-pixel over-compositing of depth-ordered fragments.
 
-    px: flat pixel index per fragment, fragments front-to-back within a pixel.
-    The fragments are first put in layer-major order: pixel groups are ranked
-    deepest first, so the groups that still hold a j-th fragment are a prefix
-    [0, width[j]) of that ranking and layer j is the contiguous block
-    [off[j], off[j] + width[j]). Each pass then blends one whole layer with
-    slices. A pixel's running color and transmittance take the same multiply
-    and add sequence, front to back, as in a loop over that pixel alone, so
-    the result is bit-identical to it whichever other pixels share the call.
+    px: flat pixel index per fragment, fragments front-to-back within a pixel;
+    fragment i has alpha frag_alpha[i] and its splat's color color[sidx[i]].
+    The fragments are first put in layer-major order, and their colors are
+    gathered once, in that order: pixel groups are ranked deepest first, so
+    the groups that still hold a j-th fragment are a prefix [0, width[j]) of
+    that ranking and layer j is the contiguous block [off[j], off[j] +
+    width[j]). Each pass then blends one whole layer with slices. A pixel's
+    running color and transmittance take the same multiply and add
+    sequence, front to back, as in a loop over that pixel alone, so the
+    result is bit-identical to it whichever other pixels share the call.
 
     Returns (unique_px, color_sum, final_T, perm, T_frag, off, width, sa,
     sc), one entry per pixel group in layout order. perm maps a layout
@@ -277,25 +262,24 @@ def _composite_ordered(px, frag_alpha, frag_color):
     """
     perm, off, width = _layer_major(px)
     sa = frag_alpha[perm]
-    sc = np.take(frag_color, perm, axis=0)
+    sc = np.take(color, sidx[perm], axis=0)
     groups = int(width[0]) if len(width) else 0
     unique_px = px[perm[:groups]]
     trans = np.ones(groups)
-    color = np.zeros((groups, 3))
+    color_sum = np.zeros((groups, 3))
     t_frag = np.empty(len(sa))
     for o, k in zip(off.tolist(), width.tolist()):
         s = slice(o, o + k)
         t_frag[s] = trans[:k]
         a = sa[s]
         w = a * trans[:k]
-        color[:k] += w[:, None] * sc[s]
+        color_sum[:k] += w[:, None] * sc[s]
         trans[:k] *= 1.0 - a
-    return unique_px, color, trans, perm, t_frag, off, width, sa, sc
+    return unique_px, color_sum, trans, perm, t_frag, off, width, sa, sc
 
 
-def _composite_backward(dl_dpx_color, background, sa, sc,
-                        trans_final, t_frag, off, width):
-    """Gradients of the ordered reduction w.r.t. fragment alpha and color.
+def _composite_backward(dl_dpx_color, sa, sc, trans_final, t_frag, off, width):
+    """Gradient of the ordered reduction w.r.t. fragment alpha.
 
     Walks the layer-major layout of `_composite_ordered` from the deepest
     layer to the front, one slice per layer, so every pixel sees its own
@@ -303,14 +287,13 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
     dl_dpx_color: (G, 3) upstream gradient per pixel group in layout order;
     sa, sc, t_frag per layout position; off, width as returned by
     `_composite_ordered`. The final pixel is
-    C = sum_i a_i c_i T_i + T_N * bg; `behind` tracks the composited color
-    strictly behind the current fragment including the background term, so
-    dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path too.
-    Returns (grad_alpha, grad_color) per layout position.
+    C = sum_i a_i c_i T_i + T_N * BACKGROUND; `behind` tracks the composited
+    color strictly behind the current fragment including the background
+    term, so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path
+    too. Returns grad_alpha per layout position.
     """
     grad_alpha = np.empty(len(sa))
-    grad_color = np.empty((len(sa), 3))
-    behind = trans_final[:, None] * background[None, :]
+    behind = trans_final[:, None] * BACKGROUND[None, :]
     for o, k in zip(off.tolist()[::-1], width.tolist()[::-1]):
         s = slice(o, o + k)
         a = sa[s]
@@ -318,12 +301,11 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
         c = sc[s]
         upstream = dl_dpx_color[:k]
         at = (a * t)[:, None]
-        grad_color[s] = upstream * at
         # the channel terms add left to right, the order np.sum(axis=1) uses
         g = upstream * (c * t[:, None] - behind[:k] / (1.0 - a)[:, None])
         grad_alpha[s] = (g[:, 0] + g[:, 1]) + g[:, 2]
         behind[:k] += at * c
-    return grad_alpha, grad_color
+    return grad_alpha
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +336,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
         return Framebuffer(rgb, np.ones((h_img, w_img))), ctx
 
     pts = cam_pts[keep]
-    center2, _, k_mat, cov2 = project(pts, cov3[keep], cam)
+    center2, k_mat, cov2 = project(pts, cov3[keep], cam)
     a_, b_, c_ = cov2[:, 0, 0], cov2[:, 0, 1], cov2[:, 1, 1]
     det = a_ * c_ - b_ * b_
     conic = np.stack([c_ / det, -b_ / det, a_ / det], axis=1)
@@ -370,19 +352,17 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     # fragments are generated front to back: the back-to-front order reversed
     front = depth_sort(pts[:, 2], batch.ids[keep])[::-1]
     alpha_k = alpha_splat[keep]
-    rows = expand_quad(center2, cov2, alpha_k, ALPHA_MIN, w_img, h_img)[2:]
-    sidx, col, row, gauss, dx, _, spans = _build_fragments(center2, conic, alpha_k, rows,
-                                                           front, w_img)
+    sidx, col, row, gauss, dx, _, spans = _build_fragments(
+        center2, conic, cov2[:, 1, 1], alpha_k, front, w_img, h_img)
     raw = alpha_k[sidx] * gauss
     frag_alpha = _frag_alpha(raw)
-    frag_color = np.take(color, sidx, axis=0)
     px = row * w_img + col
 
     ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
                basis=basis, color_raw=color_raw, gauss=gauss, dx=dx, px=px,
                spans=spans, raw=raw, frag_alpha=frag_alpha)
 
-    ctx["composite"] = _composite_ordered(px, frag_alpha, frag_color)
+    ctx["composite"] = _composite_ordered(px, frag_alpha, color, sidx)
     unique_px, csum, trans = ctx["composite"][:3]
     rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
     trans_img = np.ones((h_img, w_img))
@@ -415,20 +395,13 @@ def _sym_matrix(a_, b_, c_):
     return out
 
 
-def _sym_from_packed(ga_, gb_, gc_):
-    """Full-matrix gradient of a function read through (a, b, c) of a
-    symmetric 2x2 [[a, b], [b, c]]: the off-diagonal gradient splits in half."""
-    return _sym_matrix(ga_, gb_ / 2.0, gc_)
-
-
 def _fragment_terms(ctx, dl_flat):
     """(7, N) per-fragment gradient terms in generation order: g, g dx,
     g dx^2, grad_raw * gauss and the three color gradients, where grad_raw is
     the loss gradient of the fragment's raw value alpha * gauss and
     g = -1/2 raw grad_raw that of its q."""
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    g_a, _ = _composite_backward(
-        dl_flat[unique_px], BACKGROUND, sa, sc, trans, t_frag, off, width)
+    g_a = _composite_backward(dl_flat[unique_px], sa, sc, trans, t_frag, off, width)
     raw, frag_alpha = ctx["raw"], ctx["frag_alpha"]
     terms = np.empty((7, len(raw)))
     g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
@@ -501,8 +474,8 @@ def _backward(ctx, dl_dimage):
 
     # conic -> cov2 via d(X^-1) = -X^-1 dX X^-1
     conic_full = _sym_matrix(conic[:, 0], conic[:, 1], conic[:, 2])
-    g_conic_full = _sym_from_packed(grad_conic[:, 0], grad_conic[:, 1],
-                                    grad_conic[:, 2])
+    # b is read twice in the symmetric matrix: its gradient splits in half
+    g_conic_full = _sym_matrix(grad_conic[:, 0], grad_conic[:, 1] / 2.0, grad_conic[:, 2])
     grad_cov2 = -conic_full @ g_conic_full @ conic_full
 
     # cov2 = K cov3 K^T + lowpass I

@@ -6,10 +6,12 @@ with fancy-index gathers and scatters. The renderer's kernels must reproduce
 them bit for bit. Each test renders a scene with the renderer's own kernels,
 then again with these monkeypatched in, and compares with np.array_equal:
 a reordering of any pixel's arithmetic would show here, where the 1e-9
-tolerance of `test_matches_reference_loop` would hide it.
+tolerance of `test_matches_reference_loop` would hide it. The references
+take per-fragment colors and an explicit background and also return a color
+gradient; `reference_kernels` adapts them to the renderer's signatures.
 """
 
-import functools
+import dataclasses
 
 import numpy as np
 import pytest
@@ -83,6 +85,19 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
     return grad_alpha, grad_color
 
 
+def reference_kernels(patch):
+    """Monkeypatch the reference kernels into the renderer: the forward one
+    gets each fragment's color color[sidx], and the backward one the
+    renderer's BACKGROUND, of which only grad_alpha is returned."""
+    def ordered(px, frag_alpha, color, sidx):
+        return _composite_ordered(px, frag_alpha, np.take(color, sidx, axis=0), save=True)
+
+    def backward(dl_dpx_color, *rest):
+        return _composite_backward(dl_dpx_color, rn.BACKGROUND, *rest)[0]
+
+    patch.setattr(rn, "_composite_ordered", ordered)
+    patch.setattr(rn, "_composite_backward", backward)
+
 
 GRAD_FIELDS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
                "base_color", "sh_residual", "viewspace_norm", "touched")
@@ -136,7 +151,10 @@ def culled(rng):
 
 
 def offscreen(rng):
-    """Gaussians survive culling but project outside the frame: no fragments."""
+    """Gaussians survive culling but project right of the frame, level with
+    its rows: `_build_fragments` walks their rows, and every row's span
+    clips to zero columns, so they emit no fragments
+    (`test_offscreen_rows_are_walked`)."""
     gaussians = []
     for _ in range(4):
         g = random_params(rng, t_center_range=(0.95, 1.05), scale_range=(0.05, 0.1))
@@ -178,9 +196,7 @@ def test_render_with_gradients_matches_reference(name, monkeypatch):
     cam = camera()
     target = np.random.default_rng(3).uniform(size=(cam.height, cam.width, 3))
     new = render(batch, target, cam)
-    monkeypatch.setattr(rn, "_composite_ordered",
-                        functools.partial(_composite_ordered, save=True))
-    monkeypatch.setattr(rn, "_composite_backward", _composite_backward)
+    reference_kernels(monkeypatch)
     ref = render(batch, target, cam)
     assert_identical(new, ref)
 
@@ -203,16 +219,32 @@ def test_scenes_have_their_shape():
     assert depth["single_pixel"] == 3
 
 
-def test_kernels_match_reference_per_fragment():
+def test_offscreen_rows_are_walked():
+    """In a frame widened to reach the `offscreen` splats, with the same
+    rows, every kept splat emits fragments: their row ranges lie in the
+    frame, and in `camera()` only the columns of each span miss it."""
+    with pytest.MonkeyPatch.context() as patch:
+        batch = scene("offscreen", patch)
+    cam = camera()
+    _, ctx = rn._forward(batch, 1.0, cam)
+    _, wide = rn._forward(batch, 1.0, dataclasses.replace(cam, width=400))
+    assert len(ctx["px"]) == 0
+    assert np.array_equal(np.unique(wide["spans"][2]), np.arange(len(wide["keep"])))
+    assert np.all(wide["px"] // 400 < cam.height)
+
+
+def test_kernels_match_reference_per_fragment(monkeypatch):
     """Kernel outputs compared pixel by pixel and fragment by fragment."""
     rng = np.random.default_rng(11)
     n = 4000
     px = rng.integers(0, 300, size=n)
     alpha = rng.uniform(0.0, 0.99, size=n)
     color = rng.uniform(size=(n, 3))
+    sidx = rng.integers(0, n, size=n)
     background = np.array([0.3, 0.1, 0.6])
-    new = rn._composite_ordered(px, alpha, color)
-    ref = _composite_ordered(px, alpha, color, save=True)
+    monkeypatch.setattr(rn, "BACKGROUND", background)
+    new = rn._composite_ordered(px, alpha, color, sidx)
+    ref = _composite_ordered(px, alpha, color[sidx], save=True)
     by_px_new, by_px_ref = np.argsort(new[0]), np.argsort(ref[0])
     assert np.array_equal(new[0][by_px_new], ref[0][by_px_ref])
     for k in (1, 2):
@@ -223,13 +255,16 @@ def test_kernels_match_reference_per_fragment():
     t_ref[ref[3]] = ref[4]
     assert np.array_equal(t_new, t_ref)
 
+    # per layout position: the color each kernel blended
+    assert np.array_equal(new[8], color[sidx[new[3]]])
+    assert np.array_equal(ref[8], color[sidx[ref[3]]])
+
     upstream = rng.normal(size=(300, 3))
-    g_new = rn._composite_backward(upstream[new[0]], background, alpha[new[3]],
-                                   color[new[3]], new[2], new[4], *new[5:7])
+    g_new = rn._composite_backward(upstream[new[0]], alpha[new[3]], new[8],
+                                   new[2], new[4], *new[5:7])
     g_ref = _composite_backward(upstream[ref[0]], background, alpha[ref[3]],
-                                color[ref[3]], ref[2], ref[4], *ref[5:7])
-    for a_new, a_ref in zip(g_new, g_ref):
-        per_frag_new, per_frag_ref = np.empty_like(a_new), np.empty_like(a_ref)
-        per_frag_new[new[3]] = a_new
-        per_frag_ref[ref[3]] = a_ref
-        assert np.array_equal(per_frag_new, per_frag_ref)
+                                ref[8], ref[2], ref[4], *ref[5:7])[0]
+    per_frag_new, per_frag_ref = np.empty(n), np.empty(n)
+    per_frag_new[new[3]] = g_new
+    per_frag_ref[ref[3]] = g_ref
+    assert np.array_equal(per_frag_new, per_frag_ref)

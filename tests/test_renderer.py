@@ -84,10 +84,11 @@ def reference_render(batch, t, cam):
 class TestProject:
     def test_on_axis_reference(self):
         cam = simple_camera()
-        center2, jac, _, cov2 = rn.project(np.array([[0.0, 0.0, 10.0]]), np.eye(3)[None], cam)
+        center2, k_mat, cov2 = rn.project(np.array([[0.0, 0.0, 10.0]]), np.eye(3)[None], cam)
         assert np.allclose(center2, [[32.0, 32.0]])
         assert np.allclose(cov2, np.diag([100.3, 100.3]), atol=1e-9)
-        assert np.array_equal(jac, [[[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]])
+        # the rotation is the identity, so k_mat is the perspective Jacobian
+        assert np.array_equal(k_mat, [[[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]])
 
     def test_behind_camera_culled(self):
         cam = simple_camera()
@@ -101,8 +102,8 @@ class TestProject:
         base = rng.normal(size=(3, 3))
         cov3 = base @ base.T + 0.1 * np.eye(3)
         mean = np.array([[0.5, -0.3, 8.0]])
-        cov2_1 = rn.project(mean, cov3[None], cam)[3][0]
-        cov2_4 = rn.project(mean, 4.0 * cov3[None], cam)[3][0]
+        cov2_1 = rn.project(mean, cov3[None], cam)[2][0]
+        cov2_4 = rn.project(mean, 4.0 * cov3[None], cam)[2][0]
         assert np.allclose(cov2_4 - 0.3 * np.eye(2),
                            4.0 * (cov2_1 - 0.3 * np.eye(2)), rtol=1e-12)
 
@@ -125,20 +126,28 @@ class TestDepthSort:
         assert np.array_equal(order, ref)
 
 
-class TestExpandQuad:
-    def rect(self, cov2, alpha, alpha_min, size=64):
-        """(x0, x1, y0, y1) of one splat centered at (20, 20)."""
-        rect = rn.expand_quad(np.array([[20.0, 20.0]]), np.asarray(cov2, float)[None],
-                              np.array([alpha]), alpha_min, size, size)
-        return tuple(int(r[0]) for r in rect)
+class TestFragmentBounds:
+    def bounds(self, cov2, alpha, size=64):
+        """(x0, x1, y0, y1), the inclusive bounding box of the fragments of
+        one splat centered at (20, 20) in a size x size frame, or None if it
+        has none."""
+        cov2 = np.asarray(cov2, float)[None]
+        inv = np.linalg.inv(cov2)
+        conic = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], axis=1)
+        _, col, row, *_ = rn._build_fragments(np.array([[20.0, 20.0]]), conic, cov2[:, 1, 1],
+                                              np.array([alpha]), np.array([0]), size, size)
+        if len(col) == 0:
+            return None
+        return int(col.min()), int(col.max()), int(row.min()), int(row.max())
 
-    def test_half_extents_reference(self):
+    def test_half_extents_reference(self, monkeypatch):
         # level 2 ln(1 / e^-2) = 4, so half-extents sqrt(4 * 4) = 4 and
         # sqrt(4 * 1) = 2: pixel centers c + 0.5 in [16, 24] x [18, 22]
-        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0)) == (16, 23, 18, 21)
-        # clipped to a 20 x 20 frame; a 10 x 10 frame misses it: zero area
-        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0), size=20) == (16, 19, 18, 19)
-        assert self.rect(np.diag([4.0, 1.0]), 1.0, math.exp(-2.0), size=10) == (16, 15, 18, 17)
+        monkeypatch.setattr(rn, "ALPHA_MIN", math.exp(-2.0))
+        assert self.bounds(np.diag([4.0, 1.0]), 1.0) == (16, 23, 18, 21)
+        # clipped to a 20 x 20 frame; a 10 x 10 frame misses it
+        assert self.bounds(np.diag([4.0, 1.0]), 1.0, size=20) == (16, 19, 18, 19)
+        assert self.bounds(np.diag([4.0, 1.0]), 1.0, size=10) is None
 
     def test_dim_splat_empty(self):
         # peak alpha 0.001 < ALPHA_MIN = 1/255: the splat is culled before
@@ -149,7 +158,7 @@ class TestExpandQuad:
         assert np.all(fb.transmittance == 1.0)
 
     def test_isotropic_square(self):
-        x0, x1, y0, y1 = self.rect(np.eye(2) * 2.5, 0.9, 1 / 255)
+        x0, x1, y0, y1 = self.bounds(np.eye(2) * 2.5, 0.9)
         assert x1 - x0 == y1 - y0 > 0
 
 

@@ -2,12 +2,18 @@
 
 `parent_splat_sum` below is the per-fragment formulation that the span
 reduction of `renderer._splat_sum` replaces, kept verbatim: it scatters the
-kernel's color gradient back through `perm`, gathers the conic per fragment
-and sums each weight column per splat with `np.bincount`. The two add the
-same products in a different order, so gradients agree to rounding
-(rtol 1e-12, atol 1e-12 of the field's largest value), while the image, the
-loss and `touched` are exact. The per-fragment color gradient the span
-reduction starts from is the kernel's own, bit for bit.
+color gradient of the layer-major blend kernel `_composite_backward` back
+through `perm`, gathers the conic per fragment and sums each weight column
+per splat with `np.bincount`. The two add the same products in a different
+order, so gradients agree to rounding (rtol 1e-12, atol 1e-12 of the
+field's largest value), while the image, the loss and `touched` are exact.
+The per-fragment color gradient the span reduction starts from is that
+kernel's, bit for bit.
+
+`_composite_backward` is a verbatim copy of the renderer's blend gradient
+kernel in the form that also returns each fragment's color gradient; the
+renderer's own returns the alpha gradient only, and forms the color
+gradient per fragment in `_fragment_terms`.
 """
 
 import numpy as np
@@ -23,6 +29,39 @@ SIZE = 24
 FOCAL = 40.0
 GRAD_FIELDS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
                "base_color", "sh_residual", "viewspace_norm", "touched")
+
+
+def _composite_backward(dl_dpx_color, background, sa, sc,
+                        trans_final, t_frag, off, width):
+    """Gradients of the ordered reduction w.r.t. fragment alpha and color.
+
+    Walks the layer-major layout of `_composite_ordered` from the deepest
+    layer to the front, one slice per layer, so every pixel sees its own
+    fragments back to front in the same operation order as a per-pixel loop.
+    dl_dpx_color: (G, 3) upstream gradient per pixel group in layout order;
+    sa, sc, t_frag per layout position; off, width as returned by
+    `_composite_ordered`. The final pixel is
+    C = sum_i a_i c_i T_i + T_N * bg; `behind` tracks the composited color
+    strictly behind the current fragment including the background term, so
+    dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path too.
+    Returns (grad_alpha, grad_color) per layout position.
+    """
+    grad_alpha = np.empty(len(sa))
+    grad_color = np.empty((len(sa), 3))
+    behind = trans_final[:, None] * background[None, :]
+    for o, k in zip(off.tolist()[::-1], width.tolist()[::-1]):
+        s = slice(o, o + k)
+        a = sa[s]
+        t = t_frag[s]
+        c = sc[s]
+        upstream = dl_dpx_color[:k]
+        at = (a * t)[:, None]
+        grad_color[s] = upstream * at
+        # the channel terms add left to right, the order np.sum(axis=1) uses
+        g = upstream * (c * t[:, None] - behind[:k] / (1.0 - a)[:, None])
+        grad_alpha[s] = (g[:, 0] + g[:, 1]) + g[:, 2]
+        behind[:k] += at * c
+    return grad_alpha, grad_color
 
 
 def _splat_sum(sidx, columns, nk):
@@ -45,8 +84,7 @@ def parent_splat_sum(ctx, dl_flat):
     ctx = dict(ctx, sidx=np.repeat(span_sidx, length), dy=np.repeat(span_dy, length),
                alpha_k=(ctx["batch"].opacity * w_t)[ctx["keep"]])
     keep = ctx["keep"]
-    _composite_backward, BACKGROUND, _frag_alpha, ALPHA_CLAMP = (
-        rn._composite_backward, rn.BACKGROUND, rn._frag_alpha, rn.ALPHA_CLAMP)
+    BACKGROUND, _frag_alpha, ALPHA_CLAMP = rn.BACKGROUND, rn._frag_alpha, rn.ALPHA_CLAMP
 
     nk = len(keep)
 
@@ -187,13 +225,13 @@ def test_scenes_have_their_shape(shape):
                          ids=["mixed", "single_pixel_only", "overlap_only"])
 def test_fragment_color_gradient_is_the_kernels(shape):
     """Formed in generation order from T, alpha and the upstream gradient,
-    each fragment's color gradient equals the kernel's `grad_color` at its
-    layout position."""
+    each fragment's color gradient equals the layer-major kernel's
+    `grad_color` at its layout position."""
     batch, target = scene_and_target(9, *shape)
     fb, ctx = rn._forward(batch, 1.0, camera())
     dl_flat = image_loss(fb.rgb, target)[1].reshape(-1, 3)
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    _, g_c = rn._composite_backward(
+    _, g_c = _composite_backward(
         dl_flat[unique_px], rn.BACKGROUND, sa, sc, trans, t_frag, off, width)
     kernel = np.empty_like(g_c)
     kernel[perm] = g_c

@@ -9,12 +9,15 @@ scene at 96x96 (the short one with 2,000 Gaussians, the long one with
 pass every 10 and density-control settings under which clones and splits
 both run, then prints one SHA-256 over the stored ids and their rows,
 every parameter and placement column of the live rows, every metric
-column and one render. Equal digests before and after a change mean
-equal outputs, byte for byte.
+column and one render. A second SHA-256, `playback=`, covers `render()` of
+the first PLAYBACK_FRAMES frames of the scene's playback path on the
+untrained hierarchy: the read path that the bench's playback times. Equal
+digests before and after a change mean equal outputs, byte for byte.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -38,15 +41,31 @@ SCENES = {
 }
 SEEDS = (0, 1)
 ITERATIONS = 40
+PLAYBACK_FRAMES = 20
 DENSIFY_INTERVAL = 10
 # density-control settings under which clones and splits both run
 SETTINGS = {"GRAD_DENSIFY_THRESHOLD": 2e-5, "CLONE_SIZE_FRACTION": 0.05}
 
 
+def sha256(parts):
+    """Hex SHA-256 over the dtypes, shapes and bytes of the arrays `parts`."""
+    sha = hashlib.sha256()
+    for part in parts:
+        part = np.ascontiguousarray(part)
+        sha.update(f"{part.dtype.str}{part.shape}".encode())
+        sha.update(part.tobytes())
+    return sha.hexdigest()
+
+
 def digest(spec, seed):
-    """(population after training, SHA-256 hex digest) of one seeded run."""
+    """(population after training, training digest, playback digest) of one
+    seeded run."""
     pop, scene = sc.make_scene(spec, seed)
     h = sc.build_hierarchy(pop, spec.duration)
+    frames = []
+    for t, cam in itertools.islice(sc.playback_path(spec, seed), PLAYBACK_FRAMES):
+        fb = renderer.render(h, t, cam)
+        frames += [fb.rgb, fb.transmittance]
     cfg = optimizer.TrainConfig(iterations=ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
@@ -64,20 +83,15 @@ def digest(spec, seed):
                           dtype=np.float64))
     fb = renderer.render(h, spec.duration / 2.0, scene.cameras[0])
     parts += [fb.rgb, fb.transmittance]
-    sha = hashlib.sha256()
-    for part in parts:
-        part = np.ascontiguousarray(part)
-        sha.update(f"{part.dtype.str}{part.shape}".encode())
-        sha.update(part.tobytes())
-    return len(ids), sha.hexdigest()
+    return len(ids), sha256(parts), sha256(frames)
 
 
 def main():
     for name, spec in SCENES.items():
         for seed in SEEDS:
-            population, hexdigest = digest(spec, seed)
-            print(f"{name} seed={seed} gaussians={spec.gaussians}->{population} {hexdigest}",
-                  flush=True)
+            population, trained, playback = digest(spec, seed)
+            print(f"{name} seed={seed} gaussians={spec.gaussians}->{population} {trained}"
+                  f" playback={playback}", flush=True)
 
 
 if __name__ == "__main__":
