@@ -7,7 +7,7 @@ with 0.2 of D-SSIM; here the pixel loss is the MSE.
 import numpy as np
 
 from .errors import InvalidParameterError
-from .ssim import ssim
+from .ssim import _support_box, ssim
 
 MSE_WEIGHT = 0.8
 SSIM_WEIGHT = 0.2
@@ -23,15 +23,21 @@ def _image_pair(img, ref):
 
 
 def loss(rendered, target):
-    """Objective value and its per-pixel gradient image.
+    """Objective value and its per-pixel gradient image of two (H, W, C)
+    images.
 
     L = MSE_WEIGHT * mean((I - I_gt)^2) + SSIM_WEIGHT * (1 - SSIM(I, I_gt)).
     A zero SSIM_WEIGHT skips the SSIM term, which needs an 11x11 image.
+    The MSE term reads the support box that `ssim` runs on: outside it both
+    images are zero, and so are the squared error and its gradient. The mean
+    still divides by the whole image's size.
     """
     rendered, target = _image_pair(rendered, target)
-    diff = rendered - target
-    value = MSE_WEIGHT * np.mean(diff * diff)
-    grad = MSE_WEIGHT * 2.0 * diff / diff.size
+    box = _support_box(rendered, target)
+    diff = rendered[box] - target[box]
+    value = MSE_WEIGHT * (np.sum(diff * diff) / rendered.size)
+    grad = np.zeros_like(rendered)
+    grad[box] = MSE_WEIGHT * 2.0 * diff / rendered.size
     if SSIM_WEIGHT != 0.0:
         s, s_grad = ssim(rendered, target)
         value += SSIM_WEIGHT * (1.0 - s)

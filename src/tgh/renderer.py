@@ -73,7 +73,9 @@ from .losses import loss as image_loss
 from .store import COLUMNS, SHAPES, GaussianBatch
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
-BACKGROUND = np.zeros(3)                # color behind every splat
+BACKGROUND = np.zeros(3)                # color behind every splat; black keeps
+                                        # the loss's support box small (speed
+                                        # only, never correctness: ssim.py)
 ALPHA_MIN = 1.0 / 255.0                 # splat and fragment opacity threshold
 ALPHA_CLAMP = 0.99                      # per-fragment opacity ceiling
 

@@ -9,6 +9,24 @@ one whose window runs along axis -1, so the second pass runs on a transposed
 copy. One call per channel filters the five planes x, y, x*x, y*y, x*y as one
 stack.
 
+Support. `ssim`, and the MSE term of `losses.loss`, run on the support box
+only (`_support_box`): the rows and columns from PAD before the first pixel
+where either image is non-zero, in any channel, to PAD after the last one,
+clipped to the frame. Against the whole frame this is exact up to rounding,
+in value and gradient:
+
+- a valid window outside the box is all zero in both images, so its S is
+  one constant, `S_EMPTY`: the same expressions on zero statistics. The
+  value adds n_empty * S_EMPTY to the box's sum of S and divides by the
+  whole image's window count, and the gradient's k uses that count too;
+- the gradient is exactly zero outside the box: x = y = 0 there, and the
+  folded term below is zero on every window whose mu_x and mu_y are both 0.
+
+A pair with no zero border crops to itself, at the cost of the mask. With
+no non-zero pixel at all the box is one window, and the gradient is all
+zero. A black background and black target borders make the box smaller;
+they never change the result.
+
 Gradient. With mu = F(x), sxx = F(x*x) - mu_x^2 and sxy = F(x*y) - mu_x*mu_y,
 the chain rule through the three statistics gives, for the adjoint A of F
 (the window is symmetric, so A(g) is F of g zero-padded by 10 on each side),
@@ -57,6 +75,47 @@ def _filt_valid(img):
     return (sliding_window_view(out, WINDOW, axis=-2) @ KERNEL).swapaxes(-1, -2)
 
 
+def _support_box(img, ref):
+    """(rows, cols) slices of the support box of two (H, W, C) images: from
+    PAD before the first row and column where `img` or `ref` is non-zero in
+    any channel to PAD after the last, clipped to the frame. With no non-zero
+    pixel it is the window at the origin."""
+    if img.ndim != 3:
+        raise InvalidParameterError("images must share an (H, W, C) shape")
+    h, w, channels = img.shape
+    # reduce rows over the contiguous (W*C) axis and columns down axis 0
+    # first: 0.04 ms at 256x256x3 on one core of a 2-vCPU VM, against 1.4 ms
+    # when a channel any() over the short last axis comes first
+    m = (img != 0) | (ref != 0)
+    rows = m.reshape(h, w * channels).any(axis=1)
+    cols = m.any(axis=0).any(axis=1)
+    return _widened(rows), _widened(cols)
+
+
+def _widened(nonzero):
+    """Slice from PAD before the first True of `nonzero` to PAD after the
+    last; [0, WINDOW) when there is none. The stop may pass the end."""
+    idx = np.flatnonzero(nonzero)
+    first, last = (idx[0], idx[-1]) if idx.size else (0, 0)
+    return slice(max(first - PAD, 0), last + PAD + 1)
+
+
+def _similarity(mu_x, mu_y, exx, eyy, exy):
+    """S per window from the windowed means, and the factors its gradient
+    reads: (S, dS/da1, dS/da2, b1, b2)."""
+    mxy = mu_x * mu_y
+    a1 = 2.0 * mxy + C1
+    a2 = 2.0 * (exy - mxy) + C2
+    b1 = mu_x * mu_x + mu_y * mu_y + C1
+    b2 = exx + eyy - b1 + (C1 + C2)  # sxx + syy + C2
+    inv = 1.0 / (b1 * b2)
+    q = a1 * inv
+    return q * a2, a2 * inv, q, b1, b2
+
+# S of a window that is all zero in both images (1 + 2.2e-16: b2 rounds)
+S_EMPTY = _similarity(0.0, 0.0, 0.0, 0.0, 0.0)[0]
+
+
 def ssim(img, ref):
     """Mean SSIM over channels and the valid region, and d(mean SSIM)/d(img)
     as an image-shaped array."""
@@ -70,16 +129,21 @@ def ssim(img, ref):
     if channels == 0:
         raise InvalidParameterError("images must have at least one channel")
 
+    box = _support_box(img, ref)
+    grad_img = np.zeros_like(img)
+    img, ref, grad_box = img[box], ref[box], grad_img[box]
+    bh, bw = img.shape[:2]
+    windows = (h - PAD) * (w - PAD)
+    empty = windows - (bh - PAD) * (bw - PAD)
     total = 0.0
-    # d(mean SSIM)/d(statistic) carries 1/(pixels * channels); k folds in the 2
-    k = 2.0 / ((h - PAD) * (w - PAD) * channels)
-    planes = np.empty((5, h, w))
-    grad_img = np.empty_like(img)
+    # d(mean SSIM)/d(statistic) carries 1/(windows * channels); k folds in the 2
+    k = 2.0 / (windows * channels)
+    planes = np.empty((5, bh, bw))
     # adjoint inputs 2*g_sx, g_xy and the folded g_mu term inside a zero
     # border. The buffer is stored transposed, as _filt_valid's output is,
     # so the writes into it are contiguous; F weights both axes alike, so
     # filtering the stored (W, H) planes gives the transposed adjoint.
-    adjoint = np.zeros((3, w + PAD, h + PAD))
+    adjoint = np.zeros((3, bw + PAD, bh + PAD))
     g_sx2, g_xy, g_rest = adjoint[:, PAD:-PAD, PAD:-PAD].swapaxes(-1, -2)
     for ch in range(channels):
         planes[0], planes[1] = img[..., ch], ref[..., ch]
@@ -87,23 +151,16 @@ def ssim(img, ref):
         np.multiply(x, x, out=planes[2])
         np.multiply(y, y, out=planes[3])
         np.multiply(x, y, out=planes[4])
-        mu_x, mu_y, exx, eyy, exy = _filt_valid(planes)
-        mxy = mu_x * mu_y
-        a1 = 2.0 * mxy + C1
-        a2 = 2.0 * (exy - mxy) + C2
-        b1 = mu_x * mu_x + mu_y * mu_y + C1
-        b2 = exx + eyy - b1 + (C1 + C2)  # sxx + syy + C2
-        inv = 1.0 / (b1 * b2)
-        q = a1 * inv  # dS/da2
-        s = q * a2
-        total += s.mean()
+        stats = _filt_valid(planes)
+        mu_x, mu_y = stats[:2]
+        s, p, q, b1, b2 = _similarity(*stats)
+        total += (s.sum() + empty * S_EMPTY) / windows
         # g_sx = -S/b2 * k/2, g_xy = q * k, g_mu = (mu_y*a2/(b1*b2) - mu_x*S/b1) * k
         s_b2 = s / b2
         np.multiply(s_b2, -k, out=g_sx2)
         np.multiply(q, k, out=g_xy)
         # g_mu - 2*g_sx*mu_x - g_xy*mu_y = (mu_y*(p - q) + mu_x*(S/b2 - S/b1)) * k
-        p = a2 * inv  # dS/da1
         np.multiply(mu_y * (p - q) + mu_x * (s_b2 - s / b1), k, out=g_rest)
         a_sx2, a_xy, a_rest = _filt_valid(adjoint).swapaxes(-1, -2)
-        grad_img[..., ch] = x * a_sx2 + y * a_xy + a_rest
+        grad_box[..., ch] = x * a_sx2 + y * a_xy + a_rest
     return total / channels, grad_img

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tgh import losses
@@ -195,6 +196,12 @@ class TestLoss:
         with pytest.raises(InvalidParameterError):
             loss(rng.uniform(size=(12, 12, 3)), rng.uniform(size=(12, 13, 3)))
 
+    def test_not_hwc_rejected_without_ssim(self, rng, monkeypatch):
+        # the support box, which the MSE term reads, is defined on (H, W, C)
+        weights(monkeypatch, mse=0.8, ssim=0.0)
+        with pytest.raises(InvalidParameterError):
+            loss(rng.uniform(size=(12, 12)), rng.uniform(size=(12, 12)))
+
 
 def test_psnr_reference():
     a = np.zeros((4, 4, 3))
@@ -206,3 +213,151 @@ def test_psnr_reference():
 def test_psnr_shape_mismatch():
     with pytest.raises(InvalidParameterError):
         psnr(np.zeros((4, 4, 3)), np.full((4, 4, 1), 0.1))
+
+
+# Support box: `ssim` and the MSE term of `loss` run on the rows and columns
+# within PAD of a pixel where either image is non-zero, and must agree with
+# the dense reference above everywhere.
+
+
+def bordered(rng, shape, rows, cols, where="both"):
+    """An (img, ref) pair, uniform inside rows x cols and zero outside it.
+    `where` keeps the support in "both" images, in the "img" or "ref" only,
+    or in "one-channel" of both."""
+    img, ref = np.zeros(shape), np.zeros(shape)
+    inside = (rows, cols, slice(None))
+    img[inside] = rng.uniform(0.05, 1.0, size=img[inside].shape)
+    ref[inside] = np.clip(img[inside] + rng.normal(scale=0.1, size=img[inside].shape), 0.05, 1.0)
+    if where == "img":
+        ref[:] = 0.0
+    elif where == "ref":
+        img[:] = 0.0
+    elif where == "one-channel":
+        img[..., 1:] = 0.0
+        ref[..., 1:] = 0.0
+    return img, ref
+
+
+def outside(shape, rows, cols):
+    """Mask of the pixels farther than PAD from rows x cols."""
+    mask = np.ones(shape, dtype=bool)
+    mask[max(rows.start - sm.PAD, 0):rows.stop + sm.PAD,
+         max(cols.start - sm.PAD, 0):cols.stop + sm.PAD] = False
+    return mask
+
+
+def assert_matches_reference(img, ref):
+    """`sm.ssim` equals the dense reference: the value to rel 1e-12, the
+    gradient on the scale of test_matches_reference."""
+    value, grad = sm.ssim(img, ref)
+    want_value, want_grad = ssim(img, ref, grad=True)
+    assert value == pytest.approx(want_value, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
+    return grad, want_grad
+
+
+def side(data, n):
+    """[start, stop) of one side of a box in 0..n: touching the low or the
+    high border, narrower than a window, or anywhere."""
+    kind = data.draw(st.sampled_from(["low", "high", "narrow", "any"]))
+    if kind == "low":
+        return slice(0, data.draw(st.integers(1, n)))
+    if kind == "high":
+        return slice(data.draw(st.integers(0, n - 1)), n)
+    start = data.draw(st.integers(0, n - 1))
+    longest = min(WINDOW - 1, n - start) if kind == "narrow" else n - start
+    return slice(start, start + data.draw(st.integers(1, longest)))
+
+
+@pytest.mark.parametrize("where", ["both", "img", "ref", "one-channel"])
+@seed(81924466503197710248356231975524309918273645500172839405561728394051627384950617283940)
+@settings(max_examples=25)
+@given(h=st.integers(WINDOW, 64), w=st.integers(WINDOW, 64), channels=st.integers(1, 4),
+       data=st.data())
+def test_zero_bordered_images_match_reference(where, h, w, channels, data):
+    """On images that are zero outside a box, the cropped SSIM equals the
+    dense reference, and both gradients are exactly 0 farther than PAD from
+    the box."""
+    rows, cols = side(data, h), side(data, w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    img, ref = bordered(rng, (h, w, channels), rows, cols, where)
+    grad, want_grad = assert_matches_reference(img, ref)
+    far = outside((h, w, channels), rows, cols)
+    assert np.all(grad[far] == 0.0)
+    assert np.all(want_grad[far] == 0.0)
+
+
+def test_all_zero_images():
+    img = np.zeros((20, 30, 3))
+    value, grad = sm.ssim(img, img)
+    assert value == pytest.approx(ssim(img, img), rel=1e-12)
+    assert value == pytest.approx(sm.S_EMPTY, rel=1e-15)
+    assert np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)],
+                         ids=["top-left", "top-right", "bottom-left", "bottom-right"])
+def test_one_pixel_support_in_a_corner(corner):
+    shape = (24, 27, 3)
+    img, ref = np.zeros(shape), np.zeros(shape)
+    img[corner + (1,)] = 0.7
+    grad, want_grad = assert_matches_reference(img, ref)
+    assert grad[corner + (1,)] != 0.0
+    i, j = (n - 1 if k < 0 else 0 for k, n in zip(corner, shape))
+    far = outside(shape, slice(i, i + 1), slice(j, j + 1))
+    assert np.all(grad[far] == 0.0)
+
+
+def test_loss_equals_dense_formula(rng):
+    img, ref = bordered(rng, (40, 36, 3), slice(13, 25), slice(4, 19))
+    value, grad = loss(img, ref)
+    s, s_grad = ssim(img, ref, grad=True)
+    diff = img - ref
+    assert value == pytest.approx(
+        losses.MSE_WEIGHT * np.mean(diff * diff) + losses.SSIM_WEIGHT * (1.0 - s), rel=1e-12)
+    want = losses.MSE_WEIGHT * 2.0 * diff / diff.size - losses.SSIM_WEIGHT * s_grad
+    np.testing.assert_allclose(grad, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_loss_gradient_matches_finite_differences_around_support(rng):
+    """Central differences of loss() on a zero-bordered 32x32x3 pair: inside
+    the support, in the PAD-wide margin where only the SSIM term moves, and
+    farther out, where the gradient and the difference are both exactly 0."""
+    img, ref = bordered(rng, (32, 32, 3), slice(11, 21), slice(11, 21))
+    _, grad = loss(img, ref)
+    eps = 1e-6
+
+    def central(i, j, c):
+        up, down = img.copy(), img.copy()
+        up[i, j, c] += eps
+        down[i, j, c] -= eps
+        return (loss(up, ref)[0] - loss(down, ref)[0]) / (2 * eps)
+
+    for i, j, c in [(11, 11, 0), (15, 17, 1), (20, 20, 2),   # support
+                    (10, 15, 0), (1, 12, 1), (16, 21, 2), (25, 30, 0)]:  # 1 to 10 px out
+        assert grad[i, j, c] != 0.0
+        assert grad[i, j, c] == pytest.approx(central(i, j, c), rel=1e-5, abs=1e-10)
+    for i, j, c in [(0, 0, 0), (31, 15, 1), (15, 31, 2), (0, 31, 0)]:  # 11 px or more out
+        assert grad[i, j, c] == 0.0
+        assert central(i, j, c) == 0.0
+
+
+def test_ssim_filters_only_the_support_box(rng, monkeypatch):
+    """Guards the saving itself: on a zero-bordered 256x256 pair every plane
+    that reaches _filt_valid spans the widened box, not the frame, and on an
+    all-zero pair one window."""
+    img, ref = bordered(rng, (256, 256, 3), slice(100, 141), slice(60, 201))
+    seen = []
+    filt = sm._filt_valid
+
+    def recording(planes):
+        seen.append(planes.shape)
+        return filt(planes)
+
+    monkeypatch.setattr(sm, "_filt_valid", recording)
+    sm.ssim(img, ref)
+    rows, cols = 140 + sm.PAD - (100 - sm.PAD) + 1, 200 + sm.PAD - (60 - sm.PAD) + 1
+    assert seen == [(5, rows, cols), (3, cols + sm.PAD, rows + sm.PAD)] * 3
+    seen.clear()
+    sm.ssim(np.zeros_like(img), np.zeros_like(ref))
+    assert seen == [(5, WINDOW, WINDOW), (3, WINDOW + sm.PAD, WINDOW + sm.PAD)] * 3
