@@ -7,7 +7,7 @@ with 0.2 of D-SSIM; here the pixel loss is the MSE.
 import numpy as np
 
 from .errors import InvalidParameterError
-from .ssim import _support_box, ssim
+from .ssim import _check_shape, _ssim_box, _support_box
 
 MSE_WEIGHT = 0.8
 SSIM_WEIGHT = 0.2
@@ -28,20 +28,30 @@ def loss(rendered, target):
 
     L = MSE_WEIGHT * mean((I - I_gt)^2) + SSIM_WEIGHT * (1 - SSIM(I, I_gt)).
     A zero SSIM_WEIGHT skips the SSIM term, which needs an 11x11 image.
-    The MSE term reads the support box that `ssim` runs on: outside it both
-    images are zero, and so are the squared error and its gradient. The mean
-    still divides by the whole image's size.
+    Both terms read one support box (`ssim._support_box`), found once: outside
+    it both images are zero, and so are the squared error, the gradients of
+    both terms and every window's SSIM but for a constant. The mean still
+    divides by the whole image's size.
     """
     rendered, target = _image_pair(rendered, target)
+    if SSIM_WEIGHT != 0.0:
+        _check_shape(rendered.shape)
+    elif rendered.ndim != 3 or rendered.shape[2] == 0:
+        raise InvalidParameterError(
+            f"images must have an (H, W, C) shape with C >= 1, got {rendered.shape}")
     box = _support_box(rendered, target)
-    diff = rendered[box] - target[box]
+    img, ref = rendered[box], target[box]
+    diff = img - ref
     value = MSE_WEIGHT * (np.sum(diff * diff) / rendered.size)
     grad = np.zeros_like(rendered)
-    grad[box] = MSE_WEIGHT * 2.0 * diff / rendered.size
+    grad_box = grad[box]
+    np.multiply(MSE_WEIGHT * 2.0, diff, out=grad_box)
+    grad_box /= rendered.size
     if SSIM_WEIGHT != 0.0:
-        s, s_grad = ssim(rendered, target)
+        s, s_grad = _ssim_box(img, ref, rendered.shape)
         value += SSIM_WEIGHT * (1.0 - s)
-        grad -= SSIM_WEIGHT * s_grad
+        s_grad *= SSIM_WEIGHT
+        grad_box -= s_grad
     return value, grad
 
 

@@ -49,6 +49,16 @@ pixels sorted before each one, so a pixel's value would no longer be exact.
 The layout takes two stable sorts, each done as one value sort of packed
 int64 keys (`_layer_major`).
 
+The blend kernels hold colors channel-major: fragment colors as (3, N),
+and color sums, `behind` and the upstream gradient as (3, G). numpy runs an
+operation on (n, 3) operands with an inner loop 3 elements long, one per
+pixel, where a (3, k) slice gives it three loops k long; each layer runs
+about ten such operations. The colors are transposed at the kernels'
+boundaries only, once per frame: the splat colors before the gather, the
+color sums in the image write and the loss gradient in `_fragment_terms`.
+Every element keeps its multiply and add sequence, so the output bits are
+the same in either layout.
+
 The backward pass reduces fragment gradients to splats in two levels, as
 gsplat (arXiv 2409.06765) sums per-pixel contributions within a warp before
 adding them to a Gaussian. The fragments of one row span are contiguous and
@@ -182,8 +192,9 @@ def _build_fragments(center2, conic, var_y, alpha, order, width, height):
     col = np.arange(total) - np.repeat(first - c0.astype(np.intp), counts)
     dx = (col + 0.5) - np.repeat(cx_r, counts)
     dy = np.repeat(dy_r, counts)
-    q = (np.repeat(a_, counts) * dx * dx + 2.0 * np.repeat(b_, counts) * dx * dy
-         + np.repeat(c_, counts) * dy * dy)
+    # 2 b and c dy^2 are per-row constants, formed once per row
+    q = (np.repeat(a_, counts) * dx * dx + np.repeat(2.0 * b_, counts) * dx * dy
+         + np.repeat(c_ * dy_r * dy_r, counts))
     gauss = np.exp(-0.5 * q)
     return sidx, col, row, gauss, dx, dy, spans
 
@@ -247,36 +258,40 @@ def _composite_ordered(px, frag_alpha, color, sidx):
     """Sequential per-pixel over-compositing of depth-ordered fragments.
 
     px: flat pixel index per fragment, fragments front-to-back within a pixel;
-    fragment i has alpha frag_alpha[i] and its splat's color color[sidx[i]].
-    The fragments are first put in layer-major order, and their colors are
-    gathered once, in that order: pixel groups are ranked deepest first, so
-    the groups that still hold a j-th fragment are a prefix [0, width[j]) of
-    that ranking and layer j is the contiguous block [off[j], off[j] +
-    width[j]). Each pass then blends one whole layer with slices. A pixel's
-    running color and transmittance take the same multiply and add
-    sequence, front to back, as in a loop over that pixel alone, so the
-    result is bit-identical to it whichever other pixels share the call.
+    fragment i has alpha frag_alpha[i] and its splat's color color[sidx[i]],
+    color being (K, 3). The fragments are first put in layer-major order, and
+    their colors are gathered once, in that order: pixel groups are ranked
+    deepest first, so the groups that still hold a j-th fragment are a prefix
+    [0, width[j]) of that ranking and layer j is the contiguous block
+    [off[j], off[j] + width[j]). Each pass then blends one whole layer with
+    slices. A pixel's running color and transmittance take the same multiply
+    and add sequence, front to back, as in a loop over that pixel alone, so
+    the result is bit-identical to it whichever other pixels share the call.
 
     Returns (unique_px, color_sum, final_T, perm, T_frag, off, width, sa,
-    sc), one entry per pixel group in layout order. perm maps a layout
-    position to its fragment; T_frag, sa and sc are the transmittance in
-    front of, the alpha and the color of each layout position.
+    sc), one entry per pixel group in layout order, color_sum channel-major
+    (3, G). perm maps a layout position to its fragment; T_frag, sa and sc
+    are the transmittance in front of, the alpha and the color of each
+    layout position, sc channel-major (3, N).
     """
     perm, off, width = _layer_major(px)
     sa = frag_alpha[perm]
-    sc = np.take(color, sidx[perm], axis=0)
+    sc = np.take(np.ascontiguousarray(color.T), sidx[perm], axis=1)
     groups = int(width[0]) if len(width) else 0
     unique_px = px[perm[:groups]]
     trans = np.ones(groups)
-    color_sum = np.zeros((groups, 3))
+    color_sum = np.zeros((3, groups))
     t_frag = np.empty(len(sa))
+    # per-layer products go to buffers sized for the widest layer, the first
+    w_buf, c_buf = np.empty(groups), np.empty((3, groups))
     for o, k in zip(off.tolist(), width.tolist()):
         s = slice(o, o + k)
-        t_frag[s] = trans[:k]
+        t = trans[:k]
+        t_frag[s] = t
         a = sa[s]
-        w = a * trans[:k]
-        color_sum[:k] += w[:, None] * sc[s]
-        trans[:k] *= 1.0 - a
+        w = np.multiply(a, t, out=w_buf[:k])
+        color_sum[:, :k] += np.multiply(w, sc[:, s], out=c_buf[:, :k])
+        t *= np.subtract(1.0, a, out=w_buf[:k])
     return unique_px, color_sum, trans, perm, t_frag, off, width, sa, sc
 
 
@@ -286,27 +301,32 @@ def _composite_backward(dl_dpx_color, sa, sc, trans_final, t_frag, off, width):
     Walks the layer-major layout of `_composite_ordered` from the deepest
     layer to the front, one slice per layer, so every pixel sees its own
     fragments back to front in the same operation order as a per-pixel loop.
-    dl_dpx_color: (G, 3) upstream gradient per pixel group in layout order;
-    sa, sc, t_frag per layout position; off, width as returned by
+    dl_dpx_color: (3, G) upstream gradient per pixel group in layout order;
+    sa, t_frag per layout position and sc (3, N); off, width as returned by
     `_composite_ordered`. The final pixel is
-    C = sum_i a_i c_i T_i + T_N * BACKGROUND; `behind` tracks the composited
-    color strictly behind the current fragment including the background
-    term, so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the T_N path
-    too. Returns grad_alpha per layout position.
+    C = sum_i a_i c_i T_i + T_N * BACKGROUND; `behind` (3, G) tracks the
+    composited color strictly behind the current fragment including the
+    background term, so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the
+    T_N path too. Returns grad_alpha per layout position.
     """
     grad_alpha = np.empty(len(sa))
-    behind = trans_final[:, None] * BACKGROUND[None, :]
+    behind = BACKGROUND[:, None] * trans_final
+    # the per-position factors at once; the (3, k) products go to buffers
+    one_minus, at = 1.0 - sa, sa * t_frag
+    g_buf, d_buf = np.empty_like(behind), np.empty_like(behind)
     for o, k in zip(off.tolist()[::-1], width.tolist()[::-1]):
         s = slice(o, o + k)
-        a = sa[s]
-        t = t_frag[s]
-        c = sc[s]
-        upstream = dl_dpx_color[:k]
-        at = (a * t)[:, None]
-        # the channel terms add left to right, the order np.sum(axis=1) uses
-        g = upstream * (c * t[:, None] - behind[:k] / (1.0 - a)[:, None])
-        grad_alpha[s] = (g[:, 0] + g[:, 1]) + g[:, 2]
-        behind[:k] += at * c
+        c = sc[:, s]
+        behind_k = behind[:, :k]
+        # upstream * (c t - behind / (1 - a))
+        g = np.multiply(c, t_frag[s], out=g_buf[:, :k])
+        g -= np.divide(behind_k, one_minus[s], out=d_buf[:, :k])
+        g *= dl_dpx_color[:, :k]
+        # the channel terms add in channel order, as np.sum over a pixel's
+        # three channels does
+        np.add(g[0], g[1], out=grad_alpha[s])
+        grad_alpha[s] += g[2]
+        behind_k += np.multiply(at[s], c, out=d_buf[:, :k])
     return grad_alpha
 
 
@@ -333,9 +353,11 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
                           & (cam_pts[:, 2] >= cam.near) & (cam_pts[:, 2] <= cam.far)
                           & (alpha_splat >= ALPHA_MIN))
     ctx.update(geom=geom, cond=cond, keep=keep)
+    rgb = np.empty((h_img, w_img, 3))
+    rgb[...] = BACKGROUND
+    trans_img = np.ones((h_img, w_img))
     if len(keep) == 0:
-        rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
-        return Framebuffer(rgb, np.ones((h_img, w_img))), ctx
+        return Framebuffer(rgb, trans_img), ctx
 
     pts = cam_pts[keep]
     center2, k_mat, cov2 = project(pts, cov3[keep], cam)
@@ -366,9 +388,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, color, sidx)
     unique_px, csum, trans = ctx["composite"][:3]
-    rgb = np.broadcast_to(BACKGROUND, (h_img, w_img, 3)).copy()
-    trans_img = np.ones((h_img, w_img))
-    rgb.reshape(-1, 3)[unique_px] = csum + trans[:, None] * BACKGROUND
+    rgb.reshape(-1, 3)[unique_px] = (csum + trans * BACKGROUND[:, None]).T
     trans_img.reshape(-1)[unique_px] = trans
     return Framebuffer(rgb, trans_img), ctx
 
@@ -403,8 +423,13 @@ def _fragment_terms(ctx, dl_flat):
     the loss gradient of the fragment's raw value alpha * gauss and
     g = -1/2 raw grad_raw that of its q."""
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    g_a = _composite_backward(dl_flat[unique_px], sa, sc, trans, t_frag, off, width)
-    raw, frag_alpha = ctx["raw"], ctx["frag_alpha"]
+    raw, frag_alpha, px = ctx["raw"], ctx["frag_alpha"], ctx["px"]
+    # channel-major, read twice: per pixel group and per fragment
+    dl_t = np.ascontiguousarray(dl_flat.T)
+    upstream = np.empty((3, len(unique_px)))
+    for ch in range(3):
+        np.take(dl_t[ch], unique_px, out=upstream[ch])
+    g_a = _composite_backward(upstream, sa, sc, trans, t_frag, off, width)
     terms = np.empty((7, len(raw)))
     g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
     grad_raw = np.empty(len(raw))
@@ -421,7 +446,8 @@ def _fragment_terms(ctx, dl_flat):
     # the kernel's upstream * (alpha * T), formed in generation order
     t_gen = np.empty(len(raw))
     t_gen[perm] = t_frag
-    np.take(np.ascontiguousarray(dl_flat.T), ctx["px"], axis=1, out=g_color)
+    for ch in range(3):
+        np.take(dl_t[ch], px, out=g_color[ch])
     g_color *= frag_alpha * t_gen
     return terms
 

@@ -8,7 +8,10 @@ then again with these monkeypatched in, and compares with np.array_equal:
 a reordering of any pixel's arithmetic would show here, where the 1e-9
 tolerance of `test_matches_reference_loop` would hide it. The references
 take per-fragment colors and an explicit background and also return a color
-gradient; `reference_kernels` adapts them to the renderer's signatures.
+gradient; `reference_kernels` adapts them to the renderer's signatures. They
+hold colors, color sums and upstream gradients as (N, 3) rows, the
+renderer's kernels channel-major as (3, N): the adapters transpose at that
+boundary only.
 """
 
 import dataclasses
@@ -88,12 +91,19 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
 def reference_kernels(patch):
     """Monkeypatch the reference kernels into the renderer: the forward one
     gets each fragment's color color[sidx], and the backward one the
-    renderer's BACKGROUND, of which only grad_alpha is returned."""
+    renderer's BACKGROUND, of which only grad_alpha is returned. Color sums
+    and fragment colors go to the renderer transposed to (3, N), and the
+    backward one gets the upstream gradient and colors back as C-ordered
+    (N, 3) rows, the layout it always ran on."""
     def ordered(px, frag_alpha, color, sidx):
-        return _composite_ordered(px, frag_alpha, np.take(color, sidx, axis=0), save=True)
+        out = _composite_ordered(px, frag_alpha, np.take(color, sidx, axis=0), save=True)
+        unique_px, color_sum, trans, order, t_frag, starts, counts, sa, sc = out
+        return unique_px, color_sum.T, trans, order, t_frag, starts, counts, sa, sc.T
 
-    def backward(dl_dpx_color, *rest):
-        return _composite_backward(dl_dpx_color, rn.BACKGROUND, *rest)[0]
+    def backward(dl_dpx_color, sa, sc, *rest):
+        rows = np.ascontiguousarray
+        return _composite_backward(rows(dl_dpx_color.T), rn.BACKGROUND, sa, rows(sc.T),
+                                   *rest)[0]
 
     patch.setattr(rn, "_composite_ordered", ordered)
     patch.setattr(rn, "_composite_backward", backward)
@@ -247,8 +257,8 @@ def test_kernels_match_reference_per_fragment(monkeypatch):
     ref = _composite_ordered(px, alpha, color[sidx], save=True)
     by_px_new, by_px_ref = np.argsort(new[0]), np.argsort(ref[0])
     assert np.array_equal(new[0][by_px_new], ref[0][by_px_ref])
-    for k in (1, 2):
-        assert np.array_equal(new[k][by_px_new], ref[k][by_px_ref])
+    assert np.array_equal(new[1].T[by_px_new], ref[1][by_px_ref])
+    assert np.array_equal(new[2][by_px_new], ref[2][by_px_ref])
     # per fragment: position in each kernel's own order -> fragment index
     t_new, t_ref = np.empty(n), np.empty(n)
     t_new[new[3]] = new[4]
@@ -256,11 +266,11 @@ def test_kernels_match_reference_per_fragment(monkeypatch):
     assert np.array_equal(t_new, t_ref)
 
     # per layout position: the color each kernel blended
-    assert np.array_equal(new[8], color[sidx[new[3]]])
+    assert np.array_equal(new[8].T, color[sidx[new[3]]])
     assert np.array_equal(ref[8], color[sidx[ref[3]]])
 
     upstream = rng.normal(size=(300, 3))
-    g_new = rn._composite_backward(upstream[new[0]], alpha[new[3]], new[8],
+    g_new = rn._composite_backward(upstream[new[0]].T, alpha[new[3]], new[8],
                                    new[2], new[4], *new[5:7])
     g_ref = _composite_backward(upstream[ref[0]], background, alpha[ref[3]],
                                 ref[8], ref[2], ref[4], *ref[5:7])[0]
@@ -268,3 +278,17 @@ def test_kernels_match_reference_per_fragment(monkeypatch):
     per_frag_new[new[3]] = g_new
     per_frag_ref[ref[3]] = g_ref
     assert np.array_equal(per_frag_new, per_frag_ref)
+
+
+def test_kernels_are_channel_major():
+    """The blend kernels hold colors channel-major: color sums (3, G) and
+    per-position colors (3, N), one contiguous row per channel."""
+    rng = np.random.default_rng(12)
+    n = 500
+    px = rng.integers(0, 40, size=n)
+    color = rng.uniform(size=(n, 3))
+    out = rn._composite_ordered(px, rng.uniform(0.0, 0.99, size=n), color,
+                                rng.integers(0, n, size=n))
+    unique_px, color_sum, sc = out[0], out[1], out[8]
+    assert color_sum.shape == (3, len(unique_px)) and color_sum.flags.c_contiguous
+    assert sc.shape == (3, n) and sc.flags.c_contiguous

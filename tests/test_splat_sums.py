@@ -10,10 +10,13 @@ field's largest value), while the image, the loss and `touched` are exact.
 The per-fragment color gradient the span reduction starts from is that
 kernel's, bit for bit.
 
-`_composite_backward` is a verbatim copy of the renderer's blend gradient
-kernel in the form that also returns each fragment's color gradient; the
-renderer's own returns the alpha gradient only, and forms the color
-gradient per fragment in `_fragment_terms`.
+`_composite_backward` is the (N, 3) form of the renderer's blend gradient
+kernel, which also returns each fragment's color gradient: it holds colors
+and upstream gradients as (N, 3) rows, where the renderer's kernel holds
+them channel-major as (3, N), so its callers here transpose the renderer's
+fragment colors at that boundary. The renderer's own kernel returns the
+alpha gradient only, and forms the color gradient per fragment in
+`_fragment_terms`.
 """
 
 import numpy as np
@@ -92,7 +95,7 @@ def parent_splat_sum(ctx, dl_flat):
     sidx = ctx["sidx"]
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
     g_a, g_c = _composite_backward(
-        dl_flat[unique_px], BACKGROUND, sa, sc, trans, t_frag, off, width)
+        dl_flat[unique_px], BACKGROUND, sa, sc.T, trans, t_frag, off, width)
     grad_frag_alpha = np.empty(len(sidx))
     grad_frag_alpha[perm] = g_a
     # (3, N): one contiguous row per channel for the per-splat sums
@@ -232,7 +235,7 @@ def test_fragment_color_gradient_is_the_kernels(shape):
     dl_flat = image_loss(fb.rgb, target)[1].reshape(-1, 3)
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
     _, g_c = _composite_backward(
-        dl_flat[unique_px], rn.BACKGROUND, sa, sc, trans, t_frag, off, width)
+        dl_flat[unique_px], rn.BACKGROUND, sa, sc.T, trans, t_frag, off, width)
     kernel = np.empty_like(g_c)
     kernel[perm] = g_c
     assert np.array_equal(rn._fragment_terms(ctx, dl_flat)[4:].T, kernel)

@@ -202,6 +202,46 @@ class TestLoss:
         with pytest.raises(InvalidParameterError):
             loss(rng.uniform(size=(12, 12)), rng.uniform(size=(12, 12)))
 
+    # `loss` checks its pair itself before it crops both to one box
+
+    def test_not_hwc_rejected(self, rng):
+        with pytest.raises(InvalidParameterError):
+            loss(rng.uniform(size=(12, 12)), rng.uniform(size=(12, 12)))
+
+    @pytest.mark.parametrize("shape", [(10, 12, 3), (12, 10, 3), (8, 8, 1)])
+    def test_small_image_rejected(self, rng, shape):
+        with pytest.raises(InvalidParameterError):
+            loss(rng.uniform(size=shape), rng.uniform(size=shape))
+
+    @pytest.mark.parametrize("ssim_weight", [0.2, 0.0])
+    def test_zero_channels_rejected(self, monkeypatch, ssim_weight):
+        weights(monkeypatch, mse=0.8, ssim=ssim_weight)
+        with pytest.raises(InvalidParameterError):
+            loss(np.zeros((12, 12, 0)), np.zeros((12, 12, 0)))
+
+    def test_small_image_accepted_without_ssim(self, rng, monkeypatch):
+        weights(monkeypatch, mse=0.8, ssim=0.0)
+        img, ref = rng.uniform(size=(4, 5, 3)), rng.uniform(size=(4, 5, 3))
+        value, grad = loss(img, ref)
+        assert value == pytest.approx(0.8 * np.mean((img - ref) ** 2), rel=1e-12)
+        np.testing.assert_allclose(grad, 1.6 * (img - ref) / img.size, rtol=1e-12)
+
+    def test_support_box_found_once(self, rng, monkeypatch):
+        """One `loss` call finds the support box once, for both terms:
+        every module that can reach `_support_box` counts into one tally."""
+        img, ref = bordered(rng, (64, 64, 3), slice(20, 41), slice(10, 51))
+        calls = []
+        box = sm._support_box
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return box(*args)
+
+        monkeypatch.setattr(losses, "_support_box", counting)
+        monkeypatch.setattr(sm, "_support_box", counting)
+        loss(img, ref)
+        assert calls == [(64, 64, 3)]
+
 
 def test_psnr_reference():
     a = np.zeros((4, 4, 3))

@@ -1,0 +1,155 @@
+"""Time named stages of a training run and of playback on a bench scene.
+
+    python3 tools/stage_times.py [short|long] [--seed N] [--runs N]
+
+Run from the root of a checkout; `tgh` is imported from its `src/` and the
+scene from `bench/scene.py` and `bench/workloads.py`, which this script only
+reads. Each run builds a fresh hierarchy from the scene's initial population
+and
+- trains it with `train()` for TRAIN_ITERATIONS iterations, a control pass
+  every DENSIFY_INTERVAL and the bench's densification cap;
+- renders the first PLAYBACK_FRAMES frames of the scene's playback path with
+  `render()` on a second, untrained hierarchy.
+
+The stages are wrapped from outside: each module or class attribute in
+STAGES is replaced by a timing wrapper for the run and put back on exit, so
+the program runs unedited. A stage's time includes the stages it calls
+(`_forward` holds `_build_fragments`, for one). A stage that the checkout
+does not define is printed as "-", so that the same script times an older
+checkout too; one it defines but the run never calls reads 0. BLAS is
+pinned to one thread, as in `output_digest.py`. The table gives, per stage,
+the minimum over the runs of its ms per training iteration and per playback
+frame.
+"""
+
+import argparse
+import functools
+import itertools
+import os
+import sys
+import time
+from collections import defaultdict
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from tgh import hierarchy, losses, optimizer, renderer, ssim  # noqa: E402
+
+import scene as sc  # noqa: E402
+import workloads  # noqa: E402
+
+SCENES = {"short": workloads.SHORT, "long": workloads.LONG}
+TRAIN_ITERATIONS = 50
+DENSIFY_INTERVAL = 25
+PLAYBACK_FRAMES = 50
+
+# (owner, attribute), in pipeline order, each under the name its caller
+# looks up: `renderer.image_loss` is `losses.loss`, and `losses.ssim` and
+# `losses._ssim_box` are the SSIM functions `loss` calls.
+STAGES = (
+    (hierarchy.TemporalHierarchy, "query"),
+    (hierarchy.TemporalHierarchy, "materialize"),
+    (renderer, "_forward"),
+    (renderer, "_build_fragments"),
+    (renderer, "_layer_major"),
+    (renderer, "_composite_ordered"),
+    (renderer, "image_loss"),
+    (losses, "_support_box"),
+    (ssim, "_support_box"),
+    (losses, "ssim"),
+    (losses, "_ssim_box"),
+    (renderer, "_backward"),
+    (renderer, "_splat_sum"),
+    (renderer, "_fragment_terms"),
+    (renderer, "_composite_backward"),
+    (optimizer, "adam_step"),
+    (hierarchy.TemporalHierarchy, "update_levels"),
+    (optimizer, "adaptive_control"),
+)
+
+
+def stage_name(owner, attr):
+    return f"{getattr(owner, '__name__', '').rpartition('.')[2]}.{attr}"
+
+
+@contextmanager
+def timed_stages(seconds):
+    """Route every defined stage through a wrapper that adds its wall time
+    to seconds[name], from 0, for the duration of the block."""
+    saved = []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[name] += time.perf_counter() - start
+        return timed
+
+    try:
+        for owner, attr in STAGES:
+            if attr in vars(owner):
+                original = vars(owner)[attr]
+                saved.append((owner, attr, original))
+                name = stage_name(owner, attr)
+                seconds[name] = 0.0
+                setattr(owner, attr, wrap(name, original))
+        yield
+    finally:
+        for owner, attr, original in reversed(saved):
+            setattr(owner, attr, original)
+
+
+def one_run(spec, pop, scene, seed):
+    """({stage: ms per iteration}, {stage: ms per frame}) of one run; the
+    key "total" holds the whole train() call and the whole playback."""
+    cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
+                                max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
+                                seed=seed)
+    out = []
+    for count, work in (
+            (TRAIN_ITERATIONS, lambda h: optimizer.train(scene, h, cfg)),
+            (PLAYBACK_FRAMES, lambda h: [renderer.render(h, t, cam) for t, cam in
+                                         itertools.islice(sc.playback_path(spec, seed),
+                                                          PLAYBACK_FRAMES)])):
+        h = sc.build_hierarchy(pop, spec.duration)
+        seconds = defaultdict(float)
+        with timed_stages(seconds):
+            start = time.perf_counter()
+            work(h)
+            seconds["total"] = time.perf_counter() - start
+        out.append({name: 1e3 * s / count for name, s in seconds.items()})
+    return tuple(out)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("scene", nargs="?", choices=sorted(SCENES), default="short")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--runs", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    spec = SCENES[args.scene]
+    pop, scene = sc.make_scene(spec, args.seed)
+    runs = [one_run(spec, pop, scene, args.seed) for _ in range(args.runs)]
+    names = [stage_name(owner, attr) for owner, attr in STAGES] + ["total"]
+    print(f"{args.scene} scene, seed {args.seed}, min of {args.runs} runs: ms per "
+          f"training iteration ({TRAIN_ITERATIONS}) and per playback frame ({PLAYBACK_FRAMES})")
+    print(f"{'stage':<34}{'train':>10}{'playback':>10}")
+    for name in dict.fromkeys(names):
+        cells = []
+        for side in (0, 1):
+            values = [run[side][name] for run in runs if name in run[side]]
+            cells.append(f"{min(values):10.3f}" if len(values) == len(runs) else f"{'-':>10}")
+        print(f"{name:<34}{''.join(cells)}")
+
+
+if __name__ == "__main__":
+    main()
