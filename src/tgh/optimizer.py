@@ -1,7 +1,10 @@
 """Training: Adam updates on working-set Gaussians, adaptive density control
 limited to recently touched primitives, per-step hierarchy reassignment and
-the appearance gate wiring. Per-iteration cost depends on working-set size,
-not on the total population or video length.
+the appearance gate wiring. A step reads and writes only working-set rows,
+each once: Adam steps the rendered batch and writes it back. The per-step
+cost is not yet flat in the population (ROADMAP item 1): each control pass
+scans it (`touch_count > 0`, `view_dependent_fraction`), and
+`scene_extent_of` runs once per `train()` call.
 
 The per-Gaussian training state lives in the store's rows: `train()`
 attaches `TRAINING_ROWS` (Adam moments and step counts, densification
@@ -272,24 +275,24 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
             interval_loss.append(value)
 
             if len(batch) > 0:
+                # the gate reads the residuals before the step moves them
                 grads.sh_residual = ap.gate_gradients(batch.sh_residual,
                                                       grads.sh_residual, g_th)
                 rows = store.rows_of(ws.gaussian_ids)
                 store.adam_steps[rows] += 1
                 steps = store.adam_steps[rows]
                 for name in COLUMNS:
-                    col, m_col, v_col = (getattr(store, name + end) for end in ("", "_m", "_v"))
-                    p, m, v = col[rows], m_col[rows], v_col[rows]
-                    adam_step(p, getattr(grads, name), m, v, steps, lr_of[name])
-                    col[rows], m_col[rows], v_col[rows] = p, m, v
-                # keep invariants: opacity in [0, 1], scales above the floor,
-                # rotors unit
-                store.opacity[rows] = np.clip(store.opacity[rows], 0.0, 1.0)
-                store.scale[rows] = np.maximum(store.scale[rows], ga.SCALE_FLOOR)
-                for attr in ("rotor_left", "rotor_right"):
-                    q = getattr(store, attr)[rows]
+                    m_col, v_col = getattr(store, name + "_m"), getattr(store, name + "_v")
+                    m, v = m_col[rows], v_col[rows]
+                    adam_step(getattr(batch, name), getattr(grads, name), m, v, steps, lr_of[name])
+                    m_col[rows], v_col[rows] = m, v
+                # keep invariants: opacity in [0, 1], scales above the floor, rotors unit
+                np.clip(batch.opacity, 0.0, 1.0, out=batch.opacity)
+                np.maximum(batch.scale, ga.SCALE_FLOOR, out=batch.scale)
+                for q in (batch.rotor_left, batch.rotor_right):
                     q /= np.linalg.norm(q, axis=1, keepdims=True)
-                    getattr(store, attr)[rows] = q
+                for name in COLUMNS:
+                    getattr(store, name)[rows] = getattr(batch, name)
                 h.update_levels(ws.gaussian_ids)
                 touched = grads.touched
                 if np.any(touched):

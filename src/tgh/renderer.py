@@ -16,7 +16,9 @@ A frame runs these stages, each by one function:
    (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
-loss analytically to every Gaussian parameter (`_backward`).
+loss analytically to every Gaussian parameter (`_backward`). The backward
+pass runs in the kept splats' rows and writes each gradient column once;
+a culled row's gradients are exact zeros.
 
 The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
 as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
@@ -342,7 +344,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
         raise InvalidParameterError(f"timestamp must be finite, got {t!r}")
     if not all(np.isfinite(getattr(batch, name)).all() for name in COLUMNS):
         raise InvalidParameterError("non-finite Gaussian parameters")
-    ctx = {"n": len(batch), "batch": batch, "cam": cam}
+    ctx = {"batch": batch, "cam": cam}
     h_img, w_img = cam.height, cam.width
     geom = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)
     cond = ga.condition_at_time(batch.mu, geom[-1], t)
@@ -484,9 +486,13 @@ def _splat_sum(ctx, dl_flat):
 
 
 def _backward(ctx, dl_dimage):
-    """Propagate an image gradient to all batch parameters."""
+    """Propagate an image gradient to all batch parameters, in the kept
+    splats' rows: each gradient column is written once, at `keep`, and a
+    culled row keeps its zeros. `v` and `sigma_t` are views of the kept
+    covariance, as `condition_at_time` reads them: a contiguous copy would
+    make the einsums on `v` round differently."""
     batch = ctx["batch"]
-    n = ctx["n"]
+    n = len(batch)
     cam = ctx["cam"]
     grads = ParamGradients(
         **{name: np.zeros((n,) + shape) for name, shape in SHAPES.items()},
@@ -494,28 +500,27 @@ def _backward(ctx, dl_dimage):
     keep = ctx["keep"]
     if len(keep) == 0:
         return grads
-    rot_l, rot_r, left, right, s_cl, rot4, m4, _ = ctx["geom"]
-    v, sigma_t, dt, _, cov3, w_t = ctx["cond"]
-    grad_alpha_k, grad_conic, grad_center2, grad_color, touched_k = _splat_sum(
+    rot_l, rot_r, left, right, s_cl, rot4, m4, cov4 = (a[keep] for a in ctx["geom"])
+    v, sigma_t = cov4[:, :3, 3], cov4[:, 3, 3]
+    _, _, dt, _, cov3, w_t = ctx["cond"]
+    dt, cov3, w_t = dt[keep], cov3[keep], w_t[keep]
+    grad_alpha, grad_conic, grad_center2, grad_color, grads.touched[keep] = _splat_sum(
         ctx, dl_dimage.reshape(-1, 3))
-    conic = ctx["conic"]
 
     # conic -> cov2 via d(X^-1) = -X^-1 dX X^-1
-    conic_full = _sym_matrix(conic[:, 0], conic[:, 1], conic[:, 2])
+    conic_full = _sym_matrix(*ctx["conic"].T)
     # b is read twice in the symmetric matrix: its gradient splits in half
     g_conic_full = _sym_matrix(grad_conic[:, 0], grad_conic[:, 1] / 2.0, grad_conic[:, 2])
     grad_cov2 = -conic_full @ g_conic_full @ conic_full
 
     # cov2 = K cov3 K^T + lowpass I
     k_mat = ctx["k_mat"]
-    cov3_keep = cov3[keep]
-    grad_cov3_k = np.einsum("nji,njk,nkl->nil", k_mat, grad_cov2, k_mat)
-    grad_k = 2.0 * np.einsum("nij,njk,nkl->nil", grad_cov2, k_mat, cov3_keep)
+    grad_cov3 = np.einsum("nji,njk,nkl->nil", k_mat, grad_cov2, k_mat)
+    grad_k = 2.0 * np.einsum("nij,njk,nkl->nil", grad_cov2, k_mat, cov3)
     grad_jac = grad_k @ cam.rotation.T
 
     # center2 and Jacobian entries -> camera-space mean
-    pts = ctx["cam_pts"]
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, z = ctx["cam_pts"].T
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
     grad_m = np.zeros((len(keep), 3))
@@ -529,48 +534,36 @@ def _backward(ctx, dl_dimage):
                      + grad_jac[:, 1, 1] * (-cam.fy * inv_z2)
                      + grad_jac[:, 0, 2] * (2.0 * cam.fx * x * inv_z2 * inv_z)
                      + grad_jac[:, 1, 2] * (2.0 * cam.fy * y * inv_z2 * inv_z))
-    grad_mean3_k = grad_m @ cam.rotation
+    grad_mean3 = grad_m @ cam.rotation
 
     # color: clamp, SH contraction, view direction
     clamp_mask = (ctx["color_raw"] > 0.0) & (ctx["color_raw"] < 1.0)
     g_color_raw = grad_color * clamp_mask
-    grad_base_k = g_color_raw
-    basis = ctx["basis"]
-    grad_coeffs = basis[:, :, None] * g_color_raw[:, None, :]
+    grads.base_color[keep] = g_color_raw
+    grad_coeffs = ctx["basis"][:, :, None] * g_color_raw[:, None, :]
+    grads.sh_residual[keep] = grad_coeffs.reshape(len(keep), -1)
     coeffs = batch.sh_residual[keep].reshape(-1, sh.NUM_RESIDUAL_BASES, 3)
     grad_basis = np.einsum("nbc,nc->nb", coeffs, g_color_raw)
-    basis_grad = sh.eval_basis_grad(ctx["dirs"])
-    grad_dirs = np.einsum("nb,nbk->nk", grad_basis, basis_grad)
     dirs = ctx["dirs"]
+    grad_dirs = np.einsum("nb,nbk->nk", grad_basis, sh.eval_basis_grad(dirs))
     dots = np.sum(dirs * grad_dirs, axis=1)
-    grad_mean3_k += (grad_dirs - dirs * dots[:, None]) / ctx["u_norm"][:, None]
-
-    # scatter kept-splat gradients back to batch slots
-    grad_mean3 = np.zeros((n, 3))
-    grad_cov3 = np.zeros((n, 3, 3))
-    grad_alpha = np.zeros(n)
-    grad_mean3[keep] = grad_mean3_k
-    grad_cov3[keep] = grad_cov3_k
-    grad_alpha[keep] = grad_alpha_k
-    grads.base_color[keep] = grad_base_k
-    grads.sh_residual[keep] = grad_coeffs.reshape(len(keep), -1)
-    grads.touched[keep] = touched_k
+    grad_mean3 += (grad_dirs - dirs * dots[:, None]) / ctx["u_norm"][:, None]
     ndc = grad_center2 * np.array([cam.width / 2.0, cam.height / 2.0])
     grads.viewspace_norm[keep] = np.linalg.norm(ndc, axis=1)
 
     # conditioning: mean3 / cov3 / temporal factor -> mu, cov4, opacity
-    grad_w = grad_alpha * batch.opacity
-    grads.opacity += grad_alpha * w_t
+    grad_w = grad_alpha * batch.opacity[keep]
+    grads.opacity[keep] = grad_alpha * w_t
     gm_dot_v = np.sum(grad_mean3 * v, axis=1)
     grad_v = grad_mean3 * (dt / sigma_t)[:, None] \
         - 2.0 * np.einsum("nij,nj->ni", grad_cov3, v) / sigma_t[:, None]
     grad_sigma = (-gm_dot_v * dt / sigma_t ** 2
                   + np.einsum("ni,nij,nj->n", v, grad_cov3, v) / sigma_t ** 2
                   + grad_w * w_t * dt * dt / (2.0 * sigma_t ** 2))
-    grads.mu[:, :3] = grad_mean3
-    grads.mu[:, 3] = -gm_dot_v / sigma_t + grad_w * w_t * dt / sigma_t
+    grads.mu[keep] = np.column_stack(
+        [grad_mean3, -gm_dot_v / sigma_t + grad_w * w_t * dt / sigma_t])
 
-    grad_cov4 = np.zeros((n, 4, 4))
+    grad_cov4 = np.zeros((len(keep), 4, 4))
     grad_cov4[:, :3, :3] = grad_cov3
     grad_cov4[:, :3, 3] = grad_v
     grad_cov4[:, 3, 3] = grad_sigma
@@ -580,18 +573,18 @@ def _backward(ctx, dl_dimage):
     grad_rot4 = grad_m4 * s_cl[:, None, :]
     grad_s = np.einsum("nij,nij->nj", rot4, grad_m4)
     # one-sided derivative of the floor clamp: a scale on the floor can grow
-    grads.scale = grad_s * (batch.scale >= ga.SCALE_FLOOR)
+    grads.scale[keep] = grad_s * (batch.scale[keep] >= ga.SCALE_FLOOR)
 
     grad_left = grad_rot4 @ np.swapaxes(right, 1, 2)
     grad_right = np.swapaxes(left, 1, 2) @ grad_rot4
     g_ql_hat = np.einsum("nij,cij->nc", grad_left, ga.LEFT_BASIS)
     g_qr_hat = np.einsum("nij,cij->nc", grad_right, ga.RIGHT_BASIS)
     for raw_q, q_hat, g_hat, out in (
-            (batch.rotor_left, rot_l, g_ql_hat, grads.rotor_left),
-            (batch.rotor_right, rot_r, g_qr_hat, grads.rotor_right)):
+            (batch.rotor_left[keep], rot_l, g_ql_hat, grads.rotor_left),
+            (batch.rotor_right[keep], rot_r, g_qr_hat, grads.rotor_right)):
         norm = np.linalg.norm(raw_q, axis=1, keepdims=True)
         proj = np.sum(q_hat * g_hat, axis=1, keepdims=True)
-        out[:] = (g_hat - q_hat * proj) / norm
+        out[keep] = (g_hat - q_hat * proj) / norm
     return grads
 
 

@@ -66,6 +66,47 @@ def test_batch_order_does_not_change_output(seed, n, data):
         assert np.array_equal(getattr(grads_p, name), getattr(grads, name)[perm]), name
 
 
+def culled_copies(batch, rows, t, cam):
+    """Copies of `batch`'s `rows` with fresh ids, culled in turn by the
+    temporal factor (mu_t 50 s away), by depth (the mean at the camera centre
+    at t) and by opacity (1e-4, below ALPHA_MIN)."""
+    copy = permuted(batch, rows)
+    copy.ids = batch.ids.max() + 1 + np.arange(len(rows), dtype=np.int64)
+    kind = np.arange(len(rows)) % 3
+    copy.mu[kind == 0, 3] += 50.0
+    copy.mu[kind == 1] = np.append(cam.center, t)
+    copy.opacity[kind == 2] = 1e-4
+    return copy
+
+
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(71931760254489127634401879937566320041858274623910585174062098391732648160912)
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10), data=st.data())
+def test_culled_rows_change_no_gradient(seed, n, data):
+    """Culled copies mixed into the batch leave the image, the loss and every
+    gradient of the original rows bit-identical, and get exact zeros."""
+    t, cam = 1.0, camera()
+    batch = random_batch(seed, n)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=9)))
+    extra = culled_copies(batch, rows, t, cam)
+    both = GaussianBatch(*(np.concatenate([getattr(batch, name), getattr(extra, name)])
+                           for name in GaussianBatch.__slots__))
+    perm = np.array(data.draw(st.permutations(range(len(both)))), dtype=np.intp)
+    target = np.random.default_rng(seed).uniform(size=(SIZE, SIZE, 3))
+    loss, fb, grads = rn.render_with_gradients(batch, t, cam, target)
+    loss_x, fb_x, grads_x = rn.render_with_gradients(permuted(both, perm), t, cam, target)
+    assert loss_x == loss
+    assert np.array_equal(fb_x.rgb, fb.rgb)
+    # position in the permuted batch of each original row and of each copy
+    where = np.argsort(perm)
+    for name in GRAD_GROUPS:
+        got = getattr(grads_x, name)
+        assert np.array_equal(got[where[:n]], getattr(grads, name)), name
+        assert not np.any(got[where[n:]]), name
+
+
 # Hypothesis draws a derandomized test's cases from a hash of the test's
 # source; this seed fixes them, so that an edit to the body keeps its cases.
 @seed(26180705779817071846778421121710096855824193843337944819220368967095869777879123691240614868869159708526151227139045)
