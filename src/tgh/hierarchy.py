@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gaussians as ga
 from .errors import InvalidParameterError, OutOfRangeError, TGHError
-from .store import GaussianStore, checked_columns
+from .store import GaussianStore, checked_columns, views
 
 GLOBAL_LEVEL = -1
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
@@ -49,12 +49,12 @@ class WorkingSet:
     gaussian_ids: np.ndarray        # concatenated members, int64
 
 
-def _influence_ranges(mu, scale, rotor_left, rotor_right):
-    """(start, end) arrays: each temporal mean -+ the radius where the
-    temporal factor drops to TEMPORAL_THRESHOLD. InvalidParameterError unless
-    every bound is finite."""
+def _influence_ranges(mu, scale, rotor_left, rotor_right, **_):
+    """(start, end) arrays from named parameter columns, the others ignored:
+    each temporal mean -+ the radius where the temporal factor drops to
+    TEMPORAL_THRESHOLD. InvalidParameterError unless every bound is finite."""
     radius = ga.influence_radius(ga.batch_temporal_variance(scale, rotor_left, rotor_right))
-    centers = np.asarray(mu, dtype=np.float64)[:, 3]
+    centers = mu[:, 3]
     start, end = centers - radius, centers + radius
     if not (np.isfinite(start).all() and np.isfinite(end).all()):
         raise InvalidParameterError("influence range must be finite")
@@ -144,16 +144,14 @@ class TemporalHierarchy:
                 if not self._members[key]:
                     del self._members[key]
 
-    def insert_batch(self, mu, scale, rotor_left, rotor_right, opacity,
-                     base_color, sh_residual):
-        """Store Gaussians and place each by its influence range; returns
-        their ids. A call that raises stores and places nothing and spends
-        no id: an array of the wrong shape or with a non-finite value raises
-        InvalidParameterError."""
-        columns = checked_columns(mu, scale, rotor_left, rotor_right,
-                                  opacity, base_color, sh_residual)
-        start, end = _influence_ranges(*columns[:4])
-        ids = self.store.insert_arrays(*columns)
+    def insert_batch(self, **columns):
+        """Store Gaussians, given as the columns `checked_columns` takes, and
+        place each by its influence range; returns their ids. A call that
+        raises stores and places nothing and spends no id: an array of the
+        wrong shape or with a non-finite value raises InvalidParameterError."""
+        columns = checked_columns(**columns)
+        start, end = _influence_ranges(**columns)
+        ids = self.store.insert_arrays(columns)
         rows = self.store.rows_of(ids)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
@@ -180,8 +178,7 @@ class TemporalHierarchy:
         store = self.store
         rows = store.rows_of(gids)
         gids = np.asarray(gids, dtype=np.int64).reshape(-1)
-        start, end = _influence_ranges(store.mu[rows], store.scale[rows],
-                                       store.rotor_left[rows], store.rotor_right[rows])
+        start, end = _influence_ranges(**views(store.params[rows]))
         old = store.segment[rows]
         new = self._find_placements(start, end)
         store.influence[rows] = np.column_stack([start, end])

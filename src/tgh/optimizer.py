@@ -1,13 +1,13 @@
 """Training: Adam updates on working-set Gaussians, adaptive density control
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
-each once: Adam steps the rendered batch and writes it back. The per-step
-cost is not yet flat in the population (ROADMAP item 1): each control pass
-scans it (`touch_count > 0`, `view_dependent_fraction`), and
-`scene_extent_of` runs once per `train()` call.
+each once: one `adam_step` steps the batch's parameter rows and one write
+puts them back. The per-step cost is not yet flat in the population (ROADMAP
+item 1): each control pass scans it (`touch_count > 0`,
+`view_dependent_fraction`), and `scene_extent_of` runs once per `train()`.
 
 The per-Gaussian training state lives in the store's rows: `train()`
-attaches `TRAINING_ROWS` (Adam moments and step counts, densification
+attaches `TRAINING_ROWS` (Adam moment rows and step counts, densification
 accumulators) to the hierarchy's store when it starts and detaches them when
 it returns or raises, so the store grows, reuses and zeroes them with the
 parameters it holds.
@@ -44,7 +44,7 @@ from . import renderer as rn
 from .errors import InvalidParameterError, OutOfRangeError
 from .hierarchy import TemporalHierarchy
 from .losses import psnr
-from .store import COLUMNS, SHAPES
+from .store import WIDTH, pack, views
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
     ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
@@ -87,23 +87,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-15
 
 # The per-row state `train()` attaches to the store for one run: Adam's first
-# and second moments of each parameter column, each row's count of applied
-# updates, and the view-space gradient sums since the last control pass,
-# whose touched rows are exactly those with `touch_count > 0`.
-TRAINING_ROWS = {
-    **{f"{name}_m": (shape, np.float64) for name, shape in SHAPES.items()},
-    **{f"{name}_v": (shape, np.float64) for name, shape in SHAPES.items()},
-    "adam_steps": ((), np.int64),
-    "grad_accum": ((), np.float64),
-    "touch_count": ((), np.int64),
-}
+# and second moments of each parameter, laid out as `params`, each row's count
+# of applied updates, and the view-space gradient sums since the last control
+# pass, whose touched rows are exactly those with `touch_count > 0`.
+TRAINING_ROWS = {"params_m": ((WIDTH,), np.float64), "params_v": ((WIDTH,), np.float64),
+                 "adam_steps": ((), np.int64), "grad_accum": ((), np.float64),
+                 "touch_count": ((), np.int64)}
 
 
 def adam_step(params, grads, m, v, steps, lr):
     """Bias-corrected Adam update applied in place to `params`.
 
     params/grads/m/v: (N,) or (N, D) arrays for the touched rows; steps: (N,)
-    update counters already incremented for this step.
+    update counters already incremented for this step; lr: scalar or (D,).
     """
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m *= b1
@@ -169,7 +165,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     sources = np.concatenate([clone_rows, np.repeat(split_rows, 2)])
     if len(sources):
-        new = {name: getattr(store, name)[sources] for name in COLUMNS}
+        new = views(store.params[sources])
         n_clones = len(clone_rows)
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
@@ -256,7 +252,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     g_th = ap.G_TH
     extent = scene_extent_of(h.store)
-    lr_of = {**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}
+    lr = pack({**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}, np.empty(WIDTH))
 
     result = TrainResult(metrics=[])
     interval_loss = []
@@ -276,29 +272,23 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
 
             if len(batch) > 0:
                 # the gate reads the residuals before the step moves them
-                grads.sh_residual = ap.gate_gradients(batch.sh_residual,
-                                                      grads.sh_residual, g_th)
+                grads.sh_residual[:] = ap.gate_gradients(batch.sh_residual,
+                                                         grads.sh_residual, g_th)
                 rows = store.rows_of(ws.gaussian_ids)
                 store.adam_steps[rows] += 1
-                steps = store.adam_steps[rows]
-                for name in COLUMNS:
-                    m_col, v_col = getattr(store, name + "_m"), getattr(store, name + "_v")
-                    m, v = m_col[rows], v_col[rows]
-                    adam_step(getattr(batch, name), getattr(grads, name), m, v, steps, lr_of[name])
-                    m_col[rows], v_col[rows] = m, v
+                m, v = store.params_m[rows], store.params_v[rows]
+                adam_step(batch.params, grads.params, m, v, store.adam_steps[rows], lr)
+                store.params_m[rows], store.params_v[rows] = m, v
                 # keep invariants: opacity in [0, 1], scales above the floor, rotors unit
                 np.clip(batch.opacity, 0.0, 1.0, out=batch.opacity)
                 np.maximum(batch.scale, ga.SCALE_FLOOR, out=batch.scale)
                 for q in (batch.rotor_left, batch.rotor_right):
                     q /= np.linalg.norm(q, axis=1, keepdims=True)
-                for name in COLUMNS:
-                    getattr(store, name)[rows] = getattr(batch, name)
+                store.params[rows] = batch.params
                 h.update_levels(ws.gaussian_ids)
-                touched = grads.touched
-                if np.any(touched):
-                    hit = rows[touched]
-                    store.grad_accum[hit] += grads.viewspace_norm[touched]
-                    store.touch_count[hit] += 1
+                hit = rows[grads.touched]
+                store.grad_accum[hit] += grads.viewspace_norm[grads.touched]
+                store.touch_count[hit] += 1
 
             if it % cfg.densify_interval == 0 or it == cfg.iterations:
                 adaptive_control(h, cfg, rng, extent, grow=it <= cfg.iterations // 2)

@@ -16,9 +16,9 @@ A frame runs these stages, each by one function:
    (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
-loss analytically to every Gaussian parameter (`_backward`). The backward
-pass runs in the kept splats' rows and writes each gradient column once;
-a culled row's gradients are exact zeros.
+loss analytically to every Gaussian parameter (`_backward`), one gradient
+row per parameter row. The backward pass runs in the kept splats' rows and
+writes each gradient column once; a culled row's gradients are exact zeros.
 
 The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
 as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
@@ -82,7 +82,7 @@ from . import sh
 from .camera import Camera
 from .errors import InvalidParameterError
 from .losses import loss as image_loss
-from .store import COLUMNS, SHAPES, GaussianBatch
+from .store import GaussianBatch, NamedColumns
 
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
 BACKGROUND = np.zeros(3)                # color behind every splat; black keeps
@@ -98,12 +98,10 @@ class Framebuffer:
     transmittance: np.ndarray    # (H, W), remaining background visibility
 
 
-# one gradient array per parameter column, plus each splat's NDC-scale screen
-# position gradient norm (`viewspace_norm`) and whether it survived culling
-# and covered pixels (`touched`, bool)
 ParamGradients = make_dataclass(
-    "ParamGradients", COLUMNS + ("viewspace_norm", "touched"), slots=True, eq=False,
-    namespace={"__doc__": "Per-Gaussian gradients aligned with the rendered batch's rows."})
+    "ParamGradients", ("params", "viewspace_norm", "touched"), bases=(NamedColumns,), slots=True,
+    eq=False, namespace={"__doc__": "A gradient row per batch row, each splat's NDC-scale screen "
+                         "position gradient norm and whether it was kept and covered pixels."})
 
 
 # --------------------------------------------------------------------------
@@ -261,14 +259,10 @@ def _composite_ordered(px, frag_alpha, color, sidx):
 
     px: flat pixel index per fragment, fragments front-to-back within a pixel;
     fragment i has alpha frag_alpha[i] and its splat's color color[sidx[i]],
-    color being (K, 3). The fragments are first put in layer-major order, and
-    their colors are gathered once, in that order: pixel groups are ranked
-    deepest first, so the groups that still hold a j-th fragment are a prefix
-    [0, width[j]) of that ranking and layer j is the contiguous block
-    [off[j], off[j] + width[j]). Each pass then blends one whole layer with
-    slices. A pixel's running color and transmittance take the same multiply
-    and add sequence, front to back, as in a loop over that pixel alone, so
-    the result is bit-identical to it whichever other pixels share the call.
+    color being (K, 3). It puts the fragments in layer-major order, gathers
+    their colors once, in that order, and blends one whole layer j, the block
+    [off[j], off[j] + width[j]), per pass. Each pixel's result is
+    bit-identical to a loop over that pixel alone.
 
     Returns (unique_px, color_sum, final_T, perm, T_frag, off, width, sa,
     sc), one entry per pixel group in layout order, color_sum channel-major
@@ -309,7 +303,7 @@ def _composite_backward(dl_dpx_color, sa, sc, trans_final, t_frag, off, width):
     C = sum_i a_i c_i T_i + T_N * BACKGROUND; `behind` (3, G) tracks the
     composited color strictly behind the current fragment including the
     background term, so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the
-    T_N path too. Returns grad_alpha per layout position.
+    T_N path too. Returns grad_alpha and at = sa * t_frag per layout position.
     """
     grad_alpha = np.empty(len(sa))
     behind = BACKGROUND[:, None] * trans_final
@@ -329,7 +323,7 @@ def _composite_backward(dl_dpx_color, sa, sc, trans_final, t_frag, off, width):
         np.add(g[0], g[1], out=grad_alpha[s])
         grad_alpha[s] += g[2]
         behind_k += np.multiply(at[s], c, out=d_buf[:, :k])
-    return grad_alpha
+    return grad_alpha, at
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +336,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     """
     if not np.isfinite(t):
         raise InvalidParameterError(f"timestamp must be finite, got {t!r}")
-    if not all(np.isfinite(getattr(batch, name)).all() for name in COLUMNS):
+    if not np.isfinite(batch.params).all():
         raise InvalidParameterError("non-finite Gaussian parameters")
     ctx = {"batch": batch, "cam": cam}
     h_img, w_img = cam.height, cam.width
@@ -431,7 +425,7 @@ def _fragment_terms(ctx, dl_flat):
     upstream = np.empty((3, len(unique_px)))
     for ch in range(3):
         np.take(dl_t[ch], unique_px, out=upstream[ch])
-    g_a = _composite_backward(upstream, sa, sc, trans, t_frag, off, width)
+    g_a, at = _composite_backward(upstream, sa, sc, trans, t_frag, off, width)
     terms = np.empty((7, len(raw)))
     g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
     grad_raw = np.empty(len(raw))
@@ -446,11 +440,11 @@ def _fragment_terms(ctx, dl_flat):
     np.multiply(g, ctx["dx"], out=g_dx)
     np.multiply(g_dx, ctx["dx"], out=g_dx2)
     # the kernel's upstream * (alpha * T), formed in generation order
-    t_gen = np.empty(len(raw))
-    t_gen[perm] = t_frag
+    at_gen = np.empty(len(raw))
+    at_gen[perm] = at
     for ch in range(3):
         np.take(dl_t[ch], px, out=g_color[ch])
-    g_color *= frag_alpha * t_gen
+    g_color *= at_gen
     return terms
 
 
@@ -491,12 +485,9 @@ def _backward(ctx, dl_dimage):
     culled row keeps its zeros. `v` and `sigma_t` are views of the kept
     covariance, as `condition_at_time` reads them: a contiguous copy would
     make the einsums on `v` round differently."""
-    batch = ctx["batch"]
+    batch, cam = ctx["batch"], ctx["cam"]
     n = len(batch)
-    cam = ctx["cam"]
-    grads = ParamGradients(
-        **{name: np.zeros((n,) + shape) for name, shape in SHAPES.items()},
-        viewspace_norm=np.zeros(n), touched=np.zeros(n, dtype=bool))
+    grads = ParamGradients(np.zeros_like(batch.params), np.zeros(n), np.zeros(n, dtype=bool))
     keep = ctx["keep"]
     if len(keep) == 0:
         return grads

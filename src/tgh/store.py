@@ -1,16 +1,15 @@
-"""Id-addressed columnar storage for Gaussians.
+"""Id-addressed row storage for Gaussians.
 
-The store owns every per-row array. Two sets are fixed: the parameter
-columns (`SHAPES`), which inserts write and training updates, and each
-row's placement (`PLACEMENT`), which the temporal hierarchy writes when it
-inserts or re-places a Gaussian. They live in preallocated numpy arrays so
-the hot path can gather a working set into contiguous batches without
-touching Python objects; training attaches its per-row state (`attached`)
-to the same rows for the length of a run. Every row-indexed array grows
-together in `_grow`, and a row is zeroed in all of them when it is handed
-out again. Rows freed by removal are recycled; ids are never reused.
+Each Gaussian's 65 parameters are one row of the float64 matrix `params`, in
+`COLUMNS` order, SH last. Only this module knows that layout: others read a
+column by name as a view that writes through (`views`, `NamedColumns`) and
+write named columns into rows with `pack`. Each row's placement
+(`PLACEMENT`) and training's per-row state (`attached`) are more row arrays.
+All grow together in `_grow`, and a row is zeroed in all of them when it is
+handed out again. Rows freed by removal are recycled; ids are never reused.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import make_dataclass
 
@@ -23,24 +22,48 @@ from .errors import InvalidParameterError, NotFoundError
 SHAPES = {"mu": (4,), "scale": (4,), "rotor_left": (4,), "rotor_right": (4,),
           "opacity": (), "base_color": (3,), "sh_residual": (sh.RESIDUAL_COEFFS,)}
 COLUMNS = tuple(SHAPES)
+_ENDS = np.cumsum([math.prod(shape) for shape in SHAPES.values()]).tolist()
+# each name's columns of a parameter row: a slice, or the scalar opacity's index
+_KEYS = {name: slice(end - math.prod(shape), end) if shape else end - 1
+         for (name, shape), end in zip(SHAPES.items(), _ENDS)}
+WIDTH = _ENDS[-1]           # parameters per Gaussian, 65
 # each row's flat segment index and influence range (start, end) in seconds
 PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
 INITIAL_CAPACITY = 256      # rows allocated before the first insert
 
+
+def views(params):
+    """Each name's columns of a (..., WIDTH) parameter matrix, as views."""
+    return {name: params[..., key] for name, key in _KEYS.items()}
+
+
+def pack(values, out, rows=...):
+    """Write each values[name], broadcast, into its columns of out[rows]."""
+    for name, view in views(out).items():
+        view[rows] = values[name]
+    return out
+
+
+NamedColumns = type("NamedColumns", (), {
+    "__doc__": "Reads each name in COLUMNS as a view of its columns of `self.params`.",
+    "__slots__": (),
+    **{name: property(lambda self, key=key: self.params[:, key]) for name, key in _KEYS.items()}})
+
+
 GaussianBatch = make_dataclass(
-    "GaussianBatch", ("ids",) + COLUMNS, slots=True, eq=False,
-    namespace={"__doc__": "A contiguous snapshot of parameters for a list of ids.",
+    "GaussianBatch", ("ids", "params"), bases=(NamedColumns,), slots=True, eq=False,
+    namespace={"__doc__": "A contiguous snapshot of the parameter rows of a list of ids.",
                "__len__": lambda self: len(self.ids)})
 
 
 def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual):
-    """The parameter columns of one insert as float64 arrays, in `COLUMNS`
-    order. InvalidParameterError unless each has exactly the shape
-    (n,) + SHAPES[name], with n = len(mu), and finite values."""
-    values = [np.asarray(value, dtype=np.float64)
-              for value in (mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual)]
-    lead = values[0].shape[:1]  # (n,); () for a 0-d mu, which fails its own check
-    for name, value in zip(COLUMNS, values):
+    """The parameter columns of one insert as float64 arrays, by name.
+    InvalidParameterError unless each has exactly the shape (n,) +
+    SHAPES[name], with n = len(mu), and finite values."""
+    values = {name: np.asarray(value, dtype=np.float64) for name, value in zip(
+        COLUMNS, (mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual))}
+    lead = values["mu"].shape[:1]  # (n,); () for a 0-d mu, which fails its own check
+    for name, value in values.items():
         if value.shape != lead + SHAPES[name]:
             raise InvalidParameterError(
                 f"{name} has shape {value.shape}, expected {lead + SHAPES[name]}")
@@ -49,12 +72,11 @@ def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_
     return values
 
 
-class GaussianStore:
+class GaussianStore(NamedColumns):
     def __init__(self):
         self.capacity = INITIAL_CAPACITY
-        self._row_arrays = []      # names of row-indexed arrays, COLUMNS first
-        self._attach({name: (shape, np.float64) for name, shape in SHAPES.items()})
-        self._attach(PLACEMENT)
+        self._row_arrays = []      # names of row-indexed arrays, params first
+        self._attach({"params": ((WIDTH,), np.float64), **PLACEMENT})
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
         self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
         self._free = []            # freed rows, reused last-freed first
@@ -70,7 +92,7 @@ class GaussianStore:
     def attached(self, arrays):
         """Attach zeroed row arrays, `{name: (trailing shape, dtype)}`, read
         as attributes for the length of the block and then dropped, whether
-        the block returns or raises. They grow with the parameter columns,
+        the block returns or raises. They grow with the parameter rows,
         and a row taken by an insert reads zero in each of them. A name the
         store already has raises InvalidParameterError."""
         if any(hasattr(self, name) for name in arrays):
@@ -148,14 +170,14 @@ class GaussianStore:
         self._top += fresh
         return rows
 
-    def insert_arrays(self, mu, scale, rotor_left, rotor_right, opacity,
-                      base_color, sh_residual):
+    def insert_arrays(self, columns):
         """Bulk insert of columns that passed `checked_columns`, which the
         hierarchy runs once before it places them. Returns new ids."""
-        rows = self._take_rows(len(mu))
-        for name, value in zip(COLUMNS, (mu, scale, rotor_left, rotor_right, opacity,
-                                         base_color, sh_residual)):
-            getattr(self, name)[rows] = value
+        rows = self._take_rows(len(columns["mu"]))
+        buf = np.empty((min(len(rows), 1024), WIDTH))
+        for lo in range(0, len(rows), 1024):  # packed in cache, then copied in whole rows
+            block = {name: value[lo:lo + 1024] for name, value in columns.items()}
+            self.params[rows[lo:lo + 1024]] = pack(block, buf[:len(block["mu"])])
         ids = np.arange(self._next_id, self._next_id + len(rows), dtype=np.int64)
         self._next_id += len(rows)
         if self._next_id > len(self._row_of_id):
@@ -176,10 +198,9 @@ class GaussianStore:
         self._free.extend(rows.tolist())
 
     def gather(self, gids):
-        """Copy the parameters of the given ids into a contiguous batch."""
+        """Copy the parameter rows of the given ids into a batch."""
         rows = self.rows_of(gids)
-        return GaussianBatch(np.asarray(gids, dtype=np.int64),
-                             *(getattr(self, name)[rows] for name in COLUMNS))
+        return GaussianBatch(np.asarray(gids, dtype=np.int64), self.params[rows])
 
 
 def _grown(column, size):

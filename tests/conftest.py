@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from tgh import sh
+from tgh import store
 
 # every property test replays the same examples, with no example database
 # and no per-example deadline; each sets its own max_examples
@@ -30,6 +31,13 @@ def params(mu, scale, rotor_left=IDENTITY_ROTOR, rotor_right=IDENTITY_ROTOR,
                 base_color=np.array(base_color, dtype=np.float64).reshape(1, 3),
                 sh_residual=np.array(sh_residual, dtype=np.float64)
                 .reshape(1, sh.RESIDUAL_COEFFS))
+
+
+def packed(columns):
+    """Parameter columns by name, checked as `insert_batch` checks them, as
+    the (n, WIDTH) matrix of rows that a `GaussianBatch` holds."""
+    checked = store.checked_columns(**columns)
+    return store.pack(checked, np.empty((len(checked["mu"]), store.WIDTH)))
 
 
 def stack(parts):

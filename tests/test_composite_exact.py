@@ -100,10 +100,10 @@ def reference_kernels(patch):
         unique_px, color_sum, trans, order, t_frag, starts, counts, sa, sc = out
         return unique_px, color_sum.T, trans, order, t_frag, starts, counts, sa, sc.T
 
-    def backward(dl_dpx_color, sa, sc, *rest):
+    def backward(dl_dpx_color, sa, sc, trans_final, t_frag, *rest):
         rows = np.ascontiguousarray
         return _composite_backward(rows(dl_dpx_color.T), rn.BACKGROUND, sa, rows(sc.T),
-                                   *rest)[0]
+                                   trans_final, t_frag, *rest)[0], sa * t_frag
 
     patch.setattr(rn, "_composite_ordered", ordered)
     patch.setattr(rn, "_composite_backward", backward)
@@ -270,8 +270,9 @@ def test_kernels_match_reference_per_fragment(monkeypatch):
     assert np.array_equal(ref[8], color[sidx[ref[3]]])
 
     upstream = rng.normal(size=(300, 3))
-    g_new = rn._composite_backward(upstream[new[0]].T, alpha[new[3]], new[8],
-                                   new[2], new[4], *new[5:7])
+    g_new, at = rn._composite_backward(upstream[new[0]].T, alpha[new[3]], new[8],
+                                       new[2], new[4], *new[5:7])
+    assert np.array_equal(at, alpha[new[3]] * new[4])
     g_ref = _composite_backward(upstream[ref[0]], background, alpha[ref[3]],
                                 ref[8], ref[2], ref[4], *ref[5:7])[0]
     per_frag_new, per_frag_ref = np.empty(n), np.empty(n)

@@ -9,7 +9,7 @@ import pytest
 from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_LEVEL, AuditError, TemporalHierarchy, build
-from tgh.store import COLUMNS
+from tgh.store import COLUMNS, checked_columns
 
 from conftest import params, random_params, stack
 
@@ -495,6 +495,6 @@ class TestAudit:
     def test_audit_catches_stored_id_not_placed(self, rng):
         h = build(duration=40.0)
         h.insert_batch(**random_params(rng, 3))
-        h.store.insert_arrays(**random_params(rng))
+        h.store.insert_arrays(checked_columns(**random_params(rng)))
         with pytest.raises(AuditError):
             h.audit()

@@ -7,6 +7,7 @@ import pytest
 from tgh import gaussians as ga
 from tgh import optimizer as opt
 from tgh import renderer as rn
+from tgh import store as st
 from tgh.camera import Camera, look_at
 from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
@@ -65,6 +66,38 @@ class TestAdam:
             g = 2.0 * p
             opt.adam_step(p, g, m, v, np.array([step]), lr=0.01)
         assert abs(p[0]) < 1e-2
+
+    def test_packed_step_equals_per_column_steps(self):
+        """`train()` steps the 65 parameters of each row with one call and a
+        row of per-column rates. Every element takes the same operations as
+        when its column is stepped alone with its scalar rate, so both give
+        the same bits."""
+        rng = np.random.default_rng(21)
+        n_rows, per_step = 500, 40
+        rates = {**opt.LEARNING_RATES, "mu": opt.LEARNING_RATES["mu"] * 1.7}
+        params = rng.normal(size=(n_rows, st.WIDTH))
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        steps = np.zeros(n_rows, dtype=np.int64)
+        # the reference keeps one contiguous array per column
+        cols = {name: column.copy() for name, column in st.views(params).items()}
+        m_cols = {name: np.zeros_like(column) for name, column in cols.items()}
+        v_cols = {name: np.zeros_like(column) for name, column in cols.items()}
+        for _ in range(60):
+            rows = rng.choice(n_rows, size=per_step, replace=False)
+            grads = rng.normal(size=(per_step, st.WIDTH)) * 10.0 ** rng.uniform(-6, 0, st.WIDTH)
+            grads[rng.uniform(size=per_step) < 0.2] = 0.0
+            steps[rows] += 1
+            p, m_rows, v_rows = params[rows], m[rows], v[rows]
+            opt.adam_step(p, grads, m_rows, v_rows, steps[rows], st.pack(rates, np.empty(st.WIDTH)))
+            params[rows], m[rows], v[rows] = p, m_rows, v_rows
+            for name, g in st.views(grads).items():
+                p, m_rows, v_rows = cols[name][rows], m_cols[name][rows], v_cols[name][rows]
+                opt.adam_step(p, g.copy(), m_rows, v_rows, steps[rows], rates[name])
+                cols[name][rows], m_cols[name][rows], v_cols[name][rows] = p, m_rows, v_rows
+        assert steps.max() > 1
+        for packed, reference in ((params, cols), (m, m_cols), (v, v_cols)):
+            for name, column in st.views(packed).items():
+                assert np.array_equal(column, reference[name]), name
 
 
 def populated_hierarchy(rng, n=50, duration=2.0):

@@ -11,7 +11,7 @@ from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
 from tgh.store import COLUMNS, GaussianBatch
 
-from conftest import params, random_params, stack
+from conftest import packed, params, random_params, stack
 
 
 def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
@@ -24,7 +24,7 @@ def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
 def batch_of(gaussians):
     """A batch of the given parameter dicts, with ids 0, 1, ..."""
     columns = stack(gaussians)
-    return GaussianBatch(ids=np.arange(len(columns["mu"]), dtype=np.int64), **columns)
+    return GaussianBatch(np.arange(len(columns["mu"]), dtype=np.int64), packed(columns))
 
 
 def rotated_camera(width=24, height=24):

@@ -10,6 +10,8 @@ from tgh.camera import Camera
 from tgh.errors import InvalidParameterError
 from tgh.store import GaussianBatch
 
+from conftest import packed
+
 SIZE = 16
 GRAD_GROUPS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
                "base_color", "sh_residual", "viewspace_norm", "touched")
@@ -31,14 +33,15 @@ def random_batch(seed, n):
     rng = np.random.default_rng(seed)
     return GaussianBatch(
         ids=rng.permutation(10 * n)[:n].astype(np.int64),
-        mu=np.column_stack([rng.uniform(-0.8, 0.8, (n, 2)), rng.uniform(3.0, 7.0, n),
-                            rng.uniform(0.8, 1.2, n)]),
-        scale=np.column_stack([rng.uniform(0.05, 0.8, (n, 3)), rng.uniform(0.1, 0.5, n)]),
-        rotor_left=unit_rows(rng, n),
-        rotor_right=unit_rows(rng, n),
-        opacity=rng.uniform(0.05, 1.0, n),
-        base_color=rng.uniform(0.0, 1.0, (n, 3)),
-        sh_residual=rng.normal(scale=0.1, size=(n, 45)))
+        params=packed(dict(
+            mu=np.column_stack([rng.uniform(-0.8, 0.8, (n, 2)), rng.uniform(3.0, 7.0, n),
+                                rng.uniform(0.8, 1.2, n)]),
+            scale=np.column_stack([rng.uniform(0.05, 0.8, (n, 3)), rng.uniform(0.1, 0.5, n)]),
+            rotor_left=unit_rows(rng, n),
+            rotor_right=unit_rows(rng, n),
+            opacity=rng.uniform(0.05, 1.0, n),
+            base_color=rng.uniform(0.0, 1.0, (n, 3)),
+            sh_residual=rng.normal(scale=0.1, size=(n, 45)))))
 
 
 def permuted(batch, perm):

@@ -28,6 +28,8 @@ from tgh.camera import Camera
 from tgh.losses import loss as image_loss
 from tgh.store import GaussianBatch
 
+from conftest import packed
+
 SIZE = 24
 FOCAL = 40.0
 GRAD_FIELDS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
@@ -172,10 +174,11 @@ def random_scene(seed, n, offscreen, single):
     opacity[point] = rng.uniform(1.05, 1.45, single) * rn.ALPHA_MIN
     return GaussianBatch(
         ids=np.arange(total, dtype=np.int64),
-        mu=np.column_stack([xy, z, t]), scale=scale,
-        rotor_left=unit_rows(rng, total), rotor_right=unit_rows(rng, total),
-        opacity=opacity, base_color=rng.uniform(0.0, 1.0, (total, 3)),
-        sh_residual=rng.normal(scale=0.1, size=(total, 45)))
+        params=packed(dict(
+            mu=np.column_stack([xy, z, t]), scale=scale,
+            rotor_left=unit_rows(rng, total), rotor_right=unit_rows(rng, total),
+            opacity=opacity, base_color=rng.uniform(0.0, 1.0, (total, 3)),
+            sh_residual=rng.normal(scale=0.1, size=(total, 45)))))
 
 
 def scene_and_target(seed, n, offscreen, single):

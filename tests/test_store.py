@@ -1,18 +1,38 @@
 import numpy as np
 import pytest
 
+from tgh import optimizer as opt
 from tgh import sh
 from tgh import store as st
 from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.store import GaussianStore
 
+from conftest import packed
+
 
 def arrays(n, value=0.0):
-    return dict(mu=np.full((n, 4), value), scale=np.ones((n, 4)),
-                rotor_left=np.tile([1.0, 0, 0, 0], (n, 1)),
-                rotor_right=np.tile([1.0, 0, 0, 0], (n, 1)),
-                opacity=np.full(n, 0.5), base_color=np.zeros((n, 3)),
-                sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)))
+    """The parameter columns of n Gaussians, as `insert_arrays` takes them."""
+    return st.checked_columns(mu=np.full((n, 4), value), scale=np.ones((n, 4)),
+                             rotor_left=np.tile([1.0, 0, 0, 0], (n, 1)),
+                             rotor_right=np.tile([1.0, 0, 0, 0], (n, 1)),
+                             opacity=np.full(n, 0.5), base_color=np.zeros((n, 3)),
+                             sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)))
+
+
+def check_columns(store, ids):
+    """Each named column is a view of `store.params` that writes through to
+    it, and `gather` reads the per-column values of the ids' rows."""
+    rows = store.rows_of(ids)
+    batch = store.gather(ids)
+    for name in st.COLUMNS:
+        column = getattr(store, name)
+        assert np.shares_memory(column, store.params), name
+        assert np.array_equal(getattr(batch, name), column[rows]), name
+        saved = store.params.copy()
+        column[rows[-1]] = -2.0
+        assert np.all(getattr(store, name)[rows[-1]] == -2.0), name
+        assert np.count_nonzero(store.params != saved) == np.size(column[rows[-1]]), name
+        store.params[:] = saved
 
 
 def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
@@ -20,18 +40,26 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
     # handed out in is part of the store's contract
     monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
     store = GaussianStore()
-    ids = store.insert_arrays(**arrays(10))
-    with store.attached({"extra": ((2,), np.int64)}):
+    ids = store.insert_arrays(arrays(10))
+    with store.attached({"extra": ((2,), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = 7
+        store.params_m[:10] = store.params_v[:10] = 3.0
+        store.sh_residual[:10] = 5.0
         for taken in ("extra", "mu"):
             with pytest.raises(InvalidParameterError):
                 with store.attached({taken: ((), np.float64)}):
                     pass
         store.remove([ids[2], ids[7], ids[4]])
-        new = store.insert_arrays(**arrays(5, value=1.0))
-        # a taken row reads zero in every attached array
-        assert np.all(store.extra[[4, 7, 2, 10, 11]] == 0)
+        new = store.insert_arrays(arrays(5, value=1.0))
+        # a taken row reads zero in every attached array, and only what
+        # the insert wrote in its parameters
+        taken = [4, 7, 2, 10, 11]
+        for name in ("extra", "params_m", "params_v"):
+            assert np.all(getattr(store, name)[taken] == 0), name
         assert np.all(store.extra[[0, 1, 3, 5, 6, 8, 9]] == 7)
+        assert np.array_equal(store.params[taken], packed(arrays(5, value=1.0)))
+        assert np.all(store.sh_residual[taken] == 0)
+        check_columns(store, new)
     assert not hasattr(store, "extra")
     assert new == [10, 11, 12, 13, 14]
     assert store.rows_of(new).tolist() == [4, 7, 2, 10, 11]
@@ -44,19 +72,31 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
 def test_rows_grow_past_capacity(monkeypatch):
     monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
     store = GaussianStore()
-    first = store.insert_arrays(**arrays(10))
-    with store.attached({"extra": ((), np.int64)}):
+    first = store.insert_arrays(arrays(10))
+    with store.attached({"extra": ((), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = np.arange(1, 11)
-        ids = first + store.insert_arrays(**arrays(30))
+        store.mu[:10] = np.arange(40).reshape(10, 4)
+        ids = first + store.insert_arrays(arrays(30))
         assert store.capacity >= 40 and store.extra.shape == (store.capacity,)
         assert store.extra.dtype == np.int64
         assert store.extra[:40].tolist() == list(range(1, 11)) + [0] * 30
+        for name in ("params", "params_m", "params_v"):
+            assert getattr(store, name).shape == (store.capacity, st.WIDTH), name
+        assert np.array_equal(store.mu[:10], np.arange(40).reshape(10, 4))
+        check_columns(store, ids)
     assert store.rows_of(ids).tolist() == list(range(40))
+    # an insert of more rows than one write block: freed rows, then fresh ones
+    store.remove(ids[5:8])
+    columns = arrays(2100)
+    columns["mu"] = np.arange(4 * 2100.0).reshape(2100, 4)
+    more = store.insert_arrays(columns)
+    assert store.rows_of(more).tolist() == [7, 6, 5] + list(range(40, 2137))
+    assert np.array_equal(store.gather(more).params, packed(columns))
 
 
 def test_rows_of_rejects_unknown_removed_and_negative_ids():
     store = GaussianStore()
-    ids = store.insert_arrays(**arrays(3))
+    ids = store.insert_arrays(arrays(3))
     store.remove([ids[1]])
     for bad in (ids[1], 3, 10 ** 9, -1):
         with pytest.raises(NotFoundError):
@@ -68,12 +108,12 @@ def test_rows_of_rejects_unknown_removed_and_negative_ids():
 
 def test_remove_is_atomic():
     store = GaussianStore()
-    ids = store.insert_arrays(**arrays(4))
+    ids = store.insert_arrays(arrays(4))
     for bad, error in (([ids[0], ids[2], ids[0]], InvalidParameterError),
                        ([ids[1], 99], NotFoundError)):
         with pytest.raises(error):
             store.remove(bad)
         assert store.ids == ids and store.rows_of(ids).tolist() == [0, 1, 2, 3]
     store.remove([ids[2], ids[0]])
-    assert store.insert_arrays(**arrays(3)) == [4, 5, 6]
+    assert store.insert_arrays(arrays(3)) == [4, 5, 6]
     assert store.rows_of([4, 5, 6]).tolist() == [0, 2, 4]

@@ -19,7 +19,9 @@ does not define is printed as "-", so that the same script times an older
 checkout too; one it defines but the run never calls reads 0. BLAS is
 pinned to one thread, as in `output_digest.py`. The table gives, per stage,
 the minimum over the runs of its ms per training iteration and per playback
-frame.
+frame. Its `train() rest` row is the training total less the stages that
+`train()` calls directly (TRAIN_TOP): its own lines, such as the Adam
+gathers and write-backs, the gate and the accumulator updates.
 """
 
 import argparse
@@ -72,6 +74,13 @@ STAGES = (
 )
 
 
+# the stages train() calls directly; none of them holds another
+TRAIN_TOP = ("TemporalHierarchy.query", "TemporalHierarchy.materialize", "renderer._forward",
+             "renderer.image_loss", "renderer._backward", "optimizer.adam_step",
+             "TemporalHierarchy.update_levels", "optimizer.adaptive_control")
+REST = "train() rest"
+
+
 def stage_name(owner, attr):
     return f"{getattr(owner, '__name__', '').rpartition('.')[2]}.{attr}"
 
@@ -108,7 +117,8 @@ def timed_stages(seconds):
 
 def one_run(spec, pop, scene, seed):
     """({stage: ms per iteration}, {stage: ms per frame}) of one run; the
-    key "total" holds the whole train() call and the whole playback."""
+    key "total" holds the whole train() call and the whole playback, and
+    REST the part of train() outside TRAIN_TOP."""
     cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
@@ -125,6 +135,8 @@ def one_run(spec, pop, scene, seed):
             work(h)
             seconds["total"] = time.perf_counter() - start
         out.append({name: 1e3 * s / count for name, s in seconds.items()})
+    train = out[0]
+    train[REST] = train["total"] - sum(train.get(name, 0.0) for name in TRAIN_TOP)
     return tuple(out)
 
 
@@ -139,7 +151,7 @@ def main(argv=None):
     spec = SCENES[args.scene]
     pop, scene = sc.make_scene(spec, args.seed)
     runs = [one_run(spec, pop, scene, args.seed) for _ in range(args.runs)]
-    names = [stage_name(owner, attr) for owner, attr in STAGES] + ["total"]
+    names = [stage_name(owner, attr) for owner, attr in STAGES] + [REST, "total"]
     print(f"{args.scene} scene, seed {args.seed}, min of {args.runs} runs: ms per "
           f"training iteration ({TRAIN_ITERATIONS}) and per playback frame ({PLAYBACK_FRAMES})")
     print(f"{'stage':<34}{'train':>10}{'playback':>10}")
