@@ -8,6 +8,12 @@ threshold goes to infinity: the current diffuse set is locked in for good.
 
 The gate's state is its threshold `g_th`: G_TH while the gate is open and
 +inf once it has frozen.
+
+Only a Gaussian whose SH is non-zero needs SH storage: the store keeps it in
+a slot table, one slot per such Gaussian (`store.slot`), and a diffuse
+Gaussian's SH reads zero. So the gate's count reads the slotted rows only,
+O(slots) per control pass: `view_dependent_fraction(store's slotted SH,
+len(store))`.
 """
 
 import math
@@ -30,12 +36,14 @@ def gate_gradients(h, grad_h, g_th):
     return np.where((diffuse & small)[:, None], 0.0, grad_h)
 
 
-def view_dependent_fraction(h):
-    """Share of rows with any nonzero residual coefficient. h: (N, 45)."""
+def view_dependent_fraction(h, population):
+    """Share of `population` rows with any nonzero residual coefficient,
+    where h (N, 45) holds the SH of every row that may have one: the whole
+    population, or only the store's slotted rows."""
     h = np.asarray(h)
-    if len(h) == 0:
+    if population == 0:
         return 0.0
-    return float(np.count_nonzero(np.any(h != 0.0, axis=1))) / len(h)
+    return float(np.count_nonzero(np.any(h != 0.0, axis=1))) / population
 
 
 def update_ratio_cutoff(g_th, fraction):

@@ -1,16 +1,20 @@
 """Training: Adam updates on working-set Gaussians, adaptive density control
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
-each once: one `adam_step` steps the batch's parameter rows and one write
-puts them back. The per-step cost is not yet flat in the population (ROADMAP
-item 1): each control pass scans it (`touch_count > 0`,
-`view_dependent_fraction`), and `scene_extent_of` runs once per `train()`.
+each once: one `adam_step` steps the batch's 65-wide parameter rows and one
+`store.write` puts them back, the base columns to the rows and the SH to the
+slot table. The per-step cost is not yet flat in the population (ROADMAP
+item 1): each control pass scans it (`touch_count > 0`), and
+`scene_extent_of` runs once per `train()`. The gate's count at a pass reads
+only the slotted rows.
 
 The per-Gaussian training state lives in the store's rows: `train()`
 attaches `TRAINING_ROWS` (Adam moment rows and step counts, densification
 accumulators) to the hierarchy's store when it starts and detaches them when
 it returns or raises, so the store grows, reuses and zeroes them with the
-parameters it holds.
+parameters it holds. The moments are laid out as the parameters
+(`store.PARAMETERS`): 20 base columns per row, and the SH moments in the
+slot table, so a diffuse Gaussian carries no SH moments either.
 
 The method runs on fixed settings, module constants here:
 
@@ -44,7 +48,7 @@ from . import renderer as rn
 from .errors import InvalidParameterError, OutOfRangeError
 from .hierarchy import TemporalHierarchy
 from .losses import psnr
-from .store import WIDTH, pack, views
+from .store import PARAMETERS, WIDTH, pack, views
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
     ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
@@ -87,10 +91,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-15
 
 # The per-row state `train()` attaches to the store for one run: Adam's first
-# and second moments of each parameter, laid out as `params`, each row's count
-# of applied updates, and the view-space gradient sums since the last control
-# pass, whose touched rows are exactly those with `touch_count > 0`.
-TRAINING_ROWS = {"params_m": ((WIDTH,), np.float64), "params_v": ((WIDTH,), np.float64),
+# and second moments of each parameter, laid out as `params` (base columns in
+# the rows, SH in the slot table), each row's count of applied updates, and
+# the view-space gradient sums since the last control pass, whose touched
+# rows are exactly those with `touch_count > 0`.
+TRAINING_ROWS = {"params_m": PARAMETERS, "params_v": PARAMETERS,
                  "adam_steps": ((), np.int64), "grad_accum": ((), np.float64),
                  "touch_count": ((), np.int64)}
 
@@ -130,8 +135,11 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     Restricting control to sampled segments keeps its cost independent of
     the total population. Candidates are visited in ascending row order.
-    A clone is an exact copy of its source, as in 3DGS; split offsets are
-    drawn as one (n, 2, 3) block of standard normals, two children per split.
+    A clone is an exact copy of its source, SH included, as in 3DGS: the
+    sources are read whole (`store.read`) and inserted, so a clone or split
+    child of a view-dependent Gaussian takes a slot of its own. Split
+    offsets are drawn as one (n, 2, 3) block of standard normals, two
+    children per split.
     Under `max_gaussians` the room left after pruning goes to clones first,
     then to splits. Clones and split children are added in that order with
     one insert, then the split parents are removed. With `grow` false the
@@ -165,7 +173,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     sources = np.concatenate([clone_rows, np.repeat(split_rows, 2)])
     if len(sources):
-        new = views(store.params[sources])
+        new = views(store.read(sources, "params")[0])
         n_clones = len(clone_rows)
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
@@ -276,15 +284,14 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
                                                          grads.sh_residual, g_th)
                 rows = store.rows_of(ws.gaussian_ids)
                 store.adam_steps[rows] += 1
-                m, v = store.params_m[rows], store.params_v[rows]
+                m, v = store.read(rows, "params_m", "params_v")
                 adam_step(batch.params, grads.params, m, v, store.adam_steps[rows], lr)
-                store.params_m[rows], store.params_v[rows] = m, v
                 # keep invariants: opacity in [0, 1], scales above the floor, rotors unit
                 np.clip(batch.opacity, 0.0, 1.0, out=batch.opacity)
                 np.maximum(batch.scale, ga.SCALE_FLOOR, out=batch.scale)
                 for q in (batch.rotor_left, batch.rotor_right):
                     q /= np.linalg.norm(q, axis=1, keepdims=True)
-                store.params[rows] = batch.params
+                store.write(rows, params=batch.params, params_m=m, params_v=v)
                 h.update_levels(ws.gaussian_ids)
                 hit = rows[grads.touched]
                 store.grad_accum[hit] += grads.viewspace_norm[grads.touched]
@@ -293,7 +300,8 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
             if it % cfg.densify_interval == 0 or it == cfg.iterations:
                 adaptive_control(h, cfg, rng, extent, grow=it <= cfg.iterations // 2)
                 if g_th < math.inf:
-                    fraction = ap.view_dependent_fraction(store.sh_residual[store.live_rows()])
+                    fraction = ap.view_dependent_fraction(
+                        store.sh_slots["params"][store.held_slots()], len(store))
                     g_th = ap.update_ratio_cutoff(g_th, fraction)
                 result.metrics.append(MetricRow(
                     iteration=it,

@@ -208,6 +208,18 @@ def _frag_alpha(raw):
     return np.minimum(alpha, ALPHA_CLAMP, out=alpha)
 
 
+def _alpha_slope(raw):
+    """d alpha / d raw of `_frag_alpha` as int8: 2 on the ramp, 1 in the
+    body, 0 outside the level set and under the clamp, that is 2 for
+    ALPHA_MIN < raw < 2 ALPHA_MIN, 1 for 2 ALPHA_MIN <= raw < ALPHA_CLAMP
+    and 0 elsewhere. These are the branches `_frag_alpha` takes in floating
+    point too: raw - ALPHA_MIN is exact for raw within a factor 2 of
+    ALPHA_MIN, and 2 (raw - ALPHA_MIN) >= raw after rounding above it."""
+    slope = np.less(raw, 2.0 * ALPHA_MIN).view(np.int8) + np.less(raw, ALPHA_CLAMP).view(np.int8)
+    slope *= np.greater(raw, ALPHA_MIN).view(np.int8)
+    return slope
+
+
 def _sort_packed(high):
     """Positions of `high` (non-negative ints) ordered by value, ties by
     position: the stable argsort, found by one value sort of the unique keys
@@ -350,7 +362,8 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
                           & (alpha_splat >= ALPHA_MIN))
     ctx.update(geom=geom, cond=cond, keep=keep)
     rgb = np.empty((h_img, w_img, 3))
-    rgb[...] = BACKGROUND
+    for ch in range(3):  # three strided fills: a (3,) broadcast loops 3 elements at a time
+        rgb[..., ch] = BACKGROUND[ch]
     trans_img = np.ones((h_img, w_img))
     if len(keep) == 0:
         return Framebuffer(rgb, trans_img), ctx
@@ -380,7 +393,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
 
     ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
                basis=basis, color_raw=color_raw, gauss=gauss, dx=dx, px=px,
-               spans=spans, raw=raw, frag_alpha=frag_alpha)
+               spans=spans, raw=raw)
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, color, sidx)
     unique_px, csum, trans = ctx["composite"][:3]
@@ -419,7 +432,7 @@ def _fragment_terms(ctx, dl_flat):
     the loss gradient of the fragment's raw value alpha * gauss and
     g = -1/2 raw grad_raw that of its q."""
     unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    raw, frag_alpha, px = ctx["raw"], ctx["frag_alpha"], ctx["px"]
+    raw, px = ctx["raw"], ctx["px"]
     # channel-major, read twice: per pixel group and per fragment
     dl_t = np.ascontiguousarray(dl_flat.T)
     upstream = np.empty((3, len(unique_px)))
@@ -430,10 +443,7 @@ def _fragment_terms(ctx, dl_flat):
     g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
     grad_raw = np.empty(len(raw))
     grad_raw[perm] = g_a
-    # d alpha / d raw: 2 on the ramp, 1 in the body, 0 outside the level set
-    # and under the clamp
-    grad_raw *= np.where(frag_alpha < raw, 2.0, 1.0) * ((frag_alpha > 0.0)
-                                                        & (frag_alpha < ALPHA_CLAMP))
+    grad_raw *= _alpha_slope(raw)
     np.multiply(grad_raw, ctx["gauss"], out=g_alpha)
     np.multiply(raw, grad_raw, out=g)
     g *= -0.5

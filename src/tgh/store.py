@@ -1,12 +1,28 @@
 """Id-addressed row storage for Gaussians.
 
-Each Gaussian's 65 parameters are one row of the float64 matrix `params`, in
-`COLUMNS` order, SH last. Only this module knows that layout: others read a
-column by name as a view that writes through (`views`, `NamedColumns`) and
-write named columns into rows with `pack`. Each row's placement
-(`PLACEMENT`) and training's per-row state (`attached`) are more row arrays.
-All grow together in `_grow`, and a row is zeroed in all of them when it is
-handed out again. Rows freed by removal are recycled; ids are never reused.
+Each Gaussian has 65 parameters, in `COLUMNS` order with SH last. The store
+keeps the first BASE_WIDTH = 20 (mu, scale, both rotors, opacity and base
+color) as one row of the float64 matrix `params`. The 45 residual SH
+coefficients live in a slot table, the paper's Compact Appearance Model: most
+Gaussians are diffuse and their SH is exactly zero. A row holds a slot
+(`slot`, -1 = diffuse) only once its SH has a set bit, and keeps it until the
+row is removed. `sh_slots["params"]` holds the SH of each slot, and a
+diffuse row's SH reads zero. A batch still holds all 65 columns per row:
+`read` and `gather` fill in SH from the slots, and `write` puts rows back
+and gives a slot to each row that now needs one.
+
+Only this module knows that layout. Others read a column by name as a view
+that writes through (`views`, `NamedColumns`) and write named columns into
+rows with `pack`. The store's `sh_residual` is the exception: a dense copy,
+for tools and tests. Each row's placement (`PLACEMENT`) and training's
+per-row state (`attached`) are more row arrays. An array attached as
+`PARAMETERS`, such as training's Adam moments, is laid out as `params`:
+BASE_WIDTH columns per row and its SH in `sh_slots[name]`.
+
+All row arrays grow together in `_grow`, and a row is zeroed in all of them
+when it is handed out again. The slot table grows in `_grow_slots` and zeroes
+a reused slot in the same way. Freed rows and slots are recycled, last-freed
+first; ids are never reused.
 """
 
 import math
@@ -27,14 +43,18 @@ _ENDS = np.cumsum([math.prod(shape) for shape in SHAPES.values()]).tolist()
 _KEYS = {name: slice(end - math.prod(shape), end) if shape else end - 1
          for (name, shape), end in zip(SHAPES.items(), _ENDS)}
 WIDTH = _ENDS[-1]           # parameters per Gaussian, 65
+BASE_WIDTH = _ENDS[-2]      # parameters a row holds, 20: all but the SH
 # each row's flat segment index and influence range (start, end) in seconds
 PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
-INITIAL_CAPACITY = 256      # rows allocated before the first insert
+PARAMETERS = "parameters"   # the spec of an array laid out as `params` (`attached`)
+INITIAL_CAPACITY = 256      # rows, and slots, allocated before the first insert
 
 
 def views(params):
-    """Each name's columns of a (..., WIDTH) parameter matrix, as views."""
-    return {name: params[..., key] for name, key in _KEYS.items()}
+    """Each name's columns of a (..., WIDTH) parameter matrix, or each base
+    name's columns of a (..., BASE_WIDTH) one, as views."""
+    names = COLUMNS if params.shape[-1] == WIDTH else COLUMNS[:-1]
+    return {name: params[..., _KEYS[name]] for name in names}
 
 
 def pack(values, out, rows=...):
@@ -72,29 +92,63 @@ def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_
     return values
 
 
+def _lit(*blocks):
+    """Per row of (n, 45) SH blocks, whether any coefficient of any of them
+    has a set bit: -0.0 counts, so a row that keeps no slot reads back
+    exactly as written."""
+    bits = blocks[0].view(np.uint64)
+    for block in blocks[1:]:
+        bits = bits | block.view(np.uint64)
+    return np.bitwise_or.reduce(bits, axis=1) != 0
+
+
+class _Pool:
+    """Indices [0, top) handed out; freed ones are reused last-freed first."""
+
+    def __init__(self):
+        self.free = []
+        self.top = 0
+
+    def take(self, n):
+        """(reused, fresh) index arrays, n in all."""
+        cut = max(len(self.free) - n, 0)
+        reused = np.array(self.free[cut:][::-1], dtype=np.intp)
+        del self.free[cut:]
+        fresh = np.arange(self.top, self.top + n - len(reused), dtype=np.intp)
+        self.top += len(fresh)
+        return reused, fresh
+
+
 class GaussianStore(NamedColumns):
     def __init__(self):
-        self.capacity = INITIAL_CAPACITY
+        self.capacity = self.slot_capacity = INITIAL_CAPACITY
         self._row_arrays = []      # names of row-indexed arrays, params first
-        self._attach({"params": ((WIDTH,), np.float64), **PLACEMENT})
+        self.sh_slots = {}         # name -> (slot_capacity, 45) SH of a PARAMETERS array
+        self._attach({"params": PARAMETERS, **PLACEMENT})
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
+        self.slot = np.full(self.capacity, -1, dtype=np.int64)  # -1 = diffuse
         self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
-        self._free = []            # freed rows, reused last-freed first
-        self._top = 0              # rows [0, top) ever used
+        self._row_of_slot = np.full(self.slot_capacity, -1, dtype=np.int64)  # -1 = free
+        self._rows_pool, self._slots_pool = _Pool(), _Pool()
         self._next_id = 0
 
     def _attach(self, arrays):
-        for name, (shape, dtype) in arrays.items():
+        for name, spec in arrays.items():
+            shape, dtype = ((BASE_WIDTH,), np.float64) if spec == PARAMETERS else spec
             setattr(self, name, np.zeros((self.capacity,) + shape, dtype))
             self._row_arrays.append(name)
+            if spec == PARAMETERS:
+                self.sh_slots[name] = np.zeros((self.slot_capacity, sh.RESIDUAL_COEFFS))
 
     @contextmanager
     def attached(self, arrays):
-        """Attach zeroed row arrays, `{name: (trailing shape, dtype)}`, read
-        as attributes for the length of the block and then dropped, whether
-        the block returns or raises. They grow with the parameter rows,
-        and a row taken by an insert reads zero in each of them. A name the
-        store already has raises InvalidParameterError."""
+        """Attach zeroed row arrays, `{name: (trailing shape, dtype)}` or
+        `{name: PARAMETERS}`, read as attributes for the length of the block
+        and then dropped, whether the block returns or raises. They grow with
+        the parameter rows, and a row taken by an insert reads zero in each
+        of them; a PARAMETERS array's SH lives in `sh_slots[name]` and is
+        read and written with `read` and `write`. A name the store already
+        has raises InvalidParameterError."""
         if any(hasattr(self, name) for name in arrays):
             raise InvalidParameterError("a row array of that name is already attached")
         self._attach(arrays)
@@ -104,29 +158,48 @@ class GaussianStore(NamedColumns):
             for name in arrays:
                 self._row_arrays.remove(name)
                 delattr(self, name)
+                self.sh_slots.pop(name, None)
 
     def _grow(self, needed):
-        new_cap = self.capacity
-        while new_cap < needed:
-            new_cap *= 2
+        new_cap = _doubled(self.capacity, needed)
         for name in self._row_arrays:
-            old = getattr(self, name)
-            fresh = np.zeros((new_cap,) + old.shape[1:], old.dtype)
-            fresh[:self._top] = old[:self._top]
-            setattr(self, name, fresh)
+            setattr(self, name, _zero_extended(getattr(self, name), new_cap))
         self._id_of_row = _grown(self._id_of_row, new_cap)
+        self.slot = _grown(self.slot, new_cap)
         self.capacity = new_cap
 
+    def _grow_slots(self, needed):
+        new_cap = _doubled(self.slot_capacity, needed)
+        for name, table in self.sh_slots.items():
+            self.sh_slots[name] = _zero_extended(table, new_cap)
+        self._row_of_slot = _grown(self._row_of_slot, new_cap)
+        self.slot_capacity = new_cap
+
     def __len__(self):
-        return self._top - len(self._free)
+        return self._rows_pool.top - len(self._rows_pool.free)
 
     @property
     def ids(self):
         return np.flatnonzero(self._row_of_id[:self._next_id] >= 0).tolist()
 
+    @property
+    def sh_residual(self):
+        """Each row's residual SH as a dense (capacity, 45) copy, zero for a
+        diffuse row. For tools and tests, and read-only: a write raises,
+        since it would not reach the store (`write` does)."""
+        out = np.zeros((self.capacity, sh.RESIDUAL_COEFFS))
+        held = self.held_slots()
+        out[self._row_of_slot[held]] = self.sh_slots["params"][held]
+        out.setflags(write=False)
+        return out
+
+    def held_slots(self):
+        """Slots currently held by a row, ascending."""
+        return np.flatnonzero(self._row_of_slot[:self._slots_pool.top] >= 0)
+
     def live_rows(self):
         """Rows currently holding a Gaussian, ascending."""
-        rows = self._id_of_row[:self._top]
+        rows = self._id_of_row[:self._rows_pool.top]
         return np.flatnonzero(rows >= 0)
 
     def _rows(self, gids):
@@ -155,29 +228,41 @@ class GaussianStore(NamedColumns):
         return self._id_of_row[rows]
 
     def _take_rows(self, n):
-        """n zeroed rows: freed ones last-freed first, then fresh ones from the
-        top."""
-        cut = max(len(self._free) - n, 0)
-        reused = self._free[cut:][::-1]
-        del self._free[cut:]
+        """n zeroed, diffuse rows: freed ones last-freed first, then fresh
+        ones from the top."""
+        reused, fresh = self._rows_pool.take(n)
         for name in self._row_arrays:
             getattr(self, name)[reused] = 0
-        fresh = n - len(reused)
-        if self._top + fresh > self.capacity:
-            self._grow(self._top + fresh)
-        rows = np.concatenate([np.array(reused, dtype=np.intp),
-                               np.arange(self._top, self._top + fresh, dtype=np.intp)])
-        self._top += fresh
-        return rows
+        if self._rows_pool.top > self.capacity:
+            self._grow(self._rows_pool.top)
+        return np.concatenate([reused, fresh])
+
+    def _take_slots(self, rows):
+        """A slot, zeroed in every slot array, for each of the diffuse
+        `rows`: freed ones last-freed first, then fresh ones from the top."""
+        reused, fresh = self._slots_pool.take(len(rows))
+        for table in self.sh_slots.values():
+            table[reused] = 0
+        if self._slots_pool.top > self.slot_capacity:
+            self._grow_slots(self._slots_pool.top)
+        slots = np.concatenate([reused, fresh])
+        self._row_of_slot[slots] = rows
+        self.slot[rows] = slots
+        return slots
 
     def insert_arrays(self, columns):
         """Bulk insert of columns that passed `checked_columns`, which the
-        hierarchy runs once before it places them. Returns new ids."""
+        hierarchy runs once before it places them. A row takes a slot only if
+        its SH has a set bit. Returns new ids."""
         rows = self._take_rows(len(columns["mu"]))
-        buf = np.empty((min(len(rows), 1024), WIDTH))
+        buf = np.empty((min(len(rows), 1024), BASE_WIDTH))
         for lo in range(0, len(rows), 1024):  # packed in cache, then copied in whole rows
             block = {name: value[lo:lo + 1024] for name, value in columns.items()}
             self.params[rows[lo:lo + 1024]] = pack(block, buf[:len(block["mu"])])
+        sh_rows = columns["sh_residual"]
+        lit = np.flatnonzero(_lit(sh_rows))
+        slots = self._take_slots(rows[lit])  # may grow the table: taken before it is read
+        self.sh_slots["params"][slots] = sh_rows[lit]
         ids = np.arange(self._next_id, self._next_id + len(rows), dtype=np.int64)
         self._next_id += len(rows)
         if self._next_id > len(self._row_of_id):
@@ -187,20 +272,65 @@ class GaussianStore(NamedColumns):
         return ids.tolist()
 
     def remove(self, gids):
-        """Free the rows of the given ids, in order; later inserts reuse them
-        last-freed first. Nothing changes unless every id is stored and
-        appears once."""
+        """Free the rows of the given ids, in order, and the slots they hold;
+        later inserts reuse them last-freed first. Nothing changes unless
+        every id is stored and appears once."""
         rows = self.rows_of(gids)
         if len(np.unique(rows)) < len(rows):
             raise InvalidParameterError("an id appears twice in one remove")
         self._row_of_id[self._id_of_row[rows]] = -1
         self._id_of_row[rows] = -1
-        self._free.extend(rows.tolist())
+        slots = self.slot[rows]
+        slots = slots[slots >= 0]
+        self._row_of_slot[slots] = -1
+        self.slot[rows] = -1
+        self._rows_pool.free.extend(rows.tolist())
+        self._slots_pool.free.extend(slots.tolist())
+
+    def read(self, rows, *names):
+        """The (n, WIDTH) rows of each named PARAMETERS array, in order: its
+        base columns, and SH from the slots, zero for a diffuse row."""
+        rows = np.asarray(rows, dtype=np.intp)
+        slots = self.slot[rows]
+        held = np.flatnonzero(slots >= 0)
+        out = [np.zeros((len(rows), WIDTH)) for _ in names]
+        for name, block in zip(names, out):
+            block[:, :BASE_WIDTH] = getattr(self, name)[rows]
+            block[held, BASE_WIDTH:] = self.sh_slots[name][slots[held]]
+        return out
+
+    def write(self, rows, **values):
+        """Write (n, WIDTH) rows of PARAMETERS arrays, by name: the base
+        columns to the rows, the SH columns to their slots. A diffuse row
+        whose SH has a set bit in any of the values first takes a slot."""
+        rows = np.asarray(rows, dtype=np.intp)
+        slots = self.slot[rows]
+        bare = np.flatnonzero(slots < 0)
+        new = bare[_lit(*(value[bare, BASE_WIDTH:] for value in values.values()))]
+        slots[new] = self._take_slots(rows[new])
+        held = np.flatnonzero(slots >= 0)
+        for name, value in values.items():
+            getattr(self, name)[rows] = value[:, :BASE_WIDTH]
+            self.sh_slots[name][slots[held]] = value[held, BASE_WIDTH:]
 
     def gather(self, gids):
         """Copy the parameter rows of the given ids into a batch."""
-        rows = self.rows_of(gids)
-        return GaussianBatch(np.asarray(gids, dtype=np.int64), self.params[rows])
+        [params] = self.read(self.rows_of(gids), "params")
+        return GaussianBatch(np.asarray(gids, dtype=np.int64), params)
+
+
+def _doubled(capacity, needed):
+    """`capacity` doubled until it reaches `needed`."""
+    while capacity < needed:
+        capacity *= 2
+    return capacity
+
+
+def _zero_extended(array, size):
+    """`array` with its leading axis extended by zero rows to `size`."""
+    out = np.zeros((size,) + array.shape[1:], array.dtype)
+    out[:len(array)] = array
+    return out
 
 
 def _grown(column, size):

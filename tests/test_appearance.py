@@ -86,8 +86,8 @@ def test_view_dependent_fraction(rng):
     vdep_rows = [1, 4, 7]
     for r in vdep_rows:
         h[r, rng.integers(45)] = rng.normal()
-    assert ap.view_dependent_fraction(h) == pytest.approx(0.3)
-    assert ap.view_dependent_fraction(np.zeros((5, 45))) == 0.0
+    assert ap.view_dependent_fraction(h, len(h)) == pytest.approx(0.3)
+    assert ap.view_dependent_fraction(np.zeros((5, 45)), 5) == 0.0
 
 
 def test_monotone_fraction_under_gating(rng, monkeypatch):
@@ -99,7 +99,7 @@ def test_monotone_fraction_under_gating(rng, monkeypatch):
     for _ in range(100):
         g = rng.normal(scale=0.2, size=(50, 45))
         h -= 0.1 * ap.gate_gradients(h, g, ap.G_TH)
-        frac = ap.view_dependent_fraction(h)
+        frac = ap.view_dependent_fraction(h, len(h))
         assert frac >= prev
         prev = frac
 
@@ -117,8 +117,8 @@ def test_train_freezes_the_gate_at_the_first_pass_over_the_cutoff(monkeypatch):
         events.append(("step", g_th))
         return gate(h, grad_h, g_th)
 
-    def recorded_fraction(h):
-        events.append(("pass", fraction(h)))
+    def recorded_fraction(h, population):
+        events.append(("pass", fraction(h, population)))
         return events[-1][1]
 
     monkeypatch.setattr(ap, "gate_gradients", recorded_gate)

@@ -186,6 +186,30 @@ class TestComposite:
         assert np.all(fb.transmittance == 1.0)
 
 
+def test_alpha_slope_is_the_branch_frag_alpha_takes(rng):
+    """`_alpha_slope` reads the branch of `_frag_alpha` from raw alone. It
+    equals the slope of the branch taken, also at the floating-point values
+    next to each edge, and scales a gradient to the same bits."""
+    near = []
+    for edge in (rn.ALPHA_MIN, 2.0 * rn.ALPHA_MIN, rn.ALPHA_CLAMP):
+        for direction in (0.0, 2.0):
+            value = edge
+            for _ in range(8):
+                value = np.nextafter(value, direction)
+                near.append(value)
+            near.append(edge)
+    raw = np.concatenate([near, [0.0, rn.ALPHA_MIN / 2.0, 1.0],
+                          rng.uniform(0.0, 1.2, 10_000),
+                          rng.uniform(rn.ALPHA_MIN / 2.0, 3.0 * rn.ALPHA_MIN, 10_000)])
+    alpha = rn._frag_alpha(raw)
+    expected = np.where(alpha < raw, 2.0, 1.0) * ((alpha > 0.0) & (alpha < rn.ALPHA_CLAMP))
+    slope = rn._alpha_slope(raw)
+    assert np.array_equal(slope, expected)
+    assert set(np.unique(slope).tolist()) == {0, 1, 2}
+    grad = rng.normal(size=len(raw))
+    assert np.array_equal((grad * slope).view(np.int64), (grad * expected).view(np.int64))
+
+
 def single_gaussian_scene(opacity=0.8, color=(1.0, 1.0, 1.0), z=5.0, t_mu=1.0):
     return batch_of([params(mu=[0.0, 0.0, z, t_mu], scale=[0.05, 0.05, 0.05, 0.2],
                             opacity=opacity, base_color=color)])

@@ -20,11 +20,15 @@ def arrays(n, value=0.0):
 
 
 def check_columns(store, ids):
-    """Each named column is a view of `store.params` that writes through to
-    it, and `gather` reads the per-column values of the ids' rows."""
+    """Each base column is a view of `store.params` that writes through to
+    it, and `gather` reads the per-column values of the ids' rows, SH
+    included."""
     rows = store.rows_of(ids)
     batch = store.gather(ids)
-    for name in st.COLUMNS:
+    assert np.array_equal(batch.sh_residual, store.sh_residual[rows])
+    with pytest.raises(ValueError):  # a dense copy: a write would not reach the store
+        store.sh_residual[rows] = 5.0
+    for name in st.COLUMNS[:-1]:
         column = getattr(store, name)
         assert np.shares_memory(column, store.params), name
         assert np.array_equal(getattr(batch, name), column[rows]), name
@@ -43,8 +47,11 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
     ids = store.insert_arrays(arrays(10))
     with store.attached({"extra": ((2,), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = 7
-        store.params_m[:10] = store.params_v[:10] = 3.0
-        store.sh_residual[:10] = 5.0
+        first = np.arange(10)
+        [sh_five] = store.read(first, "params")
+        sh_five[:, st.BASE_WIDTH:] = 5.0
+        store.write(first, params=sh_five, params_m=np.full((10, st.WIDTH), 3.0),
+                    params_v=np.full((10, st.WIDTH), 3.0))
         for taken in ("extra", "mu"):
             with pytest.raises(InvalidParameterError):
                 with store.attached({taken: ((), np.float64)}):
@@ -54,10 +61,11 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
         # a taken row reads zero in every attached array, and only what
         # the insert wrote in its parameters
         taken = [4, 7, 2, 10, 11]
-        for name in ("extra", "params_m", "params_v"):
-            assert np.all(getattr(store, name)[taken] == 0), name
+        assert np.all(store.extra[taken] == 0)
+        for name in ("params_m", "params_v"):
+            assert np.all(store.read(taken, name)[0] == 0), name
         assert np.all(store.extra[[0, 1, 3, 5, 6, 8, 9]] == 7)
-        assert np.array_equal(store.params[taken], packed(arrays(5, value=1.0)))
+        assert np.array_equal(store.read(taken, "params")[0], packed(arrays(5, value=1.0)))
         assert np.all(store.sh_residual[taken] == 0)
         check_columns(store, new)
     assert not hasattr(store, "extra")
@@ -81,7 +89,8 @@ def test_rows_grow_past_capacity(monkeypatch):
         assert store.extra.dtype == np.int64
         assert store.extra[:40].tolist() == list(range(1, 11)) + [0] * 30
         for name in ("params", "params_m", "params_v"):
-            assert getattr(store, name).shape == (store.capacity, st.WIDTH), name
+            assert getattr(store, name).shape == (store.capacity, st.BASE_WIDTH), name
+            assert store.sh_slots[name].shape == (store.slot_capacity, sh.RESIDUAL_COEFFS), name
         assert np.array_equal(store.mu[:10], np.arange(40).reshape(10, 4))
         check_columns(store, ids)
     assert store.rows_of(ids).tolist() == list(range(40))
