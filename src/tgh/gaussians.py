@@ -6,8 +6,9 @@ quaternions (the left/right isoclinic factors of a 4D rotation) and four
 floored scales.
 `condition_at_time` is the one conditioning function: it slices the 4D
 Gaussian at a timestamp into the 3D splat actually rendered, whose opacity
-the temporal marginal w_t modulates. `batch_temporal_variance` reads only the
-time row of the covariance, for the hierarchy's placement.
+the temporal marginal w_t modulates. `batch_temporal_variance` gives only
+the time entry Sigma[3, 3], for the hierarchy's placement: it forms row 3 of
+the rotation in closed form from the renormalized rotors.
 
 All functions here are pure and operate on stacked arrays.
 """
@@ -28,11 +29,17 @@ SCALE_FLOOR = np.array([MIN_SCALE_SPATIAL] * 3 + [MIN_SCALE_TEMPORAL])
 TEMPORAL_THRESHOLD = 0.05
 
 
-def _normalize_rows(q):
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n == 0.0) or not np.all(np.isfinite(n)):
+def _squared_norms(q, axis=-1):
+    """|q|^2 over the component axis, the sum `np.linalg.norm` takes the
+    root of. InvalidParameterError if a norm is zero or not finite."""
+    n2 = np.add.reduce(q * q, axis=axis)
+    if np.any(n2 == 0.0) or not np.all(np.isfinite(n2)):
         raise InvalidParameterError("rotor has zero or non-finite norm")
-    return q / n
+    return n2
+
+
+def _normalize_rows(q):
+    return q / np.sqrt(_squared_norms(q))[..., None]
 
 
 # The isoclinic factors are linear in the quaternion q = (w, x, y, z):
@@ -60,12 +67,6 @@ def isoclinic_factors(rotor_left, rotor_right):
     return ql, qr, left, right
 
 
-def batch_rotation(rotor_left, rotor_right):
-    """4D rotation matrices R = L(q_l) @ R(q_r), rotors renormalized. (..., 4, 4)."""
-    _, _, left, right = isoclinic_factors(rotor_left, rotor_right)
-    return left @ right
-
-
 def clamp_scales(scale):
     """Apply the per-axis positive floors (spatial 1e-6, temporal 1e-4 s)."""
     return np.maximum(np.asarray(scale, dtype=np.float64), SCALE_FLOOR)
@@ -86,12 +87,30 @@ def build_covariance(scale, rotor_left, rotor_right):
     return ql, qr, left, right, s, rot4, m, m @ np.swapaxes(m, -1, -2)
 
 
+def _components(x):
+    """(4, ...) float64 copy of a (..., 4) array, one contiguous array per component."""
+    return np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0).copy()
+
+
 def batch_temporal_variance(scale, rotor_left, rotor_right):
-    """sigma_t = Sigma[3, 3] without forming the full covariance."""
-    R = batch_rotation(rotor_left, rotor_right)
-    s = clamp_scales(scale)
-    row = R[..., 3, :] * s
-    return np.sum(row * row, axis=-1)
+    """sigma_t = Sigma[3, 3] = |row 3 of L(q_l) R(q_r) * s|^2, without the
+    factors: each entry of the row is a signed sum of four products
+    q_l[a] q_r[b] of the renormalized rotors. A zero or non-finite norm
+    raises InvalidParameterError, as in `isoclinic_factors`."""
+    # one contiguous array per component: arithmetic on the strided columns
+    # of (..., 4) rows is several times slower
+    ql, qr = _components(rotor_left), _components(rotor_right)
+    ql /= np.sqrt(_squared_norms(ql, axis=0))
+    qr /= np.sqrt(_squared_norms(qr, axis=0))
+    a0, a1, a2, a3 = ql
+    b0, b1, b2, b3 = qr
+    # L[3, :] = (a3, -a2, a1, a0) times the rows of R (_RIGHT_SIGN, _COMPONENT)
+    row = (a3 * b0 - a2 * b1 + a1 * b2 + a0 * b3,
+           a0 * b2 - a3 * b1 - a2 * b0 - a1 * b3,
+           a1 * b0 - a3 * b2 - a2 * b3 - a0 * b1,
+           a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3)
+    s = _components(clamp_scales(scale))
+    return sum(np.square(r * s_j) for r, s_j in zip(row, s))
 
 
 def influence_radius(sigma_t):

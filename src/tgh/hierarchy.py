@@ -12,17 +12,19 @@ seg_length_l, and the one holding t is floor((t - offset_l) / seg_length_l),
 moved by one where rounding crossed a boundary. That index is a float, exact
 below 2^53, so a duration and root length that need 2^53 segments or more in
 all are rejected. Members are kept for occupied segments only, so memory is
-O(levels + population) at any duration. Each Gaussian's flat segment and the
-influence range it was placed by live in its store row (`store.PLACEMENT`),
-so a placed id is exactly a stored id; only ids whose segment changed touch a
-member set. Every writer takes a batch of ids.
+O(levels + population) at any duration: each occupied segment holds its ids
+as one ascending int64 array, and a query is one concatenation of the
+arrays of its segments, levels in order and then the global one. Each
+Gaussian's flat segment and the influence range it was placed by live in
+its store row (`store.PLACEMENT`), so a placed id is exactly a stored id;
+only ids whose segment changed touch a member array. Every writer takes a
+batch of ids, and files them by segment with one sort of the batch.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 update) must not run concurrently with each other or with reads.
 Materialized working sets are snapshots and stay valid after later writes.
 """
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from .store import GaussianStore, checked_columns, views
 GLOBAL_LEVEL = -1
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
 _DOWN = (slice(None), None)      # views a per-level array as a column
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class AuditError(TGHError):
@@ -91,7 +94,7 @@ class TemporalHierarchy:
         self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])
         # starts clipped to these keep `_index_at` finite and fit as before
         self._t_bounds = (-2.0 * self.root_length, self.duration + 2.0 * self.root_length)
-        self._members = {}  # flat index -> set of ids, for occupied segments only
+        self._members = {}  # flat index -> ascending int64 ids, for occupied segments only
 
     # ---------------------------------------------------------------- geometry
 
@@ -132,17 +135,25 @@ class TemporalHierarchy:
     # ------------------------------------------------------------- mutation
 
     def _file(self, flat, gids, add):
-        """Add ids to their flat segments' member sets, or discard them; none is left empty."""
-        order = flat.argsort(kind="stable")
-        flat, gids = flat[order], gids[order].tolist()
-        first = np.flatnonzero(np.diff(flat, prepend=-1)).tolist()  # of each segment
-        for key, a, b in zip(flat[first].tolist(), first, first[1:] + [len(gids)]):
-            if add:
-                self._members.setdefault(key, set()).update(gids[a:b])
+        """Add distinct ids, none a member yet, to their flat segments' member
+        arrays, or remove members from them; none is left empty."""
+        if not len(gids):
+            return
+        flat, gids = _by_segment_then_id(flat, gids)
+        first = np.flatnonzero(np.diff(flat, prepend=-1))  # of each segment
+        members = self._members
+        for key, part in zip(flat[first].tolist(), np.split(gids, first[1:])):
+            held = members.get(key)
+            if not add:
+                held = held[~np.isin(held, part, assume_unique=True)]
+                if len(held):
+                    members[key] = held
+                else:
+                    del members[key]
+            elif held is None:
+                members[key] = part
             else:
-                self._members[key].difference_update(gids[a:b])
-                if not self._members[key]:
-                    del self._members[key]
+                members[key] = np.sort(np.concatenate([held, part]), kind="stable")
 
     def insert_batch(self, **columns):
         """Store Gaussians, given as the columns `checked_columns` takes, and
@@ -152,11 +163,12 @@ class TemporalHierarchy:
         columns = checked_columns(**columns)
         start, end = _influence_ranges(**columns)
         ids = self.store.insert_arrays(columns)
-        rows = self.store.rows_of(ids)
+        gids = np.asarray(ids, dtype=np.int64)
+        rows = self.store.rows_of(gids)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
         self.store.influence[rows] = np.column_stack([start, end])
-        self._file(flat, np.asarray(ids, dtype=np.int64), add=True)
+        self._file(flat, gids, add=True)
         return ids
 
     def remove(self, gids):
@@ -173,10 +185,13 @@ class TemporalHierarchy:
 
         Returns one (old_placement, new_placement) pair per id. Every id is
         validated before anything changes: an unknown id raises NotFoundError
-        and leaves the hierarchy as it was.
+        and a repeated one InvalidParameterError, and either leaves the
+        hierarchy as it was.
         """
         store = self.store
         rows = store.rows_of(gids)
+        if len(np.unique(rows)) < len(rows):
+            raise InvalidParameterError("an id appears twice in one update")
         gids = np.asarray(gids, dtype=np.int64).reshape(-1)
         start, end = _influence_ranges(**views(store.params[rows]))
         old = store.segment[rows]
@@ -201,11 +216,11 @@ class TemporalHierarchy:
         return len(self.store)
 
     def query(self, t):
-        """Working set at timestamp t: one segment per level plus global, O(L)."""
+        """Working set at timestamp t: the ascending members of one segment
+        per level, levels in order, then of the global segment."""
         flats = [*(self._first + self.query_indices(t)).tolist(), _GLOBAL_FLAT]
         members = self._members
-        ids = np.array([g for f in flats for g in sorted(members.get(f, ()))], dtype=np.int64)
-        return WorkingSet(ids)
+        return WorkingSet(np.concatenate([members.get(f, _NO_IDS) for f in flats]))
 
     def query_indices(self, t):
         """Per-level segment indices only (no member enumeration)."""
@@ -233,14 +248,21 @@ class TemporalHierarchy:
     # ---------------------------------------------------------------- audit
 
     def audit(self):
-        """Verify that the member sets hold exactly the stored ids, each in
-        the segment its row records, and containment and minimality for
-        every stored Gaussian; AuditError on the first violation."""
-        keys, sets = list(self._members), list(self._members.values())
-        if not all(sets):
-            raise AuditError("an unoccupied segment keeps a member set")
-        members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64)
-        holder = np.repeat(np.array(keys, dtype=np.int64), [len(s) for s in sets])
+        """Verify that the member arrays are ascending and hold exactly the
+        stored ids, each in the segment its row records, and containment and
+        minimality for every stored Gaussian; AuditError on the first
+        violation."""
+        keys, arrays = list(self._members), list(self._members.values())
+        sizes = [len(a) for a in arrays]
+        if not all(sizes):
+            raise AuditError("an unoccupied segment keeps a member array")
+        members = np.concatenate([_NO_IDS, *arrays])
+        holder = np.repeat(np.array(keys, dtype=np.int64), sizes)
+        falls = np.flatnonzero((np.diff(members) <= 0) & (np.diff(holder) == 0))
+        if falls.size:
+            i = falls[0]
+            raise AuditError(f"segment {self._placements(holder[i:i + 1])[0]} holds "
+                             f"{members[i]} before {members[i + 1]}")
         stored = self.store.holds(members)
         if not stored.all():
             raise AuditError(f"member id {members[stored.argmin()]} is not stored")
@@ -271,6 +293,23 @@ class TemporalHierarchy:
             i = bad[0]
             raise AuditError(f"id {ids[i]} range [{start[i]}, {end[i]}] outside "
                              f"segment span [{a[i]}, {b[i]})")
+
+
+def _by_segment_then_id(flat, gids):
+    """(flat, gids) sorted by flat segment, then id; ids >= 0.
+
+    Both are offsets packed in one int64 key and value-sorted, which is
+    several times faster than a lexsort. Flat indices run to 2^53 and ids to
+    2^63, so a batch whose two spans need more than 63 bits together falls
+    back to `np.lexsort`."""
+    low, high = gids.min(), flat.min()
+    bits = int(gids.max() - low).bit_length()
+    if int(flat.max() - high).bit_length() + bits > 63:
+        order = np.lexsort((gids, flat))
+        return flat[order], gids[order]
+    key = (flat - high) << bits | (gids - low)
+    key.sort()
+    return (key >> bits) + high, (key & ((1 << bits) - 1)) + low
 
 
 def build(duration, root_length=10.0, num_levels=9):

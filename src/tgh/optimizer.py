@@ -226,11 +226,13 @@ class TrainResult:
 
 
 def scene_extent_of(store):
+    """Diagonal of the live Gaussians' position bounding box; 1.0 if there is
+    none or it is a point. Each axis is gathered alone: a max and min over
+    gathered (n, 3) rows reduce several times slower than over one column."""
     rows = store.live_rows()
     if len(rows) == 0:
         return 1.0
-    pos = store.mu[rows][:, :3]
-    diag = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
+    diag = np.linalg.norm([np.ptp(axis[rows]) for axis in store.mu[:, :3].T])
     return float(diag) if diag > 0 else 1.0
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from tgh import gaussians as ga
 from tgh.errors import InvalidParameterError
+from tgh.hierarchy import TemporalHierarchy
 from conftest import params, random_params, random_unit
 
 
@@ -71,7 +72,7 @@ class TestCovariance:
 
     def test_rotation_group_property(self, rng):
         for _ in range(50):
-            R = ga.batch_rotation(random_unit(rng), random_unit(rng))
+            R = ga.build_covariance(np.ones(4), random_unit(rng), random_unit(rng))[5]
             assert np.max(np.abs(R.T @ R - np.eye(4))) < 1e-6
             assert abs(np.linalg.det(R) - 1.0) < 1e-6
 
@@ -86,13 +87,13 @@ class TestCovariance:
             ref = np.stack([np.stack([np.copysign(1.0, c) * unit[:, abs(c)] for c in row],
                                      axis=-1) for row in rows], axis=-2)
             assert np.array_equal(factor, ref)
-        assert np.array_equal(ga.batch_rotation(q[0], q[1]), left @ right)
-        assert np.array_equal(ga.batch_rotation(q[0, 7], q[1, 7]), (left @ right)[7])
         scale = rng.uniform(0.1, 2.0, size=(50, 4))
         *factors, rot4, m, cov = ga.build_covariance(scale, q[0], q[1])
         for got, want in zip(factors, (ql, qr, left, right, scale)):
             assert np.array_equal(got, want)
         assert np.array_equal(rot4, left @ right)
+        assert np.array_equal(ga.build_covariance(scale[7], q[0, 7], q[1, 7])[5],
+                              (left @ right)[7])
         assert np.array_equal(cov, m @ np.swapaxes(m, 1, 2))
 
     def test_matches_dense_oracle(self, rng):
@@ -164,6 +165,59 @@ class TestInfluenceRange:
             for t in (start, end):
                 factor = marginal_opacity(g, t) / g["opacity"][0]
                 assert factor == pytest.approx(0.05, abs=1e-9)
+
+
+class TestTemporalVariance:
+    def test_matches_covariance_entry(self, rng):
+        # rotors of norm 1e-3 to 1e3, scales on both sides of the floors,
+        # batches of shape (400,) and (5, 3)
+        for shape in ((400,), (5, 3)):
+            q = rng.normal(size=(2, *shape, 4)) * np.exp(rng.uniform(-7.0, 7.0, (2, *shape, 1)))
+            scale = np.exp(rng.uniform(np.log(1e-7), np.log(10.0), (*shape, 4)))
+            got = ga.batch_temporal_variance(scale, q[0], q[1])
+            want = ga.build_covariance(scale, q[0], q[1])[-1][..., 3, 3]
+            assert got.shape == shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("norm", [1e-100, 1e100, 1e150])
+    def test_extreme_rotor_norms(self, rng, norm):
+        # both rotors, or one, of a norm whose square or fourth power leaves
+        # the float range, with temporal scales up to 100 s
+        n = 50
+        scale = np.exp(rng.uniform(np.log(1e-3), np.log(100.0), (n, 4)))
+        for left, right in ((norm, norm), (norm, 1.0), (1.0, norm)):
+            q = rng.normal(size=(2, n, 4))
+            q /= np.linalg.norm(q, axis=-1, keepdims=True)
+            q[0] *= left
+            q[1] *= right
+            got = ga.batch_temporal_variance(scale, q[0], q[1])
+            want = ga.build_covariance(scale, q[0], q[1])[-1][..., 3, 3]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            cols = random_params(rng, n)
+            cols.update(scale=scale, rotor_left=q[0], rotor_right=q[1])
+            h = TemporalHierarchy(duration=10.0)
+            assert len(h.insert_batch(**cols)) == n
+            h.audit()
+
+    def test_raises_where_isoclinic_factors_raises(self, rng):
+        def raises(fn, *args):
+            try:
+                fn(*args)
+            except InvalidParameterError:
+                return True
+            return False
+
+        bad = [0.0, np.inf, -np.inf, np.nan, 1e-170, 1e160]  # the last two square to 0 and inf
+        for value in bad + [1.0, 1e-150, 1e150]:
+            for k in range(4):
+                q = rng.normal(size=(2, 6, 4))
+                q[int(rng.integers(2)), int(rng.integers(6))] = np.where(np.arange(4) == k,
+                                                                         value, 0.0)
+                scale = rng.uniform(0.1, 2.0, (6, 4))
+                with np.errstate(over="ignore"):  # 1e160 squared
+                    expected = raises(ga.isoclinic_factors, q[0], q[1])
+                    assert expected == (value in bad)
+                    assert raises(ga.batch_temporal_variance, scale, q[0], q[1]) == expected
 
 
 def dense_pdf(x, mean, cov):

@@ -492,6 +492,16 @@ class TestAudit:
         with pytest.raises(AuditError):
             h.audit()
 
+    def test_audit_catches_members_out_of_order(self):
+        h = build(duration=40.0)
+        h.insert_batch(**time_gaussian([2.5, 2.6, 2.7], [2.0, 2.0, 2.0]))
+        [flat] = h._members
+        h._members[flat] = h._members[flat][::-1].copy()
+        with pytest.raises(AuditError):
+            h.audit()
+        h._members[flat] = np.sort(h._members[flat])
+        h.audit()
+
     def test_audit_catches_stored_id_not_placed(self, rng):
         h = build(duration=40.0)
         h.insert_batch(**random_params(rng, 3))

@@ -1,7 +1,8 @@
 """Property tests for the temporal hierarchy: the partition and minimality
-that `audit()` checks survive random interleavings of writes, batch
+that `audit()` checks survive random interleavings of writes, the member
+index and `query` agree with a brute-force grouping of the store, batch
 placement agrees with a brute-force scan, and a failed batch update or
-remove changes nothing."""
+remove, given an unknown or a repeated id, changes nothing."""
 
 import warnings
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from tgh import sh
-from tgh.errors import NotFoundError
+from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.hierarchy import build
 
-from test_hierarchy import brute_force_indices, brute_force_placement, levels, placement
+from test_hierarchy import (brute_force_indices, brute_force_placement, levels, placement,
+                            time_gaussian)
 
 DURATION = 40.0
 
@@ -36,8 +38,34 @@ def edit(h, gids, rng):
     h.store.scale[rows] = np.exp(rng.uniform(np.log(1e-3), np.log(8.0), (len(rows), 4)))
 
 
+def brute_force_members(h):
+    """{flat segment: ascending ids} grouped from the store's rows."""
+    rows = h.store.live_rows()
+    members = {}
+    for gid, flat in zip(h.store.ids_at_rows(rows).tolist(), h.store.segment[rows].tolist()):
+        members.setdefault(flat, []).append(gid)
+    return {flat: sorted(ids) for flat, ids in members.items()}
+
+
+def check_member_index(h, ts):
+    """Each member array is a non-empty, strictly ascending int64 array equal
+    to the brute-force grouping, and `query` at each of `ts` is its segments'
+    ids, each segment's sorted, levels in order and then the global one."""
+    expected = brute_force_members(h)
+    assert sorted(h._members) == sorted(expected)
+    for flat, members in h._members.items():
+        assert isinstance(members, np.ndarray) and members.dtype == np.int64
+        assert members.ndim == 1 and len(members) > 0 and np.all(np.diff(members) > 0)
+        assert members.tolist() == expected[flat]
+    for t in ts:
+        flats = [*(h._first + h.query_indices(t)).tolist(), 0]  # 0: the global segment
+        ids = h.query(t).gaussian_ids
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [g for f in flats for g in expected.get(f, [])]
+
+
 def snapshot(h):
-    segments = {flat: set(members) for flat, members in h._members.items()}
+    segments = {flat: members.tolist() for flat, members in h._members.items()}
     ids = h.store.ids
     return (segments, ids, [h.placement_of(g) for g in ids], [h.range_of(g) for g in ids],
             h.store.mu.copy(), h.store.scale.copy())
@@ -68,10 +96,69 @@ def test_random_interleavings_keep_invariants(ops):
             h.remove([alive.pop(int(rng.integers(len(alive))))
                       for _ in range(min(k, len(alive)))])
         h.audit()
+        check_member_index(h, rng.uniform(0.0, DURATION, 5))
         per_level, per_segment = h.occupancy()
         assert len(h) == len(alive) == len(h.store)
         assert sum(per_level.values()) == sum(per_segment.values()) == len(alive)
         assert h.store.ids == sorted(alive)
+
+
+def test_update_files_ids_by_id_not_by_position():
+    """`update_levels` takes ids in working-set order, not ascending; ids
+    moved from several segments into one land in it ascending, whether the
+    segment was empty, holds larger ids (a merge) or only smaller ones (an
+    append)."""
+    rng = np.random.default_rng(5)
+    h = build(DURATION)
+    old = h.insert_batch(**random_arrays(rng, 40))
+    new = h.insert_batch(**random_arrays(rng, 10))
+    level = levels(h)[-1]
+    t = level.offset + 512.5 * level.seg_length  # centre of a deepest segment
+    [target] = h._find_placements(np.array([t - 1e-3]), np.array([t + 1e-3])).tolist()
+    assert target not in h._members
+
+    def move(gids):
+        rows = h.store.rows_of(gids)
+        h.store.mu[rows, 3] = t
+        h.store.scale[rows] = 1e-3  # influence radius ~2.4e-3 at any rotation
+        h.update_levels(gids)
+
+    first = [old[i] for i in (31, 4, 17, 9, 25)]
+    assert len({h.placement_of(g) for g in first}) > 1
+    move(first)
+    assert h._members[target].tolist() == sorted(first)
+    move([new[2], old[0], old[20]])                       # merges around held ids
+    assert h._members[target].tolist() == sorted(first + [new[2], old[0], old[20]])
+    move([new[9], new[5]])                                # appends
+    held = sorted(first + [new[2], old[0], old[20], new[9], new[5]])
+    assert h._members[target].tolist() == held
+    h.remove([old[17], new[9]])
+    assert h._members[target].tolist() == [g for g in held if g not in (old[17], new[9])]
+    h.audit()
+    check_member_index(h, [t, *rng.uniform(0.0, DURATION, 5)])
+
+
+def test_member_index_at_flat_indices_near_2_to_53():
+    """A batch whose flat segments span ~2^53 and whose ids span 2^11 needs
+    64 bits for a packed (segment, id) key; filing it still sorts by
+    segment, then id."""
+    h = build(1.7e14)
+    rng = np.random.default_rng(3)
+    n = 3000
+    mu_t = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1e3, n),
+                    rng.uniform(1.7e14 - 1e3, 1.7e14, n))
+    radius = np.where(rng.random(n) < 0.1, 1e15, np.exp(rng.uniform(np.log(1e-3), 0.0, n)))
+    ids = h.insert_batch(**time_gaussian(mu_t, radius))
+    assert max(h._members) > 2 ** 52 and 0 in h._members
+    h.audit()
+    check_member_index(h, [0.0, 500.0, 1.7e14 - 500.0, 1.7e14])
+    chosen = rng.permutation(ids)[:1500]
+    rows = h.store.rows_of(chosen)
+    h.store.mu[rows, 3] = h.store.mu[rows[::-1], 3]  # swap timestamps between chosen
+    h.update_levels(chosen)
+    h.remove(rng.permutation(ids)[:1000])
+    h.audit()
+    check_member_index(h, [0.0, 500.0, 1.7e14 - 500.0, 1.7e14])
 
 
 def boundary_ranges(h, data, count):
@@ -160,3 +247,26 @@ def test_update_with_unknown_id_changes_nothing(seed, n, data):
         assert np.array_equal(before[4], after[4]) and np.array_equal(before[5], after[5])
     h.update_levels(ids)
     h.audit()
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), data=st.data())
+def test_update_with_repeated_id_changes_nothing(seed, n, data):
+    # filing an id twice would put it in a segment twice, and `query` would
+    # return it twice
+    rng = np.random.default_rng(seed)
+    h = build(DURATION)
+    ids = h.insert_batch(**random_arrays(rng, n))
+    gids = ids.copy()
+    gids.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(ids)))
+    edit(h, ids, rng)
+    for write in (h.update_levels, h.remove):
+        before = snapshot(h)
+        with pytest.raises(InvalidParameterError):
+            write(gids)
+        after = snapshot(h)
+        assert before[:4] == after[:4]
+        assert np.array_equal(before[4], after[4]) and np.array_equal(before[5], after[5])
+    h.update_levels(ids)
+    h.audit()
+    check_member_index(h, rng.uniform(0.0, DURATION, 5).tolist())

@@ -10,6 +10,8 @@ and
   every DENSIFY_INTERVAL and the bench's densification cap;
 - renders the first PLAYBACK_FRAMES frames of the scene's playback path with
   `render()` on a second, untrained hierarchy.
+The first of the two builds is timed too, by the stages in SETUP_STAGES:
+the bench's `setup_s` times the same `build_hierarchy` call.
 
 The stages are wrapped from outside: each module or class attribute in
 STAGES is replaced by a timing wrapper for the run and put back on exit, so
@@ -17,11 +19,11 @@ the program runs unedited. A stage's time includes the stages it calls
 (`_forward` holds `_build_fragments`, for one). A stage that the checkout
 does not define is printed as "-", so that the same script times an older
 checkout too; one it defines but the run never calls reads 0. BLAS is
-pinned to one thread, as in `output_digest.py`. The table gives, per stage,
-the minimum over the runs of its ms per training iteration and per playback
-frame. Its `train() rest` row is the training total less the stages that
-`train()` calls directly (TRAIN_TOP): its own lines, such as the Adam
-gathers and write-backs, the gate and the accumulator updates.
+pinned to one thread, as in `output_digest.py`. The tables give, per stage,
+the minimum over the runs of its ms per training iteration, per playback
+frame and per build. The `train() rest` row is the training total less the
+stages that `train()` calls directly (TRAIN_TOP): its own lines, such as
+the Adam gathers and write-backs, the gate and the accumulator updates.
 """
 
 import argparse
@@ -39,7 +41,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tgh import hierarchy, losses, optimizer, renderer, ssim  # noqa: E402
+from tgh import hierarchy, losses, optimizer, renderer, ssim, store  # noqa: E402
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -73,6 +75,16 @@ STAGES = (
     (optimizer, "adaptive_control"),
 )
 
+# the set-up stages; `_influence_ranges`, `_find_placements` and `_file` run
+# in `update_levels` too, so they are wrapped for the build alone
+SETUP_STAGES = (
+    (hierarchy.TemporalHierarchy, "insert_batch"),
+    (hierarchy, "_influence_ranges"),
+    (hierarchy.TemporalHierarchy, "_find_placements"),
+    (hierarchy.TemporalHierarchy, "_file"),
+    (store.GaussianStore, "insert_arrays"),
+)
+
 
 # the stages train() calls directly; none of them holds another
 TRAIN_TOP = ("TemporalHierarchy.query", "TemporalHierarchy.materialize", "renderer._forward",
@@ -86,9 +98,9 @@ def stage_name(owner, attr):
 
 
 @contextmanager
-def timed_stages(seconds):
-    """Route every defined stage through a wrapper that adds its wall time
-    to seconds[name], from 0, for the duration of the block."""
+def timed_stages(stages, seconds):
+    """Route every defined stage of `stages` through a wrapper that adds its
+    wall time to seconds[name], from 0, for the duration of the block."""
     saved = []
 
     def wrap(name, fn):
@@ -102,7 +114,7 @@ def timed_stages(seconds):
         return timed
 
     try:
-        for owner, attr in STAGES:
+        for owner, attr in stages:
             if attr in vars(owner):
                 original = vars(owner)[attr]
                 saved.append((owner, attr, original))
@@ -116,28 +128,33 @@ def timed_stages(seconds):
 
 
 def one_run(spec, pop, scene, seed):
-    """({stage: ms per iteration}, {stage: ms per frame}) of one run; the
-    key "total" holds the whole train() call and the whole playback, and
-    REST the part of train() outside TRAIN_TOP."""
+    """({stage: ms per iteration}, {stage: ms per frame}, {stage: ms}) of
+    one run's training, playback and first build; the key "total" holds the
+    whole train() call, the whole playback and the whole build, and REST the
+    part of train() outside TRAIN_TOP."""
     cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
-    out = []
+    builds, out = [], []
     for count, work in (
             (TRAIN_ITERATIONS, lambda h: optimizer.train(scene, h, cfg)),
             (PLAYBACK_FRAMES, lambda h: [renderer.render(h, t, cam) for t, cam in
                                          itertools.islice(sc.playback_path(spec, seed),
                                                           PLAYBACK_FRAMES)])):
-        h = sc.build_hierarchy(pop, spec.duration)
+        builds.append(defaultdict(float))
+        with timed_stages(SETUP_STAGES, builds[-1]):
+            start = time.perf_counter()
+            h = sc.build_hierarchy(pop, spec.duration)
+            builds[-1]["total"] = time.perf_counter() - start
         seconds = defaultdict(float)
-        with timed_stages(seconds):
+        with timed_stages(STAGES, seconds):
             start = time.perf_counter()
             work(h)
             seconds["total"] = time.perf_counter() - start
         out.append({name: 1e3 * s / count for name, s in seconds.items()})
     train = out[0]
     train[REST] = train["total"] - sum(train.get(name, 0.0) for name in TRAIN_TOP)
-    return tuple(out)
+    return (*out, {name: 1e3 * s for name, s in builds[0].items()})
 
 
 def main(argv=None):
@@ -156,11 +173,21 @@ def main(argv=None):
           f"training iteration ({TRAIN_ITERATIONS}) and per playback frame ({PLAYBACK_FRAMES})")
     print(f"{'stage':<34}{'train':>10}{'playback':>10}")
     for name in dict.fromkeys(names):
-        cells = []
-        for side in (0, 1):
-            values = [run[side][name] for run in runs if name in run[side]]
-            cells.append(f"{min(values):10.3f}" if len(values) == len(runs) else f"{'-':>10}")
-        print(f"{name:<34}{''.join(cells)}")
+        print(f"{name:<34}{cells(runs, (0, 1), name)}")
+    print(f"\nms per build of the initial hierarchy, min of {args.runs} runs")
+    print(f"{'stage':<34}{'build':>10}")
+    for name in [stage_name(owner, attr) for owner, attr in SETUP_STAGES] + ["total"]:
+        print(f"{name:<34}{cells(runs, (2,), name)}")
+
+
+def cells(runs, sides, name):
+    """Each side's minimum over the runs of stage `name`, or "-" where a run
+    does not define it."""
+    out = []
+    for side in sides:
+        values = [run[side][name] for run in runs if name in run[side]]
+        out.append(f"{min(values):10.3f}" if len(values) == len(runs) else f"{'-':>10}")
+    return "".join(out)
 
 
 if __name__ == "__main__":
