@@ -162,14 +162,13 @@ class TemporalHierarchy:
         wrong shape or with a non-finite value raises InvalidParameterError."""
         columns = checked_columns(**columns)
         start, end = _influence_ranges(**columns)
-        ids = self.store.insert_arrays(columns)
-        gids = np.asarray(ids, dtype=np.int64)
+        gids = self.store.insert_arrays(columns)
         rows = self.store.rows_of(gids)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
         self.store.influence[rows] = np.column_stack([start, end])
         self._file(flat, gids, add=True)
-        return ids
+        return gids.tolist()
 
     def remove(self, gids):
         """Remove Gaussians from their segments and the store. An unknown id

@@ -3,16 +3,16 @@ limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
 each once: one `adam_step` steps the batch's 65-wide parameter rows and one
 `store.write` puts them back, the base columns to the rows and the SH to the
-slot table. The per-step cost is not yet flat in the population (ROADMAP
-item 1): each control pass scans it (`touch_count > 0`), and
-`scene_extent_of` runs once per `train()`. The gate's count at a pass reads
-only the slotted rows.
+slot table. A control pass reads only the rows touched since the last
+one, which `train()` collects as it steps them, and the gate's count at a
+pass reads only the slotted rows. The per-step cost is not yet flat in the
+population (ROADMAP item 1): `scene_extent_of` runs once per `train()`.
 
 The per-Gaussian training state lives in the store's rows: `train()`
-attaches `TRAINING_ROWS` (Adam moment rows and step counts, densification
-accumulators) to the hierarchy's store when it starts and detaches them when
-it returns or raises, so the store grows, reuses and zeroes them with the
-parameters it holds. The moments are laid out as the parameters
+attaches `TRAINING_ROWS` (Adam moment rows and step counts) to the
+hierarchy's store when it starts and detaches them when it returns or
+raises, so the store grows, reuses and zeroes them with the parameters it
+holds. The moments are laid out as the parameters
 (`store.PARAMETERS`): 20 base columns per row, and the SH moments in the
 slot table, so a diffuse Gaussian carries no SH moments either.
 
@@ -92,12 +92,9 @@ ADAM_EPS = 1e-15
 
 # The per-row state `train()` attaches to the store for one run: Adam's first
 # and second moments of each parameter, laid out as `params` (base columns in
-# the rows, SH in the slot table), each row's count of applied updates, and
-# the view-space gradient sums since the last control pass, whose touched
-# rows are exactly those with `touch_count > 0`.
+# the rows, SH in the slot table), and each row's count of applied updates.
 TRAINING_ROWS = {"params_m": PARAMETERS, "params_v": PARAMETERS,
-                 "adam_steps": ((), np.int64), "grad_accum": ((), np.float64),
-                 "touch_count": ((), np.int64)}
+                 "adam_steps": ((), np.int64)}
 
 
 def adam_step(params, grads, m, v, steps, lr):
@@ -127,14 +124,24 @@ class ControlReport:
     removed_ids: list = field(default_factory=list)
 
 
-def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
-                     grow=True):
-    """Prune / clone / split among the Gaussians touched since the last pass,
-    read from the store's attached `TRAINING_ROWS` accumulators, which the
-    pass then zeroes.
+def interval_means(touches):
+    """The rows touched in an interval, ascending and unique, and each one's
+    mean view-space gradient norm. `touches` holds one (rows, norms) pair per
+    step, in step order; a row's norms are summed in that order from 0.0."""
+    rows = np.concatenate([np.empty(0, np.int64), *(r for r, _ in touches)])
+    norms = np.concatenate([np.empty(0), *(n for _, n in touches)])
+    rows, inverse = np.unique(rows, return_inverse=True)
+    return rows, np.bincount(inverse, norms) / np.bincount(inverse)
 
-    Restricting control to sampled segments keeps its cost independent of
-    the total population. Candidates are visited in ascending row order.
+
+def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
+                     rows, mean_grad, grow=True):
+    """Prune / clone / split among `rows`, the Gaussians touched since the
+    last pass, whose mean view-space gradient norms are `mean_grad`.
+
+    The rows must be live, unique and ascending, as `interval_means` gives
+    them; the pass reads no other row, so its cost is independent of the
+    total population. Candidates are visited in ascending row order.
     A clone is an exact copy of its source, SH included, as in 3DGS: the
     sources are read whole (`store.read`) and inserted, so a clone or split
     child of a view-dependent Gaussian takes a slot of its own. Split
@@ -147,20 +154,16 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
     """
     report = ControlReport()
     store = h.store
-    touched = np.flatnonzero(store.touch_count > 0)
-    rows = touched[store.ids_at_rows(touched) >= 0]
     prune_mask = store.opacity[rows] < PRUNE_OPACITY_THRESHOLD
     if prune_mask.any():
         pruned = store.ids_at_rows(rows[prune_mask])
         h.remove(pruned)
         report.removed_ids = pruned.tolist()
         report.pruned = len(pruned)
-    rows = rows[~prune_mask]
+    rows, mean_grad = rows[~prune_mask], mean_grad[~prune_mask]
     if not grow or len(rows) == 0:
-        _reset_accumulators(store, touched)
         return report
 
-    mean_grad = store.grad_accum[rows] / store.touch_count[rows]
     hot = mean_grad >= GRAD_DENSIFY_THRESHOLD
     max_spatial = np.max(store.scale[rows, :3], axis=1)
     size_cut = CLONE_SIZE_FRACTION * scene_extent
@@ -190,13 +193,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
         report.removed_ids += parents.tolist()
         report.split = len(split_rows)
 
-    _reset_accumulators(store, touched)
     return report
-
-
-def _reset_accumulators(store, rows):
-    store.grad_accum[rows] = 0.0
-    store.touch_count[rows] = 0
 
 
 @dataclass(frozen=True)
@@ -266,6 +263,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
 
     result = TrainResult(metrics=[])
     interval_loss = []
+    touches = []  # (rows, view-space norms) of each step since the last pass
     store = h.store
 
     with store.attached(TRAINING_ROWS):
@@ -295,12 +293,12 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
                     q /= np.linalg.norm(q, axis=1, keepdims=True)
                 store.write(rows, params=batch.params, params_m=m, params_v=v)
                 h.update_levels(ws.gaussian_ids)
-                hit = rows[grads.touched]
-                store.grad_accum[hit] += grads.viewspace_norm[grads.touched]
-                store.touch_count[hit] += 1
+                touches.append((rows[grads.touched], grads.viewspace_norm[grads.touched]))
 
             if it % cfg.densify_interval == 0 or it == cfg.iterations:
-                adaptive_control(h, cfg, rng, extent, grow=it <= cfg.iterations // 2)
+                adaptive_control(h, cfg, rng, extent, *interval_means(touches),
+                                 grow=it <= cfg.iterations // 2)
+                touches = []
                 if g_th < math.inf:
                     fraction = ap.view_dependent_fraction(
                         store.sh_slots["params"][store.held_slots()], len(store))

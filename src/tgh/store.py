@@ -253,7 +253,7 @@ class GaussianStore(NamedColumns):
     def insert_arrays(self, columns):
         """Bulk insert of columns that passed `checked_columns`, which the
         hierarchy runs once before it places them. A row takes a slot only if
-        its SH has a set bit. Returns new ids."""
+        its SH has a set bit. Returns the new ids as an int64 array."""
         rows = self._take_rows(len(columns["mu"]))
         buf = np.empty((min(len(rows), 1024), BASE_WIDTH))
         for lo in range(0, len(rows), 1024):  # packed in cache, then copied in whole rows
@@ -269,7 +269,7 @@ class GaussianStore(NamedColumns):
             self._row_of_id = _grown(self._row_of_id, 2 * self._next_id)
         self._row_of_id[ids] = rows
         self._id_of_row[rows] = ids
-        return ids.tolist()
+        return ids
 
     def remove(self, gids):
         """Free the rows of the given ids, in order, and the slots they hold;

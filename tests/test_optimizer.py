@@ -115,10 +115,8 @@ class TestAdaptiveControl:
     def control(self, h, rows, cfg, rng, grad=1.0):
         """One pass over `rows`, each touched once with view-space gradient
         `grad`."""
-        with h.store.attached(opt.TRAINING_ROWS):
-            h.store.grad_accum[rows] = grad
-            h.store.touch_count[rows] = 1
-            return opt.adaptive_control(h, cfg, rng, 2.0)
+        rows = np.asarray(rows, dtype=np.int64)
+        return opt.adaptive_control(h, cfg, rng, 2.0, rows, np.full(len(rows), grad))
 
     def test_zero_opacity_pruned(self, rng):
         h = populated_hierarchy(rng)

@@ -69,7 +69,7 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
         assert np.all(store.sh_residual[taken] == 0)
         check_columns(store, new)
     assert not hasattr(store, "extra")
-    assert new == [10, 11, 12, 13, 14]
+    assert new.tolist() == [10, 11, 12, 13, 14]
     assert store.rows_of(new).tolist() == [4, 7, 2, 10, 11]
     assert np.all(store.mu[[4, 7, 2, 10, 11]] == 1.0)
     assert len(store) == 12
@@ -84,7 +84,7 @@ def test_rows_grow_past_capacity(monkeypatch):
     with store.attached({"extra": ((), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = np.arange(1, 11)
         store.mu[:10] = np.arange(40).reshape(10, 4)
-        ids = first + store.insert_arrays(arrays(30))
+        ids = np.concatenate([first, store.insert_arrays(arrays(30))])
         assert store.capacity >= 40 and store.extra.shape == (store.capacity,)
         assert store.extra.dtype == np.int64
         assert store.extra[:40].tolist() == list(range(1, 11)) + [0] * 30
@@ -122,7 +122,7 @@ def test_remove_is_atomic():
                        ([ids[1], 99], NotFoundError)):
         with pytest.raises(error):
             store.remove(bad)
-        assert store.ids == ids and store.rows_of(ids).tolist() == [0, 1, 2, 3]
+        assert store.ids == ids.tolist() and store.rows_of(ids).tolist() == [0, 1, 2, 3]
     store.remove([ids[2], ids[0]])
-    assert store.insert_arrays(arrays(3)) == [4, 5, 6]
+    assert store.insert_arrays(arrays(3)).tolist() == [4, 5, 6]
     assert store.rows_of([4, 5, 6]).tolist() == [0, 2, 4]

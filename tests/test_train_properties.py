@@ -1,13 +1,16 @@
 """Property tests for training: two `train()` runs with one seed on a random
 small scene end with the same metrics, population, parameters and
 placements, and every kind of density control happens on the way; a clone
-is an exact copy of its source."""
+is an exact copy of its source; each control pass is handed exactly the
+Gaussians touched since the last one, with their mean view-space gradient
+norms."""
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from tgh import optimizer as opt
+from tgh import renderer as rn
 from tgh.camera import Camera
 from tgh.hierarchy import build
 from tgh.store import COLUMNS
@@ -112,3 +115,60 @@ def test_clone_is_an_exact_copy_of_its_source(seed, monkeypatch):
     for before, clones in passes:
         for clone in clones:
             assert (before == clone).all(axis=1).any()
+
+
+def brute_force_means(steps):
+    """{id or row: mean norm}, each norm added as a Python float in step order."""
+    sums, counts = {}, {}
+    for keys, norms in steps:
+        for key, norm in zip(keys.tolist(), norms.tolist()):
+            sums[key] = sums.get(key, 0.0) + norm
+            counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}
+
+
+@seed(42969370112859066013771024375318617236451960083227614431598017043352276880251)
+@settings(max_examples=60)
+@given(steps=st.lists(st.dictionaries(st.integers(0, 15), st.floats(0.0, 10.0)), max_size=8))
+@example(steps=[])
+@example(steps=[{3: 0.1, 1: 0.2}, {}, {1: 0.7}])
+def test_interval_means_equal_step_order_sums(steps):
+    # a step's rows are unique, in working-set order; rows repeat across steps
+    touches = [(np.array(list(step), dtype=np.int64), np.array(list(step.values())))
+               for step in steps]
+    rows, mean_grad = opt.interval_means(touches)
+    expected = brute_force_means(touches)
+    assert rows.dtype == np.int64 and np.all(np.diff(rows) > 0)
+    assert rows.tolist() == sorted(expected)
+    assert np.array_equal(mean_grad, [expected[row] for row in rows.tolist()])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_pass_gets_the_interval_touches(seed, monkeypatch):
+    scene, h = small_scene(seed, n=5, size=16)
+    monkeypatch.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
+    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+    render, control = rn.render_with_gradients, opt.adaptive_control
+    steps, passes, reports = [], [], []  # passes: (ids handed, mean_grad, steps before)
+
+    def recorded_render(batch, *args):
+        value, fb, grads = render(batch, *args)
+        steps.append((batch.ids[grads.touched], grads.viewspace_norm[grads.touched]))
+        return value, fb, grads
+
+    def recorded_control(h, cfg, rng, extent, rows, mean_grad, **kwargs):
+        passes.append((h.store.ids_at_rows(rows), mean_grad.copy(), len(steps)))
+        reports.append(control(h, cfg, rng, extent, rows, mean_grad, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(rn, "render_with_gradients", recorded_render)
+    monkeypatch.setattr(opt, "adaptive_control", recorded_control)
+    opt.train(scene, h, opt.TrainConfig(iterations=30, densify_interval=7, seed=seed))
+    assert [p[2] for p in passes] == [7, 14, 21, 28, 30]
+    for (ids, mean_grad, end), start in zip(passes, [0] + [p[2] for p in passes]):
+        expected = brute_force_means(steps[start:end])
+        assert sorted(ids.tolist()) == sorted(expected) and len(set(ids.tolist())) == len(ids)
+        assert np.array_equal(mean_grad, [expected[gid] for gid in ids.tolist()])
+    assert sum(r.cloned for r in reports) > 0
+    assert sum(r.split for r in reports) > 0
+    assert sum(r.pruned for r in reports) > 0

@@ -23,7 +23,7 @@ pinned to one thread, as in `output_digest.py`. The tables give, per stage,
 the minimum over the runs of its ms per training iteration, per playback
 frame and per build. The `train() rest` row is the training total less the
 stages that `train()` calls directly (TRAIN_TOP): its own lines, such as
-the Adam gathers and write-backs, the gate and the accumulator updates.
+the Adam gathers and write-backs, the gate and `interval_means`.
 """
 
 import argparse
