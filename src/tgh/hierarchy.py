@@ -11,9 +11,13 @@ Placement is a formula: segment n of level l starts at offset_l + n *
 seg_length_l, and the one holding t is floor((t - offset_l) / seg_length_l),
 moved by one where rounding crossed a boundary. That index is a float, exact
 below 2^53, so a duration and root length that need 2^53 segments or more in
-all are rejected. Members are kept for occupied segments only, so memory is
-O(levels + population) at any duration: each occupied segment holds its ids
-as one ascending int64 array, and a query is one concatenation of the
+all are rejected. A range is tried only at the levels that can hold it
+(`_find_placements`): first the deepest whose segments are as long as the
+range, allowing for rounding, then one level shallower at a time until a
+segment holds it. Most ranges take two tries, however many levels there are.
+Members are kept for occupied segments only, so memory is O(levels +
+population) at any duration: each occupied segment holds its ids as one
+ascending int64 array, and a query is one concatenation of the
 arrays of its segments, levels in order and then the global one. Each
 Gaussian's flat segment and the influence range it was placed by live in
 its store row (`store.PLACEMENT`), so a placed id is exactly a stored id;
@@ -39,6 +43,15 @@ GLOBAL_LEVEL = -1
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
 _DOWN = (slice(None), None)      # views a per-level array as a column
 _NO_IDS = np.empty(0, dtype=np.int64)
+# In exact arithmetic a range inside the duration that is no longer than
+# level l's segments fits at l or at one of the next three shallower levels,
+# where they exist, so `_find_placements` tries up to this many at once ...
+_TRIES = 4
+# ... in a block of at least this many (range, level) pairs: a small batch
+# tries all _TRIES levels in one pass, as numpy's cost per call outweighs the
+# extra pairs, and a large one a single level per pass
+_BLOCK_PAIRS = 4096
+_BACK = (_TRIES - np.arange(_TRIES))[:, None]  # table column of level l - j is l + _BACK[j]
 
 
 class AuditError(TGHError):
@@ -95,6 +108,14 @@ class TemporalHierarchy:
         # starts clipped to these keep `_index_at` finite and fit as before
         self._t_bounds = (-2.0 * self.root_length, self.duration + 2.0 * self.root_length)
         self._members = {}  # flat index -> ascending int64 ids, for occupied segments only
+        # `_find_placements`' tables. Rows: each level's offset, segment length,
+        # segment count and first flat index, after _TRIES columns of a level
+        # with no segment, which stand for the levels shallower than level 0.
+        # And a bound on the longest range a level's segment can hold once
+        # `_edge` has rounded, deepest level first.
+        geometry = np.stack([self._offset, self._seg_length, self._count, self._first])
+        self._geometry = np.hstack([np.tile([[0.0], [1.0], [0.0], [0.0]], _TRIES), geometry])
+        self._reach = self._seg_length[::-1] + 2.0 ** -48 * (self.duration + 4.0 * self.root_length)
 
     # ---------------------------------------------------------------- geometry
 
@@ -114,14 +135,44 @@ class TemporalHierarchy:
     def _find_placements(self, start, end):
         """Flat index of the deepest segment containing each [start, end].
 
-        Segment n, [a, b) = [`_edge(n)`, `_edge(n + 1)`), contains the range
-        iff a <= start and end <= b; per level, only the segment holding start
-        can. Flat indices grow with depth, so the deepest fit is the largest;
-        no fit gives 0.
+        Segment n of level l, [a, b) = [`_edge(n)`, `_edge(n + 1)`), contains
+        the range iff a <= start and end <= b; per level, only the segment
+        holding start can. Flat indices grow with depth, so the deepest fit is
+        the largest; no fit gives 0.
+
+        A range is tried first at the deepest level whose segment length plus
+        a margin is at least end - start; no deeper level can hold it. The
+        margin 2^-48 (D + 4S), D the duration and S the root length, bounds
+        the rounding. With u = 2^-53, the 2^53-segment limit gives uD < S.
+        For 0 <= n <= count_l, offset_l + n * seg_length_l lies in
+        (-S, D + 5S), and `_edge` rounds it twice, to within 2u(D + 6S). So
+        a fit needs end - start <= seg_length_l + 4u(D + 6S), and end - start
+        rounds to at most seg_length_l + 5u(D + 6S), less than the margin
+        32u(D + 4S) by more than the rounding of the sum. A range that no
+        tried level holds moves on to the next shallower level, and one that
+        fails at level 0 to the global segment. A pass tries up to _TRIES
+        levels of each range left. Each try is `_index_at`'s arithmetic and
+        the fit test on the same floats, so the answer is that of testing
+        every level.
         """
-        n = self._index_at(np.clip(start, *self._t_bounds))
-        fits = (n >= 0) & (n < self._count[_DOWN]) & (end <= self._edge(n + 1))
-        return np.where(fits, self._first[_DOWN] + n, _GLOBAL_FLAT).max(axis=0).astype(np.int64)
+        with np.errstate(over="ignore"):  # a length past the float range fits no level
+            level = (self.num_levels - 1) - self._reach.searchsorted(end - start)
+        t = start.clip(*self._t_bounds)
+        todo = np.arange(len(level))
+        out = np.zeros(len(level), dtype=np.int64)
+        while todo.size:
+            tries = min(_TRIES, math.ceil(_BLOCK_PAIRS / len(todo)))
+            columns = level + _BACK[:tries]  # of levels level, level - 1, ...
+            offset, seg_length, count, first = self._geometry.take(columns, axis=1)
+            n = np.floor((t - offset) / seg_length)
+            n += t >= offset + (n + 1) * seg_length
+            n -= t < offset + n * seg_length
+            fits = (n >= 0) & (n < count) & (end <= offset + (n + 1) * seg_length)
+            flat = ((first + n) * fits).max(axis=0)  # the deepest fit tried, 0 if none
+            out[todo] = flat
+            left = np.flatnonzero((flat == 0) & (level >= tries))
+            todo, level, t, end = todo[left], level[left] - tries, t[left], end[left]
+        return out
 
     def _level_index(self, flat):
         """(level, index) arrays of flat segment indices; (-1, 0) for global."""
@@ -157,18 +208,18 @@ class TemporalHierarchy:
 
     def insert_batch(self, **columns):
         """Store Gaussians, given as the columns `checked_columns` takes, and
-        place each by its influence range; returns their ids. A call that
-        raises stores and places nothing and spends no id: an array of the
-        wrong shape or with a non-finite value raises InvalidParameterError."""
-        columns = checked_columns(**columns)
+        place each by its influence range; returns their ids as an int64
+        array. A call that raises stores and places nothing and spends no id:
+        an array of the wrong shape or with a non-finite value raises
+        InvalidParameterError."""
+        columns, lit = checked_columns(**columns)
         start, end = _influence_ranges(**columns)
-        gids = self.store.insert_arrays(columns)
-        rows = self.store.rows_of(gids)
+        rows, gids = self.store.insert_arrays(columns, lit)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
         self.store.influence[rows] = np.column_stack([start, end])
         self._file(flat, gids, add=True)
-        return gids.tolist()
+        return gids
 
     def remove(self, gids):
         """Remove Gaussians from their segments and the store. An unknown id
@@ -250,7 +301,9 @@ class TemporalHierarchy:
         """Verify that the member arrays are ascending and hold exactly the
         stored ids, each in the segment its row records, and containment and
         minimality for every stored Gaussian; AuditError on the first
-        violation."""
+        violation. Minimality is checked against `_find_placements`, the
+        function that placed them; the tests pin that function to testing
+        every level and to a scan of every segment."""
         keys, arrays = list(self._members), list(self._members.values())
         sizes = [len(a) for a in arrays]
         if not all(sizes):

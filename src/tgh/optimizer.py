@@ -185,7 +185,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
             z = rng.standard_normal((len(split_rows), 2, 3))
             new["mu"][n_clones:, :3] += (chol[:, None] @ z[..., None]).reshape(-1, 3)
             new["scale"][n_clones:, :3] /= SPLIT_SCALE_DIVISOR
-        report.new_ids = h.insert_batch(**new)
+        report.new_ids = h.insert_batch(**new).tolist()
         report.cloned = n_clones
     if len(split_rows):
         parents = store.ids_at_rows(split_rows)

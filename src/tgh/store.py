@@ -77,9 +77,14 @@ GaussianBatch = make_dataclass(
 
 
 def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual):
-    """The parameter columns of one insert as float64 arrays, by name.
-    InvalidParameterError unless each has exactly the shape (n,) +
-    SHAPES[name], with n = len(mu), and finite values."""
+    """The parameter columns of one insert as float64 arrays, by name, and
+    `_lit` of its SH. InvalidParameterError unless each column has exactly
+    the shape (n,) + SHAPES[name], with n = len(mu), and finite values.
+
+    The SH block is read once, by `_lit`, and only the rows it marks are
+    checked for finiteness: a row with no set bit is all +0.0, and a NaN or
+    an infinity always has set bits. `insert_arrays` takes the same mask for
+    its slot test."""
     values = {name: np.asarray(value, dtype=np.float64) for name, value in zip(
         COLUMNS, (mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual))}
     lead = values["mu"].shape[:1]  # (n,); () for a 0-d mu, which fails its own check
@@ -87,9 +92,12 @@ def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_
         if value.shape != lead + SHAPES[name]:
             raise InvalidParameterError(
                 f"{name} has shape {value.shape}, expected {lead + SHAPES[name]}")
+        if name == "sh_residual":
+            lit = _lit(value)
+            value = value[lit]
         if not np.isfinite(value).all():
             raise InvalidParameterError(f"non-finite {name}")
-    return values
+    return values, lit
 
 
 def _lit(*blocks):
@@ -250,26 +258,26 @@ class GaussianStore(NamedColumns):
         self.slot[rows] = slots
         return slots
 
-    def insert_arrays(self, columns):
+    def insert_arrays(self, columns, lit):
         """Bulk insert of columns that passed `checked_columns`, which the
-        hierarchy runs once before it places them. A row takes a slot only if
-        its SH has a set bit. Returns the new ids as an int64 array."""
+        hierarchy runs once before it places them; a row takes a slot where
+        `lit`, the mask `checked_columns` returned, is set. Returns the rows
+        written and the new ids, both as arrays, in the order of the columns."""
         rows = self._take_rows(len(columns["mu"]))
         buf = np.empty((min(len(rows), 1024), BASE_WIDTH))
         for lo in range(0, len(rows), 1024):  # packed in cache, then copied in whole rows
             block = {name: value[lo:lo + 1024] for name, value in columns.items()}
             self.params[rows[lo:lo + 1024]] = pack(block, buf[:len(block["mu"])])
-        sh_rows = columns["sh_residual"]
-        lit = np.flatnonzero(_lit(sh_rows))
+        lit = np.flatnonzero(lit)
         slots = self._take_slots(rows[lit])  # may grow the table: taken before it is read
-        self.sh_slots["params"][slots] = sh_rows[lit]
+        self.sh_slots["params"][slots] = columns["sh_residual"][lit]
         ids = np.arange(self._next_id, self._next_id + len(rows), dtype=np.int64)
         self._next_id += len(rows)
         if self._next_id > len(self._row_of_id):
             self._row_of_id = _grown(self._row_of_id, 2 * self._next_id)
         self._row_of_id[ids] = rows
         self._id_of_row[rows] = ids
-        return ids
+        return rows, ids
 
     def remove(self, gids):
         """Free the rows of the given ids, in order, and the slots they hold;

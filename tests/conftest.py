@@ -36,7 +36,7 @@ def params(mu, scale, rotor_left=IDENTITY_ROTOR, rotor_right=IDENTITY_ROTOR,
 def packed(columns):
     """Parameter columns by name, checked as `insert_batch` checks them, as
     the (n, WIDTH) matrix of rows that a `GaussianBatch` holds."""
-    checked = store.checked_columns(**columns)
+    checked, _ = store.checked_columns(**columns)
     return store.pack(checked, np.empty((len(checked["mu"]), store.WIDTH)))
 
 

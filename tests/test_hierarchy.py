@@ -240,7 +240,7 @@ class TestPlace:
             h.update_levels([gid])
         assert (h.placement_of(gid), h.range_of(gid)) == before
         h.audit()
-        assert h.insert_batch(**time_gaussian(2.0, 1.0)) == [1]  # no id was spent
+        assert h.insert_batch(**time_gaussian(2.0, 1.0)).tolist() == [1]  # no id was spent
 
 
 class TestQuery:
@@ -359,13 +359,13 @@ class TestInsertRemoveOccupancy:
 
     def test_malformed_insert_changes_nothing(self, rng):
         h = build(duration=40.0)
-        ids = h.insert_batch(**random_params(rng, 4))
+        ids = h.insert_batch(**random_params(rng, 4)).tolist()
         bad = random_params(rng, 5)
         bad["opacity"] = bad["opacity"][:3]
         with pytest.raises(ValueError):
             h.insert_batch(**bad)
         assert len(h.store) == len(h) == 4
-        assert h.insert_batch(**random_params(rng, 2)) == [4, 5]
+        assert h.insert_batch(**random_params(rng, 2)).tolist() == [4, 5]
         assert h.store.rows_of(ids + [4, 5]).tolist() == list(range(6))
         h.audit()
 
@@ -383,7 +383,7 @@ class TestInsertRemoveOccupancy:
             h.insert_batch(**bad)
         assert len(h.store) == len(h) == 2
         h.audit()
-        assert h.insert_batch(**random_params(rng, 1)) == [2]  # no id was spent
+        assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
 
     @pytest.mark.parametrize("column", COLUMNS)
     def test_non_finite_insert_changes_nothing(self, rng, column):
@@ -396,7 +396,35 @@ class TestInsertRemoveOccupancy:
                 h.insert_batch(**bad)
             assert len(h.store) == len(h) == 2
         h.audit()
-        assert h.insert_batch(**random_params(rng, 1)) == [2]  # no id was spent
+        assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_sh_value_in_a_zero_row_raises(self, rng, value):
+        # only SH rows with a set bit are checked for finiteness, and a NaN
+        # or an infinity always has one
+        h = build(duration=40.0)
+        h.insert_batch(**random_params(rng, 2))
+        held = h.store.held_slots()
+        bad = random_params(rng, 3)
+        bad["sh_residual"][:] = 0.0
+        bad["sh_residual"][1, 7] = value
+        with pytest.raises(InvalidParameterError):
+            h.insert_batch(**bad)
+        assert len(h.store) == len(h) == 2
+        assert np.array_equal(h.store.held_slots(), held)
+        h.audit()
+        assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
+
+    def test_negative_zero_sh_takes_a_slot(self, rng):
+        h = build(duration=40.0)
+        columns = random_params(rng, 2)
+        columns["sh_residual"][:] = 0.0
+        columns["sh_residual"][1, 44] = -0.0
+        ids = h.insert_batch(**columns)
+        diffuse, lit = h.store.slot[h.store.rows_of(ids)].tolist()
+        assert diffuse == -1 and lit >= 0
+        stored = h.store.gather(ids).sh_residual
+        assert np.array_equal(stored.view(np.int64), columns["sh_residual"].view(np.int64))
 
     def test_remove_unknown(self):
         h = build(duration=40.0)
@@ -412,7 +440,7 @@ class TestInsertRemoveOccupancy:
         with pytest.raises(InvalidParameterError):
             h.remove([ids[1], ids[3], ids[1]])
         _, after = h.occupancy()
-        assert before == after and h.store.ids == ids
+        assert before == after and h.store.ids == ids.tolist()
         h.remove([ids[1], ids[3]])
         new = h.insert_batch(**random_params(rng, 3))
         assert sorted(h.store.rows_of(new).tolist()) == [1, 3, 5]
@@ -430,7 +458,7 @@ class TestInsertRemoveOccupancy:
                "placement_of": lambda gids: h.placement_of(gids[0])}[call]
         with pytest.raises(InvalidParameterError):
             act(gids)
-        assert h.store.ids == ids
+        assert h.store.ids == ids.tolist()
         assert [h.placement_of(g) for g in ids] == placements
         h.remove([])  # an empty id list is no id of the wrong type
         h.audit()
@@ -460,7 +488,7 @@ class TestAudit:
         for step in range(10_000):
             op = rng.integers(0, 3)
             if op == 0 or not alive:
-                alive += h.insert_batch(**random_params(rng))
+                alive += h.insert_batch(**random_params(rng)).tolist()
             elif op == 1:
                 gid = alive[int(rng.integers(len(alive)))]
                 [row] = h.store.rows_of([gid])
@@ -505,6 +533,6 @@ class TestAudit:
     def test_audit_catches_stored_id_not_placed(self, rng):
         h = build(duration=40.0)
         h.insert_batch(**random_params(rng, 3))
-        h.store.insert_arrays(checked_columns(**random_params(rng)))
+        h.store.insert_arrays(*checked_columns(**random_params(rng)))
         with pytest.raises(AuditError):
             h.audit()

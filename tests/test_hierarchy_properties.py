@@ -1,8 +1,9 @@
 """Property tests for the temporal hierarchy: the partition and minimality
 that `audit()` checks survive random interleavings of writes, the member
 index and `query` agree with a brute-force grouping of the store, batch
-placement agrees with a brute-force scan, and a failed batch update or
-remove, given an unknown or a repeated id, changes nothing."""
+placement agrees with a brute-force scan and with testing every level, and a
+failed batch update or remove, given an unknown or a repeated id, changes
+nothing."""
 
 import warnings
 
@@ -84,7 +85,7 @@ def test_random_interleavings_keep_invariants(ops):
     for op, seed, k in ops:
         rng = np.random.default_rng(seed)
         if op == "insert" or not alive:
-            alive += h.insert_batch(**random_arrays(rng, k))
+            alive += h.insert_batch(**random_arrays(rng, k)).tolist()
         elif op == "update":
             chosen = rng.choice(alive, size=min(k, len(alive)), replace=False)
             edit(h, chosen, rng)
@@ -226,12 +227,93 @@ def test_batch_placement_matches_brute_force(num_levels, duration, data):
             assert h.query_indices(t) == want
 
 
+def all_levels_placements(h, start, end):
+    """Flat index of the deepest segment containing each [start, end], found
+    by testing every level of the documented geometry. Per level: the index
+    n of the segment holding start, floor((start - offset) / seg_length)
+    moved by one where rounding crossed a boundary, and a fit where
+    0 <= n < count and end <= offset + (n + 1) * seg_length. Starts are first
+    clipped to [-2S, D + 2S], past every segment. Flat index 0 is the global
+    segment, then each level's segments in order."""
+    lv = levels(h)
+    offset = np.array([[level.offset] for level in lv])
+    seg_length = np.array([[level.seg_length] for level in lv])
+    count = np.array([[level.count] for level in lv])
+    first = 1 + np.cumsum([0] + [level.count for level in lv[:-1]])[:, None]
+    t = np.clip(start, -2.0 * h.root_length, h.duration + 2.0 * h.root_length)
+    n = np.floor((t - offset) / seg_length)
+    n += t >= offset + (n + 1) * seg_length
+    n -= t < offset + n * seg_length
+    fits = (n >= 0) & (n < count) & (end <= offset + (n + 1) * seg_length)
+    return np.where(fits, first + n, 0).max(axis=0).astype(np.int64)
+
+
+def ulps(x):
+    """x and its two float neighbours."""
+    return [float(np.nextafter(x, -np.inf)), float(x), float(np.nextafter(x, np.inf))]
+
+
+def adversarial_ranges(h, data, count):
+    """Ranges that start at a segment edge or an ulp from it and end at the
+    segment's other edge, or a segment length of this level or a neighbour
+    later, each an ulp either way; some start below 0 or end past the
+    duration."""
+    lv = levels(h)
+    starts, ends = [], []
+    for _ in range(count):
+        level = lv[data.draw(st.integers(0, h.num_levels - 1))]
+        n = data.draw(st.sampled_from([0, 1, level.count - 1, level.count])
+                      | st.integers(-1, level.count))
+        a, b = level.span(n)
+        start = data.draw(st.sampled_from(ulps(a)))
+        lengths = [lv[max(level.index - 1, 0)].seg_length, level.seg_length,
+                   lv[min(level.index + 1, h.num_levels - 1)].seg_length]
+        length = data.draw(st.sampled_from(lengths))
+        end = data.draw(st.sampled_from(ulps(b) + ulps(start + length)))
+        starts.append(start)
+        ends.append(max(end, start))
+    return starts, ends
+
+
+# num_levels 1-32 at exact and inexact root lengths, and a geometry whose
+# 511 * 1.7e13 segments come near the 2^53 that flat indices allow
+GEOMETRIES = (st.tuples(st.sampled_from([0.5, 10.0, 40.0, 123.4]),
+                        st.sampled_from([0.3, 7.3, 10.0]), st.integers(1, 32))
+              | st.just((1.7e14, 10.0, 9)))
+
+
+@settings(max_examples=60)
+@given(geometry=GEOMETRIES, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_find_placements_matches_every_level(geometry, seed, data):
+    """The levels `_find_placements` skips could hold none of the ranges:
+    it agrees with testing every level, which is also what `audit()`
+    checks minimality against."""
+    duration, root_length, num_levels = geometry
+    h = build(duration, root_length=root_length, num_levels=num_levels)
+    starts, ends = adversarial_ranges(h, data, 40)
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-root_length, duration + root_length, 400)
+    radii = root_length * np.exp(rng.uniform(np.log(1e-4), np.log(2.0), 400))
+    starts += (centers - radii).tolist() + [s for s, _ in edge_ranges(duration)]
+    ends += (centers + radii).tolist() + [e for _, e in edge_ranges(duration)]
+    start, end = np.array(starts), np.array(ends)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow at the extremes
+        expected = all_levels_placements(h, start, end)
+        assert np.array_equal(h._find_placements(start, end), expected)
+        # one by one, and within a batch too large for one pass over all tries
+        for i in range(0, len(start), 37):
+            assert h._find_placements(start[i:i + 1], end[i:i + 1]).tolist() == [expected[i]]
+        many = rng.integers(0, len(start), 5000)
+        assert np.array_equal(h._find_placements(start[many], end[many]), expected[many])
+
+
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30), data=st.data())
 def test_update_with_unknown_id_changes_nothing(seed, n, data):
     rng = np.random.default_rng(seed)
     h = build(DURATION)
-    ids = h.insert_batch(**random_arrays(rng, n))
+    ids = h.insert_batch(**random_arrays(rng, n)).tolist()
     removed = ids.pop(data.draw(st.integers(0, n - 1)))
     h.remove([removed])
     unknown = data.draw(st.sampled_from([removed, ids[-1] + 1, 10 ** 9, -1]))
@@ -256,7 +338,7 @@ def test_update_with_repeated_id_changes_nothing(seed, n, data):
     # return it twice
     rng = np.random.default_rng(seed)
     h = build(DURATION)
-    ids = h.insert_batch(**random_arrays(rng, n))
+    ids = h.insert_batch(**random_arrays(rng, n)).tolist()
     gids = ids.copy()
     gids.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(ids)))
     edit(h, ids, rng)

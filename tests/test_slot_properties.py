@@ -75,7 +75,7 @@ def test_slot_lifecycle(seed, ops):
                 columns = random_params(rng, n)
                 columns["sh_residual"] = sh_block(rng, n)
                 rows = packed(columns)
-                for gid, row in zip(store.insert_arrays(stm.checked_columns(**columns)), rows):
+                for gid, row in zip(store.insert_arrays(*stm.checked_columns(**columns))[1], rows):
                     reference[gid] = {"params": row, "params_m": np.zeros(WIDTH),
                                       "params_v": np.zeros(WIDTH)}
             elif op == "remove" and ids:
@@ -107,7 +107,7 @@ def test_reused_slot_reads_zero():
     store = GaussianStore()
     columns = random_params(np.random.default_rng(3), 3)
     with store.attached(opt.TRAINING_ROWS):
-        ids = store.insert_arrays(stm.checked_columns(**columns))
+        _, ids = store.insert_arrays(*stm.checked_columns(**columns))
         rows = store.rows_of(ids)
         store.write(rows, params=store.read(rows, "params")[0], params_m=np.ones((3, WIDTH)),
                     params_v=np.ones((3, WIDTH)))
@@ -115,8 +115,9 @@ def test_reused_slot_reads_zero():
         store.remove([ids[1]])
         columns["sh_residual"][:] = 0.0
         columns["sh_residual"][0, 5] = 2.0
-        one = {name: value[:1] for name, value in stm.checked_columns(**columns).items()}
-        [new] = store.insert_arrays(one)
+        checked, lit = stm.checked_columns(**columns)
+        one = {name: value[:1] for name, value in checked.items()}
+        _, [new] = store.insert_arrays(one, lit[:1])
         [row] = store.rows_of([new])
         assert store.slot[row] == freed
         for name in MOMENTS:

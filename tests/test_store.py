@@ -11,12 +11,20 @@ from conftest import packed
 
 
 def arrays(n, value=0.0):
-    """The parameter columns of n Gaussians, as `insert_arrays` takes them."""
-    return st.checked_columns(mu=np.full((n, 4), value), scale=np.ones((n, 4)),
+    """The parameter columns of n Gaussians, checked as `insert_arrays` takes them."""
+    [columns, _] = st.checked_columns(mu=np.full((n, 4), value), scale=np.ones((n, 4)),
                              rotor_left=np.tile([1.0, 0, 0, 0], (n, 1)),
                              rotor_right=np.tile([1.0, 0, 0, 0], (n, 1)),
                              opacity=np.full(n, 0.5), base_color=np.zeros((n, 3)),
                              sh_residual=np.zeros((n, sh.RESIDUAL_COEFFS)))
+    return columns
+
+
+def insert(store, columns):
+    """`insert_arrays` of the columns with the SH mask `checked_columns`
+    gives them; returns the new ids."""
+    _, ids = store.insert_arrays(*st.checked_columns(**columns))
+    return ids
 
 
 def check_columns(store, ids):
@@ -44,7 +52,7 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
     # handed out in is part of the store's contract
     monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
     store = GaussianStore()
-    ids = store.insert_arrays(arrays(10))
+    ids = insert(store, arrays(10))
     with store.attached({"extra": ((2,), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = 7
         first = np.arange(10)
@@ -57,7 +65,7 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
                 with store.attached({taken: ((), np.float64)}):
                     pass
         store.remove([ids[2], ids[7], ids[4]])
-        new = store.insert_arrays(arrays(5, value=1.0))
+        new = insert(store, arrays(5, value=1.0))
         # a taken row reads zero in every attached array, and only what
         # the insert wrote in its parameters
         taken = [4, 7, 2, 10, 11]
@@ -80,11 +88,11 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
 def test_rows_grow_past_capacity(monkeypatch):
     monkeypatch.setattr(st, "INITIAL_CAPACITY", 16)
     store = GaussianStore()
-    first = store.insert_arrays(arrays(10))
+    first = insert(store, arrays(10))
     with store.attached({"extra": ((), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = np.arange(1, 11)
         store.mu[:10] = np.arange(40).reshape(10, 4)
-        ids = np.concatenate([first, store.insert_arrays(arrays(30))])
+        ids = np.concatenate([first, insert(store, arrays(30))])
         assert store.capacity >= 40 and store.extra.shape == (store.capacity,)
         assert store.extra.dtype == np.int64
         assert store.extra[:40].tolist() == list(range(1, 11)) + [0] * 30
@@ -98,14 +106,14 @@ def test_rows_grow_past_capacity(monkeypatch):
     store.remove(ids[5:8])
     columns = arrays(2100)
     columns["mu"] = np.arange(4 * 2100.0).reshape(2100, 4)
-    more = store.insert_arrays(columns)
+    more = insert(store, columns)
     assert store.rows_of(more).tolist() == [7, 6, 5] + list(range(40, 2137))
     assert np.array_equal(store.gather(more).params, packed(columns))
 
 
 def test_rows_of_rejects_unknown_removed_and_negative_ids():
     store = GaussianStore()
-    ids = store.insert_arrays(arrays(3))
+    ids = insert(store, arrays(3))
     store.remove([ids[1]])
     for bad in (ids[1], 3, 10 ** 9, -1):
         with pytest.raises(NotFoundError):
@@ -117,12 +125,12 @@ def test_rows_of_rejects_unknown_removed_and_negative_ids():
 
 def test_remove_is_atomic():
     store = GaussianStore()
-    ids = store.insert_arrays(arrays(4))
+    ids = insert(store, arrays(4))
     for bad, error in (([ids[0], ids[2], ids[0]], InvalidParameterError),
                        ([ids[1], 99], NotFoundError)):
         with pytest.raises(error):
             store.remove(bad)
         assert store.ids == ids.tolist() and store.rows_of(ids).tolist() == [0, 1, 2, 3]
     store.remove([ids[2], ids[0]])
-    assert store.insert_arrays(arrays(3)).tolist() == [4, 5, 6]
+    assert insert(store, arrays(3)).tolist() == [4, 5, 6]
     assert store.rows_of([4, 5, 6]).tolist() == [0, 2, 4]

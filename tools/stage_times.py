@@ -23,7 +23,9 @@ pinned to one thread, as in `output_digest.py`. The tables give, per stage,
 the minimum over the runs of its ms per training iteration, per playback
 frame and per build. The `train() rest` row is the training total less the
 stages that `train()` calls directly (TRAIN_TOP): its own lines, such as
-the Adam gathers and write-backs, the gate and `interval_means`.
+the Adam gathers and write-backs, the gate and `interval_means`. The
+`build rest` row is the build total less the stages that `insert_batch`
+calls directly (BUILD_TOP): the constructor and `insert_batch`'s own lines.
 """
 
 import argparse
@@ -76,13 +78,17 @@ STAGES = (
 )
 
 # the set-up stages; `_influence_ranges`, `_find_placements` and `_file` run
-# in `update_levels` too, so they are wrapped for the build alone
+# in `update_levels` too, and `_lit` in `store.write`, so they are wrapped
+# for the build alone. `hierarchy.checked_columns` is the store's function
+# under the name `insert_batch` looks up; it holds `_lit`.
 SETUP_STAGES = (
     (hierarchy.TemporalHierarchy, "insert_batch"),
+    (hierarchy, "checked_columns"),
+    (store, "_lit"),
     (hierarchy, "_influence_ranges"),
+    (store.GaussianStore, "insert_arrays"),
     (hierarchy.TemporalHierarchy, "_find_placements"),
     (hierarchy.TemporalHierarchy, "_file"),
-    (store.GaussianStore, "insert_arrays"),
 )
 
 
@@ -91,6 +97,11 @@ TRAIN_TOP = ("TemporalHierarchy.query", "TemporalHierarchy.materialize", "render
              "renderer.image_loss", "renderer._backward", "optimizer.adam_step",
              "TemporalHierarchy.update_levels", "optimizer.adaptive_control")
 REST = "train() rest"
+# the stages insert_batch calls directly; none of them holds another
+BUILD_TOP = ("hierarchy.checked_columns", "hierarchy._influence_ranges",
+             "GaussianStore.insert_arrays", "TemporalHierarchy._find_placements",
+             "TemporalHierarchy._file")
+BUILD_REST = "build rest"
 
 
 def stage_name(owner, attr):
@@ -130,8 +141,9 @@ def timed_stages(stages, seconds):
 def one_run(spec, pop, scene, seed):
     """({stage: ms per iteration}, {stage: ms per frame}, {stage: ms}) of
     one run's training, playback and first build; the key "total" holds the
-    whole train() call, the whole playback and the whole build, and REST the
-    part of train() outside TRAIN_TOP."""
+    whole train() call, the whole playback and the whole build, REST the
+    part of train() outside TRAIN_TOP and BUILD_REST the part of the build
+    outside BUILD_TOP."""
     cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
@@ -154,7 +166,9 @@ def one_run(spec, pop, scene, seed):
         out.append({name: 1e3 * s / count for name, s in seconds.items()})
     train = out[0]
     train[REST] = train["total"] - sum(train.get(name, 0.0) for name in TRAIN_TOP)
-    return (*out, {name: 1e3 * s for name, s in builds[0].items()})
+    build = builds[0]
+    build[BUILD_REST] = build["total"] - sum(build.get(name, 0.0) for name in BUILD_TOP)
+    return (*out, {name: 1e3 * s for name, s in build.items()})
 
 
 def main(argv=None):
@@ -176,7 +190,7 @@ def main(argv=None):
         print(f"{name:<34}{cells(runs, (0, 1), name)}")
     print(f"\nms per build of the initial hierarchy, min of {args.runs} runs")
     print(f"{'stage':<34}{'build':>10}")
-    for name in [stage_name(owner, attr) for owner, attr in SETUP_STAGES] + ["total"]:
+    for name in [stage_name(owner, attr) for owner, attr in SETUP_STAGES] + [BUILD_REST, "total"]:
         print(f"{name:<34}{cells(runs, (2,), name)}")
 
 
