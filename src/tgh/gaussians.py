@@ -109,8 +109,14 @@ def batch_temporal_variance(scale, rotor_left, rotor_right):
            a0 * b2 - a3 * b1 - a2 * b0 - a1 * b3,
            a1 * b0 - a3 * b2 - a2 * b3 - a0 * b1,
            a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3)
-    s = _components(clamp_scales(scale))
-    return sum(np.square(r * s_j) for r, s_j in zip(row, s))
+    # floored per component, each a contiguous pass; the squares are added
+    # from the first, which equals `sum` from 0, as 0 + x is x for x >= 0
+    s = _components(scale)
+    np.maximum(s, SCALE_FLOOR.reshape((4,) + (1,) * (s.ndim - 1)), out=s)
+    total = np.square(row[0] * s[0])
+    for r, s_j in zip(row[1:], s[1:]):
+        total += np.square(r * s_j)
+    return total
 
 
 def influence_radius(sigma_t):

@@ -192,9 +192,10 @@ class TemporalHierarchy:
             return
         flat, gids = _by_segment_then_id(flat, gids)
         first = np.flatnonzero(np.diff(flat, prepend=-1))  # of each segment
+        bounds = [*first.tolist(), len(gids)]
         members = self._members
-        for key, part in zip(flat[first].tolist(), np.split(gids, first[1:])):
-            held = members.get(key)
+        for key, a, b in zip(flat[first].tolist(), bounds, bounds[1:]):
+            part, held = gids[a:b], members.get(key)
             if not add:
                 held = held[~np.isin(held, part, assume_unique=True)]
                 if len(held):
@@ -217,7 +218,8 @@ class TemporalHierarchy:
         rows, gids = self.store.insert_arrays(columns, lit)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
-        self.store.influence[rows] = np.column_stack([start, end])
+        self.store.influence[rows, 0] = start
+        self.store.influence[rows, 1] = end
         self._file(flat, gids, add=True)
         return gids
 
@@ -246,7 +248,8 @@ class TemporalHierarchy:
         start, end = _influence_ranges(**views(store.params[rows]))
         old = store.segment[rows]
         new = self._find_placements(start, end)
-        store.influence[rows] = np.column_stack([start, end])
+        store.influence[rows, 0] = start
+        store.influence[rows, 1] = end
         moved = np.flatnonzero(old != new)
         if moved.size:
             self._file(old[moved], gids[moved], add=False)

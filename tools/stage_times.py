@@ -43,7 +43,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tgh import hierarchy, losses, optimizer, renderer, ssim, store  # noqa: E402
+from tgh import gaussians, hierarchy, losses, optimizer, renderer, ssim, store  # noqa: E402
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -81,14 +81,19 @@ STAGES = (
 # in `update_levels` too, and `_lit` in `store.write`, so they are wrapped
 # for the build alone. `hierarchy.checked_columns` is the store's function
 # under the name `insert_batch` looks up; it holds `_lit`.
+# `_influence_ranges` holds `batch_temporal_variance`, which `hierarchy`
+# reaches through the `gaussians` module, and `_file` holds the sort
+# `_by_segment_then_id`.
 SETUP_STAGES = (
     (hierarchy.TemporalHierarchy, "insert_batch"),
     (hierarchy, "checked_columns"),
     (store, "_lit"),
     (hierarchy, "_influence_ranges"),
+    (gaussians, "batch_temporal_variance"),
     (store.GaussianStore, "insert_arrays"),
     (hierarchy.TemporalHierarchy, "_find_placements"),
     (hierarchy.TemporalHierarchy, "_file"),
+    (hierarchy, "_by_segment_then_id"),
 )
 
 
