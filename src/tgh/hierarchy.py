@@ -259,12 +259,6 @@ class TemporalHierarchy:
 
     # -------------------------------------------------------------- queries
 
-    def placement_of(self, gid):
-        return self._placements(self.store.segment[self.store.rows_of([gid])])[0]
-
-    def range_of(self, gid):
-        return tuple(self.store.influence[self.store.rows_of([gid])[0]].tolist())
-
     def __len__(self):
         return len(self.store)
 

@@ -1,11 +1,12 @@
 """Training: Adam updates on working-set Gaussians, adaptive density control
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
-each once: one `adam_step` steps the batch's 65-wide parameter rows and one
-`store.write` puts them back, the base columns to the rows and the SH to the
-slot table. A control pass reads only the rows touched since the last
+each once: the gate gives a slot to each diffuse row whose SH gradient it
+lets through, one `adam_step` steps the batch's 65-wide parameter rows and
+one `store.write` puts them back, the base columns to the rows and the SH to
+the slot table. A control pass reads only the rows touched since the last
 one, which `train()` collects as it steps them, and the gate's count at a
-pass reads only the slotted rows. The per-step cost is not yet flat in the
+pass is the number of slots held. The per-step cost is not yet flat in the
 population (ROADMAP item 1): `scene_extent_of` runs once per `train()`.
 
 The per-Gaussian training state lives in the store's rows: `train()`
@@ -279,10 +280,17 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
             interval_loss.append(value)
 
             if len(batch) > 0:
-                # the gate reads the residuals before the step moves them
-                grads.sh_residual[:] = ap.gate_gradients(batch.sh_residual,
-                                                         grads.sh_residual, g_th)
                 rows = store.rows_of(ws.gaussian_ids)
+                opened = ap.gate_gradients(store.slot[rows] < 0, grads.sh_residual, g_th)
+                # The gate decides view-dependence: each row it opens takes a
+                # zeroed slot now, so its moments read the zeros of a diffuse
+                # row. These are exactly the rows whose step sets an SH bit,
+                # as `store.write` needs: a closed row steps from +0.0 on a
+                # +0.0 gradient and stays +0.0, while an opened one has a
+                # gradient entry of at least ~1.5e-7 (norm >= G_TH > 0 over
+                # 45 entries), so m = 0.1 g is non-zero; a NaN or infinite
+                # gradient passes and sets bits either way.
+                store.take_slots(rows[opened])
                 store.adam_steps[rows] += 1
                 m, v = store.read(rows, "params_m", "params_v")
                 adam_step(batch.params, grads.params, m, v, store.adam_steps[rows], lr)
@@ -300,8 +308,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
                                  grow=it <= cfg.iterations // 2)
                 touches = []
                 if g_th < math.inf:
-                    fraction = ap.view_dependent_fraction(
-                        store.sh_slots["params"][store.held_slots()], len(store))
+                    fraction = ap.view_dependent_fraction(len(store.held_slots()), len(store))
                     g_th = ap.update_ratio_cutoff(g_th, fraction)
                 result.metrics.append(MetricRow(
                     iteration=it,

@@ -4,20 +4,22 @@ Each Gaussian has 65 parameters, in `COLUMNS` order with SH last. The store
 keeps the first BASE_WIDTH = 20 (mu, scale, both rotors, opacity and base
 color) as one row of the float64 matrix `params`. The 45 residual SH
 coefficients live in a slot table, the paper's Compact Appearance Model: most
-Gaussians are diffuse and their SH is exactly zero. A row holds a slot
-(`slot`, -1 = diffuse) only once its SH has a set bit, and keeps it until the
-row is removed. `sh_slots["params"]` holds the SH of each slot, and a
-diffuse row's SH reads zero. A batch still holds all 65 columns per row:
-`read` and `gather` fill in SH from the slots, and `write` puts rows back
-and gives a slot to each row that now needs one.
+Gaussians are diffuse and their SH is exactly zero. A row's slot (`slot`,
+-1 = diffuse) is the one record of whether it is view-dependent. A row takes
+one when it is inserted with SH that has a set bit, or when training lets
+its SH gradient through (`take_slots`), and keeps it until it is removed.
+`sh_slots["params"]` holds the SH of each slot, and a diffuse row's SH reads
+zero. A batch still holds all 65 columns per row: `read` and `gather` fill
+in SH from the slots, and `write` puts the rows back and the SH of the
+slotted ones.
 
 Only this module knows that layout. Others read a column by name as a view
-that writes through (`views`, `NamedColumns`) and write named columns into
-rows with `pack`. The store's `sh_residual` is the exception: a dense copy,
-for tools and tests. Each row's placement (`PLACEMENT`) and training's
-per-row state (`attached`) are more row arrays. An array attached as
-`PARAMETERS`, such as training's Adam moments, is laid out as `params`:
-BASE_WIDTH columns per row and its SH in `sh_slots[name]`.
+that writes through (`views`, `NamedColumns`; the store has its base
+columns only) and write named columns into rows with `pack`. Each row's
+placement (`PLACEMENT`) and training's per-row state (`attached`) are more
+row arrays. An array attached as `PARAMETERS`, such as training's Adam
+moments, is laid out as `params`: BASE_WIDTH columns per row and its SH in
+`sh_slots[name]`.
 
 All row arrays grow together in `_grow`, and a row is zeroed in all of them
 when it is handed out again. The slot table grows in `_grow_slots` and zeroes
@@ -67,10 +69,17 @@ def pack(values, out, rows=...):
     return out
 
 
-NamedColumns = type("NamedColumns", (), {
+def _reads(names):
+    """A property per name that reads its columns of `self.params` as a view."""
+    return {name: property(lambda self, key=_KEYS[name]: self.params[:, key]) for name in names}
+
+
+_BaseColumns = type("_BaseColumns", (), {
+    "__doc__": "Reads each name in COLUMNS but SH as a view of its columns of `self.params`.",
+    "__slots__": (), **_reads(COLUMNS[:-1])})
+NamedColumns = type("NamedColumns", (_BaseColumns,), {
     "__doc__": "Reads each name in COLUMNS as a view of its columns of `self.params`.",
-    "__slots__": (),
-    **{name: property(lambda self, key=key: self.params[:, key]) for name, key in _KEYS.items()}})
+    "__slots__": (), **_reads(COLUMNS[-1:])})
 
 
 GaussianBatch = make_dataclass(
@@ -103,13 +112,11 @@ def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_
     return values, lit
 
 
-def _lit(*blocks):
-    """Per row of (n, 45) SH blocks, whether any coefficient of any of them
-    has a set bit: -0.0 counts, so a row that keeps no slot reads back
-    exactly as written."""
-    bits = blocks[0].view(np.uint64)
-    for block in blocks[1:]:
-        bits = bits | block.view(np.uint64)
+def _lit(block):
+    """Per row of an (n, 45) SH block, whether any coefficient has a set
+    bit: -0.0 counts, so a row that takes no slot reads back exactly as
+    written."""
+    bits = block.view(np.uint64)
     if not np.count_nonzero(bits):  # all diffuse: one flat pass, half the row-wise reduce
         return np.zeros(len(bits), dtype=bool)
     return np.bitwise_or.reduce(bits, axis=1) != 0
@@ -132,7 +139,7 @@ class _Pool:
         return reused, fresh
 
 
-class GaussianStore(NamedColumns):
+class GaussianStore(_BaseColumns):
     def __init__(self):
         self.capacity = self.slot_capacity = INITIAL_CAPACITY
         self._row_arrays = []      # names of row-indexed arrays, params first
@@ -195,17 +202,6 @@ class GaussianStore(NamedColumns):
     def ids(self):
         return np.flatnonzero(self._row_of_id[:self._next_id] >= 0).tolist()
 
-    @property
-    def sh_residual(self):
-        """Each row's residual SH as a dense (capacity, 45) copy, zero for a
-        diffuse row. For tools and tests, and read-only: a write raises,
-        since it would not reach the store (`write` does)."""
-        out = np.zeros((self.capacity, sh.RESIDUAL_COEFFS))
-        held = self.held_slots()
-        out[self._row_of_slot[held]] = self.sh_slots["params"][held]
-        out.setflags(write=False)
-        return out
-
     def held_slots(self):
         """Slots currently held by a row, ascending."""
         return np.flatnonzero(self._row_of_slot[:self._slots_pool.top] >= 0)
@@ -250,7 +246,7 @@ class GaussianStore(NamedColumns):
             self._grow(self._rows_pool.top)
         return np.concatenate([reused, fresh])
 
-    def _take_slots(self, rows):
+    def take_slots(self, rows):
         """A slot, zeroed in every slot array, for each of the diffuse
         `rows`: freed ones last-freed first, then fresh ones from the top."""
         reused, fresh = self._slots_pool.take(len(rows))
@@ -274,7 +270,7 @@ class GaussianStore(NamedColumns):
             block = {name: value[lo:lo + _PACK_ROWS] for name, value in columns.items()}
             self.params[rows[lo:lo + _PACK_ROWS]] = pack(block, buf[:len(block["mu"])])
         lit = np.flatnonzero(lit)
-        slots = self._take_slots(rows[lit])  # may grow the table: taken before it is read
+        slots = self.take_slots(rows[lit])  # may grow the table: taken before it is read
         self.sh_slots["params"][slots] = columns["sh_residual"][lit]
         ids = np.arange(self._next_id, self._next_id + len(rows), dtype=np.int64)
         self._next_id += len(rows)
@@ -314,13 +310,13 @@ class GaussianStore(NamedColumns):
 
     def write(self, rows, **values):
         """Write (n, WIDTH) rows of PARAMETERS arrays, by name: the base
-        columns to the rows, the SH columns to their slots. A diffuse row
-        whose SH has a set bit in any of the values first takes a slot."""
+        columns to the rows, the SH columns to the slots of the rows that
+        hold one. A diffuse row's SH columns are dropped, so they must be
+        +0.0 in every value given; `train()` meets this, since a row whose
+        SH gradient the gate lets through takes a slot before its step and
+        any other diffuse row steps from +0.0 on a +0.0 gradient."""
         rows = np.asarray(rows, dtype=np.intp)
         slots = self.slot[rows]
-        bare = np.flatnonzero(slots < 0)
-        new = bare[_lit(*(value[bare, BASE_WIDTH:] for value in values.values()))]
-        slots[new] = self._take_slots(rows[new])
         held = np.flatnonzero(slots >= 0)
         for name, value in values.items():
             getattr(self, name)[rows] = value[:, :BASE_WIDTH]

@@ -40,6 +40,24 @@ def packed(columns):
     return store.pack(checked, np.empty((len(checked["mu"]), store.WIDTH)))
 
 
+def placement_of(h, gid):
+    """(level, index) of the segment that holds Gaussian `gid`, or
+    GLOBAL_SEGMENT; NotFoundError if the id is not stored."""
+    return h._placements(h.store.segment[h.store.rows_of([gid])])[0]
+
+
+def range_of(h, gid):
+    """The influence range (start, end) Gaussian `gid` was placed by."""
+    return tuple(h.store.influence[h.store.rows_of([gid])[0]].tolist())
+
+
+def sh_of(store, rows):
+    """The (n, 45) residual SH of the store's rows, read from their slots:
+    zero for a diffuse row."""
+    slots = store.slot[rows]
+    return np.where((slots >= 0)[:, None], store.sh_slots["params"][slots], 0.0)
+
+
 def stack(parts):
     """Concatenate parameter dicts along their leading axis."""
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}

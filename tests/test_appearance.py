@@ -5,7 +5,9 @@ import pytest
 
 from tgh import appearance as ap
 from tgh import optimizer as opt
+from tgh.store import GaussianStore, checked_columns
 
+from conftest import random_params
 from test_train_properties import small_scene
 
 
@@ -14,51 +16,52 @@ def frozen_threshold():
     return ap.update_ratio_cutoff(ap.G_TH, ap.LAMBDA_H)
 
 
+DIFFUSE, VIEW_DEPENDENT = np.array([True]), np.array([False])
+
+
 def test_small_gradient_on_diffuse_is_zeroed(monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-6)
-    h = np.zeros((1, 45))
     g = np.full((1, 45), 1e-7 / math.sqrt(45))
     assert np.linalg.norm(g) < 1e-6
-    assert np.all(ap.gate_gradients(h, g, ap.G_TH) == 0.0)
+    assert ap.gate_gradients(DIFFUSE, g, ap.G_TH).tolist() == []
+    assert not g.view(np.int64).any()   # +0.0, so Adam leaves the row's SH at +0.0
 
 
 def test_large_gradient_on_diffuse_passes(monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-6)
-    h = np.zeros((1, 45))
     g = np.full((1, 45), 1e-5)
-    assert np.array_equal(ap.gate_gradients(h, g, ap.G_TH), g)
+    assert ap.gate_gradients(DIFFUSE, g, ap.G_TH).tolist() == [0]
+    assert np.all(g == 1e-5)
 
 
 def test_view_dependent_always_passes_even_frozen():
     g_th = frozen_threshold()
     assert g_th == math.inf
-    h = np.zeros((1, 45))
-    h[0, 3] = 0.2
     g = np.full((1, 45), 1e-12)
-    assert np.array_equal(ap.gate_gradients(h, g, g_th), g)
+    assert ap.gate_gradients(VIEW_DEPENDENT, g, g_th).tolist() == []
+    assert np.all(g == 1e-12)
 
 
 def test_frozen_gate_blocks_all_diffuse():
     g_th = frozen_threshold()
     assert g_th == math.inf
-    h = np.zeros((1, 45))
     g = np.full((1, 45), 100.0)
-    assert np.all(ap.gate_gradients(h, g, g_th) == 0.0)
+    assert ap.gate_gradients(DIFFUSE, g, g_th).tolist() == []
+    assert np.all(g == 0.0)
 
 
 def test_batch_gate_mixed_rows(rng, monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-3)
-    h = np.zeros((4, 45))
-    h[1, 0] = 0.5                       # view-dependent
-    g = np.zeros((4, 45))
+    diffuse = np.array([True, False, True, True])   # row 1 view-dependent
+    # the SH columns of wider rows, as `train()` passes `grads.sh_residual`
+    g = np.zeros((4, 65))[:, 20:]
     g[0] = 1e-6                         # diffuse, tiny -> zeroed
     g[1] = 1e-6                         # vdep -> passes
     g[2] = 1.0                          # diffuse, large -> passes
-    out = ap.gate_gradients(h, g, ap.G_TH)
-    assert np.all(out[0] == 0.0)
-    assert np.array_equal(out[1], g[1])
-    assert np.array_equal(out[2], g[2])
-    assert np.all(out[3] == 0.0)
+    expected = g.copy()
+    assert ap.gate_gradients(diffuse, g, ap.G_TH).tolist() == [2]
+    assert np.all(g[0] == 0.0)
+    assert np.array_equal(g[1:], expected[1:])
 
 
 class TestRatioCutoff:
@@ -82,12 +85,16 @@ class TestRatioCutoff:
 
 
 def test_view_dependent_fraction(rng):
-    h = np.zeros((10, 45))
+    columns = random_params(rng, 10)
+    columns["sh_residual"][:] = 0.0
     vdep_rows = [1, 4, 7]
     for r in vdep_rows:
-        h[r, rng.integers(45)] = rng.normal()
-    assert ap.view_dependent_fraction(h, len(h)) == pytest.approx(0.3)
-    assert ap.view_dependent_fraction(np.zeros((5, 45)), 5) == 0.0
+        columns["sh_residual"][r, rng.integers(45)] = rng.normal()
+    store = GaussianStore()
+    store.insert_arrays(*checked_columns(**columns))
+    assert ap.view_dependent_fraction(len(store.held_slots()), len(store)) == pytest.approx(0.3)
+    assert ap.view_dependent_fraction(0, 5) == 0.0
+    assert ap.view_dependent_fraction(0, 0) == 0.0
 
 
 def test_monotone_fraction_under_gating(rng, monkeypatch):
@@ -95,14 +102,16 @@ def test_monotone_fraction_under_gating(rng, monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 0.5)
     monkeypatch.setattr(ap, "LAMBDA_H", 0.9)
     h = np.zeros((50, 45))
+    opened = np.zeros(50, dtype=bool)   # rows holding a slot
     prev = 0.0
     for _ in range(100):
         g = rng.normal(scale=0.2, size=(50, 45))
-        h -= 0.1 * ap.gate_gradients(h, g, ap.G_TH)
-        frac = ap.view_dependent_fraction(h, len(h))
+        opened[ap.gate_gradients(~opened, g, ap.G_TH)] = True
+        h -= 0.1 * g
+        assert not h[~opened].any()     # a diffuse row's SH never moves
+        frac = ap.view_dependent_fraction(np.count_nonzero(opened), len(h))
         assert frac >= prev
         prev = frac
-
 
 
 def test_train_freezes_the_gate_at_the_first_pass_over_the_cutoff(monkeypatch):
@@ -113,12 +122,12 @@ def test_train_freezes_the_gate_at_the_first_pass_over_the_cutoff(monkeypatch):
     events = []                 # ("step", threshold) and ("pass", fraction), in call order
     gate, fraction = ap.gate_gradients, ap.view_dependent_fraction
 
-    def recorded_gate(h, grad_h, g_th):
+    def recorded_gate(diffuse, grad_h, g_th):
         events.append(("step", g_th))
-        return gate(h, grad_h, g_th)
+        return gate(diffuse, grad_h, g_th)
 
-    def recorded_fraction(h, population):
-        events.append(("pass", fraction(h, population)))
+    def recorded_fraction(held, population):
+        events.append(("pass", fraction(held, population)))
         return events[-1][1]
 
     monkeypatch.setattr(ap, "gate_gradients", recorded_gate)

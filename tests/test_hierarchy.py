@@ -11,7 +11,7 @@ from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_LEVEL, AuditError, TemporalHierarchy, build
 from tgh.store import COLUMNS, checked_columns
 
-from conftest import params, random_params, stack
+from conftest import params, placement_of, random_params, range_of, stack
 
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)  # the placement of a range no level segment contains
 
@@ -77,7 +77,7 @@ def insert_ranges(h, ranges):
     half-widths as influence radii; returns their ids and the ranges the
     hierarchy placed them by."""
     ids = h.insert_batch(**time_gaussian(ranges.mean(axis=1), (ranges[:, 1] - ranges[:, 0]) / 2))
-    return ids, np.array([h.range_of(g) for g in ids])
+    return ids, np.array([range_of(h, g) for g in ids])
 
 
 def placement(h, start, end):
@@ -183,7 +183,7 @@ class TestPlace:
         h = build(duration=40.0)
         assert placement(h, -5.0, 45.0) == GLOBAL_SEGMENT
         [gid] = h.insert_batch(**time_gaussian(20.0, 25.0))
-        assert h.placement_of(gid) == GLOBAL_SEGMENT
+        assert placement_of(h, gid) == GLOBAL_SEGMENT
         assert h.occupancy()[1] == {GLOBAL_SEGMENT: 1}
 
     def test_pre_start_range_goes_global(self):
@@ -228,7 +228,7 @@ class TestPlace:
         # neither insert nor re-placement may file it
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(1.0, 1.0))
-        before = h.placement_of(gid), h.range_of(gid)
+        before = placement_of(h, gid), range_of(h, gid)
         huge = time_gaussian(1.0, 1.0)
         huge["scale"][0, 3] = 1e200
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
@@ -238,7 +238,7 @@ class TestPlace:
         h.store.scale[row, 3] = 1e200
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             h.update_levels([gid])
-        assert (h.placement_of(gid), h.range_of(gid)) == before
+        assert (placement_of(h, gid), range_of(h, gid)) == before
         h.audit()
         assert h.insert_batch(**time_gaussian(2.0, 1.0)).tolist() == [1]  # no id was spent
 
@@ -302,20 +302,20 @@ class TestUpdateLevel:
     def test_idempotent_when_unchanged(self):
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
-        before = h.placement_of(gid)
+        before = placement_of(h, gid)
         old, new = h.update_levels([gid])[0]
-        assert old == new == before == h.placement_of(gid)
+        assert old == new == before == placement_of(h, gid)
 
     def test_shrunk_sigma_migrates_deeper(self):
         h = build(duration=40.0)
         g = time_gaussian(0.15, 2.0)
         [gid] = h.insert_batch(**g)
-        assert h.placement_of(gid) == (0, 0)
+        assert placement_of(h, gid) == (0, 0)
         [row] = h.store.rows_of([gid])
         h.store.scale[row, 3] /= 100.0  # radius 2.0 -> 0.02 ... range [0.13, 0.17]
         old, new = h.update_levels([gid])[0]
         assert old == (0, 0)
-        start, end = h.range_of(gid)
+        start, end = range_of(h, gid)
         assert new == brute_force_placement(h, start, end)
         assert new[0] > old[0]
         h.audit()
@@ -331,13 +331,13 @@ class TestUpdateLevel:
     def test_shift_across_level8_boundary(self):
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(1.0, 1e-3))
-        level, n = h.placement_of(gid)
+        level, n = placement_of(h, gid)
         assert level == 8
         [row] = h.store.rows_of([gid])
         h.store.mu[row, 3] += levels(h)[8].seg_length
         old, new = h.update_levels([gid])[0]
         assert old == (8, n) and new == (8, n + 1)
-        start, end = h.range_of(gid)
+        start, end = range_of(h, gid)
         assert new == brute_force_placement(h, start, end)
 
     def test_unknown_id(self):
@@ -453,13 +453,13 @@ class TestInsertRemoveOccupancy:
         # a cast would act on the id the value truncates to
         h = build(duration=40.0)
         ids = h.insert_batch(**random_params(rng, 5))
-        placements = [h.placement_of(g) for g in ids]
+        placements = [placement_of(h, g) for g in ids]
         act = {"remove": h.remove, "update_levels": h.update_levels, "gather": h.store.gather,
-               "placement_of": lambda gids: h.placement_of(gids[0])}[call]
+               "placement_of": lambda gids: placement_of(h, gids[0])}[call]
         with pytest.raises(InvalidParameterError):
             act(gids)
         assert h.store.ids == ids.tolist()
-        assert [h.placement_of(g) for g in ids] == placements
+        assert [placement_of(h, g) for g in ids] == placements
         h.remove([])  # an empty id list is no id of the wrong type
         h.audit()
 
@@ -504,7 +504,7 @@ class TestAudit:
     def test_audit_catches_corruption(self, rng):
         h = build(duration=40.0)
         [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
-        assert h.placement_of(gid) == (0, 0)
+        assert placement_of(h, gid) == (0, 0)
         [row] = h.store.rows_of([gid])
         flat = int(h.store.segment[row])
         h._members[flat + 1] = h._members.pop(flat)  # now in (0, 1)

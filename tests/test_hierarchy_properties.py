@@ -15,6 +15,7 @@ from tgh import sh
 from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.hierarchy import build
 
+from conftest import placement_of, range_of
 from test_hierarchy import (brute_force_indices, brute_force_placement, levels, placement,
                             time_gaussian)
 
@@ -68,7 +69,7 @@ def check_member_index(h, ts):
 def snapshot(h):
     segments = {flat: members.tolist() for flat, members in h._members.items()}
     ids = h.store.ids
-    return (segments, ids, [h.placement_of(g) for g in ids], [h.range_of(g) for g in ids],
+    return (segments, ids, [placement_of(h, g) for g in ids], [range_of(h, g) for g in ids],
             h.store.mu.copy(), h.store.scale.copy())
 
 
@@ -77,6 +78,9 @@ OPS = st.lists(st.tuples(st.sampled_from(["insert", "update", "remove"]),
                min_size=1, max_size=12)
 
 
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(22551931376871140902370268054441700110451332448229032242057560136882974140657704828160714365617662346466513472602716)
 @settings(max_examples=30)
 @given(ops=OPS)
 def test_random_interleavings_keep_invariants(ops):
@@ -92,7 +96,7 @@ def test_random_interleavings_keep_invariants(ops):
             pairs = h.update_levels(chosen)
             assert len(pairs) == len(chosen)
             for gid, (_, new) in zip(chosen.tolist(), pairs):
-                assert new == h.placement_of(gid) == brute_force_placement(h, *h.range_of(gid))
+                assert new == placement_of(h, gid) == brute_force_placement(h, *range_of(h, gid))
         else:
             h.remove([alive.pop(int(rng.integers(len(alive))))
                       for _ in range(min(k, len(alive)))])
@@ -125,7 +129,7 @@ def test_update_files_ids_by_id_not_by_position():
         h.update_levels(gids)
 
     first = [old[i] for i in (31, 4, 17, 9, 25)]
-    assert len({h.placement_of(g) for g in first}) > 1
+    assert len({placement_of(h, g) for g in first}) > 1
     move(first)
     assert h._members[target].tolist() == sorted(first)
     move([new[2], old[0], old[20]])                       # merges around held ids

@@ -13,7 +13,15 @@ from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
 from tgh.store import COLUMNS, PLACEMENT
 
-from conftest import params, random_params, stack
+from conftest import params, random_params, sh_of, stack
+
+
+def store_columns(store):
+    """Each parameter and placement column of all the store's rows, as
+    bytes; SH is read from the slots, zero for a diffuse row."""
+    columns = {name: getattr(store, name) for name in COLUMNS[:-1] + tuple(PLACEMENT)}
+    columns["sh_residual"] = sh_of(store, np.arange(store.capacity))
+    return {name: column.tobytes() for name, column in columns.items()}
 
 
 class StaticScene:
@@ -294,24 +302,26 @@ class TestTrain:
         scene, h, cfg = make_training_setup(rng, iterations=10)
         for image in scene._images.values():
             image[3, 5, 1] = np.nan
-        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        before = store_columns(h.store)
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
+        after = store_columns(h.store)
         for name, column in before.items():
-            assert getattr(h.store, name).tobytes() == column, name
+            assert after[name] == column, name
 
     @pytest.mark.parametrize("frame_rate", [np.inf, 0.0, -30.0, np.nan])
     def test_bad_frame_rate_rejected(self, rng, frame_rate):
         # an infinite rate would train every step at t = 0, a zero one divide by zero
         scene, h, cfg = make_training_setup(rng, iterations=10)
         scene.frame_rate = frame_rate
-        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        before = store_columns(h.store)
         held = set(vars(h.store))
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
         assert set(vars(h.store)) == held
+        after = store_columns(h.store)
         for name, column in before.items():
-            assert getattr(h.store, name).tobytes() == column, name
+            assert after[name] == column, name
 
     @pytest.mark.parametrize("frames", [6, 2.5, -1, np.float64(3.0), True])
     def test_bad_frame_count_rejected(self, rng, frames):
@@ -320,13 +330,14 @@ class TestTrain:
         scene, h, cfg = make_training_setup(rng, iterations=10, seed=1)
         scene._images.update({(0, f): scene._images[(0, 3)] for f in (4, 5)})
         scene.frames = frames
-        before = {name: getattr(h.store, name).tobytes() for name in COLUMNS + tuple(PLACEMENT)}
+        before = store_columns(h.store)
         held = set(vars(h.store))
         with pytest.raises((InvalidParameterError, OutOfRangeError)):
             opt.train(scene, h, cfg)
         assert set(vars(h.store)) == held
+        after = store_columns(h.store)
         for name, column in before.items():
-            assert getattr(h.store, name).tobytes() == column, name
+            assert after[name] == column, name
 
     def test_numpy_frame_count_accepted(self, rng):
         # with 5 frames the last one falls exactly at the end of the clip

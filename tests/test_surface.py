@@ -13,14 +13,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Kept although no run calls them: the hierarchy tests read a Gaussian's
-# placement and influence range and the per-level counts through these, and
-# the segment layout is private. `ssim` is the whole-image SSIM that the SSIM
-# tests check against their dense reference; `losses.loss` runs the same
-# kernel, `ssim._ssim_box`, on the support box it finds once for both terms.
+# Kept although no run calls them: the hierarchy tests read the per-level
+# counts through `occupancy`, and the segment layout is private. `ssim` is the
+# whole-image SSIM that the SSIM tests check against their dense reference;
+# `losses.loss` runs the same kernel, `ssim._ssim_box`, on the support box it
+# finds once for both terms.
 TEST_INSPECTION = {
-    "TemporalHierarchy.placement_of",   # (level, index) of one Gaussian's segment
-    "TemporalHierarchy.range_of",       # the influence range it was placed by
     "TemporalHierarchy.occupancy",      # Gaussians per level and per occupied segment
     "ssim",                             # mean SSIM and its gradient, whole image
 }

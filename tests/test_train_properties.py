@@ -15,7 +15,7 @@ from tgh.camera import Camera
 from tgh.hierarchy import build
 from tgh.store import COLUMNS
 
-from conftest import params, stack
+from conftest import params, placement_of, stack
 from test_optimizer import StaticScene
 
 FRAMES = 4
@@ -80,7 +80,7 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
         h.audit()
         ids = h.store.ids
         runs.append((result.metrics, ids, h.store.gather(ids),
-                     [h.placement_of(g) for g in ids], reports))
+                     [placement_of(h, g) for g in ids], reports))
     (metrics, ids, batch, placements, reports), again = runs
     assert again[0] == metrics and again[1] == ids and again[3] == placements
     for name in COLUMNS:

@@ -11,7 +11,7 @@ densification cap), each time as it stands and with `optimizer.TRAINING_ROWS`
 attached, as during a run. The store's bytes are those of every numpy array
 it holds, directly or in a dict (row arrays, id maps and any slot table),
 at their allocated capacity; per Gaussian is that over `len(store)`. The
-"SH rows" column counts the Gaussians with a non-zero residual coefficient.
+"SH rows" column counts the Gaussians holding a slot, the view-dependent ones.
 """
 
 import argparse
@@ -47,7 +47,7 @@ def store_bytes(store):
 def measure(store):
     """(Gaussians, SH rows, bytes per Gaussian, the same with TRAINING_ROWS)."""
     n = len(store)
-    sh_rows = int(np.count_nonzero(np.any(store.sh_residual[store.live_rows()] != 0.0, axis=1)))
+    sh_rows = len(store.held_slots())
     held = store_bytes(store)
     with store.attached(optimizer.TRAINING_ROWS):
         training = store_bytes(store)

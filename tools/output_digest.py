@@ -78,7 +78,9 @@ def digest(spec, seed):
     ids = np.array(h.store.ids, dtype=np.int64)
     rows = h.store.rows_of(ids)
     parts = [ids, rows.astype(np.int64)]
-    parts += [getattr(h.store, name)[rows] for name in store.COLUMNS + tuple(store.PLACEMENT)]
+    [params] = h.store.read(rows, "params")
+    parts += [*store.views(params).values(),
+              *(getattr(h.store, name)[rows] for name in store.PLACEMENT)]
     parts.append(np.array([[row[c] for c in optimizer.METRIC_COLUMNS] for row in result.metrics],
                           dtype=np.float64))
     fb = renderer.render(h, spec.duration / 2.0, scene.cameras[0])

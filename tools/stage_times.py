@@ -21,11 +21,15 @@ does not define is printed as "-", so that the same script times an older
 checkout too; one it defines but the run never calls reads 0. BLAS is
 pinned to one thread, as in `output_digest.py`. The tables give, per stage,
 the minimum over the runs of its ms per training iteration, per playback
-frame and per build. The `train() rest` row is the training total less the
-stages that `train()` calls directly (TRAIN_TOP): its own lines, such as
-the Adam gathers and write-backs, the gate and `interval_means`. The
-`build rest` row is the build total less the stages that `insert_batch`
-calls directly (BUILD_TOP): the constructor and `insert_batch`'s own lines.
+frame and per build. Each call is also charged to its caller, the
+innermost stage open when it is made. The `train() rest` row is the
+training total less the calls that `train()` makes itself, with no stage
+open: its own lines, such as slot taking and `interval_means`. The `build
+rest` row is the build total less the calls that `insert_batch` makes: the
+constructor and `insert_batch`'s own lines. So a stage that runs under two
+callers, as `GaussianStore.read` does under `materialize` (through
+`gather`) and in `train()` itself, is subtracted once, and each total stays
+exact; its row holds both.
 """
 
 import argparse
@@ -43,7 +47,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tgh import gaussians, hierarchy, losses, optimizer, renderer, ssim, store  # noqa: E402
+from tgh import (appearance, gaussians, hierarchy, losses, optimizer,  # noqa: E402
+                 renderer, ssim, store)
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -55,10 +60,12 @@ PLAYBACK_FRAMES = 50
 
 # (owner, attribute), in pipeline order, each under the name its caller
 # looks up: `renderer.image_loss` is `losses.loss`, and `losses.ssim` and
-# `losses._ssim_box` are the SSIM functions `loss` calls.
+# `losses._ssim_box` are the SSIM functions `loss` calls. `read` runs in
+# `materialize` and again for the Adam moments.
 STAGES = (
     (hierarchy.TemporalHierarchy, "query"),
     (hierarchy.TemporalHierarchy, "materialize"),
+    (store.GaussianStore, "read"),
     (renderer, "_forward"),
     (renderer, "_build_fragments"),
     (renderer, "_layer_major"),
@@ -72,15 +79,18 @@ STAGES = (
     (renderer, "_splat_sum"),
     (renderer, "_fragment_terms"),
     (renderer, "_composite_backward"),
+    (appearance, "gate_gradients"),
     (optimizer, "adam_step"),
+    (store.GaussianStore, "write"),
     (hierarchy.TemporalHierarchy, "update_levels"),
     (optimizer, "adaptive_control"),
 )
 
-# the set-up stages; `_influence_ranges`, `_find_placements` and `_file` run
-# in `update_levels` too, and `_lit` in `store.write`, so they are wrapped
-# for the build alone. `hierarchy.checked_columns` is the store's function
-# under the name `insert_batch` looks up; it holds `_lit`.
+# the set-up stages, wrapped for the build alone: `insert_batch` and the
+# stages below it also run in a control pass's insert, and
+# `_influence_ranges`, `_find_placements` and `_file` in `update_levels`.
+# `hierarchy.checked_columns` is the store's function under the name
+# `insert_batch` looks up; it holds `_lit`.
 # `_influence_ranges` holds `batch_temporal_variance`, which `hierarchy`
 # reaches through the `gaussians` module, and `_file` holds the sort
 # `_by_segment_then_id`.
@@ -97,16 +107,9 @@ SETUP_STAGES = (
 )
 
 
-# the stages train() calls directly; none of them holds another
-TRAIN_TOP = ("TemporalHierarchy.query", "TemporalHierarchy.materialize", "renderer._forward",
-             "renderer.image_loss", "renderer._backward", "optimizer.adam_step",
-             "TemporalHierarchy.update_levels", "optimizer.adaptive_control")
 REST = "train() rest"
-# the stages insert_batch calls directly; none of them holds another
-BUILD_TOP = ("hierarchy.checked_columns", "hierarchy._influence_ranges",
-             "GaussianStore.insert_arrays", "TemporalHierarchy._find_placements",
-             "TemporalHierarchy._file")
 BUILD_REST = "build rest"
+BUILD_CALLER = "TemporalHierarchy.insert_batch"   # the build's rest is its own lines
 
 
 def stage_name(owner, attr):
@@ -114,19 +117,27 @@ def stage_name(owner, attr):
 
 
 @contextmanager
-def timed_stages(stages, seconds):
+def timed_stages(stages, seconds, callers):
     """Route every defined stage of `stages` through a wrapper that adds its
-    wall time to seconds[name], from 0, for the duration of the block."""
+    wall time to seconds[name], from 0, and to callers[caller], where caller
+    is the innermost stage open at the call (None if there is none), for
+    the duration of the block."""
     saved = []
+    open_stages = [None]
 
     def wrap(name, fn):
         @functools.wraps(fn)
         def timed(*args, **kwargs):
+            caller = open_stages[-1]
+            open_stages.append(name)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                seconds[name] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                open_stages.pop()
+                seconds[name] += elapsed
+                callers[caller] += elapsed
         return timed
 
     try:
@@ -147,32 +158,35 @@ def one_run(spec, pop, scene, seed):
     """({stage: ms per iteration}, {stage: ms per frame}, {stage: ms}) of
     one run's training, playback and first build; the key "total" holds the
     whole train() call, the whole playback and the whole build, REST the
-    part of train() outside TRAIN_TOP and BUILD_REST the part of the build
-    outside BUILD_TOP."""
+    part of train() outside the stages it calls and BUILD_REST the part of
+    the build outside the stages `insert_batch` calls."""
     cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
-    builds, out = [], []
+    builds, out, callers = [], [], []
     for count, work in (
             (TRAIN_ITERATIONS, lambda h: optimizer.train(scene, h, cfg)),
             (PLAYBACK_FRAMES, lambda h: [renderer.render(h, t, cam) for t, cam in
                                          itertools.islice(sc.playback_path(spec, seed),
                                                           PLAYBACK_FRAMES)])):
         builds.append(defaultdict(float))
-        with timed_stages(SETUP_STAGES, builds[-1]):
+        callers.append(defaultdict(float))
+        with timed_stages(SETUP_STAGES, builds[-1], callers[-1]):
             start = time.perf_counter()
             h = sc.build_hierarchy(pop, spec.duration)
             builds[-1]["total"] = time.perf_counter() - start
         seconds = defaultdict(float)
-        with timed_stages(STAGES, seconds):
+        callers.append(defaultdict(float))
+        with timed_stages(STAGES, seconds, callers[-1]):
             start = time.perf_counter()
             work(h)
             seconds["total"] = time.perf_counter() - start
         out.append({name: 1e3 * s / count for name, s in seconds.items()})
+    build_callers, train_callers = callers[:2]
     train = out[0]
-    train[REST] = train["total"] - sum(train.get(name, 0.0) for name in TRAIN_TOP)
+    train[REST] = train["total"] - 1e3 * train_callers[None] / TRAIN_ITERATIONS
     build = builds[0]
-    build[BUILD_REST] = build["total"] - sum(build.get(name, 0.0) for name in BUILD_TOP)
+    build[BUILD_REST] = build["total"] - build_callers[BUILD_CALLER]
     return (*out, {name: 1e3 * s for name, s in build.items()})
 
 
