@@ -1,13 +1,14 @@
 """Training: Adam updates on working-set Gaussians, adaptive density control
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
-each once: the gate gives a slot to each diffuse row whose SH gradient it
-lets through, one `adam_step` steps the batch's 65-wide parameter rows and
-one `store.write` puts them back, the base columns to the rows and the SH to
-the slot table. A control pass reads only the rows touched since the last
-one, which `train()` collects as it steps them, and the gate's count at a
-pass is the number of slots held. The per-step cost is not yet flat in the
-population (ROADMAP item 1): `scene_extent_of` runs once per `train()`.
+each once, in the store's layout: the gate gives a slot to each kept diffuse
+row whose SH gradient it lets through, one `adam_step` steps the base rows
+and one the SH of the slotted rows, and one `store.write` puts both back; a
+diffuse row has no SH to step. A control pass reads only the rows touched
+since the last one, which `train()` collects as it steps them, and the
+gate's count at a pass is the number of slots held. The per-step cost is
+not yet flat in the population (ROADMAP item 1): `scene_extent_of` runs
+once per `train()`.
 
 The per-Gaussian training state lives in the store's rows: `train()`
 attaches `TRAINING_ROWS` (Adam moment rows and step counts) to the
@@ -46,10 +47,11 @@ import numpy as np
 from . import appearance as ap
 from . import gaussians as ga
 from . import renderer as rn
+from . import sh
 from .errors import InvalidParameterError, OutOfRangeError
 from .hierarchy import TemporalHierarchy
 from .losses import psnr
-from .store import PARAMETERS, WIDTH, pack, views
+from .store import BASE_WIDTH, PARAMETERS, pack, views
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
     ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
@@ -144,8 +146,8 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
     them; the pass reads no other row, so its cost is independent of the
     total population. Candidates are visited in ascending row order.
     A clone is an exact copy of its source, SH included, as in 3DGS: the
-    sources are read whole (`store.read`) and inserted, so a clone or split
-    child of a view-dependent Gaussian takes a slot of its own. Split
+    sources are read (`store.read`) and inserted with their SH, so a clone or
+    split child of a view-dependent Gaussian takes a slot of its own. Split
     offsets are drawn as one (n, 2, 3) block of standard normals, two
     children per split.
     Under `max_gaussians` the room left after pruning goes to clones first,
@@ -177,7 +179,9 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
 
     sources = np.concatenate([clone_rows, np.repeat(split_rows, 2)])
     if len(sources):
-        new = views(store.read(sources, "params")[0])
+        held, (base, block) = store.read(sources, "params")
+        new = {**views(base), "sh_residual": np.zeros((len(sources), sh.RESIDUAL_COEFFS))}
+        new["sh_residual"][held] = block
         n_clones = len(clone_rows)
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
@@ -260,7 +264,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     g_th = ap.G_TH
     extent = scene_extent_of(h.store)
-    lr = pack({**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}, np.empty(WIDTH))
+    lr = pack({**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}, np.empty(BASE_WIDTH))
 
     result = TrainResult(metrics=[])
     interval_loss = []
@@ -280,26 +284,26 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
             interval_loss.append(value)
 
             if len(batch) > 0:
-                rows = store.rows_of(ws.gaussian_ids)
-                opened = ap.gate_gradients(store.slot[rows] < 0, grads.sh_residual, g_th)
-                # The gate decides view-dependence: each row it opens takes a
-                # zeroed slot now, so its moments read the zeros of a diffuse
-                # row. These are exactly the rows whose step sets an SH bit,
-                # as `store.write` needs: a closed row steps from +0.0 on a
-                # +0.0 gradient and stays +0.0, while an opened one has a
-                # gradient entry of at least ~1.5e-7 (norm >= G_TH > 0 over
-                # 45 entries), so m = 0.1 g is non-zero; a NaN or infinite
-                # gradient passes and sets bits either way.
-                store.take_slots(rows[opened])
+                rows, keep = store.rows_of(ws.gaussian_ids), grads.keep
+                # each kept diffuse row the gate opens takes a zeroed slot, read
+                # below as SH and moments; a slotted row not kept steps on zeros
+                opened = ap.gate_gradients(store.slot[rows[keep]] < 0, grads.sh, g_th)
+                store.take_slots(rows[keep[opened]])
                 store.adam_steps[rows] += 1
-                m, v = store.read(rows, "params_m", "params_v")
-                adam_step(batch.params, grads.params, m, v, store.adam_steps[rows], lr)
+                steps = store.adam_steps[rows]
+                held, (p, p_sh), (m, m_sh), (v, v_sh) = store.read(
+                    rows, "params", "params_m", "params_v")
+                g_sh = np.zeros_like(p_sh)
+                g_sh[np.isin(held, keep)] = grads.sh[store.slot[rows[keep]] >= 0]
+                adam_step(p, grads.params, m, v, steps, lr)
+                adam_step(p_sh, g_sh, m_sh, v_sh, steps[held], LEARNING_RATES["sh_residual"])
                 # keep invariants: opacity in [0, 1], scales above the floor, rotors unit
-                np.clip(batch.opacity, 0.0, 1.0, out=batch.opacity)
-                np.maximum(batch.scale, ga.SCALE_FLOOR, out=batch.scale)
-                for q in (batch.rotor_left, batch.rotor_right):
+                cols = views(p)
+                np.clip(cols["opacity"], 0.0, 1.0, out=cols["opacity"])
+                np.maximum(cols["scale"], ga.SCALE_FLOOR, out=cols["scale"])
+                for q in (cols["rotor_left"], cols["rotor_right"]):
                     q /= np.linalg.norm(q, axis=1, keepdims=True)
-                store.write(rows, params=batch.params, params_m=m, params_v=v)
+                store.write(rows, params=(p, p_sh), params_m=(m, m_sh), params_v=(v, v_sh))
                 h.update_levels(ws.gaussian_ids)
                 touches.append((rows[grads.touched], grads.viewspace_norm[grads.touched]))
 

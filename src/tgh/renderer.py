@@ -7,7 +7,8 @@ A frame runs these stages, each by one function:
    timestamp (`gaussians.build_covariance`, `gaussians.condition_at_time`);
 3. cull by temporal factor, depth and opacity (`_forward`);
 4. project to screen-space 2D Gaussians, EWA first-order (`project`);
-5. color each splat from its base color and residual SH (`_forward`);
+5. color each splat from its base color, plus its residual SH if it holds
+   a slot (`_forward`);
 6. sort back to front (`depth_sort`);
 7. bound each splat's rows by its opacity level set and emit, row by row,
    the pixels whose centres lie inside it (`_build_fragments`);
@@ -16,9 +17,12 @@ A frame runs these stages, each by one function:
    (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
-loss analytically to every Gaussian parameter (`_backward`), one gradient
-row per parameter row. The backward pass runs in the kept splats' rows and
-writes each gradient column once; a culled row's gradients are exact zeros.
+loss analytically to every Gaussian parameter (`_backward`): one base
+gradient row per batch row, and an SH gradient row per kept splat, slotted
+or not, as the appearance gate reads the diffuse ones. The backward pass runs
+in the kept splats' rows and writes each gradient column once; a culled
+row's gradients are exact zeros. Only the splats that hold a slot have a
+view-direction term.
 
 The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
 as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
@@ -99,9 +103,11 @@ class Framebuffer:
 
 
 ParamGradients = make_dataclass(
-    "ParamGradients", ("params", "viewspace_norm", "touched"), bases=(NamedColumns,), slots=True,
-    eq=False, namespace={"__doc__": "A gradient row per batch row, each splat's NDC-scale screen "
-                         "position gradient norm and whether it was kept and covered pixels."})
+    "ParamGradients", ("params", "keep", "sh", "viewspace_norm", "touched"),
+    bases=(NamedColumns,), slots=True, eq=False, namespace={"__doc__": (
+        "A base gradient row per batch row, the SH gradient row of each kept splat (`keep`, "
+        "ascending batch positions), each splat's NDC-scale screen position gradient norm "
+        "and whether it was kept and covered pixels.")})
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +354,7 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     """
     if not np.isfinite(t):
         raise InvalidParameterError(f"timestamp must be finite, got {t!r}")
-    if not np.isfinite(batch.params).all():
+    if not (np.isfinite(batch.params).all() and np.isfinite(batch.sh).all()):
         raise InvalidParameterError("non-finite Gaussian parameters")
     ctx = {"batch": batch, "cam": cam}
     h_img, w_img = cam.height, cam.width
@@ -378,8 +384,11 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     u_norm = np.linalg.norm(u_dir, axis=1)
     dirs = u_dir / u_norm[:, None]
     basis = sh.eval_basis(dirs)
-    coeffs = batch.sh_residual[keep].reshape(-1, sh.NUM_RESIDUAL_BASES, 3)
-    color_raw = batch.base_color[keep] + np.einsum("nb,nbc->nc", basis, coeffs)
+    # the SH term of the kept splats that hold a slot: `lit` indexes `keep`
+    lit = np.flatnonzero(np.isin(keep, batch.held))
+    coeffs = batch.sh[np.searchsorted(batch.held, keep[lit])].reshape(-1, sh.NUM_RESIDUAL_BASES, 3)
+    color_raw = batch.base_color[keep]
+    color_raw[lit] += np.einsum("nb,nbc->nc", basis[lit], coeffs)
     color = np.clip(color_raw, 0.0, 1.0)
 
     # fragments are generated front to back: the back-to-front order reversed
@@ -392,8 +401,8 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     px = row * w_img + col
 
     ctx.update(cam_pts=pts, k_mat=k_mat, conic=conic, u_norm=u_norm, dirs=dirs,
-               basis=basis, color_raw=color_raw, gauss=gauss, dx=dx, px=px,
-               spans=spans, raw=raw)
+               basis=basis, lit=lit, coeffs=coeffs, color_raw=color_raw, gauss=gauss,
+               dx=dx, px=px, spans=spans, raw=raw)
 
     ctx["composite"] = _composite_ordered(px, frag_alpha, color, sidx)
     unique_px, csum, trans = ctx["composite"][:3]
@@ -497,8 +506,9 @@ def _backward(ctx, dl_dimage):
     make the einsums on `v` round differently."""
     batch, cam = ctx["batch"], ctx["cam"]
     n = len(batch)
-    grads = ParamGradients(np.zeros_like(batch.params), np.zeros(n), np.zeros(n, dtype=bool))
     keep = ctx["keep"]
+    grads = ParamGradients(np.zeros_like(batch.params), keep, np.zeros((0, sh.RESIDUAL_COEFFS)),
+                           np.zeros(n), np.zeros(n, dtype=bool))
     if len(keep) == 0:
         return grads
     rot_l, rot_r, left, right, s_cl, rot4, m4, cov4 = (a[keep] for a in ctx["geom"])
@@ -537,18 +547,16 @@ def _backward(ctx, dl_dimage):
                      + grad_jac[:, 1, 2] * (2.0 * cam.fy * y * inv_z2 * inv_z))
     grad_mean3 = grad_m @ cam.rotation
 
-    # color: clamp, SH contraction, view direction
+    # color: clamp, SH contraction; the view direction of the `lit` splats only
     clamp_mask = (ctx["color_raw"] > 0.0) & (ctx["color_raw"] < 1.0)
     g_color_raw = grad_color * clamp_mask
     grads.base_color[keep] = g_color_raw
-    grad_coeffs = ctx["basis"][:, :, None] * g_color_raw[:, None, :]
-    grads.sh_residual[keep] = grad_coeffs.reshape(len(keep), -1)
-    coeffs = batch.sh_residual[keep].reshape(-1, sh.NUM_RESIDUAL_BASES, 3)
-    grad_basis = np.einsum("nbc,nc->nb", coeffs, g_color_raw)
-    dirs = ctx["dirs"]
+    grads.sh = (ctx["basis"][:, :, None] * g_color_raw[:, None, :]).reshape(len(keep), -1)
+    lit, dirs = ctx["lit"], ctx["dirs"][ctx["lit"]]
+    grad_basis = np.einsum("nbc,nc->nb", ctx["coeffs"], g_color_raw[lit])
     grad_dirs = np.einsum("nb,nbk->nk", grad_basis, sh.eval_basis_grad(dirs))
     dots = np.sum(dirs * grad_dirs, axis=1)
-    grad_mean3 += (grad_dirs - dirs * dots[:, None]) / ctx["u_norm"][:, None]
+    grad_mean3[lit] += (grad_dirs - dirs * dots[:, None]) / ctx["u_norm"][lit, None]
     ndc = grad_center2 * np.array([cam.width / 2.0, cam.height / 2.0])
     grads.viewspace_norm[keep] = np.linalg.norm(ndc, axis=1)
 

@@ -4,22 +4,20 @@ Each Gaussian has 65 parameters, in `COLUMNS` order with SH last. The store
 keeps the first BASE_WIDTH = 20 (mu, scale, both rotors, opacity and base
 color) as one row of the float64 matrix `params`. The 45 residual SH
 coefficients live in a slot table, the paper's Compact Appearance Model: most
-Gaussians are diffuse and their SH is exactly zero. A row's slot (`slot`,
--1 = diffuse) is the one record of whether it is view-dependent. A row takes
-one when it is inserted with SH that has a set bit, or when training lets
-its SH gradient through (`take_slots`), and keeps it until it is removed.
-`sh_slots["params"]` holds the SH of each slot, and a diffuse row's SH reads
-zero. A batch still holds all 65 columns per row: `read` and `gather` fill
-in SH from the slots, and `write` puts the rows back and the SH of the
-slotted ones.
+Gaussians are diffuse and have no SH. A row's slot (`slot`, -1 = diffuse) is
+the one record of whether it is view-dependent. A row takes one when it is
+inserted with SH that has a set bit, or when training lets its SH gradient
+through (`take_slots`), and keeps it until it is removed. `sh_slots["params"]`
+holds the SH of each slot. A batch keeps this layout: `read` and `gather`
+give the base rows, the batch positions `held` of the rows that hold a slot
+and one (len(held), 45) SH block, and `write` takes the same pairs back.
 
-Only this module knows that layout. Others read a column by name as a view
-that writes through (`views`, `NamedColumns`; the store has its base
-columns only) and write named columns into rows with `pack`. Each row's
-placement (`PLACEMENT`) and training's per-row state (`attached`) are more
-row arrays. An array attached as `PARAMETERS`, such as training's Adam
-moments, is laid out as `params`: BASE_WIDTH columns per row and its SH in
-`sh_slots[name]`.
+Only this module knows that layout. Others read a base column by name as a
+view that writes through (`views`, `NamedColumns`) and write named columns
+into rows with `pack`. Each row's placement (`PLACEMENT`) and training's
+per-row state (`attached`) are more row arrays. An array attached as
+`PARAMETERS`, such as training's Adam moments, is laid out as `params`:
+BASE_WIDTH columns per row and its SH in `sh_slots[name]`.
 
 All row arrays grow together in `_grow`, and a row is zeroed in all of them
 when it is handed out again. The slot table grows in `_grow_slots` and zeroes
@@ -44,7 +42,6 @@ _ENDS = np.cumsum([math.prod(shape) for shape in SHAPES.values()]).tolist()
 # each name's columns of a parameter row: a slice, or the scalar opacity's index
 _KEYS = {name: slice(end - math.prod(shape), end) if shape else end - 1
          for (name, shape), end in zip(SHAPES.items(), _ENDS)}
-WIDTH = _ENDS[-1]           # parameters per Gaussian, 65
 BASE_WIDTH = _ENDS[-2]      # parameters a row holds, 20: all but the SH
 # each row's flat segment index and influence range (start, end) in seconds
 PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
@@ -56,36 +53,29 @@ _PACK_ROWS = 4096
 
 
 def views(params):
-    """Each name's columns of a (..., WIDTH) parameter matrix, or each base
-    name's columns of a (..., BASE_WIDTH) one, as views."""
-    names = COLUMNS if params.shape[-1] == WIDTH else COLUMNS[:-1]
-    return {name: params[..., _KEYS[name]] for name in names}
+    """Each base name's columns of a (..., BASE_WIDTH) parameter matrix, as views."""
+    return {name: params[..., _KEYS[name]] for name in COLUMNS[:-1]}
 
 
-def pack(values, out, rows=...):
-    """Write each values[name], broadcast, into its columns of out[rows]."""
+def pack(values, out):
+    """Write each values[name], broadcast, into its base columns of `out`."""
     for name, view in views(out).items():
-        view[rows] = values[name]
+        view[...] = values[name]
     return out
 
 
-def _reads(names):
-    """A property per name that reads its columns of `self.params` as a view."""
-    return {name: property(lambda self, key=_KEYS[name]: self.params[:, key]) for name in names}
-
-
-_BaseColumns = type("_BaseColumns", (), {
+NamedColumns = type("NamedColumns", (), {
     "__doc__": "Reads each name in COLUMNS but SH as a view of its columns of `self.params`.",
-    "__slots__": (), **_reads(COLUMNS[:-1])})
-NamedColumns = type("NamedColumns", (_BaseColumns,), {
-    "__doc__": "Reads each name in COLUMNS as a view of its columns of `self.params`.",
-    "__slots__": (), **_reads(COLUMNS[-1:])})
+    "__slots__": (), **{name: property(lambda self, key=_KEYS[name]: self.params[:, key])
+                        for name in COLUMNS[:-1]}})
 
 
 GaussianBatch = make_dataclass(
-    "GaussianBatch", ("ids", "params"), bases=(NamedColumns,), slots=True, eq=False,
-    namespace={"__doc__": "A contiguous snapshot of the parameter rows of a list of ids.",
-               "__len__": lambda self: len(self.ids)})
+    "GaussianBatch", ("ids", "params", "held", "sh"), bases=(NamedColumns,), slots=True,
+    eq=False, namespace={"__doc__": "A contiguous snapshot of the rows of a list of ids, in "
+                         "the store's layout: (n, BASE_WIDTH) base rows, the ascending "
+                         "positions `held` of those that hold a slot and their SH.",
+                         "__len__": lambda self: len(self.ids)})
 
 
 def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual):
@@ -139,7 +129,7 @@ class _Pool:
         return reused, fresh
 
 
-class GaussianStore(_BaseColumns):
+class GaussianStore(NamedColumns):
     def __init__(self):
         self.capacity = self.slot_capacity = INITIAL_CAPACITY
         self._row_arrays = []      # names of row-indexed arrays, params first
@@ -297,35 +287,31 @@ class GaussianStore(_BaseColumns):
         self._slots_pool.free.extend(slots.tolist())
 
     def read(self, rows, *names):
-        """The (n, WIDTH) rows of each named PARAMETERS array, in order: its
-        base columns, and SH from the slots, zero for a diffuse row."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """The positions `held` in `rows` of those that hold a slot, ascending,
+        then for each named PARAMETERS array a (base rows, SH block) pair:
+        its (n, BASE_WIDTH) rows and the (len(held), 45) SH of their slots."""
         slots = self.slot[rows]
         held = np.flatnonzero(slots >= 0)
-        out = [np.zeros((len(rows), WIDTH)) for _ in names]
-        for name, block in zip(names, out):
-            block[:, :BASE_WIDTH] = getattr(self, name)[rows]
-            block[held, BASE_WIDTH:] = self.sh_slots[name][slots[held]]
-        return out
+        return (held, *((getattr(self, name)[rows], self.sh_slots[name][slots[held]])
+                        for name in names))
 
     def write(self, rows, **values):
-        """Write (n, WIDTH) rows of PARAMETERS arrays, by name: the base
-        columns to the rows, the SH columns to the slots of the rows that
-        hold one. A diffuse row's SH columns are dropped, so they must be
-        +0.0 in every value given; `train()` meets this, since a row whose
-        SH gradient the gate lets through takes a slot before its step and
-        any other diffuse row steps from +0.0 on a +0.0 gradient."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """Write (base rows, SH block) pairs of PARAMETERS arrays, by name, as
+        `read` gives them: the base rows to the rows, the SH block to the
+        slots they hold, in order. Nothing is written unless each block has
+        one row per slot held."""
         slots = self.slot[rows]
-        held = np.flatnonzero(slots >= 0)
-        for name, value in values.items():
-            getattr(self, name)[rows] = value[:, :BASE_WIDTH]
-            self.sh_slots[name][slots[held]] = value[held, BASE_WIDTH:]
+        slots = slots[slots >= 0]
+        if any(len(block) != len(slots) for _, block in values.values()):
+            raise InvalidParameterError(f"an SH block's rows are not the {len(slots)} slots held")
+        for name, (base, block) in values.items():
+            getattr(self, name)[rows] = base
+            self.sh_slots[name][slots] = block
 
     def gather(self, gids):
         """Copy the parameter rows of the given ids into a batch."""
-        [params] = self.read(self.rows_of(gids), "params")
-        return GaussianBatch(np.asarray(gids, dtype=np.int64), params)
+        held, (params, block) = self.read(self.rows_of(gids), "params")
+        return GaussianBatch(np.asarray(gids, dtype=np.int64), params, held, block)
 
 
 def _doubled(capacity, needed):

@@ -33,11 +33,92 @@ def params(mu, scale, rotor_left=IDENTITY_ROTOR, rotor_right=IDENTITY_ROTOR,
                 .reshape(1, sh.RESIDUAL_COEFFS))
 
 
+# parameters per Gaussian, 65: the base columns, then the residual SH
+WIDE = store.BASE_WIDTH + sh.RESIDUAL_COEFFS
+
+
 def packed(columns):
     """Parameter columns by name, checked as `insert_batch` checks them, as
-    the (n, WIDTH) matrix of rows that a `GaussianBatch` holds."""
+    (n, WIDE) rows: base columns, then SH."""
     checked, _ = store.checked_columns(**columns)
-    return store.pack(checked, np.empty((len(checked["mu"]), store.WIDTH)))
+    out = np.empty((len(checked["mu"]), WIDE))
+    store.pack(checked, out[:, :store.BASE_WIDTH])
+    out[:, store.BASE_WIDTH:] = checked["sh_residual"]
+    return out
+
+
+def batch_of_columns(columns, ids=None):
+    """A `GaussianBatch` of parameter columns by name, checked as
+    `insert_batch` checks them, in the store's layout: a row holds a slot
+    where its SH has a set bit, as an insert gives it one. Ids 0, 1, ...
+    unless given."""
+    checked, lit = store.checked_columns(**columns)
+    n = len(checked["mu"])
+    held = np.flatnonzero(lit)
+    return store.GaussianBatch(np.arange(n, dtype=np.int64) if ids is None else ids,
+                               store.pack(checked, np.empty((n, store.BASE_WIDTH))), held,
+                               checked["sh_residual"][held])
+
+
+def batch_rows(batch, rows):
+    """A batch of `batch`'s `rows`, in order and repeats allowed, each with
+    its slot's SH if it holds one."""
+    slot_of = np.full(len(batch), -1)
+    slot_of[batch.held] = np.arange(len(batch.held))
+    slots = slot_of[rows]
+    held = np.flatnonzero(slots >= 0)
+    return store.GaussianBatch(batch.ids[rows], batch.params[rows], held, batch.sh[slots[held]])
+
+
+def joined(first, second):
+    """The rows of batch `first`, then those of batch `second`."""
+    return store.GaussianBatch(np.concatenate([first.ids, second.ids]),
+                               np.concatenate([first.params, second.params]),
+                               np.concatenate([first.held, second.held + len(first)]),
+                               np.concatenate([first.sh, second.sh]))
+
+
+def widened(n, positions, block):
+    """(n, 45) SH: the rows of `block` at `positions`, zero elsewhere."""
+    out = np.zeros((n, sh.RESIDUAL_COEFFS))
+    out[positions] = block
+    return out
+
+
+def columns_of(batch):
+    """Each parameter column of a batch by name, one row per batch row: the
+    base columns as views, the SH widened with zeros for diffuse rows."""
+    return {**store.views(batch.params),
+            "sh_residual": widened(len(batch), batch.held, batch.sh)}
+
+
+def grad_columns(grads):
+    """Each gradient group of `ParamGradients` by name, one row per batch
+    row: the base columns as views, the SH widened with zeros for the
+    splats not kept, the view-space norms and the touched flags."""
+    return {**store.views(grads.params),
+            "sh_residual": widened(len(grads.params), grads.keep, grads.sh),
+            "viewspace_norm": grads.viewspace_norm, "touched": grads.touched}
+
+
+def wide_rows(held, pair):
+    """(n, WIDE) rows of a (base rows, SH block) pair as `store.read` gives
+    it: SH zero for the rows not `held`."""
+    base, block = pair
+    return np.concatenate([base, widened(len(base), held, block)], axis=1)
+
+
+def wide_read(gaussians, rows, *names):
+    """`read` of each name from the GaussianStore `gaussians` as (n, WIDE)
+    rows, SH zero for a diffuse row."""
+    held, *pairs = gaussians.read(rows, *names)
+    return [wide_rows(held, pair) for pair in pairs]
+
+
+def narrowed(gaussians, rows, wide):
+    """The (base rows, SH block) pair that `write` of the GaussianStore
+    `gaussians` takes for (n, WIDE) rows: the SH of the rows that hold a slot."""
+    return wide[:, :store.BASE_WIDTH], wide[gaussians.slot[rows] >= 0, store.BASE_WIDTH:]
 
 
 def placement_of(h, gid):

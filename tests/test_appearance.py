@@ -24,7 +24,7 @@ def test_small_gradient_on_diffuse_is_zeroed(monkeypatch):
     g = np.full((1, 45), 1e-7 / math.sqrt(45))
     assert np.linalg.norm(g) < 1e-6
     assert ap.gate_gradients(DIFFUSE, g, ap.G_TH).tolist() == []
-    assert not g.view(np.int64).any()   # +0.0, so Adam leaves the row's SH at +0.0
+    assert not g.view(np.int64).any()   # +0.0: the row's gradient is dropped
 
 
 def test_large_gradient_on_diffuse_passes(monkeypatch):
@@ -53,8 +53,8 @@ def test_frozen_gate_blocks_all_diffuse():
 def test_batch_gate_mixed_rows(rng, monkeypatch):
     monkeypatch.setattr(ap, "G_TH", 1e-3)
     diffuse = np.array([True, False, True, True])   # row 1 view-dependent
-    # the SH columns of wider rows, as `train()` passes `grads.sh_residual`
-    g = np.zeros((4, 65))[:, 20:]
+    # one SH gradient row per kept splat, as `train()` passes `grads.sh`
+    g = np.zeros((4, 45))
     g[0] = 1e-6                         # diffuse, tiny -> zeroed
     g[1] = 1e-6                         # vdep -> passes
     g[2] = 1.0                          # diffuse, large -> passes

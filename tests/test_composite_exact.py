@@ -22,7 +22,7 @@ import pytest
 from tgh import renderer as rn
 from tgh.camera import Camera
 
-from conftest import params, random_params
+from conftest import grad_columns, params, random_params
 from test_renderer import batch_of
 
 
@@ -197,7 +197,7 @@ def assert_identical(new, ref):
     assert np.array_equal(fb_n.rgb, fb_r.rgb)
     assert np.array_equal(fb_n.transmittance, fb_r.transmittance)
     for name in GRAD_FIELDS:
-        assert np.array_equal(getattr(g_n, name), getattr(g_r, name)), name
+        assert np.array_equal(grad_columns(g_n)[name], grad_columns(g_r)[name]), name
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))

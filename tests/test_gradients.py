@@ -9,7 +9,7 @@ from tgh import renderer as rn
 from tgh.camera import Camera
 from tgh.losses import loss as image_loss
 
-from conftest import params
+from conftest import grad_columns, params
 from test_renderer import batch_of
 
 REL_TOL = 1e-4
@@ -42,6 +42,15 @@ def grad_scene(rng, n=1):
     return batch_of(gaussians)
 
 
+def column(batch, group):
+    """A group's values in `batch`, one row per Gaussian, as a view: every
+    Gaussian of `grad_scene` holds a slot, so the SH block is one."""
+    if group == "sh_residual":
+        assert np.array_equal(batch.held, np.arange(len(batch)))
+        return batch.sh
+    return getattr(batch, group)
+
+
 def grad_settings(patch, mse=1.0, ssim=0.0):
     """Set the loss weights and the renderer constants the checks run on."""
     patch.setattr(losses, "MSE_WEIGHT", mse)
@@ -61,8 +70,8 @@ def scalar_loss(batch, t, cam, target):
 def check_group(batch, grads, group, t, cam, target, step=1e-4, entries=None):
     """Central differences against the analytic gradient, at every entry of
     the group or at the given index tuples."""
-    analytic = getattr(grads, group)
-    arr = getattr(batch, group)
+    analytic = grad_columns(grads)[group]
+    arr = column(batch, group)
     worst = 0.0
     for idx in np.ndindex(arr.shape) if entries is None else entries:
         orig = arr[idx]
@@ -125,7 +134,7 @@ def test_random_scene_gradients_match_finite_differences(seed, n, size):
         grad_settings(patch, mse=0.8, ssim=0.2)
         _, _, grads = rn.render_with_gradients(batch, t, cam, target)
         for group in PARAM_GROUPS:
-            shape = getattr(batch, group).shape
+            shape = column(batch, group).shape
             picks = rng.choice(np.prod(shape), size=min(4, np.prod(shape)), replace=False)
             check_group(batch, grads, group, t, cam, target,
                         entries=zip(*np.unravel_index(picks, shape)))
@@ -140,7 +149,7 @@ def test_identical_images_zero_gradients(monkeypatch):
     value, _, grads = rn.render_with_gradients(batch, 1.0, cam, fb.rgb)
     assert value == 0.0
     for group in PARAM_GROUPS:
-        assert np.all(getattr(grads, group) == 0.0), group
+        assert np.all(grad_columns(grads)[group] == 0.0), group
 
 
 def test_opacity_gradient_sign(monkeypatch):
@@ -167,5 +176,5 @@ def test_offscreen_splat_zero_gradients(monkeypatch):
     _, _, grads = rn.render_with_gradients(batch, 1.0, cam, target)
     assert not grads.touched[0]
     for group in PARAM_GROUPS:
-        assert np.all(getattr(grads, group) == 0.0), group
+        assert np.all(grad_columns(grads)[group] == 0.0), group
 

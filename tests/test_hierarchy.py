@@ -11,7 +11,7 @@ from tgh.errors import InvalidParameterError, NotFoundError, OutOfRangeError
 from tgh.hierarchy import GLOBAL_LEVEL, AuditError, TemporalHierarchy, build
 from tgh.store import COLUMNS, checked_columns
 
-from conftest import params, placement_of, random_params, range_of, stack
+from conftest import columns_of, params, placement_of, random_params, range_of, stack
 
 GLOBAL_SEGMENT = (GLOBAL_LEVEL, 0)  # the placement of a range no level segment contains
 
@@ -423,7 +423,7 @@ class TestInsertRemoveOccupancy:
         ids = h.insert_batch(**columns)
         diffuse, lit = h.store.slot[h.store.rows_of(ids)].tolist()
         assert diffuse == -1 and lit >= 0
-        stored = h.store.gather(ids).sh_residual
+        stored = columns_of(h.store.gather(ids))["sh_residual"]
         assert np.array_equal(stored.view(np.int64), columns["sh_residual"].view(np.int64))
 
     def test_remove_unknown(self):

@@ -13,7 +13,7 @@ from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
 from tgh.store import COLUMNS, PLACEMENT
 
-from conftest import params, random_params, sh_of, stack
+from conftest import columns_of, params, random_params, sh_of, stack
 
 
 def store_columns(store):
@@ -76,14 +76,14 @@ class TestAdam:
         assert abs(p[0]) < 1e-2
 
     def test_packed_step_equals_per_column_steps(self):
-        """`train()` steps the 65 parameters of each row with one call and a
-        row of per-column rates. Every element takes the same operations as
+        """`train()` steps the base parameters of each row with one call and
+        a row of per-column rates. Every element takes the same operations as
         when its column is stepped alone with its scalar rate, so both give
         the same bits."""
         rng = np.random.default_rng(21)
         n_rows, per_step = 500, 40
         rates = {**opt.LEARNING_RATES, "mu": opt.LEARNING_RATES["mu"] * 1.7}
-        params = rng.normal(size=(n_rows, st.WIDTH))
+        params = rng.normal(size=(n_rows, st.BASE_WIDTH))
         m, v = np.zeros_like(params), np.zeros_like(params)
         steps = np.zeros(n_rows, dtype=np.int64)
         # the reference keeps one contiguous array per column
@@ -92,11 +92,13 @@ class TestAdam:
         v_cols = {name: np.zeros_like(column) for name, column in cols.items()}
         for _ in range(60):
             rows = rng.choice(n_rows, size=per_step, replace=False)
-            grads = rng.normal(size=(per_step, st.WIDTH)) * 10.0 ** rng.uniform(-6, 0, st.WIDTH)
+            grads = (rng.normal(size=(per_step, st.BASE_WIDTH))
+                     * 10.0 ** rng.uniform(-6, 0, st.BASE_WIDTH))
             grads[rng.uniform(size=per_step) < 0.2] = 0.0
             steps[rows] += 1
             p, m_rows, v_rows = params[rows], m[rows], v[rows]
-            opt.adam_step(p, grads, m_rows, v_rows, steps[rows], st.pack(rates, np.empty(st.WIDTH)))
+            opt.adam_step(p, grads, m_rows, v_rows, steps[rows],
+                          st.pack(rates, np.empty(st.BASE_WIDTH)))
             params[rows], m[rows], v[rows] = p, m_rows, v_rows
             for name, g in st.views(grads).items():
                 p, m_rows, v_rows = cols[name][rows], m_cols[name][rows], v_cols[name][rows]
@@ -253,7 +255,7 @@ class TestTrain:
         assert set(h1.store.ids) == set(h2.store.ids)
         a, b = h1.store.gather(h1.store.ids), h2.store.gather(h1.store.ids)
         assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.sh_residual, b.sh_residual)
+        assert np.array_equal(columns_of(a)["sh_residual"], columns_of(b)["sh_residual"])
 
     def test_growth_only_in_first_half(self, rng, monkeypatch):
         # a tiny threshold makes every touched Gaussian hot at every pass

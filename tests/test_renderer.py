@@ -9,9 +9,9 @@ from tgh import sh
 from tgh.camera import Camera, look_at
 from tgh.errors import InvalidParameterError, OutOfRangeError
 from tgh.hierarchy import build
-from tgh.store import COLUMNS, GaussianBatch
+from tgh.store import COLUMNS
 
-from conftest import packed, params, random_params, stack
+from conftest import batch_of_columns, columns_of, grad_columns, params, random_params, stack
 
 
 def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
@@ -23,8 +23,7 @@ def simple_camera(width=64, height=64, fx=100.0, cx=None, cy=None):
 
 def batch_of(gaussians):
     """A batch of the given parameter dicts, with ids 0, 1, ..."""
-    columns = stack(gaussians)
-    return GaussianBatch(np.arange(len(columns["mu"]), dtype=np.int64), packed(columns))
+    return batch_of_columns(stack(gaussians))
 
 
 def rotated_camera(width=24, height=24):
@@ -61,7 +60,7 @@ def reference_render(batch, t, cam):
         K = J @ cam.rotation
         cov2 = K @ cov3[i] @ K.T + rn.COV2_LOWPASS * np.eye(2)
         view_dir = (mean3[i] - cam.center) / np.linalg.norm(mean3[i] - cam.center)
-        residual = sh.eval_basis(view_dir) @ batch.sh_residual[i].reshape(-1, 3)
+        residual = sh.eval_basis(view_dir) @ columns_of(batch)["sh_residual"][i].reshape(-1, 3)
         color = np.clip(batch.base_color[i] + residual, 0.0, 1.0)
         splats.append((-z, int(batch.ids[i]), center2, cov2, alpha, color))
     for _, _, center2, cov2, alpha, color in sorted(splats, key=lambda s: s[:2]):
@@ -297,7 +296,7 @@ class TestRender:
         assert 0.0 < fb.transmittance[32, 32] < 1.0 - rn.ALPHA_CLAMP
         assert grads.touched.all()
         for column in COLUMNS + ("viewspace_norm",):
-            assert np.isfinite(getattr(grads, column)).all(), column
+            assert np.isfinite(grad_columns(grads)[column]).all(), column
 
 
 @pytest.mark.parametrize("field, value", [
@@ -324,7 +323,10 @@ def test_camera_accepts_numpy_integer_size():
 def test_non_finite_parameters_raise(column):
     cam = simple_camera()
     batch = single_gaussian_scene()
-    values = getattr(batch, column).reshape(-1)  # row 0 of a batch of one
+    if column == "sh_residual":  # the row is diffuse: its SH is that of a zeroed slot
+        batch.held, batch.sh = np.array([0]), np.zeros((1, sh.RESIDUAL_COEFFS))
+    # row 0 of a batch of one
+    values = (batch.sh if column == "sh_residual" else getattr(batch, column)).reshape(-1)
     for entry in (0, len(values) - 1):
         values[entry] = np.nan
         with pytest.raises(InvalidParameterError):

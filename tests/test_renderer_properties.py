@@ -1,5 +1,6 @@
-"""Property tests for the renderer invariants: batch-order independence and
-transmittance bounds, on small random scenes drawn by hypothesis."""
+"""Property tests for the renderer invariants: batch-order independence,
+exactness of the SH term's skip for diffuse splats and transmittance bounds,
+on small random scenes drawn by hypothesis."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tgh.camera import Camera
 from tgh.errors import InvalidParameterError
 from tgh.store import GaussianBatch
 
-from conftest import packed
+from conftest import batch_of_columns, batch_rows, grad_columns, joined
 
 SIZE = 16
 GRAD_GROUPS = ("mu", "scale", "rotor_left", "rotor_right", "opacity",
@@ -31,9 +32,8 @@ def unit_rows(rng, n):
 def random_batch(seed, n):
     """n overlapping Gaussians in front of `camera()`, alive around t = 1."""
     rng = np.random.default_rng(seed)
-    return GaussianBatch(
-        ids=rng.permutation(10 * n)[:n].astype(np.int64),
-        params=packed(dict(
+    ids = rng.permutation(10 * n)[:n].astype(np.int64)
+    return batch_of_columns(dict(
             mu=np.column_stack([rng.uniform(-0.8, 0.8, (n, 2)), rng.uniform(3.0, 7.0, n),
                                 rng.uniform(0.8, 1.2, n)]),
             scale=np.column_stack([rng.uniform(0.05, 0.8, (n, 3)), rng.uniform(0.1, 0.5, n)]),
@@ -41,11 +41,7 @@ def random_batch(seed, n):
             rotor_right=unit_rows(rng, n),
             opacity=rng.uniform(0.05, 1.0, n),
             base_color=rng.uniform(0.0, 1.0, (n, 3)),
-            sh_residual=rng.normal(scale=0.1, size=(n, 45)))))
-
-
-def permuted(batch, perm):
-    return GaussianBatch(*(getattr(batch, name)[perm] for name in GaussianBatch.__slots__))
+            sh_residual=rng.normal(scale=0.1, size=(n, 45))), ids)
 
 
 # Hypothesis draws a derandomized test's cases from a hash of the test's
@@ -61,19 +57,19 @@ def test_batch_order_does_not_change_output(seed, n, data):
     cam = camera()
     target = np.random.default_rng(seed).uniform(size=(SIZE, SIZE, 3))
     loss, fb, grads = rn.render_with_gradients(batch, 1.0, cam, target)
-    loss_p, fb_p, grads_p = rn.render_with_gradients(permuted(batch, perm), 1.0, cam, target)
+    loss_p, fb_p, grads_p = rn.render_with_gradients(batch_rows(batch, perm), 1.0, cam, target)
     assert loss_p == loss
     assert np.array_equal(fb_p.rgb, fb.rgb)
     assert np.array_equal(fb_p.transmittance, fb.transmittance)
     for name in GRAD_GROUPS:
-        assert np.array_equal(getattr(grads_p, name), getattr(grads, name)[perm]), name
+        assert np.array_equal(grad_columns(grads_p)[name], grad_columns(grads)[name][perm]), name
 
 
 def culled_copies(batch, rows, t, cam):
     """Copies of `batch`'s `rows` with fresh ids, culled in turn by the
     temporal factor (mu_t 50 s away), by depth (the mean at the camera centre
     at t) and by opacity (1e-4, below ALPHA_MIN)."""
-    copy = permuted(batch, rows)
+    copy = batch_rows(batch, rows)
     copy.ids = batch.ids.max() + 1 + np.arange(len(rows), dtype=np.int64)
     kind = np.arange(len(rows)) % 3
     copy.mu[kind == 0, 3] += 50.0
@@ -94,20 +90,47 @@ def test_culled_rows_change_no_gradient(seed, n, data):
     batch = random_batch(seed, n)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=9)))
     extra = culled_copies(batch, rows, t, cam)
-    both = GaussianBatch(*(np.concatenate([getattr(batch, name), getattr(extra, name)])
-                           for name in GaussianBatch.__slots__))
+    both = joined(batch, extra)
     perm = np.array(data.draw(st.permutations(range(len(both)))), dtype=np.intp)
     target = np.random.default_rng(seed).uniform(size=(SIZE, SIZE, 3))
     loss, fb, grads = rn.render_with_gradients(batch, t, cam, target)
-    loss_x, fb_x, grads_x = rn.render_with_gradients(permuted(both, perm), t, cam, target)
+    loss_x, fb_x, grads_x = rn.render_with_gradients(batch_rows(both, perm), t, cam, target)
     assert loss_x == loss
     assert np.array_equal(fb_x.rgb, fb.rgb)
     # position in the permuted batch of each original row and of each copy
     where = np.argsort(perm)
     for name in GRAD_GROUPS:
-        got = getattr(grads_x, name)
-        assert np.array_equal(got[where[:n]], getattr(grads, name)), name
+        got = grad_columns(grads_x)[name]
+        assert np.array_equal(got[where[:n]], grad_columns(grads)[name]), name
         assert not np.any(got[where[n:]]), name
+
+
+# Hypothesis draws a derandomized test's cases from a hash of the test's
+# source; this seed fixes them, so that an edit to the body keeps its cases.
+@seed(61803398874989484820458683436563811772030917980576286213544862270526046281890)
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), data=st.data())
+def test_zeroed_slot_renders_as_diffuse(seed, n, data):
+    """The renderer skips the SH term of a splat that holds no slot. That
+    is exact: the same splats, some holding an all-+0.0 slot in one batch
+    and diffuse in the other, give byte-identical images, the same loss and
+    equal gradients."""
+    t, cam = 1.0, camera()
+    batch = random_batch(seed, n)
+    diffuse = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    batch.sh[diffuse] = 0.0
+    slotted = GaussianBatch(batch.ids, batch.params, batch.held, batch.sh)
+    left_diffuse = GaussianBatch(batch.ids, batch.params, np.flatnonzero(~diffuse),
+                                 batch.sh[~diffuse])
+    target = np.random.default_rng(seed).uniform(size=(SIZE, SIZE, 3))
+    loss, fb, grads = rn.render_with_gradients(slotted, t, cam, target)
+    loss_d, fb_d, grads_d = rn.render_with_gradients(left_diffuse, t, cam, target)
+    assert loss_d == loss
+    assert fb_d.rgb.tobytes() == fb.rgb.tobytes()
+    assert fb_d.transmittance.tobytes() == fb.transmittance.tobytes()
+    assert np.array_equal(grads_d.keep, grads.keep)
+    for name in ("params", "sh", "viewspace_norm", "touched"):
+        assert np.array_equal(getattr(grads_d, name), getattr(grads, name)), name
 
 
 # Hypothesis draws a derandomized test's cases from a hash of the test's

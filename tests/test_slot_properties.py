@@ -4,8 +4,8 @@ each held slot belongs to exactly one live row, a row holds one exactly when
 it was inserted with a set SH bit or took one before a step that set one,
 every read equals a dense reference and a reused slot reads zero. In a real
 `train()`, the gate's count, the slots held, equals the brute-force count of
-the rows inserted lit or opened by the gate, and no write hands a diffuse
-row a set SH bit."""
+the rows inserted lit or opened by the gate, and each write's SH block has
+one row per slotted row."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from tgh import appearance as ap
 from tgh import optimizer as opt
 from tgh import sh
 from tgh import store as stm
-from tgh.store import BASE_WIDTH, WIDTH, GaussianStore
+from tgh.store import BASE_WIDTH, GaussianStore
 
-from conftest import packed, random_params, sh_of
+from conftest import WIDE, narrowed, packed, random_params, sh_of, wide_read, wide_rows
 from test_train_properties import small_scene
 
 MOMENTS = ("params_m", "params_v")
@@ -40,7 +40,7 @@ def set_bits(block):
 
 def check(store, reference, lit):
     """The slot table's invariants, and every read against `reference`
-    (id -> {name: (WIDTH,) row}) and `lit` (the ids that hold a slot)."""
+    (id -> {name: (WIDE,) row}) and `lit` (the ids that hold a slot)."""
     live = store.live_rows()
     slots = store.slot[live]
     held = store.held_slots()
@@ -51,14 +51,15 @@ def check(store, reference, lit):
     assert sorted(ids.tolist()) == sorted(reference)
     assert sorted(ids[slots >= 0].tolist()) == sorted(lit)
     for name in ("params",) + MOMENTS:
-        expected = np.array([reference[g][name] for g in ids.tolist()]).reshape(-1, WIDTH)
-        [got] = store.read(live, name)
+        expected = np.array([reference[g][name] for g in ids.tolist()]).reshape(-1, WIDE)
+        [got] = wide_read(store, live, name)
         assert np.array_equal(got, expected), name
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name  # -0.0 too
         # a diffuse row's SH, and its moments' SH, have no set bit
         assert not expected[slots < 0, BASE_WIDTH:].view(np.int64).any(), name
-    [params] = store.read(live, "params")
-    assert np.array_equal(store.gather(ids).params, params)
+    [params] = wide_read(store, live, "params")
+    batch = store.gather(ids)
+    assert np.array_equal(wide_rows(batch.held, (batch.params, batch.sh)), params)
     assert np.array_equal(sh_of(store, live), params[:, BASE_WIDTH:])
 
 
@@ -80,11 +81,11 @@ def test_lit_matches_reference(seed, n, strided, column, kinds):
     # blocks take the flat path. The other kinds set one value in about half
     # the rows, at a random column of each row or at the first or last
     # column of all: -0.0, a single bit, a special value or a normal number.
-    # Strided blocks are the SH columns of (n, WIDTH) rows.
+    # Strided blocks are the SH columns of (n, WIDE) rows.
     rng = np.random.default_rng(seed)
     arrays = []
     for kind in kinds:
-        block = (np.zeros((n, WIDTH))[:, BASE_WIDTH:] if strided
+        block = (np.zeros((n, WIDE))[:, BASE_WIDTH:] if strided
                  else np.zeros((n, sh.RESIDUAL_COEFFS)))
         rows = np.flatnonzero(rng.random(n) < 0.5) if kind != "zero" else np.zeros(0, int)
         if kind == "negative_zero":
@@ -127,8 +128,8 @@ def test_slot_lifecycle(seed, ops):
                 rows = packed(columns)
                 new = store.insert_arrays(*stm.checked_columns(**columns))[1].tolist()
                 for gid, row in zip(new, rows):
-                    reference[gid] = {"params": row, "params_m": np.zeros(WIDTH),
-                                      "params_v": np.zeros(WIDTH)}
+                    reference[gid] = {"params": row, "params_m": np.zeros(WIDE),
+                                      "params_v": np.zeros(WIDE)}
                 lit.update(np.array(new)[set_bits(columns["sh_residual"])].tolist())
             elif op == "remove" and ids:
                 gone = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
@@ -146,7 +147,7 @@ def test_slot_lifecycle(seed, ops):
                 if rng.integers(2):
                     rows = rows.tolist()  # read and write take a list of rows too
                 names = ("params",) + (MOMENTS if op == "step" else ())
-                values = dict(zip(names, store.read(rows, *names)))
+                values = dict(zip(names, wide_read(store, rows, *names)))
                 for name in names:
                     values[name][:, :BASE_WIDTH] = rng.normal(size=(len(rows), BASE_WIDTH))
                     values[name][:, BASE_WIDTH:] = sh_block(rng, len(rows))
@@ -154,7 +155,8 @@ def test_slot_lifecycle(seed, ops):
                 opened &= ~np.isin(chosen, list(lit))
                 store.take_slots(np.asarray(rows)[opened])
                 lit.update(chosen[opened].tolist())
-                store.write(rows, **values)
+                store.write(rows, **{name: narrowed(store, rows, value)
+                                     for name, value in values.items()})
                 for i, gid in enumerate(chosen.tolist()):
                     for name in names:
                         reference[gid][name] = values[name][i].copy()
@@ -168,8 +170,9 @@ def test_reused_slot_reads_zero():
     with store.attached(opt.TRAINING_ROWS):
         _, ids = store.insert_arrays(*stm.checked_columns(**columns))
         rows = store.rows_of(ids)
-        store.write(rows, params=store.read(rows, "params")[0], params_m=np.ones((3, WIDTH)),
-                    params_v=np.ones((3, WIDTH)))
+        store.write(rows, params=narrowed(store, rows, wide_read(store, rows, "params")[0]),
+                    params_m=narrowed(store, rows, np.ones((3, WIDE))),
+                    params_v=narrowed(store, rows, np.ones((3, WIDE))))
         freed = store.slot[rows[1]]
         store.remove([ids[1]])
         columns["sh_residual"][:] = 0.0
@@ -180,7 +183,7 @@ def test_reused_slot_reads_zero():
         [row] = store.rows_of([new])
         assert store.slot[row] == freed
         for name in MOMENTS:
-            assert np.all(store.read([row], name)[0] == 0.0), name
+            assert np.all(wide_read(store, [row], name)[0] == 0.0), name
         expected = np.zeros(sh.RESIDUAL_COEFFS)
         expected[5] = 2.0
         assert np.array_equal(sh_of(store, [row])[0], expected)
@@ -238,9 +241,9 @@ def test_gate_count_over_slots_equals_brute_force_at_every_pass(seed, n):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_train_opens_a_slot_before_each_write_of_sh(seed):
-    # `store.write` drops a diffuse row's SH, so `train()` must give a row a
-    # slot before any write that sets one of its SH bits: exactly the rows
-    # the gate opens in that step
+    # `store.write` writes SH to the slotted rows only, one block row each,
+    # so `train()` must give a row a slot before the write that steps its
+    # SH: exactly the rows the gate opens in that step
     scene, h = small_scene(seed, 5, 16)
     store = h.store
     gate, write = ap.gate_gradients, store.write
@@ -254,8 +257,8 @@ def test_train_opens_a_slot_before_each_write_of_sh(seed):
 
     def checked_write(rows, **values):
         diffuse = store.slot[rows] < 0
-        for name, value in values.items():
-            assert not value[diffuse, BASE_WIDTH:].view(np.int64).any(), name
+        for name, (base, block) in values.items():
+            assert len(base) == len(rows) and len(block) == np.count_nonzero(~diffuse), name
         write(rows, **values)
         before, opened = steps[-1]
         assert len(store.held_slots()) == before + opened

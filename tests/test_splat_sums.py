@@ -26,9 +26,8 @@ from hypothesis import given, seed, settings, strategies as st
 from tgh import renderer as rn
 from tgh.camera import Camera
 from tgh.losses import loss as image_loss
-from tgh.store import GaussianBatch
 
-from conftest import packed
+from conftest import batch_of_columns, grad_columns
 
 SIZE = 24
 FOCAL = 40.0
@@ -172,13 +171,11 @@ def random_scene(seed, n, offscreen, single):
     scale[point, 3] = 1.0
     t[point] = 1.0
     opacity[point] = rng.uniform(1.05, 1.45, single) * rn.ALPHA_MIN
-    return GaussianBatch(
-        ids=np.arange(total, dtype=np.int64),
-        params=packed(dict(
-            mu=np.column_stack([xy, z, t]), scale=scale,
-            rotor_left=unit_rows(rng, total), rotor_right=unit_rows(rng, total),
-            opacity=opacity, base_color=rng.uniform(0.0, 1.0, (total, 3)),
-            sh_residual=rng.normal(scale=0.1, size=(total, 45)))))
+    return batch_of_columns(dict(
+        mu=np.column_stack([xy, z, t]), scale=scale,
+        rotor_left=unit_rows(rng, total), rotor_right=unit_rows(rng, total),
+        opacity=opacity, base_color=rng.uniform(0.0, 1.0, (total, 3)),
+        sh_residual=rng.normal(scale=0.1, size=(total, 45))))
 
 
 def scene_and_target(seed, n, offscreen, single):
@@ -204,7 +201,7 @@ def test_span_sums_match_per_fragment_sums(seed, n, offscreen, single):
     assert np.array_equal(fb.transmittance, fb_r.transmittance)
     assert np.array_equal(grads.touched, grads_r.touched)
     for name in GRAD_FIELDS[:-1]:
-        new, ref = getattr(grads, name), getattr(grads_r, name)
+        new, ref = grad_columns(grads)[name], grad_columns(grads_r)[name]
         np.testing.assert_allclose(new, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max(initial=0.0), err_msg=name)
 

@@ -7,7 +7,7 @@ from tgh import store as st
 from tgh.errors import InvalidParameterError, NotFoundError
 from tgh.store import GaussianStore
 
-from conftest import packed, sh_of
+from conftest import WIDE, columns_of, narrowed, packed, sh_of, wide_read, wide_rows
 
 
 def arrays(n, value=0.0):
@@ -33,7 +33,7 @@ def check_columns(store, ids):
     included."""
     rows = store.rows_of(ids)
     batch = store.gather(ids)
-    assert np.array_equal(batch.sh_residual, sh_of(store, rows))
+    assert np.array_equal(columns_of(batch)["sh_residual"], sh_of(store, rows))
     for name in st.COLUMNS[:-1]:
         column = getattr(store, name)
         assert np.shares_memory(column, store.params), name
@@ -54,11 +54,12 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
     with store.attached({"extra": ((2,), np.int64)}), store.attached(opt.TRAINING_ROWS):
         store.extra[:10] = 7
         first = np.arange(10)
-        [sh_five] = store.read(first, "params")
+        [sh_five] = wide_read(store, first, "params")
         sh_five[:, st.BASE_WIDTH:] = 5.0
         store.take_slots(first)  # as `train()` does for rows whose SH gradient passes
-        store.write(first, params=sh_five, params_m=np.full((10, st.WIDTH), 3.0),
-                    params_v=np.full((10, st.WIDTH), 3.0))
+        store.write(first, params=narrowed(store, first, sh_five),
+                    params_m=narrowed(store, first, np.full((10, WIDE), 3.0)),
+                    params_v=narrowed(store, first, np.full((10, WIDE), 3.0)))
         for taken in ("extra", "mu"):
             with pytest.raises(InvalidParameterError):
                 with store.attached({taken: ((), np.float64)}):
@@ -70,9 +71,9 @@ def test_rows_reused_last_freed_first_then_fresh(monkeypatch):
         taken = [4, 7, 2, 10, 11]
         assert np.all(store.extra[taken] == 0)
         for name in ("params_m", "params_v"):
-            assert np.all(store.read(taken, name)[0] == 0), name
+            assert np.all(wide_read(store, taken, name)[0] == 0), name
         assert np.all(store.extra[[0, 1, 3, 5, 6, 8, 9]] == 7)
-        assert np.array_equal(store.read(taken, "params")[0], packed(arrays(5, value=1.0)))
+        assert np.array_equal(wide_read(store, taken, "params")[0], packed(arrays(5, value=1.0)))
         assert np.all(sh_of(store, taken) == 0)
         check_columns(store, new)
     assert not hasattr(store, "extra")
@@ -108,7 +109,8 @@ def test_rows_grow_past_capacity(monkeypatch):
     columns["mu"] = np.arange(4.0 * n).reshape(n, 4)
     more = insert(store, columns)
     assert store.rows_of(more).tolist() == [7, 6, 5] + list(range(40, 37 + n))
-    assert np.array_equal(store.gather(more).params, packed(columns))
+    batch = store.gather(more)
+    assert np.array_equal(wide_rows(batch.held, (batch.params, batch.sh)), packed(columns))
 
 
 def test_rows_of_rejects_unknown_removed_and_negative_ids():
@@ -134,3 +136,23 @@ def test_remove_is_atomic():
     store.remove([ids[2], ids[0]])
     assert insert(store, arrays(3)).tolist() == [4, 5, 6]
     assert store.rows_of([4, 5, 6]).tolist() == [0, 2, 4]
+
+
+def test_write_checks_each_sh_block_before_writing():
+    # a block of other rows than the slots held would broadcast, or land in
+    # the wrong slots: the write is refused whole, the valid pairs included
+    store = GaussianStore()
+    columns = arrays(4)
+    columns["sh_residual"][:3] = 1.0
+    rows = store.rows_of(insert(store, columns))
+    with store.attached(opt.TRAINING_ROWS):
+        before = wide_read(store, rows, "params", "params_m")
+        for rows_in_block in (1, 4):
+            with pytest.raises(InvalidParameterError):
+                store.write(rows, params_m=(np.full((4, st.BASE_WIDTH), 7.0), np.ones((3, 45))),
+                            params=(np.full((4, st.BASE_WIDTH), 7.0),
+                                    np.full((rows_in_block, 45), 7.0)))
+            after = wide_read(store, rows, "params", "params_m")
+            for old, new in zip(before, after):
+                assert np.array_equal(old, new)
+        assert store.read(rows)[0].tolist() == [0, 1, 2]

@@ -15,7 +15,7 @@ from tgh.camera import Camera
 from tgh.hierarchy import build
 from tgh.store import COLUMNS
 
-from conftest import params, placement_of, stack
+from conftest import columns_of, params, placement_of, stack
 from test_optimizer import StaticScene
 
 FRAMES = 4
@@ -84,7 +84,7 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
     (metrics, ids, batch, placements, reports), again = runs
     assert again[0] == metrics and again[1] == ids and again[3] == placements
     for name in COLUMNS:
-        assert np.array_equal(getattr(again[2], name), getattr(batch, name)), name
+        assert np.array_equal(columns_of(again[2])[name], columns_of(batch)[name]), name
     assert sum(r.cloned for r in reports) > 0
     assert sum(r.split for r in reports) > 0
     assert sum(r.pruned for r in reports) > 0
@@ -100,8 +100,8 @@ def test_clone_is_an_exact_copy_of_its_source(seed, monkeypatch):
 
     def control(h, *args, **kwargs):
         def rows(ids):
-            batch = h.store.gather(ids)
-            return np.concatenate([getattr(batch, name).reshape(len(ids), -1)
+            columns = columns_of(h.store.gather(ids))
+            return np.concatenate([columns[name].reshape(len(ids), -1)
                                    for name in COLUMNS], axis=1)
         before = rows(h.store.ids)
         report = original(h, *args, **kwargs)

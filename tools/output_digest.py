@@ -29,7 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
-from tgh import optimizer, renderer, store  # noqa: E402
+from tgh import optimizer, renderer, sh, store  # noqa: E402
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -78,8 +78,10 @@ def digest(spec, seed):
     ids = np.array(h.store.ids, dtype=np.int64)
     rows = h.store.rows_of(ids)
     parts = [ids, rows.astype(np.int64)]
-    [params] = h.store.read(rows, "params")
-    parts += [*store.views(params).values(),
+    held, (params, block) = h.store.read(rows, "params")
+    dense_sh = np.zeros((len(rows), sh.RESIDUAL_COEFFS))  # a diffuse row's SH reads zero
+    dense_sh[held] = block
+    parts += [*store.views(params).values(), dense_sh,
               *(getattr(h.store, name)[rows] for name in store.PLACEMENT)]
     parts.append(np.array([[row[c] for c in optimizer.METRIC_COLUMNS] for row in result.metrics],
                           dtype=np.float64))

@@ -48,7 +48,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from tgh import (appearance, gaussians, hierarchy, losses, optimizer,  # noqa: E402
-                 renderer, ssim, store)
+                 renderer, store)
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -59,9 +59,10 @@ DENSIFY_INTERVAL = 25
 PLAYBACK_FRAMES = 50
 
 # (owner, attribute), in pipeline order, each under the name its caller
-# looks up: `renderer.image_loss` is `losses.loss`, and `losses.ssim` and
-# `losses._ssim_box` are the SSIM functions `loss` calls. `read` runs in
-# `materialize` and again for the Adam moments.
+# looks up: `renderer.image_loss` is `losses.loss`, and `losses._support_box`
+# and `losses._ssim_box` are the `ssim` functions `loss` calls. `read` runs
+# in `materialize` (through `gather`) and again in `train()` for the
+# parameters and Adam moments of the step.
 STAGES = (
     (hierarchy.TemporalHierarchy, "query"),
     (hierarchy.TemporalHierarchy, "materialize"),
@@ -72,8 +73,6 @@ STAGES = (
     (renderer, "_composite_ordered"),
     (renderer, "image_loss"),
     (losses, "_support_box"),
-    (ssim, "_support_box"),
-    (losses, "ssim"),
     (losses, "_ssim_box"),
     (renderer, "_backward"),
     (renderer, "_splat_sum"),
