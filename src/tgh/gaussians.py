@@ -3,15 +3,18 @@
 A primitive is an anisotropic Gaussian over (x, y, z, t). `build_covariance`
 is the one function that forms its 4x4 covariance, from a pair of unit
 quaternions (the left/right isoclinic factors of a 4D rotation) and four
-floored scales.
-`condition_at_time` is the one conditioning function: it slices the 4D
-Gaussian at a timestamp into the 3D splat actually rendered, whose opacity
-the temporal marginal w_t modulates. `batch_temporal_variance` gives only
-the time entry Sigma[3, 3], for the hierarchy's placement: it forms row 3 of
-the rotation in closed form from the renormalized rotors.
+floored scales, and `condition_at_time` the one conditioning function: it
+slices the 4D Gaussian at a timestamp into the 3D splat actually rendered,
+whose opacity the temporal marginal w_t modulates. `geometry_backward` is
+their backward pass, from a splat's gradients to its Gaussian's parameters.
+`batch_temporal_variance` gives only the time entry Sigma[3, 3], for the
+hierarchy's placement: it forms row 3 of the rotation in closed form from
+the renormalized rotors.
 
 All functions here are pure and operate on stacked arrays.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,13 +47,16 @@ def _normalize_rows(q):
 
 # The isoclinic factors are linear in the quaternion q = (w, x, y, z):
 # L(q)[i, j] = sign[i, j] * q[component[i, j]], and the left and right
-# factors share the component pattern. As bases, L(q) = sum_c q_c LEFT_BASIS[c].
+# factors share the component pattern. As bases, L(q) = sum_c q_c _LEFT_BASIS[c].
 _COMPONENT = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _LEFT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
 _RIGHT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
 _ONE_HOT = np.arange(4)[:, None, None] == _COMPONENT
-LEFT_BASIS = _LEFT_SIGN * _ONE_HOT          # (4, 4, 4)
-RIGHT_BASIS = _RIGHT_SIGN * _ONE_HOT
+_LEFT_BASIS = _LEFT_SIGN * _ONE_HOT          # (4, 4, 4)
+_RIGHT_BASIS = _RIGHT_SIGN * _ONE_HOT
+
+Geometry = namedtuple("Geometry", "rotor_left rotor_right left right scale rot4 m cov")
+Conditioned = namedtuple("Conditioned", "dt mean3 cov3 w_t")
 
 
 def isoclinic_factors(rotor_left, rotor_right):
@@ -62,8 +68,8 @@ def isoclinic_factors(rotor_left, rotor_right):
     ql = _normalize_rows(np.asarray(rotor_left, dtype=np.float64))
     qr = _normalize_rows(np.asarray(rotor_right, dtype=np.float64))
     shape = ql.shape[:-1] + (4, 4)
-    left = np.einsum("nc,cij->nij", ql.reshape(-1, 4), LEFT_BASIS).reshape(shape)
-    right = np.einsum("nc,cij->nij", qr.reshape(-1, 4), RIGHT_BASIS).reshape(shape)
+    left = np.einsum("nc,cij->nij", ql.reshape(-1, 4), _LEFT_BASIS).reshape(shape)
+    right = np.einsum("nc,cij->nij", qr.reshape(-1, 4), _RIGHT_BASIS).reshape(shape)
     return ql, qr, left, right
 
 
@@ -73,18 +79,17 @@ def clamp_scales(scale):
 
 
 def build_covariance(scale, rotor_left, rotor_right):
-    """Covariances Sigma = M M^T with M = R4 diag(s), and the factors that
-    build them: (q_l, q_r, L, R, s, R4, M, Sigma).
-
-    q_l, q_r are the renormalized rotors (..., 4), L and R their isoclinic
-    factors and R4 = L @ R the 4D rotation (..., 4, 4); s is the scale with
-    its floors applied (..., 4).
+    """Covariances Sigma = M M^T, M = R4 diag(s), as a Geometry with the
+    factors that build them: the renormalized rotors `rotor_left` and
+    `rotor_right` (..., 4), their isoclinic factors `left` and `right`, the
+    4D rotation `rot4` = L @ R and `m` = M (..., 4, 4), the scale with its
+    floors applied, `scale` = s (..., 4), and `cov` = Sigma.
     """
     ql, qr, left, right = isoclinic_factors(rotor_left, rotor_right)
     s = clamp_scales(scale)
     rot4 = left @ right
     m = rot4 * s[..., None, :]
-    return ql, qr, left, right, s, rot4, m, m @ np.swapaxes(m, -1, -2)
+    return Geometry(ql, qr, left, right, s, rot4, m, m @ np.swapaxes(m, -1, -2))
 
 
 def _components(x):
@@ -127,11 +132,9 @@ def influence_radius(sigma_t):
 def condition_at_time(mu, cov, t):
     """Condition stacked 4D Gaussians on a timestamp.
 
-    mu: (N, 4), cov: (N, 4, 4), t: scalar. Returns (v, sigma_t, dt, mean3,
-    cov3, w_t): the space-time covariance column v = cov[:3, 3] (N, 3), the
-    temporal variance sigma_t = cov[3, 3], dt = t - mu_t, the conditional
-    mean (N, 3) and covariance (N, 3, 3), and the normalized temporal factor
-    w_t = exp(-dt^2 / (2 sigma_t)) in (0, 1].
+    mu: (N, 4), cov: (N, 4, 4), t: scalar. Returns a Conditioned: dt =
+    t - mu_t, the conditional mean3 (N, 3) and cov3 (N, 3, 3), and the
+    normalized temporal factor w_t = exp(-dt^2 / (2 cov[3, 3])) in (0, 1].
     """
     v = cov[..., :3, 3]
     sigma_t = cov[..., 3, 3]
@@ -139,4 +142,45 @@ def condition_at_time(mu, cov, t):
     w_t = np.exp(-0.5 * dt * dt / sigma_t)
     mean3 = mu[..., :3] + v * (dt / sigma_t)[..., None]
     cov3 = cov[..., :3, :3] - v[..., :, None] * v[..., None, :] / sigma_t[..., None, None]
-    return v, sigma_t, dt, mean3, cov3, w_t
+    return Conditioned(dt, mean3, cov3, w_t)
+
+
+def geometry_backward(scale, rotor_left, rotor_right, geom, dt, w_t, grad_mean3, grad_cov3, grad_w):
+    """Gradients (mu, scale, rotor_left, rotor_right) of K Gaussians from
+    those of their conditioned mean3 (K, 3), cov3 (K, 3, 3) and w_t (K,).
+
+    scale and the rotors are the raw (K, 4) rows given to `build_covariance`,
+    geom its Geometry and dt, w_t those of `condition_at_time`, all at the
+    same K rows. Conditioning goes back to mu and cov4, then cov4 = M M^T to
+    the floored scale and the unit rotors; a scale gets the floor clamp's
+    one-sided derivative, so one on its floor can grow, and a rotor the
+    renormalisation's, its gradient's tangent part over |q|. `v` and
+    `sigma_t` are views of geom.cov, as `condition_at_time` reads them: a
+    contiguous copy would make the einsums on `v` round differently.
+    """
+    v, sigma_t = geom.cov[:, :3, 3], geom.cov[:, 3, 3]
+    gm_dot_v = np.sum(grad_mean3 * v, axis=1)
+    grad_v = grad_mean3 * (dt / sigma_t)[:, None] \
+        - 2.0 * np.einsum("nij,nj->ni", grad_cov3, v) / sigma_t[:, None]
+    grad_sigma = (-gm_dot_v * dt / sigma_t ** 2
+                  + np.einsum("ni,nij,nj->n", v, grad_cov3, v) / sigma_t ** 2
+                  + grad_w * w_t * dt * dt / (2.0 * sigma_t ** 2))
+    grad_mu = np.column_stack([grad_mean3, -gm_dot_v / sigma_t + grad_w * w_t * dt / sigma_t])
+
+    grad_cov4 = np.zeros((len(dt), 4, 4))
+    grad_cov4[:, :3, :3] = grad_cov3
+    grad_cov4[:, :3, 3] = grad_v
+    grad_cov4[:, 3, 3] = grad_sigma
+
+    # cov4 = M M^T with M = R4 * diag(scales)
+    grad_m4 = (grad_cov4 + np.swapaxes(grad_cov4, 1, 2)) @ geom.m
+    grad_rot4 = grad_m4 * geom.scale[:, None, :]
+    grad_s = np.einsum("nij,nij->nj", geom.rot4, grad_m4)
+    grad_left = np.einsum("nij,cij->nc", grad_rot4 @ np.swapaxes(geom.right, 1, 2), _LEFT_BASIS)
+    grad_right = np.einsum("nij,cij->nc", np.swapaxes(geom.left, 1, 2) @ grad_rot4, _RIGHT_BASIS)
+    grads = [grad_mu, grad_s * (scale >= SCALE_FLOOR)]
+    for raw_q, q_hat, g_hat in ((rotor_left, geom.rotor_left, grad_left),
+                                (rotor_right, geom.rotor_right, grad_right)):
+        proj = np.sum(q_hat * g_hat, axis=1, keepdims=True)
+        grads.append((g_hat - q_hat * proj) / np.linalg.norm(raw_q, axis=1, keepdims=True))
+    return grads

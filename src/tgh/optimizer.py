@@ -185,7 +185,7 @@ def adaptive_control(h: TemporalHierarchy, cfg: TrainConfig, rng, scene_extent,
         n_clones = len(clone_rows)
         if len(split_rows):
             cov = ga.build_covariance(store.scale[split_rows], store.rotor_left[split_rows],
-                                      store.rotor_right[split_rows])[-1][:, :3, :3]
+                                      store.rotor_right[split_rows]).cov[:, :3, :3]
             chol = np.linalg.cholesky(cov + 1e-12 * np.eye(3))
             z = rng.standard_normal((len(split_rows), 2, 3))
             new["mu"][n_clones:, :3] += (chol[:, None] @ z[..., None]).reshape(-1, 3)

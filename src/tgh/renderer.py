@@ -4,7 +4,8 @@ A frame runs these stages, each by one function:
 
 1. check that every parameter is finite (`_forward`);
 2. build each working-set Gaussian's 4D covariance and condition it at the
-   timestamp (`gaussians.build_covariance`, `gaussians.condition_at_time`);
+   timestamp (`gaussians.build_covariance`, `gaussians.condition_at_time`,
+   back-propagated by `gaussians.geometry_backward`);
 3. cull by temporal factor, depth and opacity (`_forward`);
 4. project to screen-space 2D Gaussians, EWA first-order (`project`);
 5. color each splat from its base color, plus its residual SH if it holds
@@ -17,12 +18,13 @@ A frame runs these stages, each by one function:
    (`_composite_ordered`).
 
 `render_with_gradients` runs the same stages and back-propagates the image
-loss analytically to every Gaussian parameter (`_backward`): one base
-gradient row per batch row, and an SH gradient row per kept splat, slotted
-or not, as the appearance gate reads the diffuse ones. The backward pass runs
-in the kept splats' rows and writes each gradient column once; a culled
-row's gradients are exact zeros. Only the splats that hold a slot have a
-view-direction term.
+loss analytically to every Gaussian parameter: `_backward` through screen
+space, colour and opacity, `gaussians.geometry_backward` on to mu, scale and
+rotors. There is one base gradient row per batch row, and an SH gradient row
+per kept splat, slotted or not, as the appearance gate reads the diffuse
+ones. The backward pass runs in the kept splats' rows and writes each
+gradient column once; a culled row's gradients are exact zeros. Only the
+splats that hold a slot have a view-direction term.
 
 The renderer runs one configuration, the settings of 3DGS (arXiv 2308.04079),
 as module constants: a splat whose peak alpha is below `ALPHA_MIN` = 1/255 is
@@ -359,11 +361,10 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
     ctx = {"batch": batch, "cam": cam}
     h_img, w_img = cam.height, cam.width
     geom = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)
-    cond = ga.condition_at_time(batch.mu, geom[-1], t)
-    _, _, _, mean3, cov3, w_t = cond
-    alpha_splat = batch.opacity * w_t
-    cam_pts = mean3 @ cam.rotation.T + cam.translation
-    keep = np.flatnonzero((w_t >= ga.TEMPORAL_THRESHOLD)
+    cond = ga.condition_at_time(batch.mu, geom.cov, t)
+    alpha_splat = batch.opacity * cond.w_t
+    cam_pts = cond.mean3 @ cam.rotation.T + cam.translation
+    keep = np.flatnonzero((cond.w_t >= ga.TEMPORAL_THRESHOLD)
                           & (cam_pts[:, 2] >= cam.near) & (cam_pts[:, 2] <= cam.far)
                           & (alpha_splat >= ALPHA_MIN))
     ctx.update(geom=geom, cond=cond, keep=keep)
@@ -375,12 +376,12 @@ def _forward(batch: GaussianBatch, t, cam: Camera):
         return Framebuffer(rgb, trans_img), ctx
 
     pts = cam_pts[keep]
-    center2, k_mat, cov2 = project(pts, cov3[keep], cam)
+    center2, k_mat, cov2 = project(pts, cond.cov3[keep], cam)
     a_, b_, c_ = cov2[:, 0, 0], cov2[:, 0, 1], cov2[:, 1, 1]
     det = a_ * c_ - b_ * b_
     conic = np.stack([c_ / det, -b_ / det, a_ / det], axis=1)
 
-    u_dir = mean3[keep] - cam.center
+    u_dir = cond.mean3[keep] - cam.center
     u_norm = np.linalg.norm(u_dir, axis=1)
     dirs = u_dir / u_norm[:, None]
     basis = sh.eval_basis(dirs)
@@ -501,20 +502,14 @@ def _splat_sum(ctx, dl_flat):
 def _backward(ctx, dl_dimage):
     """Propagate an image gradient to all batch parameters, in the kept
     splats' rows: each gradient column is written once, at `keep`, and a
-    culled row keeps its zeros. `v` and `sigma_t` are views of the kept
-    covariance, as `condition_at_time` reads them: a contiguous copy would
-    make the einsums on `v` round differently."""
-    batch, cam = ctx["batch"], ctx["cam"]
+    culled row keeps its zeros."""
+    batch, cam, keep = ctx["batch"], ctx["cam"], ctx["keep"]
     n = len(batch)
-    keep = ctx["keep"]
     grads = ParamGradients(np.zeros_like(batch.params), keep, np.zeros((0, sh.RESIDUAL_COEFFS)),
                            np.zeros(n), np.zeros(n, dtype=bool))
     if len(keep) == 0:
         return grads
-    rot_l, rot_r, left, right, s_cl, rot4, m4, cov4 = (a[keep] for a in ctx["geom"])
-    v, sigma_t = cov4[:, :3, 3], cov4[:, 3, 3]
-    _, _, dt, _, cov3, w_t = ctx["cond"]
-    dt, cov3, w_t = dt[keep], cov3[keep], w_t[keep]
+    dt, cov3, w_t = ctx["cond"].dt[keep], ctx["cond"].cov3[keep], ctx["cond"].w_t[keep]
     grad_alpha, grad_conic, grad_center2, grad_color, grads.touched[keep] = _splat_sum(
         ctx, dl_dimage.reshape(-1, 3))
 
@@ -560,40 +555,13 @@ def _backward(ctx, dl_dimage):
     ndc = grad_center2 * np.array([cam.width / 2.0, cam.height / 2.0])
     grads.viewspace_norm[keep] = np.linalg.norm(ndc, axis=1)
 
-    # conditioning: mean3 / cov3 / temporal factor -> mu, cov4, opacity
+    # alpha = opacity * w_t; the Gaussian's own parameters from `gaussians`
     grad_w = grad_alpha * batch.opacity[keep]
     grads.opacity[keep] = grad_alpha * w_t
-    gm_dot_v = np.sum(grad_mean3 * v, axis=1)
-    grad_v = grad_mean3 * (dt / sigma_t)[:, None] \
-        - 2.0 * np.einsum("nij,nj->ni", grad_cov3, v) / sigma_t[:, None]
-    grad_sigma = (-gm_dot_v * dt / sigma_t ** 2
-                  + np.einsum("ni,nij,nj->n", v, grad_cov3, v) / sigma_t ** 2
-                  + grad_w * w_t * dt * dt / (2.0 * sigma_t ** 2))
-    grads.mu[keep] = np.column_stack(
-        [grad_mean3, -gm_dot_v / sigma_t + grad_w * w_t * dt / sigma_t])
-
-    grad_cov4 = np.zeros((len(keep), 4, 4))
-    grad_cov4[:, :3, :3] = grad_cov3
-    grad_cov4[:, :3, 3] = grad_v
-    grad_cov4[:, 3, 3] = grad_sigma
-
-    # cov4 = M M^T with M = R4 * diag(scales)
-    grad_m4 = (grad_cov4 + np.swapaxes(grad_cov4, 1, 2)) @ m4
-    grad_rot4 = grad_m4 * s_cl[:, None, :]
-    grad_s = np.einsum("nij,nij->nj", rot4, grad_m4)
-    # one-sided derivative of the floor clamp: a scale on the floor can grow
-    grads.scale[keep] = grad_s * (batch.scale[keep] >= ga.SCALE_FLOOR)
-
-    grad_left = grad_rot4 @ np.swapaxes(right, 1, 2)
-    grad_right = np.swapaxes(left, 1, 2) @ grad_rot4
-    g_ql_hat = np.einsum("nij,cij->nc", grad_left, ga.LEFT_BASIS)
-    g_qr_hat = np.einsum("nij,cij->nc", grad_right, ga.RIGHT_BASIS)
-    for raw_q, q_hat, g_hat, out in (
-            (batch.rotor_left[keep], rot_l, g_ql_hat, grads.rotor_left),
-            (batch.rotor_right[keep], rot_r, g_qr_hat, grads.rotor_right)):
-        norm = np.linalg.norm(raw_q, axis=1, keepdims=True)
-        proj = np.sum(q_hat * g_hat, axis=1, keepdims=True)
-        out[keep] = (g_hat - q_hat * proj) / norm
+    geom = ga.Geometry._make(a[keep] for a in ctx["geom"])
+    grads.mu[keep], grads.scale[keep], grads.rotor_left[keep], grads.rotor_right[keep] = \
+        ga.geometry_backward(batch.scale[keep], batch.rotor_left[keep], batch.rotor_right[keep],
+                             geom, dt, w_t, grad_mean3, grad_cov3, grad_w)
     return grads
 
 

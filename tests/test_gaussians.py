@@ -41,12 +41,12 @@ def identity_gaussian(**kw):
 
 
 def covariance(p):
-    return ga.build_covariance(p["scale"], p["rotor_left"], p["rotor_right"])[-1]
+    return ga.build_covariance(p["scale"], p["rotor_left"], p["rotor_right"]).cov
 
 
 def marginal_opacity(p, t):
     """Temporal marginal opacity o * w_t of a batch of one, as rendered."""
-    w_t = ga.condition_at_time(p["mu"], covariance(p), t)[-1]
+    w_t = ga.condition_at_time(p["mu"], covariance(p), t).w_t
     return float(p["opacity"][0] * w_t[0])
 
 
@@ -60,8 +60,8 @@ def influence_range(p):
 
 def condition_at_time(p, t):
     """(mean3, cov3, opacity_t) of a batch of one at time t."""
-    _, _, _, mean3, cov3, w_t = ga.condition_at_time(p["mu"], covariance(p), t)
-    return mean3[0], cov3[0], float(p["opacity"][0] * w_t[0])
+    cond = ga.condition_at_time(p["mu"], covariance(p), t)
+    return cond.mean3[0], cond.cov3[0], float(p["opacity"][0] * cond.w_t[0])
 
 
 class TestCovariance:
@@ -72,7 +72,7 @@ class TestCovariance:
 
     def test_rotation_group_property(self, rng):
         for _ in range(50):
-            R = ga.build_covariance(np.ones(4), random_unit(rng), random_unit(rng))[5]
+            R = ga.build_covariance(np.ones(4), random_unit(rng), random_unit(rng)).rot4
             assert np.max(np.abs(R.T @ R - np.eye(4))) < 1e-6
             assert abs(np.linalg.det(R) - 1.0) < 1e-6
 
@@ -88,13 +88,14 @@ class TestCovariance:
                                      axis=-1) for row in rows], axis=-2)
             assert np.array_equal(factor, ref)
         scale = rng.uniform(0.1, 2.0, size=(50, 4))
-        *factors, rot4, m, cov = ga.build_covariance(scale, q[0], q[1])
-        for got, want in zip(factors, (ql, qr, left, right, scale)):
+        geom = ga.build_covariance(scale, q[0], q[1])
+        for got, want in zip((geom.rotor_left, geom.rotor_right, geom.left, geom.right,
+                              geom.scale), (ql, qr, left, right, scale)):
             assert np.array_equal(got, want)
-        assert np.array_equal(rot4, left @ right)
-        assert np.array_equal(ga.build_covariance(scale[7], q[0, 7], q[1, 7])[5],
+        assert np.array_equal(geom.rot4, left @ right)
+        assert np.array_equal(ga.build_covariance(scale[7], q[0, 7], q[1, 7]).rot4,
                               (left @ right)[7])
-        assert np.array_equal(cov, m @ np.swapaxes(m, 1, 2))
+        assert np.array_equal(geom.cov, geom.m @ np.swapaxes(geom.m, 1, 2))
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(50):
@@ -175,7 +176,7 @@ class TestTemporalVariance:
             q = rng.normal(size=(2, *shape, 4)) * np.exp(rng.uniform(-7.0, 7.0, (2, *shape, 1)))
             scale = np.exp(rng.uniform(np.log(1e-7), np.log(10.0), (*shape, 4)))
             got = ga.batch_temporal_variance(scale, q[0], q[1])
-            want = ga.build_covariance(scale, q[0], q[1])[-1][..., 3, 3]
+            want = ga.build_covariance(scale, q[0], q[1]).cov[..., 3, 3]
             assert got.shape == shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -221,7 +222,7 @@ class TestTemporalVariance:
             q[0] *= left
             q[1] *= right
             got = ga.batch_temporal_variance(scale, q[0], q[1])
-            want = ga.build_covariance(scale, q[0], q[1])[-1][..., 3, 3]
+            want = ga.build_covariance(scale, q[0], q[1]).cov[..., 3, 3]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             cols = random_params(rng, n)
             cols.update(scale=scale, rotor_left=q[0], rotor_right=q[1])
@@ -296,3 +297,100 @@ class TestConditioning:
             _, cov3, _ = condition_at_time(g, rng.uniform(0, 10))
             assert np.max(np.abs(cov3 - cov3.T)) < 1e-9
             assert np.linalg.eigvalsh(cov3).min() >= -1e-9
+
+
+GEOMETRY = ("mu", "scale", "rotor_left", "rotor_right")
+T_COND = 0.0
+
+
+def conditioned(p):
+    geom = ga.build_covariance(p["scale"], p["rotor_left"], p["rotor_right"])
+    return geom, ga.condition_at_time(p["mu"], geom.cov, T_COND)
+
+
+def geometry_case(rng, scale):
+    """Raw geometry of len(scale) Gaussians, with rotors of norm 1e-2 to 1e2
+    and means within two temporal deviations of the origin, and the weights
+    (a, b, c) of a random functional <a, mean3> + <b, cov3> + c w_t of each
+    conditioned splat, with a and b scaled to the row's own size."""
+    n = len(scale)
+    q = rng.normal(size=(2, n, 4))
+    q *= np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (2, n, 1))) / np.linalg.norm(
+        q, axis=-1, keepdims=True)
+    sd = np.sqrt(ga.batch_temporal_variance(scale, q[0], q[1]))
+    p = {"mu": np.column_stack([rng.uniform(-1, 1, (n, 3)), rng.uniform(-2, 2, n)]) * sd[:, None],
+         "scale": scale, "rotor_left": q[0], "rotor_right": q[1]}
+    size = np.sqrt(np.trace(conditioned(p)[0].cov[:, :3, :3], axis1=1, axis2=2))
+    b = rng.normal(size=(n, 3, 3))
+    return p, (rng.normal(size=(n, 3)) / size[:, None],
+               (b + np.swapaxes(b, 1, 2)) / size[:, None, None] ** 2, rng.normal(size=n))
+
+
+def functional(p, weights):
+    """The functional of `geometry_case`, one value per row."""
+    a, b, c = weights
+    cond = conditioned(p)[1]
+    return (np.einsum("ni,ni->n", a, cond.mean3) + np.einsum("nij,nij->n", b, cond.cov3)
+            + c * cond.w_t)
+
+
+def analytic(p, weights):
+    geom, cond = conditioned(p)
+    return dict(zip(GEOMETRY, ga.geometry_backward(
+        p["scale"], p["rotor_left"], p["rotor_right"], geom, cond.dt, cond.w_t, *weights)))
+
+
+def difference(p, weights, name, j, up, down):
+    """Per row, (f(x + up) - f(x - down)) over the rounded step, x being
+    component j of parameter `name`."""
+    hi, lo = dict(p, **{name: p[name].copy()}), dict(p, **{name: p[name].copy()})
+    hi[name][:, j] += up
+    lo[name][:, j] -= down
+    return (functional(hi, weights) - functional(lo, weights)) / (hi[name][:, j] - lo[name][:, j])
+
+
+class TestGeometryBackward:
+    """`geometry_backward` alone, with no rasteriser in the loop."""
+
+    def test_matches_central_differences(self, rng):
+        # every scale a factor 1.5 to 10 above or below its floor, never on it
+        n = 300
+        factor = np.exp(rng.choice([-1.0, 1.0], (n, 4)) * rng.uniform(np.log(1.5), np.log(10.0),
+                                                                       (n, 4)))
+        p, weights = geometry_case(rng, ga.SCALE_FLOOR * factor)
+        below = p["scale"] < ga.SCALE_FLOOR
+        assert below[:, :3].any() and below[:, 3].any()
+        assert (~below[:, :3]).any() and (~below[:, 3]).any()
+        # steps relative to each row: its temporal deviation, the scale, |q|
+        sd = np.sqrt(conditioned(p)[0].cov[:, 3, 3])
+        steps = {"mu": 1e-4 * sd[:, None], "scale": 1e-4 * p["scale"],
+                 **{name: 1e-5 * np.linalg.norm(p[name], axis=1, keepdims=True)
+                    for name in ("rotor_left", "rotor_right")}}
+        got = analytic(p, weights)
+        for name in GEOMETRY:
+            h = np.broadcast_to(steps[name], (n, 4))
+            want = np.column_stack([difference(p, weights, name, j, h[:, j], h[:, j])
+                                    for j in range(4)])
+            row_max = np.abs(got[name]).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got[name] - want) <= 1e-4 * row_max), name
+        # a scale below its floor does not move the splat: exact zeros
+        assert np.all(got["scale"][below] == 0.0)
+        assert np.all(got["scale"][~below] != 0.0)
+
+    def test_scale_on_its_floor_can_grow(self, rng):
+        # one component per row exactly on its floor, the others above theirs
+        n = 200
+        scale = ga.SCALE_FLOOR * np.exp(rng.uniform(np.log(1.5), np.log(10.0), (n, 4)))
+        on = rng.integers(4, size=n)
+        scale[np.arange(n), on] = ga.SCALE_FLOOR[on]
+        p, weights = geometry_case(rng, scale)
+        got = analytic(p, weights)["scale"][np.arange(n), on]
+        assert np.all(got != 0.0)
+        for j in range(4):
+            rows, step = on == j, 1e-4 * ga.SCALE_FLOOR[j]
+            # one-sided: the derivative upward, from forward differences over
+            # step and 2 step, extrapolated; none downward
+            up = (2.0 * difference(p, weights, "scale", j, step, 0.0)
+                  - difference(p, weights, "scale", j, 2.0 * step, 0.0))
+            np.testing.assert_allclose(got[rows], up[rows], rtol=1e-3)
+            assert np.all(difference(p, weights, "scale", j, 0.0, step)[rows] == 0.0)

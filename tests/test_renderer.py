@@ -45,8 +45,9 @@ def reference_render(batch, t, cam):
     comparison's tolerance."""
     img = np.empty((cam.height, cam.width, 3))
     img[:] = rn.BACKGROUND
-    cov = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right)[-1]
-    _, _, _, mean3, cov3, w_t = ga.condition_at_time(batch.mu, cov, t)
+    cov = ga.build_covariance(batch.scale, batch.rotor_left, batch.rotor_right).cov
+    cond = ga.condition_at_time(batch.mu, cov, t)
+    mean3, cov3, w_t = cond.mean3, cond.cov3, cond.w_t
     splats = []
     for i in range(len(batch)):
         x, y, z = cam.rotation @ mean3[i] + cam.translation

@@ -84,7 +84,7 @@ def parent_splat_sum(ctx, dl_flat):
     the per-fragment splat index, dy and the kept splats' alpha they read."""
     first, span_dy, span_sidx = ctx["spans"]
     length = np.diff(first, append=len(ctx["px"]))
-    w_t = ctx["cond"][-1]
+    w_t = ctx["cond"].w_t
     ctx = dict(ctx, sidx=np.repeat(span_sidx, length), dy=np.repeat(span_dy, length),
                alpha_k=(ctx["batch"].opacity * w_t)[ctx["keep"]])
     keep = ctx["keep"]

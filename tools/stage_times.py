@@ -62,12 +62,16 @@ PLAYBACK_FRAMES = 50
 # looks up: `renderer.image_loss` is `losses.loss`, and `losses._support_box`
 # and `losses._ssim_box` are the `ssim` functions `loss` calls. `read` runs
 # in `materialize` (through `gather`) and again in `train()` for the
-# parameters and Adam moments of the step.
+# parameters and Adam moments of the step. The `gaussians` stages are the
+# geometry's share of `_forward` and `_backward`; `build_covariance` also
+# runs in `adaptive_control` for the splits.
 STAGES = (
     (hierarchy.TemporalHierarchy, "query"),
     (hierarchy.TemporalHierarchy, "materialize"),
     (store.GaussianStore, "read"),
     (renderer, "_forward"),
+    (gaussians, "build_covariance"),
+    (gaussians, "condition_at_time"),
     (renderer, "_build_fragments"),
     (renderer, "_layer_major"),
     (renderer, "_composite_ordered"),
@@ -78,6 +82,7 @@ STAGES = (
     (renderer, "_splat_sum"),
     (renderer, "_fragment_terms"),
     (renderer, "_composite_backward"),
+    (gaussians, "geometry_backward"),
     (appearance, "gate_gradients"),
     (optimizer, "adam_step"),
     (store.GaussianStore, "write"),
