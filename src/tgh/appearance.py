@@ -25,13 +25,12 @@ LAMBDA_H = 0.15         # the paper's view-dependent ratio cutoff
 
 
 def gate_gradients(diffuse, grad_h, g_th):
-    """Zero, in place, the rows of the (N, 45) SH gradients `grad_h` that
-    are `diffuse` and have ||g|| < g_th. The gradients of view-dependent
-    rows always pass. Returns the positions of the diffuse rows let
-    through, ascending."""
+    """Positions, ascending, of the `diffuse` rows of the (N, 45) SH
+    gradients `grad_h` that the gate lets through; a row with ||g|| < g_th
+    stays closed. `grad_h` is only read: a closed row stays diffuse, holds
+    no SH to step, and its gradient is never read."""
     rows = np.flatnonzero(diffuse)
     small = np.linalg.norm(grad_h[rows], axis=1) < g_th
-    grad_h[rows[small]] = 0.0
     return rows[~small]
 
 

@@ -93,7 +93,7 @@ from .store import GaussianBatch, NamedColumns
 COV2_LOWPASS = 0.3                      # px^2 added to screen-space covariance
 BACKGROUND = np.zeros(3)                # color behind every splat; black keeps
                                         # the loss's support box small (speed
-                                        # only, never correctness: ssim.py)
+                                        # only, never correctness: losses.py)
 ALPHA_MIN = 1.0 / 255.0                 # splat and fragment opacity threshold
 ALPHA_CLAMP = 0.99                      # per-fragment opacity ceiling
 

@@ -20,11 +20,13 @@ DIFFUSE, VIEW_DEPENDENT = np.array([True]), np.array([False])
 
 
 def test_small_gradient_on_diffuse_is_zeroed(monkeypatch):
+    # the row stays closed, so train() never reads its gradient; g is only read
     monkeypatch.setattr(ap, "G_TH", 1e-6)
     g = np.full((1, 45), 1e-7 / math.sqrt(45))
     assert np.linalg.norm(g) < 1e-6
+    expected = g.copy()
     assert ap.gate_gradients(DIFFUSE, g, ap.G_TH).tolist() == []
-    assert not g.view(np.int64).any()   # +0.0: the row's gradient is dropped
+    assert np.array_equal(g.view(np.int64), expected.view(np.int64))
 
 
 def test_large_gradient_on_diffuse_passes(monkeypatch):
@@ -46,8 +48,9 @@ def test_frozen_gate_blocks_all_diffuse():
     g_th = frozen_threshold()
     assert g_th == math.inf
     g = np.full((1, 45), 100.0)
+    expected = g.copy()
     assert ap.gate_gradients(DIFFUSE, g, g_th).tolist() == []
-    assert np.all(g == 0.0)
+    assert np.array_equal(g.view(np.int64), expected.view(np.int64))
 
 
 def test_batch_gate_mixed_rows(rng, monkeypatch):
@@ -55,13 +58,12 @@ def test_batch_gate_mixed_rows(rng, monkeypatch):
     diffuse = np.array([True, False, True, True])   # row 1 view-dependent
     # one SH gradient row per kept splat, as `train()` passes `grads.sh`
     g = np.zeros((4, 45))
-    g[0] = 1e-6                         # diffuse, tiny -> zeroed
+    g[0] = 1e-6                         # diffuse, tiny -> stays closed
     g[1] = 1e-6                         # vdep -> passes
-    g[2] = 1.0                          # diffuse, large -> passes
+    g[2] = 1.0                          # diffuse, large -> opened
     expected = g.copy()
     assert ap.gate_gradients(diffuse, g, ap.G_TH).tolist() == [2]
-    assert np.all(g[0] == 0.0)
-    assert np.array_equal(g[1:], expected[1:])
+    assert np.array_equal(g.view(np.int64), expected.view(np.int64))
 
 
 class TestRatioCutoff:
@@ -107,7 +109,7 @@ def test_monotone_fraction_under_gating(rng, monkeypatch):
     for _ in range(100):
         g = rng.normal(scale=0.2, size=(50, 45))
         opened[ap.gate_gradients(~opened, g, ap.G_TH)] = True
-        h -= 0.1 * g
+        h[opened] -= 0.1 * g[opened]    # as train(), which steps slotted rows only
         assert not h[~opened].any()     # a diffuse row's SH never moves
         frac = ap.view_dependent_fraction(np.count_nonzero(opened), len(h))
         assert frac >= prev

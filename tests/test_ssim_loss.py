@@ -4,14 +4,24 @@ from hypothesis import given, seed, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tgh import losses
-from tgh import ssim as sm
 from tgh.errors import InvalidParameterError
-from tgh.losses import loss, psnr
-from tgh.ssim import C1, C2, KERNEL, WINDOW
+from tgh.losses import C1, C2, KERNEL, PAD, WINDOW, loss, psnr
 
-# The per-channel SSIM that `tgh.ssim` replaced, kept verbatim as the reference:
-# five forward and five adjoint filters per channel, one plane at a time, each
-# a column pass then a row pass.
+
+def kernel_ssim(img, ref):
+    """Mean SSIM of two (H, W, C) images and its gradient as an image-shaped
+    array, by the kernel `loss` runs: `_ssim_box` on the crops of the support
+    box, the gradient zero outside it."""
+    box = losses._support_box(img, ref)
+    value, grad_box = losses._ssim_box(img[box], ref[box], img.shape)
+    grad = np.zeros(img.shape)
+    grad[box] = grad_box
+    return value, grad
+
+
+# The per-channel SSIM that `losses._ssim_box` replaced, kept verbatim as the
+# reference: five forward and five adjoint filters per channel, one plane at a
+# time, each a column pass then a row pass.
 
 
 def _filt_valid(img):
@@ -80,7 +90,7 @@ ORACLE_SHAPES = [(256, 256, 3), (37, 53, 1), (20, 29, 4)]
 def test_matches_reference(rng, shape):
     img = rng.uniform(size=shape)
     ref = np.clip(img + rng.normal(scale=0.1, size=shape), 0.0, 1.0)
-    value, grad = sm.ssim(img, ref)
+    value, grad = kernel_ssim(img, ref)
     want_value, want_grad = ssim(img, ref, grad=True)
     assert value == pytest.approx(want_value, rel=1e-12)
     # Folding the adjoints rounds differently. Both gradients lie within
@@ -88,7 +98,7 @@ def test_matches_reference(rng, shape):
     # with max|g|: about 4e-19 at 256x256 (max|g| ~4e-5), 5e-17 at 20x29.
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
     planes = np.moveaxis(img, -1, 0)
-    np.testing.assert_allclose(sm._filt_valid(planes),
+    np.testing.assert_allclose(losses._filt_valid(planes),
                                np.stack([_filt_valid(p) for p in planes]), rtol=1e-13)
 
 
@@ -98,59 +108,59 @@ def test_matches_reference(rng, shape):
 def test_layout_and_dtype_do_not_change_result(rng, view):
     img = view(rng.uniform(size=(23, 31, 3)))
     ref = view(rng.uniform(size=(23, 31, 3)))
-    value, grad = sm.ssim(img, ref)
-    want_value, want_grad = sm.ssim(np.ascontiguousarray(img, dtype=np.float64),
-                                    np.ascontiguousarray(ref, dtype=np.float64))
+    value, grad = kernel_ssim(img, ref)
+    want_value, want_grad = kernel_ssim(np.ascontiguousarray(img, dtype=np.float64),
+                                        np.ascontiguousarray(ref, dtype=np.float64))
     assert value == want_value
     assert np.array_equal(grad, want_grad)
 
 
 def test_identical_images_perfect_ssim(rng):
     img = rng.uniform(size=(20, 20, 3))
-    assert sm.ssim(img, img)[0] == pytest.approx(1.0, abs=1e-12)
+    assert kernel_ssim(img, img)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssim_decreases_with_noise(rng):
     img = rng.uniform(size=(24, 24, 3))
     noisy = np.clip(img + rng.normal(scale=0.2, size=img.shape), 0, 1)
-    assert sm.ssim(img, noisy)[0] < sm.ssim(img, np.clip(img + 0.01, 0, 1))[0]
+    assert kernel_ssim(img, noisy)[0] < kernel_ssim(img, np.clip(img + 0.01, 0, 1))[0]
 
 
 def test_filter_adjoint_identity(rng):
-    # ssim's gradient filters zero-padded planes as the adjoint of _filt_valid
+    # _ssim_box's gradient filters zero-padded planes as the adjoint of _filt_valid
     for lead in [(), (3,)]:
         x = rng.normal(size=lead + (19, 23))
         y = rng.normal(size=lead + (9, 13))
-        padded = np.pad(y, [(0, 0)] * len(lead) + [(sm.PAD, sm.PAD)] * 2)
-        lhs = np.sum(sm._filt_valid(x) * y, axis=(-2, -1))
-        rhs = np.sum(x * sm._filt_valid(padded), axis=(-2, -1))
+        padded = np.pad(y, [(0, 0)] * len(lead) + [(PAD, PAD)] * 2)
+        lhs = np.sum(losses._filt_valid(x) * y, axis=(-2, -1))
+        rhs = np.sum(x * losses._filt_valid(padded), axis=(-2, -1))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_ssim_gradient_matches_finite_differences(rng):
     img = rng.uniform(0.2, 0.8, size=(13, 14, 3))
     ref = rng.uniform(0.2, 0.8, size=(13, 14, 3))
-    _, grad = sm.ssim(img, ref)
+    _, grad = kernel_ssim(img, ref)
     eps = 1e-6
     for _ in range(40):
         i, j, c = (int(rng.integers(13)), int(rng.integers(14)), int(rng.integers(3)))
         up, down = img.copy(), img.copy()
         up[i, j, c] += eps
         down[i, j, c] -= eps
-        fd = (sm.ssim(up, ref)[0] - sm.ssim(down, ref)[0]) / (2 * eps)
+        fd = (kernel_ssim(up, ref)[0] - kernel_ssim(down, ref)[0]) / (2 * eps)
         assert grad[i, j, c] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
 def test_small_image_rejected(rng):
     img = rng.uniform(size=(8, 8, 3))
     with pytest.raises(InvalidParameterError):
-        sm.ssim(img, img)
+        loss(img, img)
 
 
 def test_zero_channels_rejected():
     img = np.zeros((12, 12, 0))
     with pytest.raises(InvalidParameterError):
-        sm.ssim(img, img)
+        loss(img, img)
 
 
 def weights(patch, mse, ssim):
@@ -227,18 +237,16 @@ class TestLoss:
         np.testing.assert_allclose(grad, 1.6 * (img - ref) / img.size, rtol=1e-12)
 
     def test_support_box_found_once(self, rng, monkeypatch):
-        """One `loss` call finds the support box once, for both terms:
-        every module that can reach `_support_box` counts into one tally."""
+        """One `loss` call finds the support box once, for both terms."""
         img, ref = bordered(rng, (64, 64, 3), slice(20, 41), slice(10, 51))
         calls = []
-        box = sm._support_box
+        box = losses._support_box
 
         def counting(*args):
             calls.append(args[0].shape)
             return box(*args)
 
         monkeypatch.setattr(losses, "_support_box", counting)
-        monkeypatch.setattr(sm, "_support_box", counting)
         loss(img, ref)
         assert calls == [(64, 64, 3)]
 
@@ -255,7 +263,7 @@ def test_psnr_shape_mismatch():
         psnr(np.zeros((4, 4, 3)), np.full((4, 4, 1), 0.1))
 
 
-# Support box: `ssim` and the MSE term of `loss` run on the rows and columns
+# Support box: `_ssim_box` and the MSE term of `loss` run on the rows and columns
 # within PAD of a pixel where either image is non-zero, and must agree with
 # the dense reference above everywhere.
 
@@ -281,15 +289,15 @@ def bordered(rng, shape, rows, cols, where="both"):
 def outside(shape, rows, cols):
     """Mask of the pixels farther than PAD from rows x cols."""
     mask = np.ones(shape, dtype=bool)
-    mask[max(rows.start - sm.PAD, 0):rows.stop + sm.PAD,
-         max(cols.start - sm.PAD, 0):cols.stop + sm.PAD] = False
+    mask[max(rows.start - PAD, 0):rows.stop + PAD,
+         max(cols.start - PAD, 0):cols.stop + PAD] = False
     return mask
 
 
 def assert_matches_reference(img, ref):
-    """`sm.ssim` equals the dense reference: the value to rel 1e-12, the
+    """`kernel_ssim` equals the dense reference: the value to rel 1e-12, the
     gradient on the scale of test_matches_reference."""
-    value, grad = sm.ssim(img, ref)
+    value, grad = kernel_ssim(img, ref)
     want_value, want_grad = ssim(img, ref, grad=True)
     assert value == pytest.approx(want_value, rel=1e-12)
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14 * np.abs(want_grad).max())
@@ -329,9 +337,9 @@ def test_zero_bordered_images_match_reference(where, h, w, channels, data):
 
 def test_all_zero_images():
     img = np.zeros((20, 30, 3))
-    value, grad = sm.ssim(img, img)
+    value, grad = kernel_ssim(img, img)
     assert value == pytest.approx(ssim(img, img), rel=1e-12)
-    assert value == pytest.approx(sm.S_EMPTY, rel=1e-15)
+    assert value == pytest.approx(losses.S_EMPTY, rel=1e-15)
     assert np.all(grad == 0.0)
 
 
@@ -384,20 +392,20 @@ def test_loss_gradient_matches_finite_differences_around_support(rng):
 
 def test_ssim_filters_only_the_support_box(rng, monkeypatch):
     """Guards the saving itself: on a zero-bordered 256x256 pair every plane
-    that reaches _filt_valid spans the widened box, not the frame, and on an
+    that reaches _filt_valid in `loss` spans the widened box, not the frame, and on an
     all-zero pair one window."""
     img, ref = bordered(rng, (256, 256, 3), slice(100, 141), slice(60, 201))
     seen = []
-    filt = sm._filt_valid
+    filt = losses._filt_valid
 
     def recording(planes):
         seen.append(planes.shape)
         return filt(planes)
 
-    monkeypatch.setattr(sm, "_filt_valid", recording)
-    sm.ssim(img, ref)
-    rows, cols = 140 + sm.PAD - (100 - sm.PAD) + 1, 200 + sm.PAD - (60 - sm.PAD) + 1
-    assert seen == [(5, rows, cols), (3, cols + sm.PAD, rows + sm.PAD)] * 3
+    monkeypatch.setattr(losses, "_filt_valid", recording)
+    loss(img, ref)
+    rows, cols = 140 + PAD - (100 - PAD) + 1, 200 + PAD - (60 - PAD) + 1
+    assert seen == [(5, rows, cols), (3, cols + PAD, rows + PAD)] * 3
     seen.clear()
-    sm.ssim(np.zeros_like(img), np.zeros_like(ref))
-    assert seen == [(5, WINDOW, WINDOW), (3, WINDOW + sm.PAD, WINDOW + sm.PAD)] * 3
+    loss(np.zeros_like(img), np.zeros_like(ref))
+    assert seen == [(5, WINDOW, WINDOW), (3, WINDOW + PAD, WINDOW + PAD)] * 3

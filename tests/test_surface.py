@@ -1,5 +1,6 @@
 """Every public function, class and method of `tgh` has a caller in the
-program (`src/`) or the benchmark (`bench/`).
+program (`src/`) or the benchmark (`bench/`), and no module of `tgh` reads
+another one's private names.
 
 A name only the tests call is surface to maintain that no run uses: delete
 it or move it into the tests. The scan is by name, so a caller of any
@@ -13,14 +14,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Kept although no run calls them: the hierarchy tests read the per-level
-# counts through `occupancy`, and the segment layout is private. `ssim` is the
-# whole-image SSIM that the SSIM tests check against their dense reference;
-# `losses.loss` runs the same kernel, `ssim._ssim_box`, on the support box it
-# finds once for both terms.
+# Kept although no run calls it: the hierarchy tests read the per-level
+# counts through `occupancy`, and the segment layout is private. (The SSIM
+# tests need no public name: they run `losses.loss`'s own kernel,
+# `_support_box` and `_ssim_box`, on whole images.)
 TEST_INSPECTION = {
     "TemporalHierarchy.occupancy",      # Gaussians per level and per occupied segment
-    "ssim",                             # mean SSIM and its gradient, whole image
 }
 
 
@@ -62,3 +61,33 @@ def test_every_public_name_is_used_by_the_program_or_the_bench():
     unused = [name for name in definitions
               if name.rpartition(".")[2] not in used and name not in TEST_INSPECTION]
     assert unused == []
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """No module of src/tgh imports a `_`-prefixed name from another tgh
+    module, or reads one through an alias of a tgh module: a private name's
+    callers are its own module's, and the tests'."""
+    modules = {path.stem for path in ROOT.glob("src/tgh/*.py")}
+    crossings = []
+    for path in sorted(ROOT.glob("src/tgh/*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()     # names this module binds to a tgh module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or node.module.partition(".")[0] == "tgh"):
+                for alias in node.names:
+                    if private(alias.name):
+                        crossings.append(f"{path.stem}: from {node.module} import {alias.name}")
+                    elif node.module in (None, "tgh") and alias.name in modules:
+                        aliases.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                aliases.update(alias.asname for alias in node.names
+                               if alias.name.startswith("tgh.") and alias.asname)
+        crossings += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases and private(node.attr)]
+    assert crossings == []

@@ -14,33 +14,33 @@ The first of the two builds is timed too, by the stages in SETUP_STAGES:
 the bench's `setup_s` times the same `build_hierarchy` call.
 
 The stages are wrapped from outside: each module or class attribute in
-STAGES is replaced by a timing wrapper for the run and put back on exit, so
-the program runs unedited. A stage's time includes the stages it calls
-(`_forward` holds `_build_fragments`, for one). A stage that the checkout
-does not define is printed as "-", so that the same script times an older
-checkout too; one it defines but the run never calls reads 0. BLAS is
-pinned to one thread, as in `output_digest.py`. The tables give, per stage,
-the minimum over the runs of its ms per training iteration, per playback
-frame and per build. Each call is also charged to its caller, the
-innermost stage open when it is made. The `train() rest` row is the
-training total less the calls that `train()` makes itself, with no stage
+STAGES is replaced for the run by a span of a `bench/spans.py` Tracer,
+which records each call with its parent, the innermost stage open when it
+is made, and put back on exit, so the program runs unedited. A stage's
+time is the summed duration of its spans, so it includes the stages it
+calls (`_forward` holds `_build_fragments`, for one). A stage that the
+checkout does not define is printed as "-", so that the same script times
+an older checkout too; one it defines but the run never calls reads 0.
+BLAS is pinned to one thread, as in `output_digest.py`. The tables give,
+per stage, the minimum over the runs of its ms per training iteration, per
+playback frame and per build. The `train() rest` row is the training total
+less the top-level spans, the calls that `train()` makes with no stage
 open: its own lines, such as slot taking and `interval_means`. The `build
-rest` row is the build total less the calls that `insert_batch` makes: the
-constructor and `insert_batch`'s own lines. So a stage that runs under two
-callers, as `GaussianStore.read` does under `materialize` (through
-`gather`) and in `train()` itself, is subtracted once, and each total stays
-exact; its row holds both.
+rest` row is the build total less the spans whose parent is
+`insert_batch`: the constructor and `insert_batch`'s own lines. So a stage
+that runs under two callers, as `GaussianStore.read` does under
+`materialize` (through `gather`) and in `train()` itself, is subtracted
+once, and each total stays exact; its row holds both.
 """
 
 import argparse
-import functools
 import itertools
 import os
 import sys
 import time
-from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -51,6 +51,7 @@ from tgh import (appearance, gaussians, hierarchy, losses, optimizer,  # noqa: E
                  renderer, store)
 
 import scene as sc  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 SCENES = {"short": workloads.SHORT, "long": workloads.LONG}
@@ -60,7 +61,7 @@ PLAYBACK_FRAMES = 50
 
 # (owner, attribute), in pipeline order, each under the name its caller
 # looks up: `renderer.image_loss` is `losses.loss`, and `losses._support_box`
-# and `losses._ssim_box` are the `ssim` functions `loss` calls. `read` runs
+# and `losses._ssim_box` are its support box and SSIM kernel. `read` runs
 # in `materialize` (through `gather`) and again in `train()` for the
 # parameters and Adam moments of the step. The `gaussians` stages are the
 # geometry's share of `_forward` and `_backward`; `build_covariance` also
@@ -120,42 +121,41 @@ def stage_name(owner, attr):
     return f"{getattr(owner, '__name__', '').rpartition('.')[2]}.{attr}"
 
 
-@contextmanager
-def timed_stages(stages, seconds, callers):
-    """Route every defined stage of `stages` through a wrapper that adds its
-    wall time to seconds[name], from 0, and to callers[caller], where caller
-    is the innermost stage open at the call (None if there is none), for
-    the duration of the block."""
-    saved = []
-    open_stages = [None]
-
-    def wrap(name, fn):
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            caller = open_stages[-1]
-            open_stages.append(name)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                open_stages.pop()
-                seconds[name] += elapsed
-                callers[caller] += elapsed
-        return timed
-
-    try:
+def traced_call(stages, fn, *args):
+    """(result, seconds, tracer) of the call fn(*args), with every stage of
+    `stages` that this checkout defines recorded as a span of `tracer`."""
+    tracer = spans.Tracer()
+    with ExitStack() as stack:
         for owner, attr in stages:
             if attr in vars(owner):
-                original = vars(owner)[attr]
-                saved.append((owner, attr, original))
-                name = stage_name(owner, attr)
-                seconds[name] = 0.0
-                setattr(owner, attr, wrap(name, original))
-        yield
-    finally:
-        for owner, attr, original in reversed(saved):
-            setattr(owner, attr, original)
+                traced = tracer.wrap(stage_name(owner, attr), vars(owner)[attr])
+                stack.enter_context(mock.patch.object(owner, attr, traced))
+        start = time.perf_counter()
+        result = fn(*args)
+        return result, time.perf_counter() - start, tracer
+
+
+def stage_ms(stages, seconds, tracer, per):
+    """{stage: ms per unit} of a traced call of `seconds`: each defined stage
+    of `stages`, 0 if it was never called, and "total"."""
+    ms = {stage_name(owner, attr): 0.0 for owner, attr in stages if attr in vars(owner)}
+    for name, _, start, end in tracer.spans:
+        ms[name] += 1e3 * (end - start) / per
+    ms["total"] = 1e3 * seconds / per
+    return ms
+
+
+def children_seconds(tracer, parent_name=None):
+    """Summed duration of the spans opened directly in a span named
+    `parent_name`, or with no span open if it is None."""
+    return sum(end - start for _, parent, start, end in tracer.spans
+               if (tracer.spans[parent][0] if parent >= 0 else None) == parent_name)
+
+
+def playback(spec, h, seed):
+    """render() of the first PLAYBACK_FRAMES frames of the playback path."""
+    for t, cam in itertools.islice(sc.playback_path(spec, seed), PLAYBACK_FRAMES):
+        renderer.render(h, t, cam)
 
 
 def one_run(spec, pop, scene, seed):
@@ -167,31 +167,15 @@ def one_run(spec, pop, scene, seed):
     cfg = optimizer.TrainConfig(iterations=TRAIN_ITERATIONS, densify_interval=DENSIFY_INTERVAL,
                                 max_gaussians=int(workloads.MAX_GAUSSIANS_FACTOR * spec.gaussians),
                                 seed=seed)
-    builds, out, callers = [], [], []
-    for count, work in (
-            (TRAIN_ITERATIONS, lambda h: optimizer.train(scene, h, cfg)),
-            (PLAYBACK_FRAMES, lambda h: [renderer.render(h, t, cam) for t, cam in
-                                         itertools.islice(sc.playback_path(spec, seed),
-                                                          PLAYBACK_FRAMES)])):
-        builds.append(defaultdict(float))
-        callers.append(defaultdict(float))
-        with timed_stages(SETUP_STAGES, builds[-1], callers[-1]):
-            start = time.perf_counter()
-            h = sc.build_hierarchy(pop, spec.duration)
-            builds[-1]["total"] = time.perf_counter() - start
-        seconds = defaultdict(float)
-        callers.append(defaultdict(float))
-        with timed_stages(STAGES, seconds, callers[-1]):
-            start = time.perf_counter()
-            work(h)
-            seconds["total"] = time.perf_counter() - start
-        out.append({name: 1e3 * s / count for name, s in seconds.items()})
-    build_callers, train_callers = callers[:2]
-    train = out[0]
-    train[REST] = train["total"] - 1e3 * train_callers[None] / TRAIN_ITERATIONS
-    build = builds[0]
-    build[BUILD_REST] = build["total"] - build_callers[BUILD_CALLER]
-    return (*out, {name: 1e3 * s for name, s in build.items()})
+    h, build_s, tracer = traced_call(SETUP_STAGES, sc.build_hierarchy, pop, spec.duration)
+    build = stage_ms(SETUP_STAGES, build_s, tracer, 1)
+    build[BUILD_REST] = 1e3 * (build_s - children_seconds(tracer, BUILD_CALLER))
+    _, train_s, tracer = traced_call(STAGES, optimizer.train, scene, h, cfg)
+    train = stage_ms(STAGES, train_s, tracer, TRAIN_ITERATIONS)
+    train[REST] = 1e3 * (train_s - children_seconds(tracer)) / TRAIN_ITERATIONS
+    _, play_s, tracer = traced_call(STAGES, playback, spec,
+                                    sc.build_hierarchy(pop, spec.duration), seed)
+    return train, stage_ms(STAGES, play_s, tracer, PLAYBACK_FRAMES), build
 
 
 def main(argv=None):
