@@ -31,7 +31,11 @@ SSIM cost. The windowed mean F is separable, and both of its 1-D passes
 run the window down axis -2 (see `_filt_valid`): that pass is about 3x
 cheaper than one whose window runs along axis -1, so the second pass runs
 on a transposed copy. One call per channel filters the five planes x, y,
-x*x, y*y, x*y as one stack.
+x*x, y*y, x*y as one stack. The last channel runs on the lane (`lane`)
+while the calling thread runs the others (`_ssim_channels`); each side
+owns its filter buffers and writes only its channels of the gradient, and
+the channel terms of the total add in channel order, so the value and the
+gradient are those of one thread.
 
 SSIM gradient. With mu = F(x), sxx = F(x*x) - mu_x^2 and sxy = F(x*y) -
 mu_x*mu_y, the chain rule through the three statistics gives, for the
@@ -47,9 +51,12 @@ and since A is linear the three terms without an image factor are one:
 so each channel needs three adjoint planes, not five.
 """
 
+from functools import partial
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import lane
 from .errors import InvalidParameterError
 
 MSE_WEIGHT = 0.8
@@ -172,15 +179,32 @@ S_EMPTY = _similarity(0.0, 0.0, 0.0, 0.0, 0.0)[0]
 def _ssim_box(img, ref, shape):
     """Mean SSIM of two images of `shape`, (H, W, C), read on their support
     box: img and ref are the box crops (`_support_box`). Returns the mean
-    SSIM of the whole images and its gradient on the box, (bh, bw, C)."""
+    SSIM of the whole images and its gradient on the box, (bh, bw, C). The
+    last channel runs on the lane while this thread runs the others."""
     h, w, channels = shape
     bh, bw = img.shape[:2]
     windows = (h - PAD) * (w - PAD)
     empty = windows - (bh - PAD) * (bw - PAD)
-    total = 0.0
-    # d(mean SSIM)/d(statistic) carries 1/(windows * channels); k folds in the 2
-    k = 2.0 / (windows * channels)
     grad_box = np.empty((bh, bw, channels))
+    last, rest = lane.beside(
+        partial(_ssim_channels, img, ref, range(channels - 1, channels), windows, empty, grad_box),
+        partial(_ssim_channels, img, ref, range(channels - 1), windows, empty, grad_box))
+    total = 0.0
+    for term in rest + last:
+        total += term
+    return total / channels, grad_box
+
+
+def _ssim_channels(img, ref, channels, windows, empty, grad_box):
+    """Each channel's term of `_ssim_box`'s total, the channel's mean SSIM
+    over the whole image's windows, in the order of `channels`; writes the
+    channels' gradients into grad_box, whose last axis holds all channels.
+    A call owns its filter buffers, so two calls on other channels run
+    side by side."""
+    bh, bw, all_channels = grad_box.shape
+    terms = []
+    # d(mean SSIM)/d(statistic) carries 1/(windows * channels); k folds in the 2
+    k = 2.0 / (windows * all_channels)
     planes = np.empty((5, bh, bw))
     # adjoint inputs 2*g_sx, g_xy and the folded g_mu term inside a zero
     # border. The buffer is stored transposed, as _filt_valid's output is,
@@ -188,7 +212,7 @@ def _ssim_box(img, ref, shape):
     # filtering the stored (W, H) planes gives the transposed adjoint.
     adjoint = np.zeros((3, bw + PAD, bh + PAD))
     g_sx2, g_xy, g_rest = adjoint[:, PAD:-PAD, PAD:-PAD].swapaxes(-1, -2)
-    for ch in range(channels):
+    for ch in channels:
         planes[0], planes[1] = img[..., ch], ref[..., ch]
         x, y = planes[0], planes[1]
         np.multiply(x, x, out=planes[2])
@@ -197,7 +221,7 @@ def _ssim_box(img, ref, shape):
         stats = _filt_valid(planes)
         mu_x, mu_y = stats[:2]
         s, p, q, b1, b2 = _similarity(*stats)
-        total += (s.sum() + empty * S_EMPTY) / windows
+        terms.append((s.sum() + empty * S_EMPTY) / windows)
         # g_sx = -S/b2 * k/2, g_xy = q * k, g_mu = (mu_y*a2/(b1*b2) - mu_x*S/b1) * k
         s_b2 = s / b2
         np.multiply(s_b2, -k, out=g_sx2)
@@ -206,4 +230,4 @@ def _ssim_box(img, ref, shape):
         np.multiply(mu_y * (p - q) + mu_x * (s_b2 - s / b1), k, out=g_rest)
         a_sx2, a_xy, a_rest = _filt_valid(adjoint).swapaxes(-1, -2)
         grad_box[..., ch] = x * a_sx2 + y * a_xy + a_rest
-    return total / channels, grad_box
+    return terms

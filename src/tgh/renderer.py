@@ -58,7 +58,8 @@ The layout takes two stable sorts, each done as one value sort of packed
 int64 keys (`_layer_major`).
 
 The blend kernels hold colors channel-major: fragment colors as (3, N),
-and color sums, `behind` and the upstream gradient as (3, G). numpy runs an
+color sums and `behind` as (3, G) and the blend's gradient factors as
+(3, N). numpy runs an
 operation on (n, 3) operands with an inner loop 3 elements long, one per
 pixel, where a (3, k) slice gives it three loops k long; each layer runs
 about ten such operations. The colors are transposed at the kernels'
@@ -77,14 +78,38 @@ one segment sum per span reduces them, dy is folded in once per span, and a
 second segment sum per splat finishes (`_splat_sum`). These sums add the
 same products as a per-fragment formulation in another order, so gradients
 match it to rounding; the forward values are untouched.
+
+A training step runs on two lanes: the calling thread and one worker
+thread (`lane`). Three pieces of `render_with_gradients` run on the worker,
+each beside main-thread work that does not need it:
+
+- the blend's back-to-front walk (`_blend_factors`), during `image_loss`.
+  Each fragment's alpha gradient is sum_c u_c (c_c T - behind_c / (1 - a))
+  for the loss gradient u of its pixel, and its color gradient u a T. The
+  walk forms the factors c T - behind / (1 - a) and a T, which need no loss
+  gradient, and `_fragment_terms` multiplies in u;
+- the last SSIM channel, beside the others (`losses`);
+- the per-fragment terms and per-span sums of the back half of the spans,
+  cut at the span start nearest the middle fragment, beside the front half
+  (`_splat_sum`).
+
+`render` and `render_batch` submit nothing. Every task a call submits is
+awaited before the call returns or raises; a task never submits to the lane
+or waits on it, and never calls a public entry point. The bits are those of
+one thread: each task writes only its own outputs, and the calling thread
+combines them in the order one thread did. A factor times u is the same
+product as u times the factor, and the channel terms still add in channel
+order; the SSIM channel terms add in channel order; the span sums are
+joined in span order before the per-splat sums.
 """
 
 from dataclasses import dataclass, make_dataclass
+from functools import partial
 
 import numpy as np
 
 from . import gaussians as ga
-from . import sh
+from . import lane, sh
 from .camera import Camera
 from .errors import InvalidParameterError
 from .losses import loss as image_loss
@@ -311,39 +336,50 @@ def _composite_ordered(px, frag_alpha, color, sidx):
     return unique_px, color_sum, trans, perm, t_frag, off, width, sa, sc
 
 
-def _composite_backward(dl_dpx_color, sa, sc, trans_final, t_frag, off, width):
-    """Gradient of the ordered reduction w.r.t. fragment alpha.
+def _composite_backward(sa, sc, trans_final, t_frag, off, width):
+    """The blend's alpha gradient factors, without the upstream gradient.
 
     Walks the layer-major layout of `_composite_ordered` from the deepest
     layer to the front, one slice per layer, so every pixel sees its own
     fragments back to front in the same operation order as a per-pixel loop.
-    dl_dpx_color: (3, G) upstream gradient per pixel group in layout order;
     sa, t_frag per layout position and sc (3, N); off, width as returned by
     `_composite_ordered`. The final pixel is
     C = sum_i a_i c_i T_i + T_N * BACKGROUND; `behind` (3, G) tracks the
     composited color strictly behind the current fragment including the
     background term, so dC/da_i = c_i T_i - behind_i / (1 - a_i) covers the
-    T_N path too. Returns grad_alpha and at = sa * t_frag per layout position.
+    T_N path too. Returns that factor per channel, (3, N), and at = sa * t_frag,
+    per layout position; an upstream gradient u gives the alpha gradient
+    (fac_0 u_0 + fac_1 u_1) + fac_2 u_2 (`_fragment_terms`).
     """
-    grad_alpha = np.empty(len(sa))
+    fac = np.empty((3, len(sa)))
     behind = BACKGROUND[:, None] * trans_final
-    # the per-position factors at once; the (3, k) products go to buffers
+    # the per-position factors at once; the (3, k) quotients go to a buffer
     one_minus, at = 1.0 - sa, sa * t_frag
-    g_buf, d_buf = np.empty_like(behind), np.empty_like(behind)
+    d_buf = np.empty_like(behind)
     for o, k in zip(off.tolist()[::-1], width.tolist()[::-1]):
         s = slice(o, o + k)
         c = sc[:, s]
         behind_k = behind[:, :k]
-        # upstream * (c t - behind / (1 - a))
-        g = np.multiply(c, t_frag[s], out=g_buf[:, :k])
-        g -= np.divide(behind_k, one_minus[s], out=d_buf[:, :k])
-        g *= dl_dpx_color[:, :k]
-        # the channel terms add in channel order, as np.sum over a pixel's
-        # three channels does
-        np.add(g[0], g[1], out=grad_alpha[s])
-        grad_alpha[s] += g[2]
+        # c t - behind / (1 - a)
+        f = np.multiply(c, t_frag[s], out=fac[:, s])
+        f -= np.divide(behind_k, one_minus[s], out=d_buf[:, :k])
         behind_k += np.multiply(at[s], c, out=d_buf[:, :k])
-    return grad_alpha, at
+    return fac, at
+
+
+def _blend_factors(ctx):
+    """`_composite_backward`'s factors in generation order, (3, N) and (N,),
+    or None for a frame that kept no splat. It needs no loss gradient, so
+    `render_with_gradients` runs it on the lane while the loss is formed."""
+    if "composite" not in ctx:
+        return None
+    _, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
+    fac, at = _composite_backward(sa, sc, trans, t_frag, off, width)
+    fac_gen, at_gen = np.empty_like(fac), np.empty_like(at)
+    for ch in range(3):
+        fac_gen[ch][perm] = fac[ch]
+    at_gen[perm] = at
+    return fac_gen, at_gen
 
 
 # --------------------------------------------------------------------------
@@ -436,36 +472,41 @@ def _sym_matrix(a_, b_, c_):
     return out
 
 
-def _fragment_terms(ctx, dl_flat):
-    """(7, N) per-fragment gradient terms in generation order: g, g dx,
-    g dx^2, grad_raw * gauss and the three color gradients, where grad_raw is
-    the loss gradient of the fragment's raw value alpha * gauss and
-    g = -1/2 raw grad_raw that of its q."""
-    unique_px, _, trans, perm, t_frag, off, width, sa, sc = ctx["composite"]
-    raw, px = ctx["raw"], ctx["px"]
-    # channel-major, read twice: per pixel group and per fragment
-    dl_t = np.ascontiguousarray(dl_flat.T)
-    upstream = np.empty((3, len(unique_px)))
-    for ch in range(3):
-        np.take(dl_t[ch], unique_px, out=upstream[ch])
-    g_a, at = _composite_backward(upstream, sa, sc, trans, t_frag, off, width)
+def _fragment_terms(ctx, dl_t, frags):
+    """(7, n) gradient terms of the fragments `frags`, a slice of generation
+    order: g, g dx, g dx^2, grad_raw * gauss and the three color gradients,
+    where grad_raw is the loss gradient of the fragment's raw value
+    alpha * gauss and g = -1/2 raw grad_raw that of its q. dl_t is the image
+    gradient channel-major, (3, H W); ctx holds `_blend_factors`."""
+    fac, at = (f[..., frags] for f in ctx["factors"])
+    raw, gauss, dx, px = (ctx[name][frags] for name in ("raw", "gauss", "dx", "px"))
     terms = np.empty((7, len(raw)))
     g, g_dx, g_dx2, g_alpha, g_color = terms[0], terms[1], terms[2], terms[3], terms[4:]
-    grad_raw = np.empty(len(raw))
-    grad_raw[perm] = g_a
-    grad_raw *= _alpha_slope(raw)
-    np.multiply(grad_raw, ctx["gauss"], out=g_alpha)
-    np.multiply(raw, grad_raw, out=g)
-    g *= -0.5
-    np.multiply(g, ctx["dx"], out=g_dx)
-    np.multiply(g_dx, ctx["dx"], out=g_dx2)
-    # the kernel's upstream * (alpha * T), formed in generation order
-    at_gen = np.empty(len(raw))
-    at_gen[perm] = at
+    # each fragment's upstream gradient, read by the alpha and color terms
     for ch in range(3):
         np.take(dl_t[ch], px, out=g_color[ch])
-    g_color *= at_gen
+    # the channel terms add in channel order, as np.sum over a pixel's three
+    # channels does
+    grad_raw = np.multiply(fac[0], g_color[0])
+    prod = np.multiply(fac[1], g_color[1])
+    grad_raw += prod
+    grad_raw += np.multiply(fac[2], g_color[2], out=prod)
+    grad_raw *= _alpha_slope(raw)
+    np.multiply(grad_raw, gauss, out=g_alpha)
+    np.multiply(raw, grad_raw, out=g)
+    g *= -0.5
+    np.multiply(g, dx, out=g_dx)
+    np.multiply(g_dx, dx, out=g_dx2)
+    # upstream * (alpha * T)
+    g_color *= at
     return terms
+
+
+def _span_sums(ctx, dl_t, starts, frags):
+    """(7, len(starts)) sums of the `_fragment_terms` of the fragments
+    `frags`, one per row span; `starts` holds the spans' first fragments,
+    counted from frags.start."""
+    return np.add.reduceat(_fragment_terms(ctx, dl_t, frags), starts, axis=1)
 
 
 def _splat_sum(ctx, dl_flat):
@@ -481,9 +522,18 @@ def _splat_sum(ctx, dl_flat):
     -2 (a Sx + b Sy, b Sx + c Sy). A kept splat that owns no non-empty span
     gets zeros and is not touched.
     """
-    nk = len(ctx["keep"])
+    nk, n = len(ctx["keep"]), len(ctx["px"])
     first, span_dy, span_sidx = ctx["spans"]
-    per_span = np.add.reduceat(_fragment_terms(ctx, dl_flat), first, axis=1)
+    # channel-major, read per fragment
+    dl_t = np.ascontiguousarray(dl_flat.T)
+    # the spans from the span start nearest n / 2 on are the back half, summed
+    # on the lane
+    bounds = np.append(first, n)
+    cut = int(np.abs(bounds - n / 2).argmin())
+    mid = int(bounds[cut])
+    back, front = lane.beside(partial(_span_sums, ctx, dl_t, first[cut:] - mid, slice(mid, n)),
+                              partial(_span_sums, ctx, dl_t, first[:cut], slice(0, mid)))
+    per_span = np.concatenate([front, back], axis=1)
     g0, g1, g2 = per_span[:3]
     dy_g0 = span_dy * g0
     folded = np.concatenate([[g2, span_dy * g1, span_dy * dy_g0, g1, dy_g0], per_span[3:]])
@@ -576,6 +626,7 @@ def render_with_gradients(batch: GaussianBatch, t, cam: Camera, target):
     if not np.isfinite(target).all():
         raise InvalidParameterError("target has a non-finite value")
     fb, ctx = _forward(batch, t, cam)
-    value, dl_dimage = image_loss(fb.rgb, target)
+    ctx["factors"], (value, dl_dimage) = lane.beside(partial(_blend_factors, ctx),
+                                                     partial(image_loss, fb.rgb, target))
     grads = _backward(ctx, dl_dimage)
     return value, fb, grads

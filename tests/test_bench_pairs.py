@@ -18,7 +18,7 @@ PARENT = [float(v) for v in range(1, 11)]  # median 5.5, quartiles 3.25 and 7.75
 def test_median_and_quartiles_of_the_parent():
     s = summary(PARENT, PARENT, "lower", 0.25)
     assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (3.25, 5.5, 7.75)
-    assert s["change_median"] == 5.5 and s["relative"] == 0.0
+    assert s["change_median"] == 5.5 and s["relative"] == 0.0 and s["paired"] == 0.0
     assert s["pairs"] == 10
 
 
@@ -61,3 +61,14 @@ def test_bound_is_a_fraction_of_the_parent_median(better, factor, within):
     s = summary(parent, [4.0 * factor] * 5, better, 0.25)
     assert s["within_bound"] is within
     assert s["relative"] == pytest.approx(factor - 1.0)
+
+
+def test_paired_is_the_median_of_the_per_pair_ratios():
+    # three pairs 10 % faster, two 20 % slower: the per-pair median is -10 %
+    # while the change's median is 20 % above the parent's
+    parent = [10.0, 20.0, 30.0, 40.0, 50.0]
+    change = [12.0, 18.0, 36.0, 36.0, 45.0]
+    s = summary(parent, change, "lower", 0.25)
+    assert s["paired"] == pytest.approx(-0.1)
+    assert s["relative"] == pytest.approx(0.2)
+    assert s["wins"] == 3

@@ -8,7 +8,10 @@ then again with these monkeypatched in, and compares with np.array_equal:
 a reordering of any pixel's arithmetic would show here, where the 1e-9
 tolerance of `test_matches_reference_loop` would hide it. The references
 take per-fragment colors and an explicit background and also return a color
-gradient; `reference_kernels` adapts them to the renderer's signatures. They
+gradient; `reference_kernels` adapts them to the renderer's signatures. The
+renderer's backward kernel returns the alpha gradient's factors without the
+upstream gradient, which the reference yields under unit upstream vectors
+(`reference_factors`). They
 hold colors, color sums and upstream gradients as (N, 3) rows, the
 renderer's kernels channel-major as (3, N): the adapters transpose at that
 boundary only.
@@ -88,22 +91,37 @@ def _composite_backward(dl_dpx_color, background, sa, sc,
     return grad_alpha, grad_color
 
 
+def reference_factors(upstream_rows, *args):
+    """(3, N) alpha gradient factors of the reference backward kernel: its
+    alpha gradient under a unit upstream vector per channel. The reference
+    sums u_c * f_c over the channels in order, and 1 * f is f while 0 * f
+    adds a zero, so each row is that channel's factor up to the sign of a
+    zero, which np.array_equal ignores. `upstream_rows` is the number of
+    pixel groups the kernel reads."""
+    fac = []
+    for ch in range(3):
+        unit = np.zeros((upstream_rows, 3))
+        unit[:, ch] = 1.0
+        fac.append(_composite_backward(unit, *args)[0])
+    return np.array(fac)
+
+
 def reference_kernels(patch):
     """Monkeypatch the reference kernels into the renderer: the forward one
     gets each fragment's color color[sidx], and the backward one the
-    renderer's BACKGROUND, of which only grad_alpha is returned. Color sums
-    and fragment colors go to the renderer transposed to (3, N), and the
-    backward one gets the upstream gradient and colors back as C-ordered
-    (N, 3) rows, the layout it always ran on."""
+    renderer's BACKGROUND; it returns the alpha gradient factors
+    (`reference_factors`) and a * T. Color sums and fragment colors go to
+    the renderer transposed to (3, N), and the backward one gets the colors
+    back as C-ordered (N, 3) rows, the layout it always ran on."""
     def ordered(px, frag_alpha, color, sidx):
         out = _composite_ordered(px, frag_alpha, np.take(color, sidx, axis=0), save=True)
         unique_px, color_sum, trans, order, t_frag, starts, counts, sa, sc = out
         return unique_px, color_sum.T, trans, order, t_frag, starts, counts, sa, sc.T
 
-    def backward(dl_dpx_color, sa, sc, trans_final, t_frag, *rest):
-        rows = np.ascontiguousarray
-        return _composite_backward(rows(dl_dpx_color.T), rn.BACKGROUND, sa, rows(sc.T),
-                                   trans_final, t_frag, *rest)[0], sa * t_frag
+    def backward(sa, sc, trans_final, t_frag, *rest):
+        fac = reference_factors(len(trans_final), rn.BACKGROUND, sa,
+                                np.ascontiguousarray(sc.T), trans_final, t_frag, *rest)
+        return fac, sa * t_frag
 
     patch.setattr(rn, "_composite_ordered", ordered)
     patch.setattr(rn, "_composite_backward", backward)
@@ -270,11 +288,20 @@ def test_kernels_match_reference_per_fragment(monkeypatch):
     assert np.array_equal(ref[8], color[sidx[ref[3]]])
 
     upstream = rng.normal(size=(300, 3))
-    g_new, at = rn._composite_backward(upstream[new[0]].T, alpha[new[3]], new[8],
-                                       new[2], new[4], *new[5:7])
+    fac, at = rn._composite_backward(alpha[new[3]], new[8], new[2], new[4], *new[5:7])
     assert np.array_equal(at, alpha[new[3]] * new[4])
-    g_ref = _composite_backward(upstream[ref[0]], background, alpha[ref[3]],
-                                ref[8], ref[2], ref[4], *ref[5:7])[0]
+    ref_args = (background, alpha[ref[3]], ref[8], ref[2], ref[4], *ref[5:7])
+    fac_ref = reference_factors(len(ref[0]), *ref_args)
+    per_frag_new, per_frag_ref = np.empty((3, n)), np.empty((3, n))
+    per_frag_new[:, new[3]] = fac
+    per_frag_ref[:, ref[3]] = fac_ref
+    assert np.array_equal(per_frag_new, per_frag_ref)
+
+    # the alpha gradient from the factors and each position's upstream
+    # gradient, summed in channel order, is the reference's
+    u = upstream[px[new[3]]].T
+    g_new = (fac[0] * u[0] + fac[1] * u[1]) + fac[2] * u[2]
+    g_ref = _composite_backward(upstream[ref[0]], *ref_args)[0]
     per_frag_new, per_frag_ref = np.empty(n), np.empty(n)
     per_frag_new[new[3]] = g_new
     per_frag_ref[ref[3]] = g_ref

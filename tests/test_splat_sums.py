@@ -15,8 +15,8 @@ kernel, which also returns each fragment's color gradient: it holds colors
 and upstream gradients as (N, 3) rows, where the renderer's kernel holds
 them channel-major as (3, N), so its callers here transpose the renderer's
 fragment colors at that boundary. The renderer's own kernel returns the
-alpha gradient only, and forms the color gradient per fragment in
-`_fragment_terms`.
+alpha gradient's factors without the upstream gradient, and
+`_fragment_terms` forms the alpha and color gradients per fragment.
 """
 
 import numpy as np
@@ -238,4 +238,6 @@ def test_fragment_color_gradient_is_the_kernels(shape):
         dl_flat[unique_px], rn.BACKGROUND, sa, sc.T, trans, t_frag, off, width)
     kernel = np.empty_like(g_c)
     kernel[perm] = g_c
-    assert np.array_equal(rn._fragment_terms(ctx, dl_flat)[4:].T, kernel)
+    ctx["factors"] = rn._blend_factors(ctx)
+    terms = rn._fragment_terms(ctx, np.ascontiguousarray(dl_flat.T), slice(None))
+    assert np.array_equal(terms[4:].T, kernel)

@@ -2,6 +2,7 @@
 timed."""
 
 import importlib.util
+import threading
 import types
 from pathlib import Path
 
@@ -34,3 +35,20 @@ def test_stage_times_and_rests_from_spans():
     assert stage_times.children_seconds(tracer) == 7.0
     assert stage_times.children_seconds(tracer, "fake.outer") == 1.0
     assert stage_times.children_seconds(tracer, "fake.inner") == 0.25
+
+
+def test_each_thread_records_into_its_own_tracer():
+    """A stage called on the main thread is a span of the main Tracer and
+    one called on another thread, as the lane's tasks are, a span of the lane
+    Tracer: a Tracer keeps one stack of open spans."""
+    main, worker = stage_times.spans.Tracer(), stage_times.spans.Tracer()
+    calls = []
+    traced = stage_times.by_thread(main, worker, "fake.task", calls.append)
+    traced(1)
+    thread = threading.Thread(target=traced, args=(2,))
+    thread.start()
+    thread.join()
+    traced(3)
+    assert calls == [1, 2, 3]
+    assert [span[:2] for span in main.spans] == [["fake.task", -1]] * 2
+    assert [span[:2] for span in worker.spans] == [["fake.task", -1]]

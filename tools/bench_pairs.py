@@ -10,14 +10,17 @@ report; a run that fails, or reports `correct: false`, stops the comparison
 with its output.
 
 Per end-to-end metric of `BENCHMARK.json`, the table gives the parent's
-median and quartiles, the change's median and its relative gap, and the
-pairs in which the change was better by the metric's `better` (ties count
-for neither side). `claim` reads yes where a gain could be claimed: the
-change better in at least nine tenths of the pairs and its median better
-than the parent's by more than the parent's interquartile range. `bound`
-reads yes where the change's median is worse than the parent's by no more
-than the metric's `bound`, a fraction of the parent's median. This script
-changes nothing in either checkout.
+median and quartiles, the change's median and its relative gap, the
+median over the pairs of change / parent - 1 (`paired`), and the pairs in
+which the change was better by the metric's `better` (ties count for
+neither side). Host drift that slows both runs of a pair cancels in
+`paired`, so it is steadier than the gap of the two medians. `claim` reads
+yes where a gain could be claimed: the change better in at least nine
+tenths of the pairs and its median better than the parent's by more than
+the parent's interquartile range. `bound` reads yes where the change's
+median is worse than the parent's by no more than the metric's `bound`, a
+fraction of the parent's median. This script changes nothing in either
+checkout.
 """
 
 import argparse
@@ -45,6 +48,7 @@ def summary(parent, change, better, bound):
         "parent_median": float(median), "parent_q1": float(q1), "parent_q3": float(q3),
         "change_median": change_median,
         "relative": (change_median - median) / abs(median) if median else float("nan"),
+        "paired": float(np.median(change / parent - 1.0)) if np.all(parent) else float("nan"),
         "wins": wins, "pairs": len(parent),
         "claim": bool(wins >= CLAIM_SHARE * len(parent) and gain > q3 - q1),
         "within_bound": bool(-gain <= bound * abs(median)),
@@ -91,7 +95,7 @@ def main(argv=None):
     print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seeds 1-{args.pairs}, parent first on odd seeds")
     print(f"{'metric':<22}{'parent median [q1, q3]':>34}{'change median':>16}{'gap':>9}"
-          f"{'wins':>10}{'claim':>7}{'bound':>7}")
+          f"{'paired':>9}{'wins':>10}{'claim':>7}{'bound':>7}")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         s = summary([v[name] for v in values["parent"]], [v[name] for v in values["change"]],
@@ -99,7 +103,7 @@ def main(argv=None):
         parent = f"{s['parent_median']:.5g} [{s['parent_q1']:.5g}, {s['parent_q3']:.5g}]"
         wins = f"{s['wins']} of {s['pairs']}"
         print(f"{name:<22}{parent:>34}{s['change_median']:>16.5g}{100 * s['relative']:>8.1f}%"
-              f"{wins:>10}{'yes' if s['claim'] else 'no':>7}"
+              f"{100 * s['paired']:>8.1f}%{wins:>10}{'yes' if s['claim'] else 'no':>7}"
               f"{'yes' if s['within_bound'] else 'no':>7}")
 
 
