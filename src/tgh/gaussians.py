@@ -3,7 +3,7 @@
 A primitive is an anisotropic Gaussian over (x, y, z, t). `build_covariance`
 is the one function that forms its 4x4 covariance, from a pair of unit
 quaternions (the left/right isoclinic factors of a 4D rotation) and four
-floored scales, and `condition_at_time` the one conditioning function: it
+positive scales, and `condition_at_time` the one conditioning function: it
 slices the 4D Gaussian at a timestamp into the 3D splat actually rendered,
 whose opacity the temporal marginal w_t modulates. `geometry_backward` is
 their backward pass, from a splat's gradients to its Gaussian's parameters.
@@ -19,13 +19,6 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import InvalidParameterError
-
-# floors applied to scales before covariance construction: spatial axes in
-# scene units, temporal axis in seconds
-MIN_SCALE_SPATIAL = 1e-6
-MIN_SCALE_TEMPORAL = 1e-4
-
-SCALE_FLOOR = np.array([MIN_SCALE_SPATIAL] * 3 + [MIN_SCALE_TEMPORAL])
 
 # normalized temporal factor below which a Gaussian has no influence: it
 # bounds the influence range the hierarchy places by and the renderer's cull
@@ -73,20 +66,15 @@ def isoclinic_factors(rotor_left, rotor_right):
     return ql, qr, left, right
 
 
-def clamp_scales(scale):
-    """Apply the per-axis positive floors (spatial 1e-6, temporal 1e-4 s)."""
-    return np.maximum(np.asarray(scale, dtype=np.float64), SCALE_FLOOR)
-
-
 def build_covariance(scale, rotor_left, rotor_right):
     """Covariances Sigma = M M^T, M = R4 diag(s), as a Geometry with the
     factors that build them: the renormalized rotors `rotor_left` and
     `rotor_right` (..., 4), their isoclinic factors `left` and `right`, the
-    4D rotation `rot4` = L @ R and `m` = M (..., 4, 4), the scale with its
-    floors applied, `scale` = s (..., 4), and `cov` = Sigma.
+    4D rotation `rot4` = L @ R and `m` = M (..., 4, 4), the scale as float64,
+    `scale` = s (..., 4), and `cov` = Sigma.
     """
     ql, qr, left, right = isoclinic_factors(rotor_left, rotor_right)
-    s = clamp_scales(scale)
+    s = np.asarray(scale, dtype=np.float64)
     rot4 = left @ right
     m = rot4 * s[..., None, :]
     return Geometry(ql, qr, left, right, s, rot4, m, m @ np.swapaxes(m, -1, -2))
@@ -114,10 +102,9 @@ def batch_temporal_variance(scale, rotor_left, rotor_right):
            a0 * b2 - a3 * b1 - a2 * b0 - a1 * b3,
            a1 * b0 - a3 * b2 - a2 * b3 - a0 * b1,
            a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3)
-    # floored per component, each a contiguous pass; the squares are added
-    # from the first, which equals `sum` from 0, as 0 + x is x for x >= 0
+    # the squares are added from the first, which equals `sum` from 0, as
+    # 0 + x is x for x >= 0
     s = _components(scale)
-    np.maximum(s, SCALE_FLOOR.reshape((4,) + (1,) * (s.ndim - 1)), out=s)
     total = np.square(row[0] * s[0])
     for r, s_j in zip(row[1:], s[1:]):
         total += np.square(r * s_j)
@@ -145,16 +132,15 @@ def condition_at_time(mu, cov, t):
     return Conditioned(dt, mean3, cov3, w_t)
 
 
-def geometry_backward(scale, rotor_left, rotor_right, geom, dt, w_t, grad_mean3, grad_cov3, grad_w):
+def geometry_backward(rotor_left, rotor_right, geom, dt, w_t, grad_mean3, grad_cov3, grad_w):
     """Gradients (mu, scale, rotor_left, rotor_right) of K Gaussians from
     those of their conditioned mean3 (K, 3), cov3 (K, 3, 3) and w_t (K,).
 
-    scale and the rotors are the raw (K, 4) rows given to `build_covariance`,
-    geom its Geometry and dt, w_t those of `condition_at_time`, all at the
-    same K rows. Conditioning goes back to mu and cov4, then cov4 = M M^T to
-    the floored scale and the unit rotors; a scale gets the floor clamp's
-    one-sided derivative, so one on its floor can grow, and a rotor the
-    renormalisation's, its gradient's tangent part over |q|. `v` and
+    The rotors are the raw (K, 4) rows given to `build_covariance`, geom its
+    Geometry and dt, w_t those of `condition_at_time`, all at the same K
+    rows. Conditioning goes back to mu and cov4, then cov4 = M M^T to the
+    scale and the unit rotors; a rotor gets the renormalisation's
+    derivative, its gradient's tangent part over |q|. `v` and
     `sigma_t` are views of geom.cov, as `condition_at_time` reads them: a
     contiguous copy would make the einsums on `v` round differently.
     """
@@ -178,7 +164,7 @@ def geometry_backward(scale, rotor_left, rotor_right, geom, dt, w_t, grad_mean3,
     grad_s = np.einsum("nij,nij->nj", geom.rot4, grad_m4)
     grad_left = np.einsum("nij,cij->nc", grad_rot4 @ np.swapaxes(geom.right, 1, 2), _LEFT_BASIS)
     grad_right = np.einsum("nij,cij->nc", np.swapaxes(geom.left, 1, 2) @ grad_rot4, _RIGHT_BASIS)
-    grads = [grad_mu, grad_s * (scale >= SCALE_FLOOR)]
+    grads = [grad_mu, grad_s]
     for raw_q, q_hat, g_hat in ((rotor_left, geom.rotor_left, grad_left),
                                 (rotor_right, geom.rotor_right, grad_right)):
         proj = np.sum(q_hat * g_hat, axis=1, keepdims=True)

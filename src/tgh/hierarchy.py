@@ -68,12 +68,14 @@ class WorkingSet:
 def _influence_ranges(mu, scale, rotor_left, rotor_right, **_):
     """(start, end) arrays from named parameter columns, the others ignored:
     each temporal mean -+ the radius where the temporal factor drops to
-    TEMPORAL_THRESHOLD. InvalidParameterError unless every bound is finite."""
-    radius = ga.influence_radius(ga.batch_temporal_variance(scale, rotor_left, rotor_right))
+    TEMPORAL_THRESHOLD. InvalidParameterError unless every bound is finite
+    and every temporal variance positive: conditioning divides by it."""
+    sigma_t = ga.batch_temporal_variance(scale, rotor_left, rotor_right)
+    radius = ga.influence_radius(sigma_t)
     centers = mu[:, 3]
     start, end = centers - radius, centers + radius
-    if not (np.isfinite(start).all() and np.isfinite(end).all()):
-        raise InvalidParameterError("influence range must be finite")
+    if not ((sigma_t > 0.0).all() and np.isfinite(start).all() and np.isfinite(end).all()):
+        raise InvalidParameterError("influence range must be finite and of positive width")
     return start, end
 
 
@@ -211,7 +213,7 @@ class TemporalHierarchy:
         """Store Gaussians, given as the columns `checked_columns` takes, and
         place each by its influence range; returns their ids as an int64
         array. A call that raises stores and places nothing and spends no id:
-        an array of the wrong shape or with a non-finite value raises
+        a value that `checked_columns` or `_influence_ranges` rejects raises
         InvalidParameterError."""
         columns, lit = checked_columns(**columns)
         start, end = _influence_ranges(**columns)

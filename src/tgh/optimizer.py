@@ -2,13 +2,13 @@
 limited to recently touched primitives, per-step hierarchy reassignment and
 the appearance gate wiring. A step reads and writes only working-set rows,
 each once, in the store's layout: the gate gives a slot to each kept diffuse
-row whose SH gradient it lets through, one `adam_step` steps the base rows
-and one the SH of the slotted rows, and one `store.write` puts both back; a
-diffuse row has no SH to step. A control pass reads only the rows touched
-since the last one, which `train()` collects as it steps them, and the
-gate's count at a pass is the number of slots held. The per-step cost is
-not yet flat in the population (ROADMAP item 1): `scene_extent_of` runs
-once per `train()`.
+row whose SH gradient it lets through, `step_base_rows` steps the base rows
+and `adam_step` the SH of the slotted rows, and one `store.write` puts both
+back; a diffuse row has no SH to step. A control pass reads only the rows
+touched since the last one, which `train()` collects as it steps them, and
+the gate's count at a pass is the number of slots held. The per-step cost is
+not yet flat in the population (ROADMAP item 1): `scene_extent_of` runs once
+per `train()`.
 
 The per-Gaussian training state lives in the store's rows: `train()`
 attaches `TRAINING_ROWS` (Adam moment rows and step counts) to the
@@ -22,8 +22,13 @@ The method runs on fixed settings, module constants here:
 
 - `LEARNING_RATES`: Adam's rate per parameter column. The base rate 1.6e-4
   is 3DGS's initial position rate (arXiv 2308.04079), and as there the
-  `mu` rate is multiplied by the scene extent; scales and rotors run at 5x,
-  opacity at 25x, and base color and residual SH at 12.5x the base rate.
+  `mu` rate is multiplied by the scene extent; rotors run at 5x, and base
+  color and residual SH at 12.5x the base rate. Scale s and opacity o step
+  in log s and logit o, as in 3DGS and 4DGS (arXiv 2310.10642), so no step
+  takes s to 0 or o out of [0, 1] and a scale's step is relative to it; their
+  rates, 8e-4 / 0.08 = 1e-2 and 4e-3 / 0.24, keep the step of linear rates
+  5x and 25x at the bench's typical s = 0.08 and o (1 - o) = 0.24. 3DGS's
+  5e-3 and 5e-2 score lower on held-out timestamps (`tools/quality.py`).
 - The density-control settings are the 3DGS defaults:
   `GRAD_DENSIFY_THRESHOLD` (its densify_grad_threshold, in view-space NDC
   units), `PRUNE_OPACITY_THRESHOLD` (its min opacity), `SPLIT_SCALE_DIVISOR`
@@ -54,8 +59,8 @@ from .losses import psnr
 from .store import BASE_WIDTH, PARAMETERS, pack, views
 
 LEARNING_RATES = {name: 1.6e-4 * multiple for name, multiple in (
-    ("mu", 1.0), ("scale", 5.0), ("rotor_left", 5.0), ("rotor_right", 5.0),
-    ("opacity", 25.0), ("base_color", 12.5), ("sh_residual", 12.5))}
+    ("mu", 1.0), ("scale", 5.0 / 0.08), ("rotor_left", 5.0), ("rotor_right", 5.0),
+    ("opacity", 25.0 / 0.24), ("base_color", 12.5), ("sh_residual", 12.5))}
 GRAD_DENSIFY_THRESHOLD = 2e-4
 PRUNE_OPACITY_THRESHOLD = 5e-3
 SPLIT_SCALE_DIVISOR = 1.6
@@ -116,6 +121,25 @@ def adam_step(params, grads, m, v, steps, lr):
     v_hat = v / (1 - b2 ** t)
     params -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def step_base_rows(params, grads, m, v, steps, lr):
+    """`adam_step` on (N, BASE_WIDTH) base rows, with the rotors renormalized
+    and scale s and opacity o stepped in log s and logit o, centred on the
+    row's values: `m` and `v` hold the moments of the chained gradients
+    s g_s and o (1 - o) g_o, and their step d is applied as s exp(d) and
+    o / (o + (1 - o) exp(-d)), sigmoid(logit o + d) with no log of o, so an
+    opacity of 0 or 1 stays put."""
+    cols, grads = views(params), grads.copy()
+    chained, s, o = views(grads), cols["scale"].copy(), cols["opacity"].copy()
+    chained["scale"] *= s
+    chained["opacity"] *= o * (1.0 - o)
+    cols["scale"][...] = cols["opacity"][...] = 0.0     # centred: 0 before the step
+    adam_step(params, grads, m, v, steps, lr)
+    cols["scale"][...] = s * np.exp(cols["scale"])
+    cols["opacity"][...] = o / (o + (1.0 - o) * np.exp(-cols["opacity"]))
+    for q in (cols["rotor_left"], cols["rotor_right"]):
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
 
 
 @dataclass
@@ -295,14 +319,8 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
                     rows, "params", "params_m", "params_v")
                 g_sh = np.zeros_like(p_sh)
                 g_sh[np.isin(held, keep)] = grads.sh[store.slot[rows[keep]] >= 0]
-                adam_step(p, grads.params, m, v, steps, lr)
+                step_base_rows(p, grads.params, m, v, steps, lr)
                 adam_step(p_sh, g_sh, m_sh, v_sh, steps[held], LEARNING_RATES["sh_residual"])
-                # keep invariants: opacity in [0, 1], scales above the floor, rotors unit
-                cols = views(p)
-                np.clip(cols["opacity"], 0.0, 1.0, out=cols["opacity"])
-                np.maximum(cols["scale"], ga.SCALE_FLOOR, out=cols["scale"])
-                for q in (cols["rotor_left"], cols["rotor_right"]):
-                    q /= np.linalg.norm(q, axis=1, keepdims=True)
                 store.write(rows, params=(p, p_sh), params_m=(m, m_sh), params_v=(v, v_sh))
                 h.update_levels(ws.gaussian_ids)
                 touches.append((rows[grads.touched], grads.viewspace_norm[grads.touched]))

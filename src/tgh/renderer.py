@@ -610,7 +610,7 @@ def _backward(ctx, dl_dimage):
     grads.opacity[keep] = grad_alpha * w_t
     geom = ga.Geometry._make(a[keep] for a in ctx["geom"])
     grads.mu[keep], grads.scale[keep], grads.rotor_left[keep], grads.rotor_right[keep] = \
-        ga.geometry_backward(batch.scale[keep], batch.rotor_left[keep], batch.rotor_right[keep],
+        ga.geometry_backward(batch.rotor_left[keep], batch.rotor_right[keep],
                              geom, dt, w_t, grad_mean3, grad_cov3, grad_w)
     return grads
 

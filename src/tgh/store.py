@@ -81,7 +81,8 @@ GaussianBatch = make_dataclass(
 def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_residual):
     """The parameter columns of one insert as float64 arrays, by name, and
     `_lit` of its SH. InvalidParameterError unless each column has exactly
-    the shape (n,) + SHAPES[name], with n = len(mu), and finite values.
+    the shape (n,) + SHAPES[name], with n = len(mu), and finite values, and
+    every scale is positive and every opacity in [0, 1], as a step keeps them.
 
     The SH block is read once, by `_lit`, and only the rows it marks are
     checked for finiteness: a row with no set bit is all +0.0, and a NaN or
@@ -99,6 +100,9 @@ def checked_columns(mu, scale, rotor_left, rotor_right, opacity, base_color, sh_
             value = value[lit]
         if not np.isfinite(value).all():
             raise InvalidParameterError(f"non-finite {name}")
+    if not ((values["scale"] > 0.0).all() and np.all(0.0 <= values["opacity"])
+            and np.all(values["opacity"] <= 1.0)):
+        raise InvalidParameterError("scales must be positive and opacities in [0, 1]")
     return values, lit
 
 

@@ -398,6 +398,42 @@ class TestInsertRemoveOccupancy:
         h.audit()
         assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
 
+    @pytest.mark.parametrize("column, entry, value", [
+        ("scale", (0, 0), 0.0), ("scale", (2, 3), 0.0), ("scale", (1, 1), -0.1),
+        ("scale", (1, 3), -0.0), ("opacity", (0,), -1e-9), ("opacity", (2,), 1.0 + 1e-9)],
+        ids=["zero_spatial", "zero_temporal", "negative", "negative_zero", "opacity_below",
+             "opacity_above"])
+    def test_insert_outside_the_domain_changes_nothing(self, rng, column, entry, value):
+        # a training step keeps a scale positive and an opacity in [0, 1], and
+        # conditioning divides by the temporal variance a zero scale can give
+        h = build(duration=40.0)
+        h.insert_batch(**random_params(rng, 2))
+        bad = random_params(rng, 3)
+        bad[column][entry] = value
+        with pytest.raises(InvalidParameterError):
+            h.insert_batch(**bad)
+        assert len(h.store) == len(h) == 2
+        h.audit()
+        assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
+
+    def test_opacity_on_the_bounds_is_accepted(self, rng):
+        columns = random_params(rng, 2)
+        columns["opacity"][:] = [0.0, 1.0]
+        h = build(duration=40.0)
+        rows = h.store.rows_of(h.insert_batch(**columns))
+        assert h.store.opacity[rows].tolist() == [0.0, 1.0]
+
+    def test_temporal_variance_that_rounds_to_zero_raises(self, rng):
+        # positive scales whose squares underflow: sigma_t is exactly 0
+        h = build(duration=40.0)
+        bad = random_params(rng, 3)
+        bad["scale"][1] = 1e-170
+        assert ga.batch_temporal_variance(bad["scale"], bad["rotor_left"],
+                                          bad["rotor_right"])[1] == 0.0
+        with pytest.raises(InvalidParameterError):
+            h.insert_batch(**bad)
+        assert len(h.store) == len(h) == 0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_one_non_finite_sh_value_in_a_zero_row_raises(self, rng, value):
         # only SH rows with a set bit are checked for finiteness, and a NaN

@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tgh import gaussians as ga
 from tgh import optimizer as opt
 from tgh import renderer as rn
 from tgh import store as st
@@ -108,6 +107,44 @@ class TestAdam:
         for packed, reference in ((params, cols), (m, m_cols), (v, v_cols)):
             for name, column in st.views(packed).items():
                 assert np.array_equal(column, reference[name]), name
+
+
+class TestStepBaseRows:
+    """`step_base_rows` steps scale in log s and opacity in logit o."""
+
+    def steps(self, params, grads_of, count=5):
+        """Step `params` `count` times with `grads_of(params)`, returning each
+        step's factor new / old of the scale columns."""
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        rates = st.pack(opt.LEARNING_RATES, np.empty(st.BASE_WIDTH))
+        factors = []
+        for step in range(1, count + 1):
+            before = st.views(params)["scale"].copy()
+            opt.step_base_rows(params, grads_of(params), m, v, np.full(len(params), step), rates)
+            factors.append(st.views(params)["scale"] / before)
+        return factors
+
+    def test_scale_step_is_relative_to_the_scale(self, rng):
+        # two rows whose scales differ x1000 and whose s g are equal get the
+        # same step factor: at a linear rate the small one would move 1000x more
+        params = np.tile(rng.uniform(0.2, 0.8, st.BASE_WIDTH), (2, 1))
+        st.views(params)["scale"][1] *= 1000.0
+        base = rng.normal(size=st.BASE_WIDTH)
+
+        def grads_of(p):
+            g = np.tile(base, (2, 1))
+            st.views(g)["scale"][...] = 0.3 / st.views(p)["scale"]
+            return g
+        for scale in self.steps(params, grads_of):
+            assert np.all(scale < 1.0)
+            np.testing.assert_allclose(scale[1], scale[0], rtol=1e-12)
+
+    def test_opacity_at_zero_and_one_stays_put(self, rng):
+        params = np.tile(rng.uniform(0.2, 0.8, st.BASE_WIDTH), (2, 1))
+        st.views(params)["opacity"][...] = [0.0, 1.0]
+        self.steps(params, lambda p: rng.normal(size=p.shape))
+        assert np.isfinite(params).all()
+        assert st.views(params)["opacity"].tolist() == [0.0, 1.0]
 
 
 def populated_hierarchy(rng, n=50, duration=2.0):
@@ -285,9 +322,9 @@ class TestTrain:
         assert grads.touched.dtype == bool and len(grads.touched) == len(ws.gaussian_ids)
         assert grads.touched.tolist() == [gid != hidden for gid in ws.gaussian_ids]
 
-    def test_scale_on_the_floor_recovers(self):
-        # train() clamps scales to exactly the floor, so a scale that sits on
-        # it must still get the gradient that pushes it up
+    def test_tiny_scale_grows_at_every_step(self, monkeypatch):
+        # a 1e-6 splat against a wide target: every step widens each spatial
+        # axis by about the scale rate, relative to the scale
         cam = ring_camera()
         blob = dict(mu=[0.0, 0.0, 0.0, 0.05], opacity=0.85, base_color=[0.9, 0.3, 0.2])
         from test_renderer import batch_of
@@ -295,10 +332,20 @@ class TestTrain:
         scene = StaticScene([cam], 1, 30.0,
                             {(0, 0): rn.render_batch(wide, 0.0, cam).rgb})
         h = build(duration=1.0)
-        [gid] = h.insert_batch(**params(scale=[ga.MIN_SCALE_SPATIAL] * 3 + [0.6], **blob))
-        opt.train(scene, h, opt.TrainConfig(iterations=20))
+        [gid] = h.insert_batch(**params(scale=[1e-6] * 3 + [0.6], **blob))
         [row] = h.store.rows_of([gid])
-        assert np.all(h.store.scale[row, :3] > 1000 * ga.MIN_SCALE_SPATIAL)
+        scales = [h.store.scale[row, :3].copy()]
+        update_levels = h.update_levels   # runs once per step, after the write
+
+        def recording(gids):
+            scales.append(h.store.scale[row, :3].copy())
+            return update_levels(gids)
+        monkeypatch.setattr(h, "update_levels", recording)
+        opt.train(scene, h, opt.TrainConfig(iterations=20))
+        factors = np.array(scales[1:]) / scales[:-1]
+        assert factors.shape == (20, 3)
+        assert np.all(factors > 1.0)
+        assert np.all(np.log(factors) < 2.0 * opt.LEARNING_RATES["scale"])
 
     def test_non_finite_target_changes_nothing(self, rng):
         scene, h, cfg = make_training_setup(rng, iterations=10)

@@ -1,6 +1,7 @@
 """Property tests for training: two `train()` runs with one seed on a random
 small scene end with the same metrics, population, parameters and
-placements, and every kind of density control happens on the way; a clone
+placements, and every kind of density control happens on the way; every
+step keeps scales positive and opacities inside (0, 1); a clone
 is an exact copy of its source; each control pass is handed exactly the
 Gaussians touched since the last one, with their mean view-space gradient
 norms."""
@@ -88,6 +89,26 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
     assert sum(r.cloned for r in reports) > 0
     assert sum(r.split for r in reports) > 0
     assert sum(r.pruned for r in reports) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_step_keeps_scales_positive_and_opacities_inside(seed, monkeypatch):
+    # the black target lowers every opacity, the faint one's from 4.5e-3 at
+    # the first step: in logit o it falls geometrically and never reaches 0
+    scene, h = small_scene(seed, n=4, size=16)
+    update_levels, checked = h.update_levels, []
+
+    def check(gids):   # runs once per step, after the write
+        rows = h.store.live_rows()
+        scale, opacity = h.store.scale[rows], h.store.opacity[rows]
+        assert np.isfinite(scale).all() and (scale > 0.0).all()
+        assert ((opacity > 0.0) & (opacity < 1.0)).all()
+        checked.append(opacity.min())
+        return update_levels(gids)
+
+    monkeypatch.setattr(h, "update_levels", check)
+    opt.train(scene, h, opt.TrainConfig(iterations=40, densify_interval=1000, seed=seed))
+    assert len(checked) == 40 and checked[-1] < checked[0]
 
 
 @pytest.mark.parametrize("seed", range(5))
