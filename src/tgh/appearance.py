@@ -12,8 +12,8 @@ The gate's state is its threshold `g_th`: G_TH while the gate is open and
 Whether a Gaussian is view-dependent is recorded once, by the store: it
 holds an SH slot (`store.slot`). The gate reads the batch's diffuse mask,
 and a diffuse row whose gradient it lets through takes a slot before its
-step. So the view-dependent count is the number of slots held:
-`view_dependent_fraction(len(store.held_slots()), len(store))`.
+step. So the view-dependent count is the number of slots held, which the
+store's slot pool counts: `view_dependent_fraction(store.slots_held(), len(store))`.
 """
 
 import math

@@ -9,20 +9,22 @@ duration and population size.
 
 Placement is a formula: segment n of level l starts at offset_l + n *
 seg_length_l, and the one holding t is floor((t - offset_l) / seg_length_l),
-moved by one where rounding crossed a boundary. That index is a float, exact
-below 2^53, so a duration and root length that need 2^53 segments or more in
-all are rejected. A range is tried only at the levels that can hold it
-(`_find_placements`): first the deepest whose segments are as long as the
-range, allowing for rounding, then one level shallower at a time until a
-segment holds it. Most ranges take two tries, however many levels there are.
+moved by one where rounding crossed a boundary (`_segment_at`, the one copy
+of that formula). That index is a float, exact below 2^53, so a duration and
+root length that need 2^53 segments or more in all are rejected. A range is
+tried only at the levels that can hold it (`_find_placements`): first the
+deepest whose segments are as long as the range, allowing for rounding, then
+one level shallower at a time until a segment holds it. Most ranges take
+two tries, however many levels there are.
 Members are kept for occupied segments only, so memory is O(levels +
 population) at any duration: each occupied segment holds its ids as one
 ascending int64 array, and a query is one concatenation of the
 arrays of its segments, levels in order and then the global one. Each
-Gaussian's flat segment and the influence range it was placed by live in
-its store row (`store.PLACEMENT`), so a placed id is exactly a stored id;
-only ids whose segment changed touch a member array. Every writer takes a
-batch of ids, and files them by segment with one sort of the batch.
+Gaussian's flat segment lives in its store row (`store.PLACEMENT`), so a
+placed id is exactly a stored id; its influence range is recomputed from its
+parameters wherever it is needed. Only ids whose segment changed touch a
+member array. Every writer takes a batch of ids, and files them by segment
+with one sort of the batch.
 
 Single-writer contract: nothing here locks. Mutations (insert, remove,
 update) must not run concurrently with each other or with reads.
@@ -41,7 +43,6 @@ from .store import GaussianStore, checked_columns, views
 
 GLOBAL_LEVEL = -1
 _GLOBAL_FLAT = 0                 # flat segment index of the global segment
-_DOWN = (slice(None), None)      # views a per-level array as a column
 _NO_IDS = np.empty(0, dtype=np.int64)
 # In exact arithmetic a range inside the duration that is no longer than
 # level l's segments fits at l or at one of the next three shallower levels,
@@ -79,6 +80,16 @@ def _influence_ranges(mu, scale, rotor_left, rotor_right, **_):
     return start, end
 
 
+def _segment_at(t, offset, seg_length):
+    """Index, as a float, of the segment holding t among those of length
+    `seg_length` whose segment n starts at offset + n * seg_length; broadcasts."""
+    n = np.floor((t - offset) / seg_length)
+    # the rounded quotient may put t one segment off near a boundary
+    n += t >= offset + (n + 1) * seg_length
+    n -= t < offset + n * seg_length
+    return n
+
+
 class TemporalHierarchy:
     def __init__(self, duration, root_length=10.0, num_levels=9):
         for name, value in (("duration", duration), ("root_length", root_length)):
@@ -98,7 +109,7 @@ class TemporalHierarchy:
         # segments 0 .. count - 1 of each level cover [0, duration]
         with np.errstate(over="ignore"):
             count = np.ceil((self.duration - self._offset) / self._seg_length)
-        # flat segment indices pass through float64 (`_index_at`), exact below 2^53
+        # flat segment indices pass through float64 (`_segment_at`), exact below 2^53
         if not 1.0 + count.sum() < 2.0 ** 53:
             raise InvalidParameterError(
                 f"duration {self.duration!r} with root_length {self.root_length!r} needs "
@@ -107,55 +118,42 @@ class TemporalHierarchy:
         self.store = GaussianStore()
         # flat segment index: 0 is global, then each level's segments in order
         self._first = 1 + np.concatenate([[0], np.cumsum(self._count)[:-1]])
-        # starts clipped to these keep `_index_at` finite and fit as before
+        # starts clipped to these keep `_segment_at` finite and fit as before
         self._t_bounds = (-2.0 * self.root_length, self.duration + 2.0 * self.root_length)
         self._members = {}  # flat index -> ascending int64 ids, for occupied segments only
         # `_find_placements`' tables. Rows: each level's offset, segment length,
         # segment count and first flat index, after _TRIES columns of a level
         # with no segment, which stand for the levels shallower than level 0.
         # And a bound on the longest range a level's segment can hold once
-        # `_edge` has rounded, deepest level first.
+        # its edges have rounded, deepest level first.
         geometry = np.stack([self._offset, self._seg_length, self._count, self._first])
         self._geometry = np.hstack([np.tile([[0.0], [1.0], [0.0], [0.0]], _TRIES), geometry])
         self._reach = self._seg_length[::-1] + 2.0 ** -48 * (self.duration + 4.0 * self.root_length)
 
     # ---------------------------------------------------------------- geometry
 
-    def _edge(self, n, level=_DOWN):
-        """Start of segment n, offset_l + n * seg_length_l; by default level l on row l."""
-        return self._offset[level] + n * self._seg_length[level]
-
-    def _index_at(self, t):
-        """Per level (row) and timestamp t in `_t_bounds` (column), the index of
-        the segment holding t, as a float: < 0 or >= count outside the level."""
-        n = np.floor((t - self._offset[_DOWN]) / self._seg_length[_DOWN])
-        # the rounded quotient may put t one segment off near a boundary
-        n += t >= self._edge(n + 1)
-        n -= t < self._edge(n)
-        return n
-
     def _find_placements(self, start, end):
         """Flat index of the deepest segment containing each [start, end].
 
-        Segment n of level l, [a, b) = [`_edge(n)`, `_edge(n + 1)`), contains
-        the range iff a <= start and end <= b; per level, only the segment
-        holding start can. Flat indices grow with depth, so the deepest fit is
-        the largest; no fit gives 0.
+        Segment n of level l, [a, b) with a = offset_l + n * seg_length_l and
+        b = offset_l + (n + 1) * seg_length_l, contains the range iff a <= start
+        and end <= b; per level, only the segment holding start can. Flat
+        indices grow with depth, so the deepest fit is the largest; no fit
+        gives 0.
 
         A range is tried first at the deepest level whose segment length plus
         a margin is at least end - start; no deeper level can hold it. The
         margin 2^-48 (D + 4S), D the duration and S the root length, bounds
         the rounding. With u = 2^-53, the 2^53-segment limit gives uD < S.
         For 0 <= n <= count_l, offset_l + n * seg_length_l lies in
-        (-S, D + 5S), and `_edge` rounds it twice, to within 2u(D + 6S). So
+        (-S, D + 5S), and its float rounds twice, to within 2u(D + 6S). So
         a fit needs end - start <= seg_length_l + 4u(D + 6S), and end - start
         rounds to at most seg_length_l + 5u(D + 6S), less than the margin
         32u(D + 4S) by more than the rounding of the sum. A range that no
         tried level holds moves on to the next shallower level, and one that
         fails at level 0 to the global segment. A pass tries up to _TRIES
-        levels of each range left. Each try is `_index_at`'s arithmetic and
-        the fit test on the same floats, so the answer is that of testing
-        every level.
+        levels of each range left. Each try is `_segment_at` and the fit test
+        on the same floats, so the answer is that of testing every level.
         """
         with np.errstate(over="ignore"):  # a length past the float range fits no level
             level = (self.num_levels - 1) - self._reach.searchsorted(end - start)
@@ -166,9 +164,7 @@ class TemporalHierarchy:
             tries = min(_TRIES, math.ceil(_BLOCK_PAIRS / len(todo)))
             columns = level + _BACK[:tries]  # of levels level, level - 1, ...
             offset, seg_length, count, first = self._geometry.take(columns, axis=1)
-            n = np.floor((t - offset) / seg_length)
-            n += t >= offset + (n + 1) * seg_length
-            n -= t < offset + n * seg_length
+            n = _segment_at(t, offset, seg_length)
             fits = (n >= 0) & (n < count) & (end <= offset + (n + 1) * seg_length)
             flat = ((first + n) * fits).max(axis=0)  # the deepest fit tried, 0 if none
             out[todo] = flat
@@ -220,8 +216,6 @@ class TemporalHierarchy:
         rows, gids = self.store.insert_arrays(columns, lit)
         flat = self._find_placements(start, end)
         self.store.segment[rows] = flat
-        self.store.influence[rows, 0] = start
-        self.store.influence[rows, 1] = end
         self._file(flat, gids, add=True)
         return gids
 
@@ -250,8 +244,6 @@ class TemporalHierarchy:
         start, end = _influence_ranges(**views(store.params[rows]))
         old = store.segment[rows]
         new = self._find_placements(start, end)
-        store.influence[rows, 0] = start
-        store.influence[rows, 1] = end
         moved = np.flatnonzero(old != new)
         if moved.size:
             self._file(old[moved], gids[moved], add=False)
@@ -276,7 +268,7 @@ class TemporalHierarchy:
         t = float(t)
         if not 0.0 <= t <= self.duration:
             raise OutOfRangeError(f"t={t} outside [0, {self.duration}]")
-        n = self._index_at(np.array([t]))[:, 0].astype(np.int64)
+        n = _segment_at(t, self._offset, self._seg_length).astype(np.int64)
         return np.minimum(n, self._count - 1).tolist()  # t == last end
 
     def materialize(self, ws: WorkingSet):
@@ -299,10 +291,11 @@ class TemporalHierarchy:
     def audit(self):
         """Verify that the member arrays are ascending and hold exactly the
         stored ids, each in the segment its row records, and containment and
-        minimality for every stored Gaussian; AuditError on the first
-        violation. Minimality is checked against `_find_placements`, the
-        function that placed them; the tests pin that function to testing
-        every level and to a scan of every segment."""
+        minimality for every stored Gaussian, by the influence range of its
+        parameters as they stand; AuditError on the first violation.
+        Minimality is checked against `_find_placements`, the function that
+        placed them; the tests pin that function to testing every level and
+        to a scan of every segment."""
         keys, arrays = list(self._members), list(self._members.values())
         sizes = [len(a) for a in arrays]
         if not all(sizes):
@@ -328,7 +321,10 @@ class TemporalHierarchy:
         rows = self.store.live_rows()
         ids = self.store.ids_at_rows(rows)
         segment = self.store.segment[rows]
-        start, end = self.store.influence[rows].T
+        try:
+            start, end = _influence_ranges(**views(self.store.params[rows]))
+        except InvalidParameterError as error:
+            raise AuditError(f"a stored row has no valid influence range: {error}") from None
         expected = self._find_placements(start, end)
         bad = np.flatnonzero(expected != segment)
         if bad.size:
@@ -337,8 +333,9 @@ class TemporalHierarchy:
             raise AuditError(f"id {ids[i]} placed at {placement}, "
                              f"deepest containing segment is {deepest}")
         level, index = self._level_index(segment)
-        a = np.where(level < 0, -np.inf, self._edge(index, level))
-        b = np.where(level < 0, np.inf, self._edge(index + 1, level))
+        offset, seg_length = self._offset[level], self._seg_length[level]
+        a = np.where(level < 0, -np.inf, offset + index * seg_length)
+        b = np.where(level < 0, np.inf, offset + (index + 1) * seg_length)
         bad = np.flatnonzero(~((a <= start) & (end <= b)))
         if bad.size:
             i = bad[0]

@@ -330,7 +330,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
                                  grow=it <= cfg.iterations // 2)
                 touches = []
                 if g_th < math.inf:
-                    fraction = ap.view_dependent_fraction(len(store.held_slots()), len(store))
+                    fraction = ap.view_dependent_fraction(store.slots_held(), len(store))
                     g_th = ap.update_ratio_cutoff(g_th, fraction)
                 result.metrics.append(MetricRow(
                     iteration=it,

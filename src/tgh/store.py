@@ -5,7 +5,8 @@ keeps the first BASE_WIDTH = 20 (mu, scale, both rotors, opacity and base
 color) as one row of the float64 matrix `params`. The 45 residual SH
 coefficients live in a slot table, the paper's Compact Appearance Model: most
 Gaussians are diffuse and have no SH. A row's slot (`slot`, -1 = diffuse) is
-the one record of whether it is view-dependent. A row takes one when it is
+the one record of whether it is view-dependent and of which row holds a slot;
+the slot pool counts the slots held (`slots_held`). A row takes one when it is
 inserted with SH that has a set bit, or when training lets its SH gradient
 through (`take_slots`), and keeps it until it is removed. `sh_slots["params"]`
 holds the SH of each slot. A batch keeps this layout: `read` and `gather`
@@ -14,10 +15,10 @@ and one (len(held), 45) SH block, and `write` takes the same pairs back.
 
 Only this module knows that layout. Others read a base column by name as a
 view that writes through (`views`, `NamedColumns`) and write named columns
-into rows with `pack`. Each row's placement (`PLACEMENT`) and training's
-per-row state (`attached`) are more row arrays. An array attached as
-`PARAMETERS`, such as training's Adam moments, is laid out as `params`:
-BASE_WIDTH columns per row and its SH in `sh_slots[name]`.
+into rows with `pack`. Each row's placement (`PLACEMENT`, its flat segment)
+and training's per-row state (`attached`) are more row arrays. An array
+attached as `PARAMETERS`, such as training's Adam moments, is laid out as
+`params`: BASE_WIDTH columns per row and its SH in `sh_slots[name]`.
 
 All row arrays grow together in `_grow`, and a row is zeroed in all of them
 when it is handed out again. The slot table grows in `_grow_slots` and zeroes
@@ -43,8 +44,9 @@ _ENDS = np.cumsum([math.prod(shape) for shape in SHAPES.values()]).tolist()
 _KEYS = {name: slice(end - math.prod(shape), end) if shape else end - 1
          for (name, shape), end in zip(SHAPES.items(), _ENDS)}
 BASE_WIDTH = _ENDS[-2]      # parameters a row holds, 20: all but the SH
-# each row's flat segment index and influence range (start, end) in seconds
-PLACEMENT = {"segment": ((), np.int64), "influence": ((2,), np.float64)}
+# each row's flat segment index; the influence range it was placed by is a
+# function of the row's parameters, not stored
+PLACEMENT = {"segment": ((), np.int64)}
 PARAMETERS = "parameters"   # the spec of an array laid out as `params` (`attached`)
 INITIAL_CAPACITY = 256      # rows, and slots, allocated before the first insert
 # rows an insert packs per block: on 60,000 rows a 640 KB block packed ~8 %
@@ -142,7 +144,6 @@ class GaussianStore(NamedColumns):
         self._id_of_row = np.full(self.capacity, -1, dtype=np.int64)
         self.slot = np.full(self.capacity, -1, dtype=np.int64)  # -1 = diffuse
         self._row_of_id = np.full(self.capacity, -1, dtype=np.int64)  # -1 = absent
-        self._row_of_slot = np.full(self.slot_capacity, -1, dtype=np.int64)  # -1 = free
         self._rows_pool, self._slots_pool = _Pool(), _Pool()
         self._next_id = 0
 
@@ -186,7 +187,6 @@ class GaussianStore(NamedColumns):
         new_cap = _doubled(self.slot_capacity, needed)
         for name, table in self.sh_slots.items():
             self.sh_slots[name] = _zero_extended(table, new_cap)
-        self._row_of_slot = _grown(self._row_of_slot, new_cap)
         self.slot_capacity = new_cap
 
     def __len__(self):
@@ -196,9 +196,9 @@ class GaussianStore(NamedColumns):
     def ids(self):
         return np.flatnonzero(self._row_of_id[:self._next_id] >= 0).tolist()
 
-    def held_slots(self):
-        """Slots currently held by a row, ascending."""
-        return np.flatnonzero(self._row_of_slot[:self._slots_pool.top] >= 0)
+    def slots_held(self):
+        """Number of slots currently held by a row."""
+        return self._slots_pool.top - len(self._slots_pool.free)
 
     def live_rows(self):
         """Rows currently holding a Gaussian, ascending."""
@@ -249,7 +249,6 @@ class GaussianStore(NamedColumns):
         if self._slots_pool.top > self.slot_capacity:
             self._grow_slots(self._slots_pool.top)
         slots = np.concatenate([reused, fresh])
-        self._row_of_slot[slots] = rows
         self.slot[rows] = slots
         return slots
 
@@ -285,7 +284,6 @@ class GaussianStore(NamedColumns):
         self._id_of_row[rows] = -1
         slots = self.slot[rows]
         slots = slots[slots >= 0]
-        self._row_of_slot[slots] = -1
         self.slot[rows] = -1
         self._rows_pool.free.extend(rows.tolist())
         self._slots_pool.free.extend(slots.tolist())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tgh import hierarchy
 from tgh import sh
 from tgh import store
 
@@ -128,8 +129,11 @@ def placement_of(h, gid):
 
 
 def range_of(h, gid):
-    """The influence range (start, end) Gaussian `gid` was placed by."""
-    return tuple(h.store.influence[h.store.rows_of([gid])[0]].tolist())
+    """The influence range (start, end) of Gaussian `gid`'s parameters, by
+    which the hierarchy places it."""
+    rows = h.store.rows_of([gid])
+    start, end = hierarchy._influence_ranges(**store.views(h.store.params[rows]))
+    return float(start[0]), float(end[0])
 
 
 def sh_of(store, rows):

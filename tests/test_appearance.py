@@ -94,7 +94,7 @@ def test_view_dependent_fraction(rng):
         columns["sh_residual"][r, rng.integers(45)] = rng.normal()
     store = GaussianStore()
     store.insert_arrays(*checked_columns(**columns))
-    assert ap.view_dependent_fraction(len(store.held_slots()), len(store)) == pytest.approx(0.3)
+    assert ap.view_dependent_fraction(store.slots_held(), len(store)) == pytest.approx(0.3)
     assert ap.view_dependent_fraction(0, 5) == 0.0
     assert ap.view_dependent_fraction(0, 0) == 0.0
 

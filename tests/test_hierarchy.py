@@ -104,8 +104,9 @@ class TestGeometry:
         for T in (10.0, 40.0, 123.4):
             h = build(duration=T)
             for level in range(h.num_levels):
-                first = h._edge(0, level)
-                last = h._edge(h._count[level], level)  # the end of the last segment
+                first = h._offset[level]
+                # the end of the last segment
+                last = h._offset[level] + h._count[level] * h._seg_length[level]
                 assert first <= 0.0 and last >= T
 
     def test_memory_independent_of_duration(self):
@@ -160,7 +161,9 @@ class TestGeometry:
         assert 1 + h._count.sum() < 2 ** 53
         last = h.query_indices(h.duration)
         assert last == (h._count - 1).tolist()
-        assert all(h._edge(n, level) <= h.duration <= h._edge(n + 1, level)
+        offset, seg_length = h._offset, h._seg_length
+        assert all(offset[level] + n * seg_length[level] <= h.duration
+                   <= offset[level] + (n + 1) * seg_length[level]
                    for level, n in enumerate(last))
 
     def test_numpy_geometry_accepted(self):
@@ -235,9 +238,11 @@ class TestPlace:
             h.insert_batch(**huge)
         assert len(h.store) == len(h) == 1
         [row] = h.store.rows_of([gid])
+        scale = h.store.scale[row, 3]
         h.store.scale[row, 3] = 1e200
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
             h.update_levels([gid])
+        h.store.scale[row, 3] = scale  # the range is the parameters'
         assert (placement_of(h, gid), range_of(h, gid)) == before
         h.audit()
         assert h.insert_batch(**time_gaussian(2.0, 1.0)).tolist() == [1]  # no id was spent
@@ -440,14 +445,15 @@ class TestInsertRemoveOccupancy:
         # or an infinity always has one
         h = build(duration=40.0)
         h.insert_batch(**random_params(rng, 2))
-        held = h.store.held_slots()
+        slots = h.store.slot[h.store.live_rows()]
         bad = random_params(rng, 3)
         bad["sh_residual"][:] = 0.0
         bad["sh_residual"][1, 7] = value
         with pytest.raises(InvalidParameterError):
             h.insert_batch(**bad)
         assert len(h.store) == len(h) == 2
-        assert np.array_equal(h.store.held_slots(), held)
+        assert np.array_equal(h.store.slot[h.store.live_rows()], slots)
+        assert h.store.slots_held() == np.count_nonzero(slots >= 0)
         h.audit()
         assert h.insert_batch(**random_params(rng, 1)).tolist() == [2]  # no id was spent
 
@@ -552,7 +558,24 @@ class TestAudit:
         with pytest.raises(AuditError):
             h.audit()
         h.store.segment[row] -= 1
-        h.store.influence[row] = (30.0, 31.0)  # fits a deeper segment elsewhere
+        h.store.mu[row, 3] = 30.5  # the range [28.5, 32.5] fits another segment
+        with pytest.raises(AuditError):
+            h.audit()
+
+    @pytest.mark.parametrize("name", ["mu", "scale"])
+    def test_audit_catches_time_moved_without_update_levels(self, name):
+        # audit recomputes the range from the parameters, so a write of the
+        # temporal mean or scale that skips re-placement is caught
+        h = build(duration=40.0)
+        [gid] = h.insert_batch(**time_gaussian(2.5, 2.0))
+        [row] = h.store.rows_of([gid])
+        h.audit()
+        getattr(h.store, name)[row, 3] *= 8.0  # mu_t 20, or a range 8 times as wide
+        with pytest.raises(AuditError):
+            h.audit()
+        h.update_levels([gid])
+        h.audit()
+        getattr(h.store, name)[row, 3] = np.nan  # no range at all
         with pytest.raises(AuditError):
             h.audit()
 

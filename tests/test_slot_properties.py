@@ -1,11 +1,11 @@
 """Property tests for the store's SH slot table: over random sequences of
 inserts (some rows with non-zero SH), removes and training-shaped writes,
-each held slot belongs to exactly one live row, a row holds one exactly when
-it was inserted with a set SH bit or took one before a step that set one,
-every read equals a dense reference and a reused slot reads zero. In a real
-`train()`, the gate's count, the slots held, equals the brute-force count of
-the rows inserted lit or opened by the gate, and each write's SH block has
-one row per slotted row."""
+live rows hold distinct slots, as many as the store counts held, a row holds
+one exactly when it was inserted with a set SH bit or took one before a step
+that set one, every read equals a dense reference and a reused slot reads
+zero. In a real `train()`, the gate's count, the slots held, equals the
+brute-force count of the rows inserted lit or opened by the gate, and each
+write's SH block has one row per slotted row."""
 
 import numpy as np
 import pytest
@@ -43,9 +43,12 @@ def check(store, reference, lit):
     (id -> {name: (WIDE,) row}) and `lit` (the ids that hold a slot)."""
     live = store.live_rows()
     slots = store.slot[live]
-    held = store.held_slots()
-    # each held slot is held by exactly one live row, and no row refers to a free slot
-    assert sorted(slots[slots >= 0].tolist()) == held.tolist()
+    held = slots[slots >= 0]
+    # live rows hold distinct slots, each handed out and not free, as many as
+    # the count of slots held; no other row refers to a slot
+    assert len(np.unique(held)) == len(held) == store.slots_held()
+    assert np.all(held < store._slots_pool.top)
+    assert not np.isin(held, store._slots_pool.free).any()
     assert np.all(np.delete(store.slot, live) == -1)
     ids = store.ids_at_rows(live)
     assert sorted(ids.tolist()) == sorted(reference)
@@ -194,7 +197,7 @@ def test_reused_slot_reads_zero():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 6))
 def test_gate_count_over_slots_equals_brute_force_at_every_pass(seed, n):
     scene, h = small_scene(seed, n, 16)
-    assert len(h.store.held_slots()) == 0      # the scene's SH is all +0.0
+    assert h.store.slots_held() == 0      # the scene's SH is all +0.0
     vdep = set()        # ids inserted with a set SH bit, or opened by the gate
     passes = []
     batch_ids = []
@@ -252,7 +255,7 @@ def test_train_opens_a_slot_before_each_write_of_sh(seed):
 
     def recorded_gate(diffuse, grad_h, g_th):
         opened = gate(diffuse, grad_h, g_th)
-        steps.append((len(store.held_slots()), len(opened)))
+        steps.append((store.slots_held(), len(opened)))
         return opened
 
     def checked_write(rows, **values):
@@ -261,7 +264,7 @@ def test_train_opens_a_slot_before_each_write_of_sh(seed):
             assert len(base) == len(rows) and len(block) == np.count_nonzero(~diffuse), name
         write(rows, **values)
         before, opened = steps[-1]
-        assert len(store.held_slots()) == before + opened
+        assert store.slots_held() == before + opened
         checked.append((np.count_nonzero(~diffuse), opened))
 
     with pytest.MonkeyPatch.context() as mp:

@@ -47,7 +47,7 @@ def store_bytes(store):
 def measure(store):
     """(Gaussians, SH rows, bytes per Gaussian, the same with TRAINING_ROWS)."""
     n = len(store)
-    sh_rows = len(store.held_slots())
+    sh_rows = store.slots_held()
     held = store_bytes(store)
     with store.attached(optimizer.TRAINING_ROWS):
         training = store_bytes(store)

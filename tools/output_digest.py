@@ -8,11 +8,12 @@ scene at 96x96 (the short one with 2,000 Gaussians, the long one with
 20,000) and seeds 0 and 1, it runs `train()` for 40 iterations with a control
 pass every 10 and density-control settings under which clones and splits
 both run, then prints one SHA-256 over the stored ids and their rows,
-every parameter and placement column of the live rows, every metric
-column and one render. A second SHA-256, `playback=`, covers `render()` of
-the first PLAYBACK_FRAMES frames of the scene's playback path on the
-untrained hierarchy: the read path that the bench's playback times. Equal
-digests before and after a change mean equal outputs, byte for byte.
+every parameter column of the live rows, their flat segments and the
+influence ranges of their parameters, every metric column and one render.
+A second SHA-256, `playback=`, covers `render()` of the first
+PLAYBACK_FRAMES frames of the scene's playback path on the untrained
+hierarchy: the read path that the bench's playback times. Equal digests
+before and after a change mean equal outputs, byte for byte.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
-from tgh import optimizer, renderer, sh, store  # noqa: E402
+from tgh import hierarchy, optimizer, renderer, sh, store  # noqa: E402
 
 import scene as sc  # noqa: E402
 import workloads  # noqa: E402
@@ -81,8 +82,9 @@ def digest(spec, seed):
     held, (params, block) = h.store.read(rows, "params")
     dense_sh = np.zeros((len(rows), sh.RESIDUAL_COEFFS))  # a diffuse row's SH reads zero
     dense_sh[held] = block
-    parts += [*store.views(params).values(), dense_sh,
-              *(getattr(h.store, name)[rows] for name in store.PLACEMENT)]
+    start, end = hierarchy._influence_ranges(**store.views(params))
+    parts += [*store.views(params).values(), dense_sh, h.store.segment[rows],
+              np.stack([start, end], axis=1)]
     parts.append(np.array([[row[c] for c in optimizer.METRIC_COLUMNS] for row in result.metrics],
                           dtype=np.float64))
     fb = renderer.render(h, spec.duration / 2.0, scene.cameras[0])

@@ -38,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
-from tgh import optimizer, renderer  # noqa: E402
+from tgh import hierarchy, optimizer, renderer, store  # noqa: E402
 from tgh.losses import psnr  # noqa: E402
 
 import scene as sc  # noqa: E402
@@ -94,12 +94,12 @@ def evaluate(h, scored):
 
 def sharing(h):
     """Population, view-dependent share, per-level counts and influence widths."""
-    store = h.store
-    rows = store.live_rows()
-    widths = store.influence[rows, 1] - store.influence[rows, 0]
+    params = h.store.params[h.store.live_rows()]
+    start, end = hierarchy._influence_ranges(**store.views(params))
+    widths = end - start
     per_level, _ = h.occupancy()
-    return {"population": len(store),
-            "vdep": len(store.held_slots()) / len(store),
+    return {"population": len(h.store),
+            "vdep": h.store.slots_held() / len(h.store),
             "levels": per_level,
             "width_q": np.quantile(widths, [0.1, 0.5, 0.9]),
             "shared": float(np.mean(widths > SHARED_WIDTH))}
