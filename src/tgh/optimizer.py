@@ -6,9 +6,8 @@ row whose SH gradient it lets through, `step_base_rows` steps the base rows
 and `adam_step` the SH of the slotted rows, and one `store.write` puts both
 back; a diffuse row has no SH to step. A control pass reads only the rows
 touched since the last one, which `train()` collects as it steps them, and
-the gate's count at a pass is the number of slots held. The per-step cost is
-not yet flat in the population (ROADMAP item 1): `scene_extent_of` runs once
-per `train()`.
+the gate's count at a pass is the number of slots held. The scene extent
+comes from the cameras (`camera_extent`), so no call reads every live row.
 
 The per-Gaussian training state lives in the store's rows: `train()`
 attaches `TRAINING_ROWS` (Adam moment rows and step counts) to the
@@ -22,7 +21,7 @@ The method runs on fixed settings, module constants here:
 
 - `LEARNING_RATES`: Adam's rate per parameter column. The base rate 1.6e-4
   is 3DGS's initial position rate (arXiv 2308.04079), and as there the
-  `mu` rate is multiplied by the scene extent; rotors run at 5x, and base
+  `mu` rate is multiplied by the cameras' extent; rotors run at 5x, and base
   color and residual SH at 12.5x the base rate. Scale s and opacity o step
   in log s and logit o, as in 3DGS and 4DGS (arXiv 2310.10642), so no step
   takes s to 0 or o out of [0, 1] and a scale's step is relative to it; their
@@ -33,7 +32,7 @@ The method runs on fixed settings, module constants here:
   `GRAD_DENSIFY_THRESHOLD` (its densify_grad_threshold, in view-space NDC
   units), `PRUNE_OPACITY_THRESHOLD` (its min opacity), `SPLIT_SCALE_DIVISOR`
   (a split child's scale is 1 / (0.8 N) of its parent's with N = 2
-  children) and `CLONE_SIZE_FRACTION` (its percent_dense: of the scene
+  children) and `CLONE_SIZE_FRACTION` (its percent_dense: of the cameras'
   extent, clone below, split above). A clone is an exact copy of its
   source, as in 3DGS.
 
@@ -251,15 +250,13 @@ class TrainResult:
     metrics: list                       # MetricRow per control pass
 
 
-def scene_extent_of(store):
-    """Diagonal of the live Gaussians' position bounding box; 1.0 if there is
-    none or it is a point. Each axis is gathered alone: a max and min over
-    gathered (n, 3) rows reduce several times slower than over one column."""
-    rows = store.live_rows()
-    if len(rows) == 0:
-        return 1.0
-    diag = np.linalg.norm([np.ptp(axis[rows]) for axis in store.mu[:, :3].T])
-    return float(diag) if diag > 0 else 1.0
+def camera_extent(cameras):
+    """1.1 x the largest distance of a camera centre from the centres' mean,
+    3DGS's scene extent (its `getNerfppNorm` radius); 1.0 if the centres
+    coincide up to the rounding of `Camera.center` and of their mean."""
+    centers = np.array([cam.center for cam in cameras])
+    radius = 1.1 * np.max(np.linalg.norm(centers - centers.mean(axis=0), axis=1))
+    return float(radius) if radius > 1e-9 * (1.0 + np.abs(centers).max()) else 1.0
 
 
 def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
@@ -287,7 +284,7 @@ def train(scene, h: TemporalHierarchy, cfg: TrainConfig):
         raise OutOfRangeError(f"frame {scene.frames - 1} falls after duration {h.duration}")
     rng = np.random.default_rng(cfg.seed)
     g_th = ap.G_TH
-    extent = scene_extent_of(h.store)
+    extent = camera_extent(scene.cameras)
     lr = pack({**LEARNING_RATES, "mu": LEARNING_RATES["mu"] * extent}, np.empty(BASE_WIDTH))
 
     result = TrainResult(metrics=[])

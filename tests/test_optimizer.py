@@ -36,8 +36,8 @@ class StaticScene:
         return self._images[(cam_index, frame)]
 
 
-def ring_camera(width=32, height=32, fx=40.0):
-    rotation, translation = look_at([0.0, -4.0, 0.5], [0.0, 0.0, 0.0])
+def ring_camera(width=32, height=32, fx=40.0, position=(0.0, -4.0, 0.5), target=(0.0, 0.0, 0.0)):
+    rotation, translation = look_at(position, target)
     return Camera(fx=fx, fy=fx, cx=width / 2, cy=height / 2,
                   rotation=rotation, translation=translation,
                   width=width, height=height, near=0.1, far=50.0)
@@ -408,6 +408,24 @@ class TestTrain:
         with pytest.raises(InvalidParameterError):
             opt.train(scene, h, cfg)
         assert set(vars(h.store)) == held
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (5.0, -3.0, 2.0), (-40.0, 12.0, 7.0)])
+@pytest.mark.parametrize("radius", [0.25, 3.5, 10.0])
+def test_camera_extent_of_a_ring_is_its_radius_times_1_1(center, radius):
+    angles = 0.3 + np.arange(4) * np.pi / 2
+    cameras = [ring_camera(position=np.add(center, [radius * np.cos(a), radius * np.sin(a), 0.5]),
+                           target=center) for a in angles]
+    assert abs(opt.camera_extent(cameras) - 1.1 * radius) <= 1e-12 * 1.1 * radius
+
+
+def test_cameras_at_one_centre_have_extent_one():
+    # each rotation rounds the centre differently, and the mean of 0.1 is not 0.1
+    position = (0.1, 0.2, 0.3)
+    cameras = [ring_camera(position=position, target=target)
+               for target in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 2.0, -1.0))]
+    assert opt.camera_extent(cameras) == 1.0
+    assert opt.camera_extent(cameras[:1] * 3) == 1.0
 
 
 @pytest.mark.parametrize("setting", [

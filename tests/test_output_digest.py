@@ -1,5 +1,6 @@
 """`tools/output_digest.py` on a tiny scene: a seeded run digests the same
-twice, and another seed gives another training digest."""
+twice, another seed gives another training digest, and its settings make
+density control both clone and split."""
 
 import importlib.util
 from pathlib import Path
@@ -18,3 +19,19 @@ def test_digest_is_deterministic_and_seeded():
     population, trained, playback = first
     assert population > 0 and len(trained) == len(playback) == 64
     assert output_digest.digest(TINY, 1)[1] != trained
+
+
+def test_digest_settings_clone_and_split(monkeypatch):
+    # the size cut is a fraction of the cameras' extent: a fraction not
+    # rescaled with the extent puts every hot Gaussian on one side of it
+    optimizer, reports = output_digest.optimizer, []
+    control = optimizer.adaptive_control
+
+    def recorded_control(*args, **kwargs):
+        reports.append(control(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(optimizer, "adaptive_control", recorded_control)
+    output_digest.digest(TINY, 0)
+    assert sum(r.cloned for r in reports) > 0
+    assert sum(r.split for r in reports) > 0

@@ -233,7 +233,7 @@ def test_gate_count_over_slots_equals_brute_force_at_every_pass(seed, n):
         mp.setattr(h, "materialize", recorded_materialize)
         mp.setattr(h, "insert_batch", recorded_insert)
         mp.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)  # clones and splits copy SH
-        mp.setattr(opt, "CLONE_SIZE_FRACTION", 0.05 / opt.scene_extent_of(h.store))
+        mp.setattr(opt, "CLONE_SIZE_FRACTION", 0.05 / opt.camera_extent(scene.cameras))
         opt.train(scene, h, opt.TrainConfig(iterations=20, densify_interval=5, seed=seed))
     assert len(passes) == 4
     assert any(slots > 0 for slots, _ in passes)
@@ -273,7 +273,7 @@ def test_train_opens_a_slot_before_each_write_of_sh(seed):
         mp.setattr(ap, "gate_gradients", recorded_gate)
         mp.setattr(store, "write", checked_write)
         mp.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)  # clones and splits copy SH
-        mp.setattr(opt, "CLONE_SIZE_FRACTION", 0.05 / opt.scene_extent_of(store))
+        mp.setattr(opt, "CLONE_SIZE_FRACTION", 0.05 / opt.camera_extent(scene.cameras))
         opt.train(scene, h, opt.TrainConfig(iterations=20, densify_interval=5, seed=seed))
     assert len(checked) == len(steps) == 20
     assert sum(opened for _, opened in checked) > 0

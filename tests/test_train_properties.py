@@ -4,7 +4,7 @@ placements, and every kind of density control happens on the way; every
 step keeps scales positive and opacities inside (0, 1); a clone
 is an exact copy of its source; each control pass is handed exactly the
 Gaussians touched since the last one, with their mean view-space gradient
-norms."""
+norms; no call reads every live row."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from tgh import optimizer as opt
 from tgh import renderer as rn
 from tgh.camera import Camera
 from tgh.hierarchy import build
-from tgh.store import COLUMNS
+from tgh.store import COLUMNS, GaussianStore
 
 from conftest import columns_of, params, placement_of, stack
 from test_optimizer import StaticScene
@@ -75,7 +75,7 @@ def test_train_is_deterministic_given_seed(seed, n, size, interval):
         reports = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
-            mp.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+            mp.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.camera_extent(scene.cameras))
             mp.setattr(opt, "adaptive_control", recording(reports))
             result = opt.train(scene, h, cfg)
         h.audit()
@@ -115,7 +115,7 @@ def test_every_step_keeps_scales_positive_and_opacities_inside(seed, monkeypatch
 def test_clone_is_an_exact_copy_of_its_source(seed, monkeypatch):
     scene, h = small_scene(seed, n=4, size=16)
     monkeypatch.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
-    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.camera_extent(scene.cameras))
     original = opt.adaptive_control
     passes = []  # (live parameter rows before a pass, the rows of its clones)
 
@@ -136,6 +136,22 @@ def test_clone_is_an_exact_copy_of_its_source(seed, monkeypatch):
     for before, clones in passes:
         for clone in clones:
             assert (before == clone).all(axis=1).any()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_train_never_passes_over_every_live_row(seed, monkeypatch):
+    # a step and a control pass read only the rows they are handed, so a
+    # call's cost does not grow with the population
+    def every_live_row(self):
+        raise AssertionError("train() read every live row")
+
+    scene, h = small_scene(seed, n=4, size=16)
+    monkeypatch.setattr(GaussianStore, "live_rows", every_live_row)
+    monkeypatch.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
+    reports = []
+    monkeypatch.setattr(opt, "adaptive_control", recording(reports))
+    opt.train(scene, h, opt.TrainConfig(iterations=10, densify_interval=4, seed=seed))
+    assert len(reports) == 3 and sum(r.cloned + r.split for r in reports) > 0
 
 
 def brute_force_means(steps):
@@ -168,7 +184,7 @@ def test_interval_means_equal_step_order_sums(steps):
 def test_each_pass_gets_the_interval_touches(seed, monkeypatch):
     scene, h = small_scene(seed, n=5, size=16)
     monkeypatch.setattr(opt, "GRAD_DENSIFY_THRESHOLD", 1e-12)
-    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.scene_extent_of(h.store))
+    monkeypatch.setattr(opt, "CLONE_SIZE_FRACTION", CLONE_BELOW / opt.camera_extent(scene.cameras))
     render, control = rn.render_with_gradients, opt.adaptive_control
     steps, passes, reports = [], [], []  # passes: (ids handed, mean_grad, steps before)
 

@@ -44,8 +44,10 @@ SEEDS = (0, 1)
 ITERATIONS = 40
 PLAYBACK_FRAMES = 20
 DENSIFY_INTERVAL = 10
-# density-control settings under which clones and splits both run
-SETTINGS = {"GRAD_DENSIFY_THRESHOLD": 2e-5, "CLONE_SIZE_FRACTION": 0.05}
+# density-control settings under which clones and splits both run: the size
+# cut, 0.0225 x the cameras' extent 3.85 = ~0.087, lies inside the scenes'
+# spatial scales (`scene.SPATIAL_SCALE`)
+SETTINGS = {"GRAD_DENSIFY_THRESHOLD": 2e-5, "CLONE_SIZE_FRACTION": 0.0225}
 
 
 def sha256(parts):
